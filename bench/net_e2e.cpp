@@ -4,6 +4,9 @@
 // split across the 4 core groups. Prints a table and writes two JSON series
 // via the shared bench_util emitter:
 //   BENCH_net_e2e.json            -- the fused defaults CI tracks,
+//     including the tuner's work counts per net (tune_enumerated /
+//     tune_lowered / tune_ranked / tune_measured), which are exact and
+//     gated with zero tolerance,
 //   BENCH_net_fusion_ablation.json -- the same nets with fusion and
 //     residency forced off, plus the fused-over-unfused speedup, so the
 //     bench-regression gate catches both a fused regression and a silent
@@ -65,7 +68,11 @@ int main() {
             {"convs_fused", static_cast<double>(r.fusion.convs_fused)},
             {"resident_tensors", static_cast<double>(r.resident_tensors)},
             {"dma_bytes_elided", static_cast<double>(r.dma_bytes_elided)},
-            {"tune_seconds", r.tune_seconds}},
+            {"tune_seconds", r.tune_seconds},
+            {"tune_enumerated", static_cast<double>(r.tune_enumerated)},
+            {"tune_lowered", static_cast<double>(r.tune_lowered)},
+            {"tune_ranked", static_cast<double>(r.tune_ranked)},
+            {"tune_measured", static_cast<double>(r.tune_measured)}},
            r.cycles);
 
     // Ablation: the same network with the epilogue fusion pass and the SPM

@@ -112,8 +112,9 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
         r.oracle_checks - replay0.oracle_checks;
   };
 
-  // Cache fast path: a banked winner is rebuilt directly (one lower +
-  // optimize, no space enumeration, no ranking).
+  // Cache fast path: a banked winner is rebuilt directly through the
+  // tuner's build path (one lower + optimize + validate, no space
+  // enumeration, no ranking).
   const std::string cache_key =
       cache_ ? tune::ScheduleCache::fingerprint(op.name(), cfg_.machine,
                                                 cfg_.tuner_knobs())
@@ -129,11 +130,14 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
                                               cfg_.machine, oo);
         out.predicted_cycles = entry->predicted_cycles;
         out.measured_cycles = entry->measured_cycles;
-        if (cfg_.measure_best && out.measured_cycles == 0.0)
+        if (cfg_.measure_best && out.measured_cycles == 0.0) {
           out.measured_cycles = measure(out.candidate);
+          out.stats.measured = 1;
+        }
         out.from_cache = true;
         out.stats.space_size = op.space().size();
         out.stats.valid_candidates = 1;
+        out.stats.lowered = 1;
         out.stats.seconds =
             std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                           t0)
@@ -163,8 +167,9 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
         flush_replay();
         return out;
       } catch (const CheckError&) {
-        // A stale/corrupt entry that no longer lowers cleanly: fall
-        // through to a fresh tuning run (which re-banks the key).
+        // A stale/corrupt entry that no longer lowers, optimizes or
+        // validates cleanly: fall through to a fresh tuning run (which
+        // re-banks the key).
       }
     }
     if (rec) rec->tune().cache_misses += 1;
@@ -187,6 +192,7 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
     out.candidate = std::move(tuned.candidate);
     if (cfg_.measure_best) {
       out.measured_cycles = measure(out.candidate);
+      out.stats.measured += 1;
       // Record the pick's model-vs-simulator sample (the "model" rows
       // above carry no measurement by construction).
       if (cfg_.journal) {

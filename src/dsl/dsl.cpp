@@ -123,33 +123,33 @@ std::int64_t ScheduleSpace::size() const {
   return n;
 }
 
+Strategy ScheduleSpace::at(std::int64_t index) const {
+  SWATOP_CHECK(index >= 0 && index < size())
+      << "strategy index " << index << " outside a space of " << size();
+  Strategy s;
+  s.set_epilogue(epilogue_);
+  // Mixed-radix decode, least significant digit = last-declared variable.
+  for (auto it = choices_.rbegin(); it != choices_.rend(); ++it) {
+    const auto n = static_cast<std::int64_t>(it->options.size());
+    s.set_choice(it->name, it->options[static_cast<std::size_t>(index % n)]);
+    index /= n;
+  }
+  for (auto it = factors_.rbegin(); it != factors_.rend(); ++it) {
+    const auto n = static_cast<std::int64_t>(it->candidates.size());
+    s.set_factor(it->name, it->candidates[static_cast<std::size_t>(index % n)]);
+    index /= n;
+  }
+  return s;
+}
+
 std::vector<Strategy> ScheduleSpace::enumerate(
     const std::function<bool(const Strategy&)>& valid) const {
   std::vector<Strategy> out;
-  Strategy cur;
-  cur.set_epilogue(epilogue_);
-  // Recursive cartesian product over factors then choices.
-  std::function<void(std::size_t)> rec_choice = [&](std::size_t ci) {
-    if (ci == choices_.size()) {
-      if (!valid || valid(cur)) out.push_back(cur);
-      return;
-    }
-    for (const std::string& opt : choices_[ci].options) {
-      cur.set_choice(choices_[ci].name, opt);
-      rec_choice(ci + 1);
-    }
-  };
-  std::function<void(std::size_t)> rec_factor = [&](std::size_t fi) {
-    if (fi == factors_.size()) {
-      rec_choice(0);
-      return;
-    }
-    for (std::int64_t f : factors_[fi].candidates) {
-      cur.set_factor(factors_[fi].name, f);
-      rec_factor(fi + 1);
-    }
-  };
-  rec_factor(0);
+  const std::int64_t n = size();
+  for (std::int64_t i = 0; i < n; ++i) {
+    Strategy s = at(i);
+    if (!valid || valid(s)) out.push_back(std::move(s));
+  }
   return out;
 }
 

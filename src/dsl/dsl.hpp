@@ -106,7 +106,13 @@ class ScheduleSpace {
   /// Number of raw assignments (before validity pruning).
   std::int64_t size() const;
 
-  /// Enumerate all assignments; `valid`, when given, prunes.
+  /// The assignment at position `index` (0 <= index < size()) of the
+  /// enumeration order: factors in declaration order, then choices, the
+  /// last-declared variable varying fastest. Built directly from the index,
+  /// so a sweep can visit the space without materializing it.
+  Strategy at(std::int64_t index) const;
+
+  /// Enumerate all assignments in index order; `valid`, when given, prunes.
   std::vector<Strategy> enumerate(
       const std::function<bool(const Strategy&)>& valid = nullptr) const;
 

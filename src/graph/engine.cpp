@@ -210,6 +210,10 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       tc.handle = optimizer.optimize(*tc.op);
       if (tc.handle.from_cache) ++res.cache_hits;
       ++res.shapes_tuned;
+      res.tune_enumerated += tc.handle.stats.enumerated;
+      res.tune_lowered += tc.handle.stats.lowered;
+      res.tune_ranked += tc.handle.stats.ranked;
+      res.tune_measured += tc.handle.stats.measured;
       tuned.emplace(key, std::move(tc));
     }
   }

@@ -120,6 +120,13 @@ struct NetRunResult {
   std::int64_t shapes_tuned = 0;  ///< distinct (method, shape) tuned
   std::int64_t cache_hits = 0;    ///< of those, served from the cache
   double tune_seconds = 0.0;
+  /// Tuner work (tune::TunerStats) summed over the shapes tuned, a cache
+  /// hit counting its one rebuild: exact at any thread count, so CI can
+  /// gate host work where tune_seconds is too noisy to.
+  std::int64_t tune_enumerated = 0;
+  std::int64_t tune_lowered = 0;
+  std::int64_t tune_ranked = 0;
+  std::int64_t tune_measured = 0;
   /// Trace-replay fast path over the whole tuning phase (all zero unless
   /// SwatopConfig::replay.enabled) -- see tune/replay.hpp.
   std::int64_t replay_hits = 0;

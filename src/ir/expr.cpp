@@ -111,9 +111,9 @@ std::int64_t eval(const Expr& e, const Env& env) {
     case ExprKind::Const:
       return e->value;
     case ExprKind::Var: {
-      auto it = env.find(e->name);
-      SWATOP_CHECK(it != env.end()) << "unbound variable '" << e->name << "'";
-      return it->second;
+      const std::int64_t* v = env.find(e->name);
+      SWATOP_CHECK(v != nullptr) << "unbound variable '" << e->name << "'";
+      return *v;
     }
     case ExprKind::Add:
       return eval(e->a, env) + eval(e->b, env);

@@ -7,10 +7,14 @@
 // min/select appear only through boundary processing.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace swatop::ir {
 
@@ -39,8 +43,44 @@ struct ExprNode {
   Expr a, b, c;            ///< operands
 };
 
-/// Environment binding variable names to values.
-using Env = std::unordered_map<std::string, std::int64_t>;
+/// Environment binding variable names to values. A loop nest binds only a
+/// handful of variables, so this is a flat list searched linearly (newest
+/// binding first) instead of a hashed map.
+class Env {
+ public:
+  Env() = default;
+  Env(std::initializer_list<std::pair<std::string, std::int64_t>> init) {
+    for (const auto& [name, value] : init) (*this)[name] = value;
+  }
+
+  /// The value bound to `name`, binding it to 0 first when unbound.
+  std::int64_t& operator[](const std::string& name) {
+    for (auto it = vars_.rbegin(); it != vars_.rend(); ++it)
+      if (it->first == name) return it->second;
+    return vars_.emplace_back(name, 0).second;
+  }
+
+  /// Unbind `name`; returns the number of bindings removed (0 or 1).
+  std::size_t erase(const std::string& name) {
+    for (auto it = vars_.rbegin(); it != vars_.rend(); ++it) {
+      if (it->first == name) {
+        vars_.erase(std::next(it).base());
+        return 1;
+      }
+    }
+    return 0;
+  }
+
+  /// The bound value, or nullptr when `name` is unbound.
+  const std::int64_t* find(const std::string& name) const {
+    for (auto it = vars_.rbegin(); it != vars_.rend(); ++it)
+      if (it->first == name) return &it->second;
+    return nullptr;
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::int64_t>> vars_;
+};
 
 // -- constructors (with local constant folding) -----------------------------
 Expr cst(std::int64_t v);

@@ -55,8 +55,15 @@ dsl::ScheduleSpace ImplicitConvOp::space() const {
   if (tco.empty()) tco.push_back(1);
   sp.add(dsl::FactorVar{"Tco", tco});
   sp.add(dsl::ChoiceVar{"wlayout", {"no_major", "ni_major"}});
-  sp.add(dsl::ChoiceVar{"order",
-                        {"rcouvi", "rcoiuv", "rcuvio", "rouvci"}});
+  // A computing epilogue must see finished sums, so DMA inference rejects
+  // every order with a reduction loop (u, v, i) outside an output loop
+  // (r, c, o): rcuvio and rouvci. Offer only the orders it can accept
+  // instead of lowering the rest to throw them away.
+  sp.add(dsl::ChoiceVar{
+      "order", epi_.compute()
+                   ? std::vector<std::string>{"rcouvi", "rcoiuv"}
+                   : std::vector<std::string>{"rcouvi", "rcoiuv", "rcuvio",
+                                              "rouvci"}});
   sp.add(dsl::ChoiceVar{"variant",
                         {"0", "1", "2", "3", "4", "5", "6", "7"}});
   sp.add(dsl::ChoiceVar{"boundary", {"pad", "switch"}});

@@ -1,98 +1,75 @@
 #include "sched/scheduler.hpp"
 
 #include <atomic>
-#include <exception>
-#include <mutex>
-#include <optional>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "check/validate_ir.hpp"
+#include "sched/parallel.hpp"
 
 namespace swatop::sched {
 
-namespace {
-
-std::size_t resolve_threads(int requested, std::size_t work) {
-  if (work < 2) return 1;
-  std::size_t n = requested > 0
-                      ? static_cast<std::size_t>(requested)
-                      : static_cast<std::size_t>(
-                            std::thread::hardware_concurrency());
-  if (n == 0) n = 1;
-  return n < work ? n : work;
+std::optional<Candidate> try_build_candidate(const dsl::OperatorDef& op,
+                                             const dsl::Strategy& s,
+                                             const sim::SimConfig& cfg,
+                                             const opt::OptOptions& oo,
+                                             bool* lowered) {
+  ir::StmtPtr prog = op.lower(s);
+  if (lowered != nullptr) *lowered = prog != nullptr;
+  if (prog == nullptr) return std::nullopt;  // structurally invalid
+  opt::OptOptions o = oo;
+  o.prefetch = oo.prefetch && op.prefetch_enabled(s);
+  if (!opt::optimize(prog, cfg, o)) return std::nullopt;  // pruned
+  check::validate_ir_or_throw(prog, cfg);
+  return Candidate{s, std::move(prog), o.prefetch};
 }
-
-}  // namespace
 
 std::int64_t Scheduler::space_size(const dsl::OperatorDef& op) const {
   return op.space().size();
 }
 
-std::vector<Candidate> Scheduler::candidates(
-    const dsl::OperatorDef& op, const SchedulerOptions& opts) const {
+SweepStats Scheduler::sweep(
+    const dsl::OperatorDef& op, const SchedulerOptions& opts,
+    const std::function<CandidateSink()>& make_sink) const {
   const dsl::ScheduleSpace space = op.space();
-  const std::vector<dsl::Strategy> strategies = space.enumerate();
+  const auto n = static_cast<std::size_t>(space.size());
+  const std::int64_t cap = opts.max_candidates;
+  // The cap bounds the lowering work itself: serial, and once it is
+  // reached the remaining indices are skipped without being built.
+  const std::size_t threads =
+      cap > 0 ? 1 : resolve_threads(opts.num_threads, n);
+  std::atomic<std::int64_t> enumerated{0}, lowered{0}, kept{0};
+  parallel_for(n, threads, [&] {
+    return [&, sink = make_sink()](std::size_t i) {
+      if (cap > 0 && kept.load() >= cap) return;
+      enumerated.fetch_add(1);
+      const auto index = static_cast<std::int64_t>(i);
+      bool low = false;
+      std::optional<Candidate> c =
+          try_build_candidate(op, space.at(index), cfg_, opts.opt, &low);
+      if (low) lowered.fetch_add(1);
+      if (!c) return;
+      kept.fetch_add(1);
+      sink(index, std::move(*c));
+    };
+  });
+  return {enumerated.load(), lowered.load(), kept.load()};
+}
 
-  const std::size_t nthreads =
-      opts.max_candidates > 0
-          ? 1  // the cap bounds lowering work: keep the early-exit loop
-          : resolve_threads(opts.num_threads, strategies.size());
-
-  auto build = [&](const dsl::Strategy& s) -> std::optional<Candidate> {
-    ir::StmtPtr prog = op.lower(s);
-    if (prog == nullptr) return std::nullopt;  // structurally invalid
-    opt::OptOptions o = opts.opt;
-    o.prefetch = opts.opt.prefetch && op.prefetch_enabled(s);
-    if (!opt::optimize(prog, cfg_, o)) return std::nullopt;  // pruned
-    // A candidate that survives pruning must be well-formed: a validation
-    // failure here is a lowering or optimizer bug, not an invalid strategy,
-    // so it throws instead of silently dropping the candidate.
-    check::validate_ir_or_throw(prog, cfg_);
-    return Candidate{s, std::move(prog), o.prefetch};
-  };
-
+std::vector<Candidate> Scheduler::candidates(const dsl::OperatorDef& op,
+                                             const SchedulerOptions& opts,
+                                             SweepStats* stats) const {
+  // Workers fill only their own index's slot; compacting the slots in
+  // index order makes the list identical at any thread count.
+  std::vector<std::optional<Candidate>> slots(
+      static_cast<std::size_t>(op.space().size()));
+  const SweepStats st = sweep(op, opts, [&] {
+    return [&](std::int64_t i, Candidate&& c) {
+      slots[static_cast<std::size_t>(i)] = std::move(c);
+    };
+  });
+  if (stats != nullptr) *stats = st;
   std::vector<Candidate> out;
-  if (nthreads <= 1) {
-    for (const dsl::Strategy& s : strategies) {
-      std::optional<Candidate> c = build(s);
-      if (!c) continue;
-      out.push_back(std::move(*c));
-      if (opts.max_candidates > 0 &&
-          static_cast<std::int64_t>(out.size()) >= opts.max_candidates)
-        break;
-    }
-    return out;
-  }
-
-  // Fan the independent lower+optimize work across a pool (the same
-  // pattern as BlackBoxTuner::tune); slots keep enumeration order so the
-  // result is bit-identical to the serial sweep.
-  std::vector<std::optional<Candidate>> slots(strategies.size());
-  std::atomic<std::size_t> next{0};
-  // build() can throw (the IR validator flags lowering/optimizer bugs);
-  // an exception escaping a worker would terminate the process, so the
-  // first one is captured and rethrown on the calling thread.
-  std::mutex error_mu;
-  std::exception_ptr first_error;
-  std::vector<std::thread> workers;
-  workers.reserve(nthreads);
-  for (std::size_t w = 0; w < nthreads; ++w) {
-    workers.emplace_back([&] {
-      for (std::size_t i = next.fetch_add(1); i < strategies.size();
-           i = next.fetch_add(1)) {
-        try {
-          slots[i] = build(strategies[i]);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(error_mu);
-          if (!first_error) first_error = std::current_exception();
-        }
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  if (first_error) std::rethrow_exception(first_error);
-
+  out.reserve(static_cast<std::size_t>(st.kept));
   for (std::optional<Candidate>& c : slots)
     if (c) out.push_back(std::move(*c));
   return out;

@@ -1,10 +1,13 @@
 // The scheduler (Sec. 4.3): traverses the schedule space an operator
 // definition declares, lowers every strategy to IR, runs the IR optimizer
-// pipeline, and keeps the candidates that survive validity pruning (SPM
-// budget, primitive divisibility).
+// pipeline, validates what survives, and hands each candidate on as soon
+// as it is built -- one streaming sweep that the model tuner ranks and
+// drops, and that candidates() collects.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
 #include <vector>
 
 #include "dsl/dsl.hpp"
@@ -25,14 +28,39 @@ struct SchedulerOptions {
   /// Cap on returned candidates (0 = unlimited); applied after pruning, by
   /// enumeration order, and reported so benches can note truncation.
   std::int64_t max_candidates = 0;
-  /// Worker threads for the lower+optimize sweep and the tuner's cost-model
-  /// ranking (0 = hardware concurrency, 1 = serial). The candidate list and
-  /// the tuner's pick are identical at any thread count: results keep
-  /// enumeration order and ties break by the first index. A positive
+  /// Worker threads for the candidate sweep and the black-box tuner's
+  /// measurements (0 = hardware concurrency, 1 = serial). The candidate
+  /// list and the tuner's pick are identical at any thread count: results
+  /// keep enumeration order and ties break by the first index. A positive
   /// max_candidates forces the serial path, because its purpose is to bound
   /// the lowering work itself.
   int num_threads = 0;
 };
+
+/// The one build path of a candidate: lower, optimize, validate. Returns
+/// nullopt when the strategy is structurally invalid (lower() gives no
+/// program) or the optimizer prunes it; `lowered`, when given, tells the
+/// two apart. A program that survives pruning but fails validation is a
+/// lowering or optimizer bug, not an invalid strategy, so it throws
+/// CheckError instead of being dropped. The prefetch flag is
+/// `oo.prefetch && op.prefetch_enabled(s)`.
+std::optional<Candidate> try_build_candidate(const dsl::OperatorDef& op,
+                                             const dsl::Strategy& s,
+                                             const sim::SimConfig& cfg,
+                                             const opt::OptOptions& oo,
+                                             bool* lowered = nullptr);
+
+/// Work one sweep did.
+struct SweepStats {
+  std::int64_t enumerated = 0;  ///< strategies visited
+  std::int64_t lowered = 0;     ///< of those, lowered to a program
+  std::int64_t kept = 0;        ///< of those, survived pruning (validated)
+};
+
+/// Receives one built candidate on a worker thread, with the strategy's
+/// position in enumeration order. The candidate is the sink's to keep or
+/// drop; dropping it frees its IR at once.
+using CandidateSink = std::function<void(std::int64_t index, Candidate&& c)>;
 
 class Scheduler {
  public:
@@ -41,10 +69,22 @@ class Scheduler {
   /// Raw size of the operator's schedule space (before pruning).
   std::int64_t space_size(const dsl::OperatorDef& op) const;
 
-  /// All valid optimized candidates.
+  /// The streaming sweep: workers take strategy indices in enumeration
+  /// order, build each one through try_build_candidate() and pass every
+  /// survivor to their sink. `make_sink` is called once per worker, on
+  /// that worker, so per-worker state lives in the sink it returns. No
+  /// list of the space's strategies is built and no worker holds more than
+  /// the candidate it is building. Exceptions (validation failures) are
+  /// rethrown on the calling thread.
+  SweepStats sweep(const dsl::OperatorDef& op, const SchedulerOptions& opts,
+                   const std::function<CandidateSink()>& make_sink) const;
+
+  /// All valid optimized candidates, in enumeration order: the sweep,
+  /// collecting. `stats`, when given, receives the sweep's work counts.
   std::vector<Candidate> candidates(
       const dsl::OperatorDef& op,
-      const SchedulerOptions& opts = SchedulerOptions{}) const;
+      const SchedulerOptions& opts = SchedulerOptions{},
+      SweepStats* stats = nullptr) const;
 
  private:
   sim::SimConfig cfg_;

@@ -1,15 +1,17 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <numeric>
-#include <thread>
+#include <optional>
 
 #include "common/check.hpp"
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
+#include "sched/parallel.hpp"
 #include "tune/pruner.hpp"
 #include "tune/replay.hpp"
 
@@ -23,45 +25,93 @@ double now_seconds() {
       .count();
 }
 
-std::size_t resolve_threads(int requested, std::size_t work) {
-  if (work < 2) return 1;
-  std::size_t n = requested > 0
-                      ? static_cast<std::size_t>(requested)
-                      : static_cast<std::size_t>(
-                            std::thread::hardware_concurrency());
-  if (n == 0) n = 1;
-  return n < work ? n : work;
+/// A scratch core group with the operator's tensors bound and a timing
+/// interpreter on it (non-materialized memory, so huge workloads cost no
+/// RAM).
+struct TimingBench {
+  TimingBench(const dsl::OperatorDef& op, const sim::SimConfig& cfg)
+      : cg(cfg), interp(cg, sim::ExecMode::TimingOnly) {
+    cg.mem().set_materialize(false);
+    bt = rt::bind_tensors(cg, op);
+  }
+  double run(const sched::Candidate& c) {
+    return interp.run(c.program, bt).cycles;
+  }
+
+  sim::CoreGroup cg;
+  rt::Interpreter interp;
+  dsl::BoundTensors bt;
+};
+
+/// What the model tuner's sweep keeps of a schedule space: per candidate,
+/// in enumeration order, its position in the space and its predicted
+/// cycles. The IR is dropped as soon as it is priced.
+struct Ranking {
+  dsl::ScheduleSpace space;
+  std::vector<std::int64_t> index;  ///< space index of each candidate
+  std::vector<double> est;          ///< its cost-model estimate
+  sched::SweepStats work;
+
+  dsl::Strategy strategy(std::size_t pos) const {
+    return space.at(index[pos]);
+  }
+};
+
+/// Price every candidate of the operator's space in one streaming sweep.
+/// Each worker owns a CostModel (its DMA-cost memo is not shareable) and
+/// writes only its own index's slot, so the ranking is identical at any
+/// thread count.
+Ranking rank_space(const dsl::OperatorDef& op,
+                   const sched::SchedulerOptions& opts,
+                   const sim::SimConfig& cfg) {
+  const GemmCostModel& gm = gemm_cost_model(cfg);
+  Ranking r;
+  r.space = op.space();
+  const auto n = static_cast<std::size_t>(r.space.size());
+  std::vector<double> est(n, 0.0);
+  std::vector<char> kept(n, 0);
+  r.work = sched::Scheduler(cfg).sweep(op, opts, [&] {
+    auto model = std::make_shared<const CostModel>(cfg, gm);
+    return [&est, &kept, model](std::int64_t i, sched::Candidate&& c) {
+      const auto slot = static_cast<std::size_t>(i);
+      est[slot] = model->estimate(c.program).total();
+      kept[slot] = 1;
+    };
+  });
+  for (std::size_t i = 0; i < n; ++i) {
+    if (kept[i] == 0) continue;
+    r.index.push_back(static_cast<std::int64_t>(i));
+    r.est.push_back(est[i]);
+  }
+  return r;
 }
 
-/// Rank every candidate through the static cost model, fanning out across
-/// a worker pool (each worker owns a CostModel: its DMA-cost memo is not
-/// shareable). The returned estimates are index-aligned with `cands`, so
-/// any reduction over them is deterministic regardless of thread count.
-std::vector<double> rank_candidates(
-    const std::vector<sched::Candidate>& cands, const sim::SimConfig& cfg,
-    const GemmCostModel& gm, int num_threads) {
-  std::vector<double> est(cands.size());
-  const std::size_t nthreads = resolve_threads(num_threads, cands.size());
-  if (nthreads <= 1) {
-    const CostModel model(cfg, gm);
-    for (std::size_t i = 0; i < cands.size(); ++i)
-      est[i] = model.estimate(cands[i].program).total();
-    return est;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> workers;
-  workers.reserve(nthreads);
-  for (std::size_t w = 0; w < nthreads; ++w) {
-    workers.emplace_back([&] {
-      const CostModel model(cfg, gm);
-      for (std::size_t i = next.fetch_add(1); i < cands.size();
-           i = next.fetch_add(1)) {
-        est[i] = model.estimate(cands[i].program).total();
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
-  return est;
+/// Rebuild ranked candidate `pos` through the sweep's build path.
+sched::Candidate rebuild(const dsl::OperatorDef& op, const Ranking& r,
+                         std::size_t pos,
+                         const sched::SchedulerOptions& opts,
+                         const sim::SimConfig& cfg) {
+  const dsl::Strategy s = r.strategy(pos);
+  std::optional<sched::Candidate> c =
+      sched::try_build_candidate(op, s, cfg, opts.opt);
+  SWATOP_CHECK(c.has_value())
+      << "ranked strategy " << s.to_string() << " no longer builds for "
+      << op.name();
+  return std::move(*c);
+}
+
+/// The work counts of a model-tuner run over `r` that rebuilt `rebuilt`
+/// candidates and measured `measured`.
+TunerStats ranking_stats(const Ranking& r, std::int64_t rebuilt,
+                         std::int64_t measured) {
+  TunerStats st;
+  st.space_size = r.space.size();
+  st.valid_candidates = static_cast<std::int64_t>(r.est.size());
+  st.enumerated = r.work.enumerated;
+  st.lowered = r.work.lowered + rebuilt;
+  st.ranked = st.valid_candidates;
+  st.measured = measured;
+  return st;
 }
 
 /// Rank positions (0 = best) implied by an index-aligned score vector;
@@ -79,19 +129,19 @@ std::vector<std::int64_t> ranks_by_score(const std::vector<double>& score) {
 }
 
 /// Append one row per candidate (in index order, from the calling thread).
-/// `predicted`/`measured` may be empty; missing values journal as -1.
-void journal_candidates(Journal* journal, const dsl::OperatorDef& op,
-                        const char* phase,
-                        const std::vector<sched::Candidate>& cands,
-                        const std::vector<double>& predicted,
-                        const std::vector<double>& measured,
-                        const std::vector<std::int64_t>& rank,
-                        std::size_t chosen_i) {
-  for (std::size_t i = 0; i < cands.size(); ++i) {
+/// `strategy(i)` names candidate i; `predicted`/`measured` may be empty,
+/// and missing values journal as -1.
+void journal_candidates(
+    Journal* journal, const dsl::OperatorDef& op, const char* phase,
+    std::size_t count,
+    const std::function<dsl::Strategy(std::size_t)>& strategy,
+    const std::vector<double>& predicted, const std::vector<double>& measured,
+    const std::vector<std::int64_t>& rank, std::size_t chosen_i) {
+  for (std::size_t i = 0; i < count; ++i) {
     JournalEntry e;
     e.op = op.name();
     e.phase = phase;
-    e.strategy = cands[i].strategy.to_string();
+    e.strategy = strategy(i).to_string();
     e.index = static_cast<std::int64_t>(i);
     e.rank = rank[i];
     e.predicted = i < predicted.size() ? predicted[i] : -1.0;
@@ -122,25 +172,21 @@ void tune_phase_span(obs::Recorder* rec, const char* name, double us0,
 double measure_candidate(const dsl::OperatorDef& op,
                          const sched::Candidate& cand,
                          const sim::SimConfig& cfg) {
-  sim::CoreGroup cg(cfg);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  return interp.run(cand.program, bt).cycles;
+  return TimingBench(op, cfg).run(cand);
 }
 
 sched::Candidate build_candidate(const dsl::OperatorDef& op,
                                  const dsl::Strategy& s,
                                  const sim::SimConfig& cfg,
                                  const opt::OptOptions& oo) {
-  ir::StmtPtr prog = op.lower(s);
-  SWATOP_CHECK(prog != nullptr)
-      << "strategy " << s.to_string() << " invalid for " << op.name();
-  opt::OptOptions o = oo;
-  o.prefetch = oo.prefetch && op.prefetch_enabled(s);
-  SWATOP_CHECK(opt::optimize(prog, cfg, o))
+  bool lowered = false;
+  std::optional<sched::Candidate> c =
+      sched::try_build_candidate(op, s, cfg, oo, &lowered);
+  SWATOP_CHECK(lowered) << "strategy " << s.to_string() << " invalid for "
+                        << op.name();
+  SWATOP_CHECK(c.has_value())
       << "strategy " << s.to_string() << " pruned for " << op.name();
-  return {s, std::move(prog), o.prefetch};
+  return std::move(*c);
 }
 
 sched::Candidate build_candidate(const dsl::OperatorDef& op,
@@ -163,39 +209,35 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
                        obs::Recorder* rec, Journal* journal) const {
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const sched::Scheduler sched(cfg_);
-  const GemmCostModel& gm = gemm_cost_model(cfg_);
-  std::vector<sched::Candidate> cands = sched.candidates(op, opts);
-  SWATOP_CHECK(!cands.empty())
+  const Ranking r = rank_space(op, opts, cfg_);
+  SWATOP_CHECK(!r.est.empty())
       << "no valid schedule candidate for " << op.name();
-  const double w_enum = rec ? rec->wall_us() : 0.0;
+  const double w_rank = rec ? rec->wall_us() : 0.0;
   if (rec)
-    tune_phase_span(rec, "enumerate+lower", w0, w_enum,
-                    static_cast<std::int64_t>(cands.size()));
-  const std::vector<double> est =
-      rank_candidates(cands, cfg_, gm, opts.num_threads);
+    tune_phase_span(rec, "sweep (lower+rank)", w0, w_rank,
+                    static_cast<std::int64_t>(r.est.size()));
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
-  for (std::size_t i = 0; i < est.size(); ++i) {
-    if (est[i] < best) {
-      best = est[i];
+  for (std::size_t i = 0; i < r.est.size(); ++i) {
+    if (r.est[i] < best) {
+      best = r.est[i];
       best_i = i;
     }
   }
   if (journal)
-    journal_candidates(journal, op, "model", cands, est, {},
-                       ranks_by_score(est), best_i);
+    journal_candidates(
+        journal, op, "model", r.est.size(),
+        [&](std::size_t i) { return r.strategy(i); }, r.est, {},
+        ranks_by_score(r.est), best_i);
   Tuned out;
-  out.candidate = std::move(cands[best_i]);
+  out.candidate = rebuild(op, r, best_i, opts, cfg_);
   out.cycles = best;
-  out.stats.space_size = sched.space_size(op);
-  out.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
+  out.stats = ranking_stats(r, 1, 0);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
-    tune_phase_span(rec, "rank (cost model)", w_enum, rec->wall_us(),
-                    static_cast<std::int64_t>(cands.size()));
+    tune_phase_span(rec, "rebuild pick", w_rank, rec->wall_us(), 1);
     rec->tune().space_size += out.stats.space_size;
-    rec->tune().candidates_ranked += out.stats.valid_candidates;
+    rec->tune().candidates_ranked += out.stats.ranked;
     rec->tune().seconds += out.stats.seconds;
     rec->record_tune_sample(
         {out.candidate.strategy.to_string(), best, -1.0});
@@ -209,77 +251,68 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   SWATOP_CHECK(k >= 1) << "tune_top_k with k=" << k;
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
-  const sched::Scheduler sched(cfg_);
-  const GemmCostModel& gm = gemm_cost_model(cfg_);
-  std::vector<sched::Candidate> cands = sched.candidates(op, opts);
-  SWATOP_CHECK(!cands.empty())
+  const Ranking r = rank_space(op, opts, cfg_);
+  SWATOP_CHECK(!r.est.empty())
       << "no valid schedule candidate for " << op.name();
-  const double w_enum = rec ? rec->wall_us() : 0.0;
-  if (rec)
-    tune_phase_span(rec, "enumerate+lower", w0, w_enum,
-                    static_cast<std::int64_t>(cands.size()));
 
-  // Rank by predicted cycles; keep the k best indices. The estimate vector
-  // is index-aligned, so the shortlist is stable across thread counts
-  // (ties break towards the lower index).
-  const std::vector<double> est =
-      rank_candidates(cands, cfg_, gm, opts.num_threads);
+  // Shortlist the k best predictions. The estimates are in enumeration
+  // order, so the shortlist is stable across thread counts (ties break
+  // towards the lower index).
   std::vector<std::pair<double, std::size_t>> ranked;
-  ranked.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    ranked.emplace_back(est[i], i);
+  ranked.reserve(r.est.size());
+  for (std::size_t i = 0; i < r.est.size(); ++i)
+    ranked.emplace_back(r.est[i], i);
   const std::size_t keep =
       std::min<std::size_t>(static_cast<std::size_t>(k), ranked.size());
   std::partial_sort(ranked.begin(),
                     ranked.begin() + static_cast<std::ptrdiff_t>(keep),
                     ranked.end());
-  const double w_rank = rec ? rec->wall_us() : 0.0;
   if (rec)
-    tune_phase_span(rec, "rank (cost model)", w_enum, w_rank,
-                    static_cast<std::int64_t>(cands.size()));
+    tune_phase_span(rec, "sweep (lower+rank)", w0, rec->wall_us(),
+                    static_cast<std::int64_t>(r.est.size()));
 
-  // Measure the shortlist and keep the measured winner. With a replay
-  // executor attached, repeat measurements of a structurally identical
-  // candidate replay the recorded event schedule (bit-identical cycles)
-  // instead of re-interpreting.
-  sim::CoreGroup cg(cfg_);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  std::vector<double> measured(cands.size(), -1.0);
+  // Rebuild and measure the shortlist in rank order, keeping only the
+  // measured winner's program. With a replay executor attached, repeat
+  // measurements of a structurally identical candidate replay the recorded
+  // event schedule (bit-identical cycles) instead of re-interpreting.
+  TimingBench bench(op, cfg_);
+  std::vector<double> measured(r.est.size(), -1.0);
+  sched::Candidate winner;
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
-  for (std::size_t r = 0; r < keep; ++r) {
-    const std::size_t i = ranked[r].second;
+  for (std::size_t j = 0; j < keep; ++j) {
+    const std::size_t i = ranked[j].second;
+    sched::Candidate c = rebuild(op, r, i, opts, cfg_);
     const double wm0 = rec ? rec->wall_us() : 0.0;
-    const double t = replay_ != nullptr
-                         ? replay_->measure(op, cands[i], cfg_)
-                         : interp.run(cands[i].program, bt).cycles;
-    if (pruner_ != nullptr) pruner_->observe(cands[i].strategy, t);
+    const double t =
+        replay_ != nullptr ? replay_->measure(op, c, cfg_) : bench.run(c);
+    if (pruner_ != nullptr) pruner_->observe(c.strategy, t);
     measured[i] = t;
     if (rec) {
       tune_phase_span(rec, "measure candidate", wm0, rec->wall_us());
-      rec->record_tune_sample(
-          {cands[i].strategy.to_string(), ranked[r].first, t});
+      rec->record_tune_sample({c.strategy.to_string(), ranked[j].first, t});
     }
     if (t < best) {
       best = t;
       best_i = i;
+      winner = std::move(c);
     }
   }
   if (journal)
-    journal_candidates(journal, op, "top-k", cands, est, measured,
-                       ranks_by_score(est), best_i);
+    journal_candidates(
+        journal, op, "top-k", r.est.size(),
+        [&](std::size_t i) { return r.strategy(i); }, r.est, measured,
+        ranks_by_score(r.est), best_i);
   Tuned out;
-  out.candidate = std::move(cands[best_i]);
+  out.candidate = std::move(winner);
   out.cycles = best;
-  out.stats.space_size = sched.space_size(op);
-  out.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
+  out.stats = ranking_stats(r, static_cast<std::int64_t>(keep),
+                            static_cast<std::int64_t>(keep));
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += out.stats.space_size;
-    rec->tune().candidates_ranked += out.stats.valid_candidates;
-    rec->tune().candidates_measured += static_cast<std::int64_t>(keep);
+    rec->tune().candidates_ranked += out.stats.ranked;
+    rec->tune().candidates_measured += out.stats.measured;
     rec->tune().seconds += out.stats.seconds;
   }
   return out;
@@ -292,7 +325,8 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   const double t0 = now_seconds();
   const double w0 = rec ? rec->wall_us() : 0.0;
   const sched::Scheduler sched(cfg_);
-  std::vector<sched::Candidate> cands = sched.candidates(op, opts);
+  sched::SweepStats work;
+  std::vector<sched::Candidate> cands = sched.candidates(op, opts, &work);
   SWATOP_CHECK(!cands.empty())
       << "no valid schedule candidate for " << op.name();
   const double w_enum = rec ? rec->wall_us() : 0.0;
@@ -313,8 +347,8 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   for (std::size_t i = 0; i < cands.size(); ++i)
     if (!pd.active || pd.keep[i] != 0) to_measure.push_back(i);
 
-  // Candidates are measured independently; fan out across hardware
-  // threads, one scratch core group per thread. (The machine under test is
+  // Candidates are measured independently; fan out across the worker
+  // pool, one scratch core group per worker. (The machine under test is
   // simulated, so concurrent measurements do not perturb each other --
   // unlike the real black-box tuner this stands in for.) Workers touch
   // only their own all_measured slots; observability is emitted after the
@@ -323,28 +357,17 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   // stay bit-identical to the interpreter.
   Result res;
   res.all_measured.assign(cands.size(), -1.0);
-  const unsigned hw = std::thread::hardware_concurrency();
-  const std::size_t nthreads = std::max<std::size_t>(
-      1, std::min<std::size_t>(hw ? hw : 1, to_measure.size()));
-  std::vector<std::thread> workers;
-  std::atomic<std::size_t> next{0};
-  for (std::size_t w = 0; w < nthreads; ++w) {
-    workers.emplace_back([&] {
-      sim::CoreGroup cg(cfg_);
-      cg.mem().set_materialize(false);
-      const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-      rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-      for (std::size_t k = next.fetch_add(1); k < to_measure.size();
-           k = next.fetch_add(1)) {
-        const std::size_t i = to_measure[k];
-        res.all_measured[i] =
-            replay_ != nullptr
-                ? replay_->measure(op, cands[i], cfg_)
-                : interp.run(cands[i].program, bt).cycles;
-      }
-    });
-  }
-  for (std::thread& t : workers) t.join();
+  sched::parallel_for(
+      to_measure.size(),
+      sched::resolve_threads(opts.num_threads, to_measure.size()), [&] {
+        return [&, bench = std::make_unique<TimingBench>(op, cfg_)](
+                   std::size_t k) {
+          const std::size_t i = to_measure[k];
+          res.all_measured[i] = replay_ != nullptr
+                                    ? replay_->measure(op, cands[i], cfg_)
+                                    : bench->run(cands[i]);
+        };
+      });
   if (rec)
     tune_phase_span(rec, "measure (parallel)", w_enum, rec->wall_us(),
                     static_cast<std::int64_t>(to_measure.size()));
@@ -376,9 +399,11 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
       rank_score[i] = res.all_measured[i] >= 0.0
                           ? res.all_measured[i]
                           : std::numeric_limits<double>::infinity();
-    journal_candidates(journal, op, "blackbox", cands,
-                       pd.active ? pd.predicted : std::vector<double>{},
-                       res.all_measured, ranks_by_score(rank_score), best_i);
+    journal_candidates(
+        journal, op, "blackbox", cands.size(),
+        [&](std::size_t i) { return cands[i].strategy; },
+        pd.active ? pd.predicted : std::vector<double>{}, res.all_measured,
+        ranks_by_score(rank_score), best_i);
   }
   res.best.candidate = std::move(cands[best_i]);
   res.best.cycles = best;
@@ -386,6 +411,10 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   res.best.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
   res.best.stats.pruned =
       static_cast<std::int64_t>(cands.size() - to_measure.size());
+  res.best.stats.enumerated = work.enumerated;
+  res.best.stats.lowered = work.lowered;
+  res.best.stats.ranked = pd.active ? res.best.stats.valid_candidates : 0;
+  res.best.stats.measured = static_cast<std::int64_t>(to_measure.size());
   res.best.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += res.best.stats.space_size;

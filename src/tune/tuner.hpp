@@ -29,6 +29,14 @@ struct TunerStats {
   std::int64_t valid_candidates = 0;  ///< survivors of validity pruning
   std::int64_t pruned = 0;  ///< cut by the ranking pruner (never measured)
   double seconds = 0.0;     ///< wall-clock tuning time
+
+  // Work counts: deterministic at any thread count, unlike `seconds`.
+  std::int64_t enumerated = 0;  ///< strategies the sweep visited
+  /// Programs lowered: the sweep's structurally valid strategies plus the
+  /// rebuild of the pick (or the top-k shortlist, or a cache hit).
+  std::int64_t lowered = 0;
+  std::int64_t ranked = 0;    ///< candidates priced by a model
+  std::int64_t measured = 0;  ///< candidates run through the simulator
 };
 
 struct Tuned {
@@ -49,7 +57,10 @@ double measure_candidate(const dsl::OperatorDef& op,
 double measure_strategy(const dsl::OperatorDef& op, const dsl::Strategy& s,
                         const sim::SimConfig& cfg, bool prefetch = true);
 
-/// Build the optimized candidate for one explicit strategy.
+/// Build the optimized, validated candidate for one explicit strategy
+/// through the scheduler's build path (sched::try_build_candidate). Throws
+/// CheckError when the strategy is invalid or pruned for the operator, or
+/// when its program fails validation.
 sched::Candidate build_candidate(const dsl::OperatorDef& op,
                                  const dsl::Strategy& s,
                                  const sim::SimConfig& cfg,
@@ -66,19 +77,24 @@ class ModelTuner {
  public:
   explicit ModelTuner(const sim::SimConfig& cfg);
 
-  /// When `rec` is given, the tuning phases are traced (wall-clock track)
-  /// and per-candidate model-vs-measured samples recorded. When `journal`
-  /// is given, every candidate is appended (phase "model"; only the pick is
-  /// ever measured). Journal entries are appended from the calling thread
-  /// in candidate-index order, so the log is identical at any thread count.
+  /// One streaming sweep (sched::Scheduler::sweep): every candidate is
+  /// priced by the static cost model as soon as it is built and its IR
+  /// dropped, so a worker holds one program at a time; the winner is then
+  /// rebuilt through the same build path. When `rec` is given, the tuning
+  /// phases are traced (wall-clock track) and the pick's sample recorded.
+  /// When `journal` is given, every candidate is appended (phase "model";
+  /// only the pick is ever measured). Journal entries are appended from
+  /// the calling thread in candidate-index order, so the log is identical
+  /// at any thread count.
   Tuned tune(const dsl::OperatorDef& op,
              const sched::SchedulerOptions& opts = {},
              obs::Recorder* rec = nullptr, Journal* journal = nullptr) const;
 
   /// The paper's "pick best (or top k)" refinement: rank candidates with
-  /// the static model, then *measure* the k best through the timing
-  /// interpreter and keep the measured winner. k times the measurement cost
-  /// buys back most of the model's residual error (Fig. 9's tail).
+  /// the static model (the same sweep as tune()), then rebuild and
+  /// *measure* the k best through the timing interpreter and keep the
+  /// measured winner. k times the measurement cost buys back most of the
+  /// model's residual error (Fig. 9's tail).
   Tuned tune_top_k(const dsl::OperatorDef& op, int k,
                    const sched::SchedulerOptions& opts = {},
                    obs::Recorder* rec = nullptr,

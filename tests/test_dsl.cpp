@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
 #include "dsl/dsl.hpp"
 
@@ -25,6 +27,35 @@ TEST(ScheduleSpace, EnumerateCoversEverything) {
   for (std::size_t i = 0; i < all.size(); ++i)
     for (std::size_t j = i + 1; j < all.size(); ++j)
       EXPECT_NE(all[i].to_string(), all[j].to_string());
+}
+
+TEST(ScheduleSpace, AtDecodesEnumerationOrder) {
+  // Factors outermost, the last-declared variable varying fastest.
+  const ScheduleSpace sp = sample_space();
+  const Strategy first = sp.at(0);
+  EXPECT_EQ(first.factor("T"), 16);
+  EXPECT_EQ(first.choice("order"), "mnk");
+  EXPECT_EQ(first.choice("variant"), "0");
+  EXPECT_EQ(sp.at(1).choice("variant"), "1");
+  EXPECT_EQ(sp.at(4).choice("order"), "nmk");
+  EXPECT_EQ(sp.at(8).factor("T"), 32);
+  const Strategy last = sp.at(sp.size() - 1);
+  EXPECT_EQ(last.factor("T"), 64);
+  EXPECT_EQ(last.choice("order"), "nmk");
+  EXPECT_EQ(last.choice("variant"), "3");
+  const std::vector<Strategy> all = sp.enumerate();
+  for (std::int64_t i = 0; i < sp.size(); ++i)
+    EXPECT_EQ(sp.at(i), all[static_cast<std::size_t>(i)]) << i;
+  EXPECT_THROW(sp.at(-1), CheckError);
+  EXPECT_THROW(sp.at(sp.size()), CheckError);
+}
+
+TEST(ScheduleSpace, AtCarriesTheEpilogue) {
+  ScheduleSpace sp = sample_space();
+  EpilogueSpec epi;
+  epi.relu = true;
+  sp.set_epilogue(epi);
+  EXPECT_EQ(sp.at(5).epilogue(), epi);
 }
 
 TEST(ScheduleSpace, EnumerateWithPruning) {

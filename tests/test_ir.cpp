@@ -35,6 +35,21 @@ TEST(Expr, EvalWithEnvironment) {
   EXPECT_THROW(eval(e, env), CheckError);
 }
 
+TEST(Expr, EnvRebindsAndUnbinds) {
+  const Expr e = add(mul(var("i"), cst(8)), var("j"));
+  Env env;
+  env["i"] = 1;
+  env["j"] = 2;
+  env["i"] = 5;  // rebinding replaces, never shadows
+  EXPECT_EQ(eval(e, env), 42);
+  EXPECT_EQ(env.erase("i"), 1u);
+  EXPECT_EQ(env.erase("i"), 0u);
+  EXPECT_EQ(env.find("i"), nullptr);
+  ASSERT_NE(env.find("j"), nullptr);
+  EXPECT_EQ(*env.find("j"), 2);
+  EXPECT_EQ(env["k"], 0);  // operator[] binds an unbound name to 0
+}
+
 TEST(Expr, SelectEval) {
   const Expr e = select(lt(var("i"), cst(4)), cst(10), cst(20));
   EXPECT_EQ(eval(e, {{"i", 2}}), 10);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
@@ -193,15 +196,60 @@ TEST(FusedImplicitConv, OutPadWithResidualMatchesReference) {
             2e-3);
 }
 
+/// Every epilogue that computes on the stored tile, alone and combined.
+std::vector<dsl::EpilogueSpec> computing_epilogues() {
+  dsl::EpilogueSpec bias, relu, res;
+  bias.bias = true;
+  relu.relu = true;
+  res.residual = true;
+  return {bias, relu, res, full_epilogue()};
+}
+
+std::vector<std::string> offered_orders(const ImplicitConvOp& op) {
+  const dsl::ScheduleSpace space = op.space();
+  for (const dsl::ChoiceVar& c : space.choices())
+    if (c.name == "order") return c.options;
+  return {};
+}
+
 TEST(FusedImplicitConv, ReductionOutsideStoreScopePruned) {
-  // rcuvio keeps the r/c reduction loops outside the C tile's store scope,
-  // so the put drains partial sums -- a compute epilogue there would apply
-  // relu to an unfinished accumulator. DMA inference must prune it.
-  ImplicitConvOp op(small_shape(8, 32, 32, 8), full_epilogue());
-  EXPECT_THROW(tune::build_candidate(
-                   op, implicit_strategy(32, 32, 8, "no_major", "rcuvio", "6"),
-                   cfg),
-               swatop::CheckError);
+  // rcuvio and rouvci keep reduction loops (u, v, i) outside an output loop
+  // of the C tile's store scope (o and c respectively), so the put drains
+  // partial sums -- a compute epilogue there would bias, add or clamp an
+  // unfinished accumulator. The space no longer offers these orders, but
+  // DMA inference stays the safety net for an explicit strategy.
+  for (const dsl::EpilogueSpec& epi : computing_epilogues()) {
+    ImplicitConvOp op(small_shape(8, 32, 32, 8), epi);
+    for (const char* order : {"rcuvio", "rouvci"}) {
+      EXPECT_THROW(tune::build_candidate(
+                       op, implicit_strategy(32, 32, 8, "no_major", order, "6"),
+                       cfg),
+                   swatop::CheckError)
+          << order << " with epilogue " << epi.tag();
+    }
+  }
+}
+
+TEST(FusedImplicitConv, ComputeEpilogueSpaceOffersOnlyInnerReductionOrders) {
+  const std::vector<std::string> inner = {"rcouvi", "rcoiuv"};
+  const std::vector<std::string> all = {"rcouvi", "rcoiuv", "rcuvio",
+                                        "rouvci"};
+  for (const dsl::EpilogueSpec& epi : computing_epilogues()) {
+    const ImplicitConvOp op(small_shape(8, 32, 32, 8), epi);
+    EXPECT_EQ(offered_orders(op), inner) << epi.tag();
+  }
+  // No epilogue, or a pad-only one (addressing, no compute): every order
+  // stays legal and offered.
+  dsl::EpilogueSpec pad;
+  pad.out_pad = 1;
+  for (const dsl::EpilogueSpec& epi : {dsl::EpilogueSpec{}, pad}) {
+    const ImplicitConvOp op(small_shape(8, 32, 32, 8), epi);
+    EXPECT_EQ(offered_orders(op), all) << epi.tag();
+    for (const char* order : {"rcuvio", "rouvci"})
+      EXPECT_NO_THROW(tune::build_candidate(
+          op, implicit_strategy(32, 32, 8, "no_major", order, "6"), cfg))
+          << order << " with epilogue '" << epi.tag() << "'";
+  }
 }
 
 TEST(FusedImplicitConv, SpaceCarriesEpilogue) {

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <string>
+#include <vector>
+
 #include "common/check.hpp"
 #include "ir/analysis.hpp"
 #include "ops/matmul.hpp"
 #include "sched/lower.hpp"
+#include "sched/parallel.hpp"
 #include "sched/scheduler.hpp"
 
 namespace swatop::sched {
@@ -94,6 +99,87 @@ TEST(Scheduler, UnalignedShapeKeepsLegalSwitch) {
   }
   EXPECT_TRUE(has_switch);
   EXPECT_TRUE(has_pad);
+}
+
+TEST(Scheduler, SweepCountsItsWork) {
+  ops::MatmulOp op(72, 56, 40);
+  Scheduler sched(cfg);
+  for (const int threads : {1, 4}) {
+    SchedulerOptions opts;
+    opts.num_threads = threads;
+    SweepStats st;
+    const auto cands = sched.candidates(op, opts, &st);
+    EXPECT_EQ(st.enumerated, sched.space_size(op)) << threads;
+    EXPECT_EQ(st.kept, static_cast<std::int64_t>(cands.size())) << threads;
+    EXPECT_GE(st.lowered, st.kept) << threads;
+    EXPECT_LT(st.lowered, st.enumerated) << threads;  // switch on aligned dims
+  }
+}
+
+TEST(Scheduler, SweepHandsEachSurvivorToOneSinkInIndexSlots) {
+  ops::MatmulOp op(64, 64, 32);
+  Scheduler sched(cfg);
+  SchedulerOptions opts;
+  opts.num_threads = 4;
+  const dsl::ScheduleSpace space = op.space();
+  std::vector<int> seen(static_cast<std::size_t>(space.size()), 0);
+  std::vector<std::string> names(seen.size());
+  std::atomic<int> sinks{0};
+  const SweepStats st = sched.sweep(op, opts, [&] {
+    sinks.fetch_add(1);
+    return [&](std::int64_t i, Candidate&& c) {
+      ++seen[static_cast<std::size_t>(i)];
+      names[static_cast<std::size_t>(i)] = c.strategy.to_string();
+    };
+  });
+  EXPECT_EQ(sinks.load(), 4);  // one sink per worker
+  std::int64_t total = 0;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_LE(seen[i], 1);
+    total += seen[i];
+    if (seen[i] == 1) {
+      EXPECT_EQ(names[i], space.at(static_cast<std::int64_t>(i)).to_string());
+    }
+  }
+  EXPECT_EQ(total, st.kept);
+}
+
+TEST(Scheduler, MaxCandidatesBoundsTheSweep) {
+  ops::MatmulOp op(64, 64, 32);
+  Scheduler sched(cfg);
+  SchedulerOptions opts;
+  opts.max_candidates = 5;
+  opts.num_threads = 4;  // the cap forces the serial early-exit path
+  SweepStats st;
+  const auto capped = sched.candidates(op, opts, &st);
+  ASSERT_EQ(capped.size(), 5u);
+  EXPECT_EQ(st.kept, 5);
+  EXPECT_LT(st.enumerated, sched.space_size(op));
+  // The first five survivors in enumeration order.
+  const auto all = sched.candidates(op);
+  for (std::size_t i = 0; i < capped.size(); ++i)
+    EXPECT_EQ(capped[i].strategy, all[i].strategy);
+}
+
+TEST(ParallelFor, RethrowsAWorkerExceptionAfterJoining) {
+  EXPECT_THROW(parallel_for(1000, 4,
+                            [] {
+                              return [](std::size_t i) {
+                                if (i == 10) throw CheckError("boom");
+                              };
+                            }),
+               CheckError);
+}
+
+TEST(ParallelFor, SerialPathRunsEveryIndexInOrder) {
+  std::vector<std::size_t> got;
+  parallel_for(5, 1, [&] {
+    return [&](std::size_t i) { got.push_back(i); };
+  });
+  EXPECT_EQ(got, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(resolve_threads(8, 3), 3u);
+  EXPECT_EQ(resolve_threads(8, 1), 1u);
+  EXPECT_GE(resolve_threads(0, 100), 1u);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.hpp"
 #include "core/swatop.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
@@ -532,6 +533,50 @@ TEST(OptimizerCache, CorruptBankedStrategyFallsBackToTuning) {
   EXPECT_FALSE(tuned.from_cache);
   EXPECT_GT(tuned.stats.valid_candidates, 1);  // really searched
   std::filesystem::remove(path);
+}
+
+/// A matmul whose lowering also zeroes an SPM buffer nothing allocates:
+/// every program survives the optimizer but fails IR validation.
+class UnallocatedZeroMatmul : public ops::MatmulOp {
+ public:
+  using ops::MatmulOp::MatmulOp;
+  ir::StmtPtr lower(const dsl::Strategy& s) const override {
+    ir::StmtPtr prog = ops::MatmulOp::lower(s);
+    if (prog == nullptr) return prog;
+    prog->body.push_back(ir::make_spm_zero("ghost", ir::cst(0), ir::cst(8)));
+    return prog;
+  }
+};
+
+TEST(OptimizerCache, CacheHitIsValidatedLikeFreshTuning) {
+  SwatopConfig cfg;
+  cfg.cache.enabled = true;
+  const Optimizer optimizer(cfg);
+  const UnallocatedZeroMatmul broken(64, 64, 32);
+  // Fresh tuning validates every candidate, so it rejects the operator.
+  EXPECT_THROW(optimizer.optimize(broken), CheckError);
+
+  // Bank a strategy that is good for the plain operator of the same name.
+  tune::CacheEntry e;
+  e.strategy.set_factor("Tm", 64);
+  e.strategy.set_factor("Tn", 64);
+  e.strategy.set_factor("Tk", 32);
+  e.strategy.set_choice("order", "mnk");
+  e.strategy.set_choice("variant", "0");
+  e.strategy.set_choice("boundary", "pad");
+  e.prefetch = true;
+  optimizer.schedule_cache()->store(
+      tune::ScheduleCache::fingerprint(broken.name(), cfg.machine,
+                                       cfg.tuner_knobs()),
+      e);
+  const ops::MatmulOp plain(64, 64, 32);
+  ASSERT_EQ(plain.name(), broken.name());
+  EXPECT_TRUE(optimizer.optimize(plain).from_cache);
+
+  // The same entry must not carry the broken operator's invalid program
+  // past the validator: the hit falls through to fresh tuning, which
+  // rejects it as before.
+  EXPECT_THROW(optimizer.optimize(broken), CheckError);
 }
 
 }  // namespace
