@@ -203,7 +203,8 @@ OpSpec draw_spec(std::mt19937_64& rng, const FuzzOptions& opts) {
   if (!do_conv) {
     return OpSpec{"matmul",
                   {draw_dim8(rng, opts.max_dim), draw_dim8(rng, opts.max_dim),
-                   draw_dim8(rng, opts.max_dim)}};
+                   draw_dim8(rng, opts.max_dim)},
+                  {}};
   }
   // Convolution: modest spatial dims (the functional GEMM is simulated in
   // software), channel counts around the 32/64 sweet spots with ragged

@@ -1,10 +1,28 @@
 #include "graph/build.hpp"
 
+#include <utility>
+
 #include "common/check.hpp"
 
 namespace swatop::graph {
 
 namespace {
+
+/// A node of an unfused graph; fuse_epilogues fills in the epilogue and
+/// bias_name later.
+Node node(NodeKind kind, std::string name, std::vector<std::string> inputs,
+          std::string output, std::int64_t kernel = 0,
+          std::int64_t channels_out = 0, std::int64_t pad = 0) {
+  Node n;
+  n.kind = kind;
+  n.name = std::move(name);
+  n.inputs = std::move(inputs);
+  n.output = std::move(output);
+  n.kernel = kernel;
+  n.channels_out = channels_out;
+  n.pad = pad;
+  return n;
+}
 
 /// Append pad (when k > 1) + conv + bias + (optionally) relu reading
 /// `in`; returns the produced tensor name. `layer` names the conv node;
@@ -14,16 +32,16 @@ std::string add_conv_block(Graph& g, const std::string& layer,
                            std::int64_t channels_out, bool relu = true) {
   std::string cur = in;
   if (k > 1) {
-    g.add({NodeKind::Pad, layer + ".pad", {cur}, layer + ":pad", 0, 0,
-           (k - 1) / 2});
+    g.add(node(NodeKind::Pad, layer + ".pad", {cur}, layer + ":pad", 0, 0,
+               (k - 1) / 2));
     cur = layer + ":pad";
   }
-  g.add({NodeKind::Conv, layer, {cur}, layer + ":conv", k, channels_out, 0});
-  g.add({NodeKind::Bias, layer + ".bias", {layer + ":conv"}, layer + ":bias",
-         0, 0, 0});
+  g.add(node(NodeKind::Conv, layer, {cur}, layer + ":conv", k, channels_out));
+  g.add(node(NodeKind::Bias, layer + ".bias", {layer + ":conv"},
+             layer + ":bias"));
   cur = layer + ":bias";
   if (relu) {
-    g.add({NodeKind::Relu, layer + ".relu", {cur}, layer + ":out", 0, 0, 0});
+    g.add(node(NodeKind::Relu, layer + ".relu", {cur}, layer + ":out"));
     cur = layer + ":out";
   }
   return cur;
@@ -38,7 +56,7 @@ std::string maybe_pool(Graph& g, const std::string& in, std::int64_t& hw,
       << "layer table spatial step " << hw << " -> " << next_hw
       << " is not a 2x2 pool";
   const std::string name = "pool" + std::to_string((*pool_idx)++);
-  g.add({NodeKind::MaxPool2x2, name, {in}, name + ":out", 0, 0, 0});
+  g.add(node(NodeKind::MaxPool2x2, name, {in}, name + ":out"));
   hw = next_hw;
   return name + ":out";
 }
@@ -97,10 +115,9 @@ Graph build_resnet() {
     y = add_conv_block(g, ae.name + "b", y, ae.k, ae.no,
                        /*relu=*/false);
     const std::string stage = "stage" + std::to_string(st + 2);
-    g.add({NodeKind::Add, stage + ".add", {y, shortcut}, stage + ":sum", 0,
-           0, 0});
-    g.add({NodeKind::Relu, stage + ".relu", {stage + ":sum"},
-           stage + ":out", 0, 0, 0});
+    g.add(node(NodeKind::Add, stage + ".add", {y, shortcut}, stage + ":sum"));
+    g.add(node(NodeKind::Relu, stage + ".relu", {stage + ":sum"},
+               stage + ":out"));
     cur = stage + ":out";
   }
   return g;

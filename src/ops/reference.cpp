@@ -1,6 +1,8 @@
 #include "ops/reference.hpp"
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 namespace swatop::ops {
 
@@ -28,26 +30,64 @@ void reference_conv(const float* in, const float* w, float* out,
                     const ConvShape& s) {
   const std::int64_t B = s.batch, Ni = s.ni, No = s.no, Ci = s.ci;
   const std::int64_t Ro = s.ro(), Co = s.co();
-  auto in_at = [&](std::int64_t ri, std::int64_t ni, std::int64_t ci,
-                   std::int64_t b) {
-    return in[((ri * Ni + ni) * Ci + ci) * B + b];
-  };
-  auto w_at = [&](std::int64_t kr, std::int64_t kc, std::int64_t ni,
-                  std::int64_t no) {
-    return w[((kr * s.kc + kc) * Ni + ni) * No + no];
+  // Output row ro is a matrix product: out[no][p] (p = co * B + b) sums
+  // w[q][no] * x[q][p] in q order, q = (kr * s.kc + kc) * Ni + ni, where
+  // w is already that Q x No matrix and x gathers the input rows the
+  // window reads. Each output keeps the direct definition's summation
+  // order (kr, kc, ni from 0.0f); the blocking only changes which outputs
+  // are computed side by side.
+  const std::int64_t Q = s.kr * s.kc * Ni, P = Co * B;
+  std::vector<float> patch(static_cast<std::size_t>(Q * P));
+  float* const x = patch.data();
+  // acc[l] += x * w[l] over 8 lanes: a fixed-length loop the vectorizer
+  // turns into SIMD, each lane still its own in-order sum.
+  auto lanes8 = [](float* acc, float xv, const float* w8) {
+    for (int l = 0; l < 8; ++l) acc[l] += xv * w8[l];
   };
   for (std::int64_t ro = 0; ro < Ro; ++ro) {
-    for (std::int64_t no = 0; no < No; ++no) {
-      for (std::int64_t co = 0; co < Co; ++co) {
-        for (std::int64_t b = 0; b < B; ++b) {
-          float acc = 0.0f;
-          for (std::int64_t kr = 0; kr < s.kr; ++kr)
-            for (std::int64_t kc = 0; kc < s.kc; ++kc)
-              for (std::int64_t ni = 0; ni < Ni; ++ni)
-                acc += in_at(ro * s.stride + kr, ni, co * s.stride + kc, b) *
-                       w_at(kr, kc, ni, no);
-          out[((ro * No + no) * Co + co) * B + b] = acc;
+    for (std::int64_t kr = 0; kr < s.kr; ++kr)
+      for (std::int64_t kc = 0; kc < s.kc; ++kc)
+        for (std::int64_t ni = 0; ni < Ni; ++ni) {
+          const float* src =
+              in + ((ro * s.stride + kr) * Ni + ni) * Ci * B + kc * B;
+          float* dst = x + ((kr * s.kc + kc) * Ni + ni) * P;
+          for (std::int64_t co = 0; co < Co; ++co)
+            std::copy_n(src + co * s.stride * B, B, dst + co * B);
         }
+    float* o = out + ro * No * P;
+    // 8 output channels x 4 positions at a time, then the position and
+    // channel tails.
+    std::int64_t no = 0;
+    for (; no + 8 <= No; no += 8) {
+      std::int64_t p = 0;
+      for (; p + 4 <= P; p += 4) {
+        float acc[4][8] = {};
+        for (std::int64_t q = 0; q < Q; ++q) {
+          const float* xq = x + q * P + p;
+          const float* wq = w + q * No + no;
+          // Four calls, not a loop over them, so all 32 sums stay in
+          // registers across the q loop.
+          lanes8(acc[0], xq[0], wq);
+          lanes8(acc[1], xq[1], wq);
+          lanes8(acc[2], xq[2], wq);
+          lanes8(acc[3], xq[3], wq);
+        }
+        for (int u = 0; u < 4; ++u)
+          for (int l = 0; l < 8; ++l) o[(no + l) * P + p + u] = acc[u][l];
+      }
+      for (; p < P; ++p) {
+        float acc[8] = {};
+        for (std::int64_t q = 0; q < Q; ++q)
+          lanes8(acc, x[q * P + p], w + q * No + no);
+        for (int l = 0; l < 8; ++l) o[(no + l) * P + p] = acc[l];
+      }
+    }
+    for (; no < No; ++no) {
+      for (std::int64_t p = 0; p < P; ++p) {
+        float acc = 0.0f;
+        for (std::int64_t q = 0; q < Q; ++q)
+          acc += x[q * P + p] * w[q * No + no];
+        o[no * P + p] = acc;
       }
     }
   }

@@ -1,16 +1,37 @@
 #include "prim/gemm_primitive.hpp"
 
+#include <vector>
+
 #include "common/check.hpp"
 
 namespace swatop::prim {
 
 namespace {
 
-/// Index of element (i, j) in a tile with `rows` rows stored column-major
-/// (leading dimension = rows) or row-major (leading dimension = cols).
-inline std::int64_t tile_at(std::int64_t i, std::int64_t j, std::int64_t rows,
-                            std::int64_t cols, bool col_major) {
-  return col_major ? i + j * rows : j + i * cols;
+/// Copy a distributed operand between the CPE tiles and one global
+/// column-major matrix g. Block (x, y) of g, for x < bx and y < by, is the
+/// rows x cols tile at SPM offset `spm` of CPE (x, y): A's tile (r, kb),
+/// B's (kb, c) and C's (r, c) each sit on the CPE of that name.
+void copy_tiles(sim::CpeCluster& cl, std::int64_t spm, int bx, int by,
+                std::int64_t rows, std::int64_t cols, bool col_major,
+                float* g, bool to_spm) {
+  const std::int64_t rs = col_major ? 1 : cols;  // tile element strides
+  const std::int64_t cs = col_major ? rows : 1;
+  const std::int64_t ld = bx * rows;
+  for (int x = 0; x < bx; ++x) {
+    for (int y = 0; y < by; ++y) {
+      float* t = cl.at(x, y).spm().view(spm, rows * cols).data();
+      float* gb = g + x * rows + y * cols * ld;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        for (std::int64_t i = 0; i < rows; ++i) {
+          if (to_spm)
+            t[i * rs + j * cs] = gb[i + j * ld];
+          else
+            gb[i + j * ld] = t[i * rs + j * cs];
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -87,32 +108,53 @@ void spm_gemm(sim::CoreGroup& cg, const SpmGemmArgs& args, sim::ExecMode mode,
     }
   }
 
+  // The mesh's arithmetic on gathered operands. Every element of C gets,
+  // panel by panel, alpha times its panel sum, each sum accumulated from
+  // 0.0f in k order -- exactly what CPE (r, c) computes from the broadcast
+  // tiles -- so the global matrices only change the loop nest, not a
+  // single float. A is M x K, B is K x N and C is M x N.
+  const std::int64_t M = args.M, N = args.N, K = args.K;
+  std::vector<float> a(static_cast<std::size_t>(M * K));
+  std::vector<float> b(static_cast<std::size_t>(K * N));
+  std::vector<float> cm(static_cast<std::size_t>(M * N));
+  copy_tiles(cl, args.a_spm, R, R, m, k, args.variant.a_col_major, a.data(),
+             /*to_spm=*/false);
+  copy_tiles(cl, args.b_spm, R, C, k, n, args.variant.b_col_major, b.data(),
+             /*to_spm=*/false);
+  copy_tiles(cl, args.c_spm, R, C, m, n, c_col_major, cm.data(),
+             /*to_spm=*/false);
+
   for (int kb = 0; kb < R; ++kb) {
     // Row broadcast of A tiles in mesh column kb; column broadcast of B
     // tiles in mesh row kb.
     cl.bus().record_row_broadcast(m * k * R);
     cl.bus().record_col_broadcast(k * n * C);
-    for (int r = 0; r < R; ++r) {
-      for (int c = 0; c < C; ++c) {
-        const auto a = cl.at(r, kb).spm().view(args.a_spm, m * k);
-        const auto b = cl.at(kb, c).spm().view(args.b_spm, k * n);
-        auto cc = cl.at(r, c).spm().view(args.c_spm, m * n);
-        for (std::int64_t i = 0; i < m; ++i) {
-          for (std::int64_t j = 0; j < n; ++j) {
-            float acc = 0.0f;
-            for (std::int64_t kk = 0; kk < k; ++kk) {
-              acc += a[static_cast<std::size_t>(tile_at(
-                         i, kk, m, k, args.variant.a_col_major))] *
-                     b[static_cast<std::size_t>(tile_at(
-                         kk, j, k, n, args.variant.b_col_major))];
-            }
-            cc[static_cast<std::size_t>(tile_at(i, j, m, n, c_col_major))] +=
-                args.alpha * acc;
-          }
+    const float* ap = a.data() + kb * k * M;  // A's panel columns
+    for (std::int64_t j = 0; j < N; ++j) {
+      const float* bp = b.data() + kb * k + j * K;  // B's panel rows, col j
+      float* cp = cm.data() + j * M;
+      // Eight rows at a time: a fixed-length lane loop the vectorizer
+      // turns into SIMD, each lane still its own in-order sum.
+      std::int64_t i = 0;
+      for (; i + 8 <= M; i += 8) {
+        float acc[8] = {};
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          const float* ak = ap + kk * M + i;
+          const float bk = bp[kk];
+          for (int l = 0; l < 8; ++l) acc[l] += ak[l] * bk;
         }
+        for (int l = 0; l < 8; ++l) cp[i + l] += args.alpha * acc[l];
+      }
+      for (; i < M; ++i) {
+        float acc = 0.0f;
+        for (std::int64_t kk = 0; kk < k; ++kk) acc += ap[kk * M + i] * bp[kk];
+        cp[i] += args.alpha * acc;
       }
     }
   }
+
+  copy_tiles(cl, args.c_spm, R, C, m, n, c_col_major, cm.data(),
+             /*to_spm=*/true);
 }
 
 void spm_gemm(sim::CoreGroup& cg, const SpmGemmArgs& args,

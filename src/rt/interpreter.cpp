@@ -12,6 +12,20 @@ namespace swatop::rt {
 
 namespace ir = swatop::ir;
 
+namespace {
+
+/// The first of n floats spaced `stride` apart from address a, taken
+/// through one view that covers exactly the floats they touch -- so an
+/// access outside the arena throws as the per-element read/write would.
+float* mem_column(sim::MainMemory& mem, sim::MainMemory::Addr a,
+                  std::int64_t n, std::int64_t stride) {
+  const std::int64_t span = (n - 1) * stride;
+  const sim::MainMemory::Addr lo = a + std::min<std::int64_t>(span, 0);
+  return mem.view(lo, std::max(span, -span) + 1).data() + (a - lo);
+}
+
+}  // namespace
+
 Interpreter::Interpreter(sim::CoreGroup& cg, sim::ExecMode mode)
     : cg_(cg), mode_(mode), db_(isa::kernel_cost_db(cg.config())) {}
 
@@ -448,15 +462,16 @@ void Interpreter::exec_dma(const ir::Stmt& s) {
       const sim::MainMemory::Addr tile_base =
           geo.base + br * geo.tr * d.view.stride_r +
           bc * geo.tc * d.view.stride_c;
+      const std::int64_t sr = d.view.stride_r;
       for (std::int64_t j = 0; j < vc; ++j) {
-        for (std::int64_t i = 0; i < vr; ++i) {
-          const sim::MainMemory::Addr mem_at =
-              tile_base + i * d.view.stride_r + j * d.view.stride_c;
-          const std::int64_t spm_idx = spm_at + i + j * geo.tr;
-          if (d.dir == ir::Direction::MemToSpm)
-            spm.write(spm_idx, cg_.mem().read(mem_at));
-          else
-            cg_.mem().write(mem_at, spm.read(spm_idx));
+        float* mem = mem_column(cg_.mem(), tile_base + j * d.view.stride_c,
+                                vr, sr);
+        if (is_get) {
+          float* dst = spm.write_block(spm_at + j * geo.tr, vr).data();
+          for (std::int64_t i = 0; i < vr; ++i) dst[i] = mem[i * sr];
+        } else {
+          const float* src = spm.read_block(spm_at + j * geo.tr, vr).data();
+          for (std::int64_t i = 0; i < vr; ++i) mem[i * sr] = src[i];
         }
       }
     }
@@ -554,6 +569,9 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
   cg_.advance_compute(epi_cycles);
 
   if (mode_ != sim::ExecMode::Functional) return;
+  // Bias is per channel: one float per row when channels run down the rows,
+  // one float for a whole column otherwise.
+  const std::int64_t bias_step = e.channels_on_rows ? 1 : 0;
   for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
     for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
       std::int64_t br, bc;
@@ -564,20 +582,31 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
           std::clamp<std::int64_t>(geo.cols - bc * geo.tc, 0, geo.tc);
       if (vr <= 0 || vc <= 0) continue;
       sim::Spm& spm = cg_.cluster().at(rid, cid).spm();
+      const std::int64_t gi = br * geo.tr;  // global row of tile row 0
       for (std::int64_t j = 0; j < vc; ++j) {
+        const std::int64_t gj = bc * geo.tc + j;
+        const float* bias =
+            e.bias ? mem_column(cg_.mem(),
+                                bias_base + ch0 +
+                                    (e.channels_on_rows ? gi : gj),
+                                vr, bias_step)
+                   : nullptr;
+        const float* res =
+            e.residual
+                ? mem_column(cg_.mem(),
+                             res_base + gi * e.res.stride_r +
+                                 gj * e.res.stride_c,
+                             vr, e.res.stride_r)
+                : nullptr;
+        const std::int64_t idx = spm_at + j * geo.tr;
+        const float* in = spm.read_block(idx, vr).data();
+        float* out = spm.write_block(idx, vr).data();
         for (std::int64_t i = 0; i < vr; ++i) {
-          const std::int64_t gi = br * geo.tr + i;
-          const std::int64_t gj = bc * geo.tc + j;
-          const std::int64_t idx = spm_at + i + j * geo.tr;
-          float v = spm.read(idx);
-          if (e.bias)
-            v += cg_.mem().read(bias_base + ch0 +
-                                (e.channels_on_rows ? gi : gj));
-          if (e.residual)
-            v += cg_.mem().read(res_base + gi * e.res.stride_r +
-                                gj * e.res.stride_c);
+          float v = in[i];
+          if (bias != nullptr) v += bias[i * bias_step];
+          if (res != nullptr) v += res[i * e.res.stride_r];
           if (e.relu) v = std::max(v, 0.0f);
-          spm.write(idx, v);
+          out[i] = v;
         }
       }
     }

@@ -53,6 +53,19 @@ void Spm::write(std::int64_t a, float v) {
   data_[static_cast<std::size_t>(a)] = v;
 }
 
+std::span<const float> Spm::read_block(std::int64_t a, std::int64_t n) const {
+  check_range(a, n);
+  reads_ += n;
+  return {data_.data() + a, static_cast<std::size_t>(n)};
+}
+
+std::span<float> Spm::write_block(std::int64_t a, std::int64_t n) {
+  check_range(a, n);
+  writes_ += n;
+  unpoison(a, n);
+  return {data_.data() + a, static_cast<std::size_t>(n)};
+}
+
 std::span<float> Spm::view(std::int64_t a, std::int64_t n) {
   check_range(a, n);
   return {data_.data() + a, static_cast<std::size_t>(n)};
@@ -64,10 +77,8 @@ std::span<const float> Spm::view(std::int64_t a, std::int64_t n) const {
 }
 
 void Spm::fill(std::int64_t a, std::int64_t n, float v) {
-  auto s = view(a, n);
+  auto s = write_block(a, n);
   std::fill(s.begin(), s.end(), v);
-  writes_ += n;
-  unpoison(a, n);
 }
 
 void Spm::clear() {

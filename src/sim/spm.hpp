@@ -23,6 +23,12 @@ class Spm {
   float read(std::int64_t a) const;
   void write(std::int64_t a, float v);
 
+  /// Bulk forms of n consecutive read() / write() calls starting at a:
+  /// bounds-checked once, counted as n element accesses. write_block marks
+  /// the range defined, so the caller must store every float of the span.
+  std::span<const float> read_block(std::int64_t a, std::int64_t n) const;
+  std::span<float> write_block(std::int64_t a, std::int64_t n);
+
   /// Bounds-checked span over [a, a + n).
   std::span<float> view(std::int64_t a, std::int64_t n);
   std::span<const float> view(std::int64_t a, std::int64_t n) const;
@@ -53,9 +59,9 @@ class Spm {
   /// defined (always -1 when tracking is off).
   std::int64_t first_poisoned(std::int64_t a, std::int64_t n) const;
 
-  /// Element accesses through read()/write()/fill() -- the functional-mode
-  /// scalar access paths (bulk view() spans are not counted). Feeds the
-  /// observability layer's SPM traffic counters.
+  /// Element accesses through read()/write()/fill() and their block forms
+  /// -- the functional-mode access paths (view() spans are not counted).
+  /// Feeds the observability layer's SPM traffic counters.
   std::int64_t element_reads() const { return reads_; }
   std::int64_t element_writes() const { return writes_; }
   void reset_access_counts() {

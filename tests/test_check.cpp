@@ -202,6 +202,45 @@ TEST(SanitizerSelfTest, WaitOnEmptySlotNamesContext) {
   EXPECT_EQ(cg.stats().sanitizer.reply_slot_trips, 1);
 }
 
+TEST(SanitizerSelfTest, PutOfNeverWrittenSpmFloatTripsPoison) {
+  // A get of 15 of 16 rows leaves row 15 of the tile -- the second float
+  // of each column on the bottom mesh row's CPEs -- never written. A put of
+  // all 16 rows must trip on it: the bulk copy marks defined exactly the
+  // floats the get stored, no more.
+  const sim::SimConfig cfg = sanitizing_cfg();
+  ir::DmaAttrs get;
+  get.view = {"A", ir::cst(0), 1, 16, ir::cst(15), ir::cst(16)};
+  get.rows_p = ir::cst(16);
+  get.cols_p = ir::cst(16);
+  get.spm_buf = "buf";
+  get.spm_off = ir::cst(0);
+  get.reply = ir::cst(0);
+  ir::DmaAttrs put = get;
+  put.view.rows = ir::cst(16);
+  put.dir = ir::Direction::SpmToMem;
+  auto prog = ir::make_seq({ir::make_spm_alloc("buf", 4),
+                            ir::make_dma(ir::StmtKind::DmaGet, get),
+                            ir::make_dma_wait(ir::cst(0)),
+                            ir::make_dma(ir::StmtKind::DmaPut, put),
+                            ir::make_dma_wait(ir::cst(0))});
+  sim::CoreGroup cg(cfg);
+  cg.mem().alloc(256, "A");
+  rt::Interpreter interp(cg, sim::ExecMode::Functional);
+  try {
+    interp.run(prog, {{"A", 0}});
+    FAIL() << "put of a never-written SPM float did not trip";
+  } catch (const SanitizerError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("DMA put from buffer 'buf'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("(offset 1 within the buffer) on CPE (7,0)"),
+              std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(cg.stats().sanitizer.spm_poison_trips, 1);
+  EXPECT_EQ(cg.stats().sanitizer.total(), 1);
+}
+
 TEST(SanitizerSelfTest, CleanRunTripsNothing) {
   const sim::SimConfig cfg = sanitizing_cfg();
   ops::MatmulOp op(40, 33, 17);

@@ -300,6 +300,39 @@ TEST(Obs, FunctionalModeCountsRegCommAndSpmAccesses) {
   EXPECT_GT(p.counters.spm_high_water_floats, 0);
 }
 
+TEST(Obs, FunctionalImplicitConvSpmAccessCountsArePinned) {
+  // Every float a functional DMA copy or fused epilogue moves is one SPM
+  // element read or write. These totals come from the per-element copy
+  // loops; the bulk copies must keep them exactly. Ragged channels and
+  // columns exercise the clamped edge tiles.
+  const sim::SimConfig cfg;
+  ops::ConvShape s;
+  s.batch = 8;
+  s.ni = 48;
+  s.no = 48;
+  s.ri = 9;
+  s.ci = 9;
+  dsl::EpilogueSpec epi;
+  epi.bias = true;
+  epi.residual = true;
+  epi.relu = true;
+  const ops::ImplicitConvOp op(s, epi);
+  dsl::Strategy st;
+  st.set_factor("Tno", 32);
+  st.set_factor("Tni", 32);
+  st.set_factor("Tco", 4);
+  st.set_choice("wlayout", "no_major");
+  st.set_choice("order", "rcouvi");
+  st.set_choice("variant", "6");
+  st.set_choice("boundary", "pad");
+  const sched::Candidate cand = tune::build_candidate(op, st, cfg);
+  const obs::Profile p =
+      observed_run(op, cand, cfg, sim::ExecMode::Functional);
+  // Reads: the put and the epilogue each read the 18,816 outputs once.
+  EXPECT_EQ(p.counters.spm_reads, 37632);
+  EXPECT_EQ(p.counters.spm_writes, 1450624);
+}
+
 TEST(Obs, ChromeTraceIsWellFormedJson) {
   const sim::SimConfig cfg;
   ops::MatmulOp op(128, 128, 64);

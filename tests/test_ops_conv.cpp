@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -64,6 +66,90 @@ TEST(ConvShape, Geometry) {
   EXPECT_EQ(s.flops(), 2 * 2 * 16 * 32 * 10 * 10 * 9);
   EXPECT_FALSE(s.to_string().empty());
 }
+
+// ---------------------------------------------------------------------------
+// reference_conv is blocked for speed but must stay the independent oracle:
+// byte for byte the direct definition, kept here as the plain 7-deep nest.
+
+std::vector<float> direct_conv(const std::vector<float>& in,
+                               const std::vector<float>& w,
+                               const ConvShape& s) {
+  const std::int64_t B = s.batch, Ni = s.ni, No = s.no, Ci = s.ci;
+  const std::int64_t Ro = s.ro(), Co = s.co();
+  auto in_at = [&](std::int64_t ri, std::int64_t ni, std::int64_t ci,
+                   std::int64_t b) {
+    return in[static_cast<std::size_t>(((ri * Ni + ni) * Ci + ci) * B + b)];
+  };
+  auto w_at = [&](std::int64_t kr, std::int64_t kc, std::int64_t ni,
+                  std::int64_t no) {
+    return w[static_cast<std::size_t>(((kr * s.kc + kc) * Ni + ni) * No + no)];
+  };
+  std::vector<float> out(static_cast<std::size_t>(Ro * No * Co * B));
+  for (std::int64_t ro = 0; ro < Ro; ++ro)
+    for (std::int64_t no = 0; no < No; ++no)
+      for (std::int64_t co = 0; co < Co; ++co)
+        for (std::int64_t b = 0; b < B; ++b) {
+          float acc = 0.0f;
+          for (std::int64_t kr = 0; kr < s.kr; ++kr)
+            for (std::int64_t kc = 0; kc < s.kc; ++kc)
+              for (std::int64_t ni = 0; ni < Ni; ++ni)
+                acc += in_at(ro * s.stride + kr, ni, co * s.stride + kc, b) *
+                       w_at(kr, kc, ni, no);
+          out[static_cast<std::size_t>(((ro * No + no) * Co + co) * B + b)] =
+              acc;
+        }
+  return out;
+}
+
+struct ConvCase {
+  std::int64_t batch, ni, no, out_hw, kr, kc, stride;
+};
+
+class ReferenceConvBitExact : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ReferenceConvBitExact, MatchesDirectNestByteForByte) {
+  const ConvCase c = GetParam();
+  ConvShape s;
+  s.batch = c.batch;
+  s.ni = c.ni;
+  s.no = c.no;
+  s.kr = c.kr;
+  s.kc = c.kc;
+  s.stride = c.stride;
+  s.ri = c.kr + c.stride * (c.out_hw - 1);
+  s.ci = c.kc + c.stride * (c.out_hw - 1);
+  ASSERT_EQ(s.co(), c.out_hw);
+  Prng rng(static_cast<std::uint64_t>(c.ni * 131 + c.no * 7 + c.stride));
+  std::vector<float> in(
+      static_cast<std::size_t>(s.ri * s.ni * s.ci * s.batch));
+  std::vector<float> w(static_cast<std::size_t>(s.kr * s.kc * s.ni * s.no));
+  for (float& v : in) v = rng.next();
+  for (float& v : w) v = rng.next();
+
+  const std::vector<float> want = direct_conv(in, w, s);
+  std::vector<float> got(want.size(),
+                         std::numeric_limits<float>::quiet_NaN());
+  reference_conv(in.data(), w.data(), got.data(), s);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      FAIL() << s.to_string() << ": output " << i << " is " << got[i]
+             << ", the direct nest gives " << want[i];
+    }
+  }
+}
+
+// 1x1 and 3x3, stride 1 and 2, batch 1 and 3, Ni = 3, No off the 8-channel
+// block (12, 20) and Co * B off the 4-position block (5, 15, 21, 7).
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ReferenceConvBitExact,
+    ::testing::Values(ConvCase{1, 3, 12, 5, 1, 1, 1},
+                      ConvCase{3, 3, 12, 7, 3, 3, 1},
+                      ConvCase{1, 3, 12, 5, 3, 3, 2},
+                      ConvCase{3, 3, 12, 5, 3, 3, 2},
+                      ConvCase{3, 3, 12, 5, 1, 1, 2},
+                      ConvCase{1, 64, 16, 7, 3, 3, 1},
+                      ConvCase{2, 32, 20, 6, 3, 3, 1},
+                      ConvCase{3, 5, 8, 4, 3, 1, 1}));
 
 TEST(ImplicitConv, Applicability) {
   EXPECT_TRUE(ImplicitConvOp::applicable(small_shape(1, 32, 32, 8)));

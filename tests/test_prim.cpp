@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <vector>
 
 #include "common/check.hpp"
@@ -104,6 +105,120 @@ TEST_P(SpmGemmVariants, MatchesReference) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllEightVariants, SpmGemmVariants,
+                         ::testing::Range(0, 8));
+
+// Functional spm_gemm computes on gathered operands for speed; it must stay
+// bit-identical to the per-tile SUMMA loop the mesh runs, kept here as the
+// oracle: beta pre-scale, then in panel kb CPE (r, c) sums the products of
+// the A tile of CPE (r, kb) and the B tile of CPE (kb, c) from 0.0f in k
+// order and adds alpha times the sum to its C tile.
+void summa_per_tile(sim::CoreGroup& cg, const SpmGemmArgs& args) {
+  const int R = cg.config().mesh_rows;
+  const int C = cg.config().mesh_cols;
+  const std::int64_t m = args.M / R;
+  const std::int64_t n = args.N / C;
+  const std::int64_t k = args.K / R;
+  auto tile_at = [](std::int64_t i, std::int64_t j, std::int64_t rows,
+                    std::int64_t cols, bool col_major) {
+    return static_cast<std::size_t>(col_major ? i + j * rows : j + i * cols);
+  };
+  const bool c_col_major = args.variant.vec == isa::VecDim::M;
+  sim::CpeCluster& cl = cg.cluster();
+  if (args.beta != 1.0f) {
+    for (int r = 0; r < R; ++r)
+      for (int c = 0; c < C; ++c)
+        for (float& x : cl.at(r, c).spm().view(args.c_spm, m * n))
+          x *= args.beta;
+  }
+  for (int kb = 0; kb < R; ++kb) {
+    cl.bus().record_row_broadcast(m * k * R);
+    cl.bus().record_col_broadcast(k * n * C);
+    for (int r = 0; r < R; ++r) {
+      for (int c = 0; c < C; ++c) {
+        const auto a = cl.at(r, kb).spm().view(args.a_spm, m * k);
+        const auto b = cl.at(kb, c).spm().view(args.b_spm, k * n);
+        auto cc = cl.at(r, c).spm().view(args.c_spm, m * n);
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::int64_t kk = 0; kk < k; ++kk)
+              acc += a[tile_at(i, kk, m, k, args.variant.a_col_major)] *
+                     b[tile_at(kk, j, k, n, args.variant.b_col_major)];
+            cc[tile_at(i, j, m, n, c_col_major)] += args.alpha * acc;
+          }
+        }
+      }
+    }
+  }
+}
+
+class SpmGemmBitExact : public ::testing::TestWithParam<int> {};
+
+TEST_P(SpmGemmBitExact, MatchesPerTileSummaLoop) {
+  const auto variant = isa::KernelVariant::from_index(GetParam());
+  const sim::SimConfig cfg;
+  const float scales[][2] = {{1.0f, 1.0f}, {0.37f, -1.25f}, {-2.5f, 0.0f}};
+  ops::Prng rng(static_cast<std::uint64_t>(GetParam()) + 17);
+  sim::CoreGroup got(cfg), want(cfg);
+  int checked = 0;
+  // Per-CPE tiles m x n x k over the ResNet run's range (m 8-32, n 1-4,
+  // k 8-16), with (alpha, beta) cycling through the three pairs.
+  for (const std::int64_t m : {8, 16, 32}) {
+    for (const std::int64_t n : {1, 2, 3, 4}) {
+      for (const std::int64_t k : {8, 16}) {
+        const std::int64_t M = 8 * m, N = 8 * n, K = 8 * k;
+        if (!spm_gemm_valid(M, N, K, variant, cfg)) continue;
+        const SpmGemmFootprint fp = spm_gemm_footprint(M, N, K, cfg);
+        SpmGemmArgs args;
+        args.M = M;
+        args.N = N;
+        args.K = K;
+        args.alpha = scales[checked % 3][0];
+        args.beta = scales[checked % 3][1];
+        args.a_spm = 0;
+        args.b_spm = fp.a_floats;
+        args.c_spm = fp.a_floats + fp.b_floats;
+        args.variant = variant;
+        // The same random A, B and C tiles on both core groups.
+        for (int r = 0; r < 8; ++r) {
+          for (int c = 0; c < 8; ++c) {
+            auto g = got.cluster().at(r, c).spm().view(0, fp.total());
+            auto w = want.cluster().at(r, c).spm().view(0, fp.total());
+            for (std::size_t i = 0; i < g.size(); ++i) g[i] = w[i] = rng.next();
+          }
+        }
+        got.cluster().bus().reset();
+        want.cluster().bus().reset();
+
+        spm_gemm(got, args, sim::ExecMode::Functional);
+        summa_per_tile(want, args);
+
+        const std::string where =
+            variant.name() + " M=" + std::to_string(M) +
+            " N=" + std::to_string(N) + " K=" + std::to_string(K);
+        for (int r = 0; r < 8; ++r) {
+          for (int c = 0; c < 8; ++c) {
+            const auto g = got.cluster().at(r, c).spm().view(0, fp.total());
+            const auto w = want.cluster().at(r, c).spm().view(0, fp.total());
+            EXPECT_EQ(std::memcmp(g.data(), w.data(), g.size_bytes()), 0)
+                << where << " CPE (" << r << "," << c << ")";
+          }
+        }
+        const sim::RegCommBus& gb = got.cluster().bus();
+        const sim::RegCommBus& wb = want.cluster().bus();
+        EXPECT_EQ(gb.row_bytes(), wb.row_bytes()) << where;
+        EXPECT_EQ(gb.col_bytes(), wb.col_bytes()) << where;
+        EXPECT_EQ(gb.row_messages(), wb.row_messages()) << where;
+        EXPECT_EQ(gb.col_messages(), wb.col_messages()) << where;
+        ++checked;
+      }
+    }
+  }
+  // Vec-M variants take every shape, vec-N ones only n = 4.
+  EXPECT_EQ(checked, variant.vec == isa::VecDim::M ? 24 : 6);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEightVariants, SpmGemmBitExact,
                          ::testing::Range(0, 8));
 
 TEST(SpmGemm, AlphaBetaSemantics) {

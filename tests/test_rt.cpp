@@ -155,6 +155,34 @@ TEST(BindTensors, AllocatesEveryTensor) {
   EXPECT_GE(cg.mem().size(), 64 * 32 + 32 * 48 + 64 * 48);
 }
 
+TEST(InterpreterGuards, GetColumnPastArenaThrows) {
+  // A 16x16 get from a 255-float arena: only the last float of its last
+  // column lies past the end, on the last CPE's tile. Pricing never touches
+  // memory, so only the functional copy can catch it, and it must throw
+  // even though it checks a column at a time.
+  ir::DmaAttrs d;
+  d.view = {"A", ir::cst(0), 1, 16, ir::cst(16), ir::cst(16)};
+  d.rows_p = ir::cst(16);
+  d.cols_p = ir::cst(16);
+  d.spm_buf = "buf";
+  d.spm_off = ir::cst(0);
+  d.reply = ir::cst(0);
+  auto prog = ir::make_seq({ir::make_spm_alloc("buf", 4),
+                            ir::make_dma(ir::StmtKind::DmaGet, d),
+                            ir::make_dma_wait(ir::cst(0))});
+  for (const sim::ExecMode mode :
+       {sim::ExecMode::TimingOnly, sim::ExecMode::Functional}) {
+    sim::CoreGroup cg(cfg);
+    cg.mem().alloc(16 * 16 - 1, "A");
+    const dsl::BoundTensors bt{{"A", 0}};
+    Interpreter interp(cg, mode);
+    if (mode == sim::ExecMode::TimingOnly)
+      EXPECT_NO_THROW(interp.run(prog, bt));
+    else
+      EXPECT_THROW(interp.run(prog, bt), CheckError);
+  }
+}
+
 }  // namespace
 }  // namespace swatop::rt
 
