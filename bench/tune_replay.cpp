@@ -1,10 +1,10 @@
-// Tuning-speed ablation: trace-replay measurement vs the loop-by-loop
-// timing interpreter on the Table 3 workload (implicit CONV layers of the
-// three CNNs). Pass 1 measures a deterministic candidate subsample through
-// the interpreter; pass 2 replays the recorded traces. The bench asserts
-// the replayed cycles are bit-identical per candidate and the argmin over
-// the subsample unchanged, then reports the wall-clock ratio (the whole
-// point of the fast path).
+// Tuning-speed ablation: measurement-memo hits vs the loop-by-loop timing
+// interpreter on the Table 3 workload (implicit CONV layers of the three
+// CNNs). Pass 1 measures a deterministic candidate subsample through the
+// interpreter; pass 2 measures it again through a warmed memo
+// (tune/replay.hpp). The bench asserts the memo's cycles are bit-identical
+// per candidate and the argmin over the subsample unchanged, then reports
+// the wall-clock ratio.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -46,17 +46,17 @@ std::vector<sched::Candidate> subsample(std::vector<sched::Candidate> cands,
 int main() {
   const sim::SimConfig cfg;
   bench::print_title(
-      "Tuning speedup -- trace replay vs timing interpreter (Tab. 3 layers)");
+      "Tuning speedup -- measurement memo vs timing interpreter (Tab. 3 "
+      "layers)");
   bench::BenchJson bj("tuning_speedup");
 
   const std::vector<std::pair<std::string, std::vector<nets::LayerDef>>>
       networks = {{"VGG16", nets::vgg16()},
                   {"ResNet", nets::resnet()},
                   {"YOLO", nets::yolo()}};
-  // Quick mode keeps the per-layer traces small (they live in memory, one
-  // per cached candidate) and the interpreter pass under a minute: small
-  // sub-batch, deep layers only, 12 candidates per layer. SWATOP_FULL=1
-  // widens everything.
+  // Quick mode keeps the interpreter pass under a minute: small sub-batch,
+  // deep layers only, 12 candidates per layer. SWATOP_FULL=1 widens
+  // everything.
   const bool full = bench::full_scale();
   const std::int64_t batch = full ? 32 : 4;
   const std::size_t max_layers = full ? 8 : 2;
@@ -68,9 +68,9 @@ int main() {
 
   const sched::Scheduler sched(cfg);
   bool all_identical = true;
-  double total_interp = 0.0, total_replay = 0.0;
+  double total_interp = 0.0, total_memo = 0.0;
 
-  bench::print_row({"network", "layer", "cands", "interp(s)", "replay(s)",
+  bench::print_row({"network", "layer", "cands", "interp(s)", "memo(s)",
                     "speedup", "identical"});
   for (const auto& [net, all_layers] : networks) {
     const auto distinct = nets::distinct(all_layers);
@@ -78,9 +78,9 @@ int main() {
     for (const auto& l : distinct) {
       if (used >= max_layers) break;
       if (l.out_hw > 14) continue;
-      // Skip layers whose traces would not fit the bench's memory budget
-      // (event count scales with this product; VGG's 512x512 @ 14x14
-      // layers record >1M events per candidate).
+      // Skip the layers whose interpreter measurements cost the most (the
+      // interpreter's work per candidate scales with this product; VGG's
+      // 512x512 @ 14x14 layers book >1M events per candidate).
       if (l.ni * l.no * l.out_hw * l.out_hw > max_cost_proxy) continue;
       const ops::ConvShape s = nets::to_shape(l, batch);
       if (!ops::ImplicitConvOp::applicable(s)) continue;
@@ -98,38 +98,38 @@ int main() {
         interp_cycles.push_back(tune::measure_candidate(op, c, cfg));
       const double interp_s = seconds_since(t0);
 
-      // Warm the trace cache (every candidate records once, off the clock),
-      // then pass 2: the same measurements served by replay.
+      // Warm the memo (every candidate is interpreted once, off the clock),
+      // then pass 2: the same measurements served by memo hits.
       tune::ReplayOptions ro;
       ro.enabled = true;
       tune::ReplayExecutor rx(ro);
       for (const sched::Candidate& c : cands) (void)rx.measure(op, c, cfg);
-      std::vector<double> replay_cycles;
-      replay_cycles.reserve(cands.size());
+      std::vector<double> memo_cycles;
+      memo_cycles.reserve(cands.size());
       const auto t1 = std::chrono::steady_clock::now();
       for (const sched::Candidate& c : cands)
-        replay_cycles.push_back(rx.measure(op, c, cfg));
-      const double replay_s = seconds_since(t1);
+        memo_cycles.push_back(rx.measure(op, c, cfg));
+      const double memo_s = seconds_since(t1);
       const tune::ReplayStats rs = rx.stats();
 
       // The contract: bit-identical cycles, candidate by candidate, and
       // therefore the identical argmin.
-      const bool identical = interp_cycles == replay_cycles;
+      const bool identical = interp_cycles == memo_cycles;
       const std::size_t argmin_i = static_cast<std::size_t>(
           std::min_element(interp_cycles.begin(), interp_cycles.end()) -
           interp_cycles.begin());
-      const std::size_t argmin_r = static_cast<std::size_t>(
-          std::min_element(replay_cycles.begin(), replay_cycles.end()) -
-          replay_cycles.begin());
-      const bool argmin_match = argmin_i == argmin_r;
+      const std::size_t argmin_m = static_cast<std::size_t>(
+          std::min_element(memo_cycles.begin(), memo_cycles.end()) -
+          memo_cycles.begin());
+      const bool argmin_match = argmin_i == argmin_m;
       all_identical = all_identical && identical && argmin_match;
 
-      const double speedup = replay_s > 0.0 ? interp_s / replay_s : 0.0;
+      const double speedup = memo_s > 0.0 ? interp_s / memo_s : 0.0;
       total_interp += interp_s;
-      total_replay += replay_s;
+      total_memo += memo_s;
 
       bench::print_row({net, l.name, std::to_string(cands.size()),
-                        bench::fmt(interp_s, 2), bench::fmt(replay_s, 3),
+                        bench::fmt(interp_s, 2), bench::fmt(memo_s, 3),
                         bench::fmt(speedup, 0) + "x",
                         identical && argmin_match ? "yes" : "NO"});
       // Deterministic metrics are gated by tools/bench_compare; wall-clock
@@ -137,21 +137,20 @@ int main() {
       bj.add(net + "/" + l.name, {{"net", net}, {"layer", l.name}},
              {{"candidates", static_cast<double>(cands.size())},
               {"replay_hits", static_cast<double>(rs.hits)},
-              {"replay_fallbacks", static_cast<double>(rs.fallbacks)},
               {"bit_identical", identical ? 1.0 : 0.0},
               {"argmin_match", argmin_match ? 1.0 : 0.0},
               {"interp_seconds", interp_s},
-              {"replay_seconds", replay_s},
+              {"replay_seconds", memo_s},
               {"speedup_seconds_ratio", speedup}},
              interp_cycles[argmin_i]);
     }
   }
 
   const double total_speedup =
-      total_replay > 0.0 ? total_interp / total_replay : 0.0;
-  std::printf("\ntotal: interpreter %.2fs, replay %.3fs -> %.0fx; "
-              "replayed cycles %s\n",
-              total_interp, total_replay, total_speedup,
+      total_memo > 0.0 ? total_interp / total_memo : 0.0;
+  std::printf("\ntotal: interpreter %.2fs, memo %.3fs -> %.0fx; "
+              "memo cycles %s\n",
+              total_interp, total_memo, total_speedup,
               all_identical ? "bit-identical, argmin unchanged"
                             : "DIVERGED (bug)");
   return all_identical ? 0 : 1;

@@ -14,7 +14,6 @@
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
 #include "sched/scheduler.hpp"
-#include "tune/replay.hpp"
 #include "tune/tuner.hpp"
 
 namespace swatop::check {
@@ -84,33 +83,6 @@ Outcome run_one(const dsl::OperatorDef& op, const dsl::Strategy& s,
     os << "max |computed - reference| = " << diff;
     return {"mismatch", os.str()};
   }
-  return {};
-}
-
-/// Differential trace-replay check: record a TimingOnly run's event trace,
-/// replay it through the standalone booking mirror, and require cycles and
-/// every CgStats field to be bit-identical. Returns the pass/fail outcome
-/// (kind "replay" on divergence). Uses a fresh core group so the timing
-/// run's charges never leak into the caller's functional statistics.
-Outcome replay_diff_one(const dsl::OperatorDef& op, const ir::StmtPtr& prog,
-                        const sim::SimConfig& cfg) {
-  sim::CoreGroup cg(cfg);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  rt::ReplayTrace trace;
-  rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  interp.set_trace_sink(&trace);
-  rt::RunResult run;
-  try {
-    run = interp.run(prog, bt);
-  } catch (const SanitizerError& e) {
-    return {"sanitizer", std::string("timing run: ") + e.what()};
-  } catch (const CheckError& e) {
-    return {"check", std::string("timing run: ") + e.what()};
-  }
-  if (!trace.complete) return {"replay", "recorded trace is incomplete"};
-  const std::string diff = tune::replay_diff(tune::replay_trace(trace), run);
-  if (!diff.empty()) return {"replay", diff};
   return {};
 }
 
@@ -386,10 +358,8 @@ FuzzReport fuzz_schedules(const FuzzOptions& opts) {
     for (const sched::Candidate& cand : cands) {
       if (rep.cases_run >= opts.cases) break;
       ++rep.cases_run;
-      Outcome o =
+      const Outcome o =
           run_one(*op, cand.strategy, cand.program, cg, bt, opts.tolerance);
-      if (o.kind.empty() && opts.replay_diff)
-        o = replay_diff_one(*op, cand.program, cfg);
       if (o.kind.empty()) continue;
       FuzzFailure f;
       f.kind = o.kind;
@@ -453,9 +423,8 @@ FuzzReport replay(const std::string& op_spec, const std::string& strategy,
   rep.cases_run = 1;
   sim::CoreGroup cg(cfg);
   const dsl::BoundTensors bt = rt::bind_tensors(cg, *op);
-  Outcome o = run_one(*op, *strat, cand.program, cg, bt, opts.tolerance);
-  if (o.kind.empty() && opts.replay_diff)
-    o = replay_diff_one(*op, cand.program, cfg);
+  const Outcome o =
+      run_one(*op, *strat, cand.program, cg, bt, opts.tolerance);
   if (!o.kind.empty())
     rep.failures.push_back({o.kind, op_spec, strategy, o.detail,
                             repro_line(*spec, strategy)});

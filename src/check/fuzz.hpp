@@ -55,21 +55,14 @@ struct FuzzOptions {
   /// every implicit-conv draw, so fused candidates sweep the same schedule
   /// space, sanitizers and reference diff as unfused ones.
   bool fused = false;
-  /// Differential trace-replay smoke: additionally run every passing
-  /// candidate in TimingOnly mode with a replay trace recorded, replay the
-  /// trace (tune/replay.hpp) and require the replayed cycles and simulator
-  /// statistics to be bit-identical to the recording run. Divergence is
-  /// reported as failure kind "replay" with the first differing field.
-  bool replay_diff = false;
   /// Optional progress sink (one line per shape); null = silent.
   std::function<void(const std::string&)> log;
 };
 
 struct FuzzFailure {
   /// "mismatch" (output diff over tolerance), "sanitizer" (SanitizerError),
-  /// "check" (internal invariant tripped), "validator" (the scheduler's
-  /// IR validator rejected a lowered program), or "replay" (trace replay
-  /// diverged from the recording run; only with FuzzOptions::replay_diff).
+  /// "check" (internal invariant tripped), or "validator" (the
+  /// scheduler's IR validator rejected a lowered program).
   std::string kind;
   std::string op;        ///< OpSpec::to_string() of the (minimized) shape
   std::string strategy;  ///< Strategy::serialize(); empty for validator

@@ -71,8 +71,6 @@ Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
     cache_ = std::make_shared<tune::ScheduleCache>(cfg_.cache);
   if (cfg_.replay.enabled)
     replay_ = std::make_shared<tune::ReplayExecutor>(cfg_.replay);
-  if (cfg_.pruner.enabled)
-    pruner_ = std::make_shared<tune::RankingPruner>(cfg_.pruner);
 }
 
 OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
@@ -83,23 +81,17 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
     out.recorder_ = std::make_shared<obs::Recorder>(cfg_.observability);
 
   tune::ModelTuner tuner(cfg_.machine);
-  if (replay_) tuner.set_replay(replay_.get());
-  if (pruner_) tuner.set_pruner(pruner_.get());
+  tuner.set_replay(replay_.get());
   const sched::SchedulerOptions sopts = cfg_.scheduler_options();
   obs::Recorder* rec = out.recorder_.get();
 
-  // One candidate measurement, through the shared trace-replay executor
-  // when enabled (bit-identical cycles either way); every measurement also
-  // trains the ranking pruner.
+  // One candidate measurement, through the shared memo when enabled
+  // (bit-identical cycles either way).
   auto measure = [&](const sched::Candidate& c) {
-    const double cycles =
-        replay_ ? replay_->measure(op, c, cfg_.machine)
-                : tune::measure_candidate(op, c, cfg_.machine);
-    if (pruner_) pruner_->observe(c.strategy, cycles);
-    return cycles;
+    return tune::measure_candidate(op, c, cfg_.machine, replay_.get());
   };
-  // Surface the executor's fast-path traffic for this optimize() call into
-  // the recorder's tuning counters (called at every return).
+  // Surface the memo's traffic for this optimize() call into the
+  // recorder's tuning counters (called at every return).
   const tune::ReplayStats replay0 =
       replay_ ? replay_->stats() : tune::ReplayStats{};
   auto flush_replay = [&] {
@@ -107,9 +99,6 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
     const tune::ReplayStats r = replay_->stats();
     rec->tune().replay_hits += r.hits - replay0.hits;
     rec->tune().replay_misses += r.misses - replay0.misses;
-    rec->tune().replay_fallbacks += r.fallbacks - replay0.fallbacks;
-    rec->tune().replay_oracle_checks +=
-        r.oracle_checks - replay0.oracle_checks;
   };
 
   // Cache fast path: a banked winner is rebuilt directly through the

@@ -36,7 +36,6 @@
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
 #include "sched/scheduler.hpp"
-#include "tune/pruner.hpp"
 #include "tune/replay.hpp"
 #include "tune/schedule_cache.hpp"
 #include "tune/tuner.hpp"
@@ -77,20 +76,12 @@ struct SwatopConfig {
   /// read-only).
   tune::CacheConfig cache{};
 
-  /// Trace-replay measurement fast path: when enabled, every candidate
-  /// measurement this configuration triggers (top-k shortlists,
-  /// measure_best, cache-hit re-measures, black-box sweeps through the
-  /// graph engine) goes through a shared ReplayExecutor -- the first
-  /// measurement of a structurally identical candidate records its booking
-  /// schedule, later ones replay it bit-identically. `replay.oracle`
-  /// re-checks every replay against the interpreter (tests/CI).
+  /// Measurement memo: when enabled, every candidate measurement this
+  /// configuration triggers (top-k shortlists, measure_best, cache-hit
+  /// re-measures) goes through one shared ReplayExecutor, so a program
+  /// measured before -- keyed on its structure, not its strategy -- is not
+  /// interpreted again. Cycles are bit-identical either way.
   tune::ReplayOptions replay{};
-
-  /// Journal-trained ranking pruner: when enabled, black-box measurement
-  /// sweeps cut the candidate set with an online least-squares model once
-  /// enough measurements accumulated. Inert until trained, so defaults
-  /// leave every tuner argmin unchanged.
-  tune::PrunerOptions pruner{};
 
   /// Observability: off by default (near-zero overhead). When enabled, the
   /// tuner and every execution are profiled into RunResult::profile.
@@ -205,22 +196,14 @@ class Optimizer {
   /// The schedule cache, when enabled (for inspection / explicit save()).
   tune::ScheduleCache* schedule_cache() const { return cache_.get(); }
 
-  /// The shared trace-replay executor, when enabled (null otherwise).
-  /// Callers running their own measurement sweeps (the graph engine's
-  /// black-box path, benches) attach it via BlackBoxTuner::set_replay so
-  /// one trace cache serves the whole run.
+  /// The shared measurement memo, when enabled (null otherwise): the
+  /// graph engine reads its hit/miss counts per run.
   tune::ReplayExecutor* replay_executor() const { return replay_.get(); }
-
-  /// The shared ranking pruner, when enabled (null otherwise). Trained by
-  /// every measurement the optimizer takes; attach to BlackBoxTuner for
-  /// sweep pruning.
-  tune::RankingPruner* pruner() const { return pruner_.get(); }
 
  private:
   SwatopConfig cfg_;
   std::shared_ptr<tune::ScheduleCache> cache_;  ///< null when disabled
   std::shared_ptr<tune::ReplayExecutor> replay_;  ///< null when disabled
-  std::shared_ptr<tune::RankingPruner> pruner_;   ///< null when disabled
 };
 
 /// The whole pipeline in one call: tune, generate code, execute.

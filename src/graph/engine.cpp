@@ -222,14 +222,12 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
                                     tune_t0)
           .count();
   if (const tune::ReplayExecutor* rx = optimizer.replay_executor()) {
-    // The executor is shared across run() calls; report this run's share.
+    // The memo is shared across run() calls; report this run's share.
     const tune::ReplayStats rs = rx->stats();
     res.replay_hits = rs.hits - replay_hits_seen_;
     res.replay_misses = rs.misses - replay_misses_seen_;
-    res.replay_fallbacks = rs.fallbacks - replay_fallbacks_seen_;
     replay_hits_seen_ = rs.hits;
     replay_misses_seen_ = rs.misses;
-    replay_fallbacks_seen_ = rs.fallbacks;
   }
 
   // --- Memory plan + per-group setup (arena, weights, input fill). ---
@@ -617,7 +615,6 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     rec->tune().cache_misses = res.shapes_tuned - res.cache_hits;
     rec->tune().replay_hits = res.replay_hits;
     rec->tune().replay_misses = res.replay_misses;
-    rec->tune().replay_fallbacks = res.replay_fallbacks;
     res.profile = obs::Profile::snapshot(*rec);
   }
   return res;

@@ -127,11 +127,10 @@ struct NetRunResult {
   std::int64_t tune_lowered = 0;
   std::int64_t tune_ranked = 0;
   std::int64_t tune_measured = 0;
-  /// Trace-replay fast path over the whole tuning phase (all zero unless
-  /// SwatopConfig::replay.enabled) -- see tune/replay.hpp.
+  /// Measurement-memo traffic over the whole tuning phase (all zero
+  /// unless SwatopConfig::replay.enabled) -- see tune/replay.hpp.
   std::int64_t replay_hits = 0;
   std::int64_t replay_misses = 0;
-  std::int64_t replay_fallbacks = 0;
 
   sim::CgStats chip_stats;  ///< summed over groups (all fields)
   std::vector<LayerReport> layers;
@@ -154,20 +153,19 @@ class GraphEngine {
                    const NetOptions& opts = {});
 
   /// The engine's Optimizer. Persistent across run() calls, so one
-  /// engine's schedule cache, trace-replay executor and ranking pruner
-  /// warm every graph it ever runs -- the serving path (src/serve/) prices
-  /// many (net, sub-batch) combinations through one engine and re-tunes a
-  /// layer shape only the first time any of them needs it. Per-run replay
-  /// numbers in NetRunResult are deltas against this shared state.
+  /// engine's schedule cache and measurement memo warm every graph it ever
+  /// runs -- the serving path (src/serve/) prices many (net, sub-batch)
+  /// combinations through one engine and re-tunes a layer shape only the
+  /// first time any of them needs it. Per-run memo numbers in NetRunResult
+  /// are deltas against this shared state.
   const Optimizer& optimizer() const { return *optimizer_; }
 
  private:
   SwatopConfig cfg_;
   std::unique_ptr<Optimizer> optimizer_;
-  /// Replay-executor totals already attributed to previous run() calls.
+  /// Memo totals already attributed to previous run() calls.
   std::int64_t replay_hits_seen_ = 0;
   std::int64_t replay_misses_seen_ = 0;
-  std::int64_t replay_fallbacks_seen_ = 0;
 };
 
 }  // namespace swatop::graph

@@ -192,19 +192,10 @@ std::string Profile::report() const {
       line(os, "schedule cache",
            fmt("%" PRId64 " hits, %" PRId64 " misses, %" PRId64 " stores",
                tune.cache_hits, tune.cache_misses, tune.cache_stores));
-    if (tune.candidates_pruned > 0)
-      line(os, "rank pruner", fmt("%" PRId64 " candidates cut before "
-                                  "measurement",
-                                  tune.candidates_pruned));
-    if (tune.replay_hits + tune.replay_misses + tune.replay_fallbacks > 0) {
-      std::string replay =
-          fmt("%" PRId64 " hits, %" PRId64 " misses, %" PRId64 " fallbacks",
-              tune.replay_hits, tune.replay_misses, tune.replay_fallbacks);
-      if (tune.replay_oracle_checks > 0)
-        replay += fmt(", %" PRId64 " oracle checks",
-                      tune.replay_oracle_checks);
-      line(os, "trace replay", replay);
-    }
+    if (tune.replay_hits + tune.replay_misses > 0)
+      line(os, "measurement memo",
+           fmt("%" PRId64 " hits, %" PRId64 " misses", tune.replay_hits,
+               tune.replay_misses));
     line(os, "wall clock", fmt("%.3f s", tune.seconds));
     if (!tune_samples.empty()) {
       os << "  model vs measured:\n";

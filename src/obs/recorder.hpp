@@ -43,15 +43,10 @@ struct TuneCounters {
   std::int64_t cache_hits = 0;
   std::int64_t cache_misses = 0;
   std::int64_t cache_stores = 0;
-  /// Candidates the journal-trained ranking pruner cut before measurement.
-  std::int64_t candidates_pruned = 0;
-  /// Trace-replay fast path (tune/replay.hpp): measurements served from a
-  /// recorded event schedule / recorded fresh / recorded but not cacheable,
-  /// plus the differential-oracle checks run (mismatches abort).
+  /// Measurement memo (tune/replay.hpp): measurements served from the
+  /// memo / interpreted and stored.
   std::int64_t replay_hits = 0;
   std::int64_t replay_misses = 0;
-  std::int64_t replay_fallbacks = 0;
-  std::int64_t replay_oracle_checks = 0;
 };
 
 class Recorder {

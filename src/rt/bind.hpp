@@ -10,4 +10,9 @@ namespace swatop::rt {
 /// Allocate every tensor the operator declares; returns name -> address.
 dsl::BoundTensors bind_tensors(sim::CoreGroup& cg, const dsl::OperatorDef& op);
 
+/// The same on a bare arena. Allocation is deterministic, so a fresh arena
+/// hands out the addresses a fresh core group's would.
+dsl::BoundTensors bind_tensors(sim::MainMemory& mem,
+                               const dsl::OperatorDef& op);
+
 }  // namespace swatop::rt

@@ -120,14 +120,6 @@ RunResult Interpreter::run(const ir::StmtPtr& root,
                            const dsl::BoundTensors& tensors) {
   cg_.reset_execution();
   obs_ = cg_.observer();
-  recording_ = trace_ != nullptr && mode_ == sim::ExecMode::TimingOnly;
-  if (recording_) {
-    trace_->events.clear();
-    trace_->dma_costs.clear();
-    trace_->elided_bytes.clear();
-    trace_->gemm_extras.clear();
-    trace_->complete = false;
-  }
   spm_off_.clear();
   reply_done_.assign(static_cast<std::size_t>(ir::kMaxReplySlots), -1.0);
   slot_info_.assign(static_cast<std::size_t>(ir::kMaxReplySlots),
@@ -154,12 +146,6 @@ RunResult Interpreter::run(const ir::StmtPtr& root,
   r.cycles = cg_.now();
   r.stats = cg_.stats();
   r.bytes_elided = bytes_elided_;
-  if (recording_) {
-    trace_->cycles = r.cycles;
-    trace_->stats = r.stats;
-    trace_->bytes_elided = r.bytes_elided;
-    trace_->complete = true;
-  }
   if (obs_ != nullptr) {
     if (obs_->tracing()) {
       obs::TraceEvent ev;
@@ -280,12 +266,6 @@ void Interpreter::exec(const ir::StmtPtr& s) {
         ev.arg[0] = slot;
         obs_->trace_event(std::move(ev));
       }
-      if (recording_) {
-        ReplayEvent rev;
-        rev.kind = ReplayEvent::Kind::Wait;
-        rev.slot = static_cast<std::int32_t>(slot);
-        trace_->events.push_back(rev);
-      }
       cg_.wait_until(done);
       reply_done_[static_cast<std::size_t>(slot)] = -1.0;
       return;
@@ -317,12 +297,6 @@ void Interpreter::exec_zero(const ir::Stmt& s) {
     ev.arg_name[0] = "floats";
     ev.arg[0] = n;
     obs_->trace_event(std::move(ev));
-  }
-  if (recording_) {
-    ReplayEvent ev;
-    ev.kind = ReplayEvent::Kind::Compute;
-    ev.cycles = zero_cycles;
-    trace_->events.push_back(ev);
   }
   // Vector stores, 4 floats per cycle on P1, all CPEs in parallel.
   cg_.advance_compute(zero_cycles);
@@ -374,21 +348,7 @@ void Interpreter::exec_dma(const ir::Stmt& s) {
     // what an unpinned run would have priced.
     bytes_elided_ += cost.bytes_requested;
     done = cg_.now();
-    if (recording_) {
-      ReplayEvent ev;
-      ev.kind = ReplayEvent::Kind::DmaElide;
-      ev.slot = static_cast<std::int32_t>(slot);
-      trace_->events.push_back(ev);
-      trace_->elided_bytes.push_back(cost.bytes_requested);
-    }
   } else {
-    if (recording_) {
-      ReplayEvent ev;
-      ev.kind = ReplayEvent::Kind::DmaIssue;
-      ev.slot = static_cast<std::int32_t>(slot);
-      trace_->events.push_back(ev);
-      trace_->dma_costs.push_back(cost);
-    }
     done = cg_.dma_issue_cost_at(cost);
   }
   reply_done_[static_cast<std::size_t>(slot)] = done;
@@ -501,23 +461,10 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
     rg.base = rt->second + eval_.eval(e.res.base);
     res_base = rg.base;
     const sim::DmaCost& rc = dma_cost_cache_.get(rd, rg, cg_.dma(), cfg);
-    if (resident_ != nullptr && resident_->tensors.count(e.res.tensor) > 0) {
+    if (resident_ != nullptr && resident_->tensors.count(e.res.tensor) > 0)
       bytes_elided_ += rc.bytes_requested;
-      if (recording_) {
-        ReplayEvent ev;
-        ev.kind = ReplayEvent::Kind::SyncElide;
-        trace_->events.push_back(ev);
-        trace_->elided_bytes.push_back(rc.bytes_requested);
-      }
-    } else {
-      if (recording_) {
-        ReplayEvent ev;
-        ev.kind = ReplayEvent::Kind::DmaSync;
-        trace_->events.push_back(ev);
-        trace_->dma_costs.push_back(rc);
-      }
+    else
       cg_.charge_dma_cost_sync(rc);
-    }
   }
 
   // Bias vector: a tiny get charged once per channel range and run; the
@@ -537,36 +484,15 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
       bd.stride = 0;
       bd.total = nch;
       bd.dir = sim::DmaDir::MemToSpm;
-      if (recording_) {
-        // Arithmetically identical to charge_dma_sync (cost once, book,
-        // wait); bypassing the reply bookkeeping lets the event carry the
-        // priced cost. Recording runs have no observer, so the per-CPE
-        // attribution charge_dma_sync would emit is moot.
-        const sim::DmaCost bc =
-            cg_.dma().cost(std::span<const sim::DmaCpeDesc>(&bd, 1));
-        ReplayEvent ev;
-        ev.kind = ReplayEvent::Kind::DmaSync;
-        trace_->events.push_back(ev);
-        trace_->dma_costs.push_back(bc);
-        cg_.charge_dma_cost_sync(bc);
-      } else {
-        cg_.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&bd, 1));
-      }
+      cg_.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&bd, 1));
     }
   }
 
   // The elementwise tail itself: vector ops on the SPM tile, CPEs in
   // parallel.
   const int nops = (e.bias ? 1 : 0) + (e.residual ? 1 : 0) + (e.relu ? 1 : 0);
-  const double epi_cycles =
-      static_cast<double>(nops) * geo.tr * geo.tc / cfg.vector_width;
-  if (recording_) {
-    ReplayEvent ev;
-    ev.kind = ReplayEvent::Kind::Compute;
-    ev.cycles = epi_cycles;
-    trace_->events.push_back(ev);
-  }
-  cg_.advance_compute(epi_cycles);
+  cg_.advance_compute(static_cast<double>(nops) * geo.tr * geo.tc /
+                      cfg.vector_width);
 
   if (mode_ != sim::ExecMode::Functional) return;
   // Bias is per channel: one float per row when channels run down the rows,
@@ -672,15 +598,6 @@ void Interpreter::exec_gemm(const ir::Stmt& s) {
       c.cycles = db_.spm_gemm_cycles(args.variant, args.M, args.N, args.K);
       c.pipe = db_.spm_gemm_pipe(args.variant, args.M, args.N, args.K);
       it = gemm_cost_memo_.emplace(key, c).first;
-    }
-    if (recording_) {
-      ReplayEvent rev;
-      rev.kind = ReplayEvent::Kind::Gemm;
-      rev.cycles = it->second.cycles;
-      trace_->events.push_back(rev);
-      trace_->gemm_extras.push_back(ReplayGemmExtra{
-          db_.spm_gemm_comm_cycles(), 2 * args.M * args.N * args.K,
-          it->second.pipe});
     }
     cg_.advance_compute(it->second.cycles);
     sim::CgStats& st = cg_.stats();

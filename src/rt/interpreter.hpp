@@ -19,7 +19,6 @@
 #include "obs/profile.hpp"
 #include "prim/gemm_primitive.hpp"
 #include "rt/dma_expand.hpp"
-#include "rt/replay_trace.hpp"
 #include "sim/core_group.hpp"
 
 namespace swatop::rt {
@@ -61,13 +60,6 @@ class Interpreter {
   /// Pin operand tensors on-chip for subsequent run()s (null to clear);
   /// the pointer must outlive the runs. See ResidentSet.
   void set_resident(const ResidentSet* rs) { resident_ = rs; }
-
-  /// Record the next run()'s booking events into `t` (null to stop).
-  /// Only honored in TimingOnly mode -- functional GEMMs book through the
-  /// primitive, which the trace cannot capture -- and only a trace whose
-  /// run completed normally is marked `complete`. The pointer must outlive
-  /// the run. See rt/replay_trace.hpp.
-  void set_trace_sink(ReplayTrace* t) { trace_ = t; }
 
  private:
   void exec(const ir::StmtPtr& s);
@@ -142,10 +134,6 @@ class Interpreter {
   DmaCostCache dma_cost_cache_;
   // Inter-layer residency for the current run (null: everything priced).
   const ResidentSet* resident_ = nullptr;
-  // Replay-trace sink (null: recording off) and whether the current run
-  // records into it (TimingOnly only).
-  ReplayTrace* trace_ = nullptr;
-  bool recording_ = false;
   std::int64_t bytes_elided_ = 0;
   // Epilogue bias vectors already fetched this run (keyed by first channel):
   // the tiny broadcast get is charged once per channel range, then the

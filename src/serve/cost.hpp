@@ -48,9 +48,9 @@ class CostProvider {
 };
 
 /// Cycle-accurate costs from timing-only GraphEngine runs. One engine (and
-/// therefore one schedule cache, trace-replay executor and pruner) is
-/// shared across every profile, so repeated layer shapes tune once for the
-/// whole serving run; whole-net costs are memoized per (net, images).
+/// therefore one schedule cache and measurement memo) is shared across
+/// every profile, so repeated layer shapes tune once for the whole serving
+/// run; whole-net costs are memoized per (net, images).
 /// Thread-safe: cost() serializes profiling under one lock (warm calls are
 /// a locked map lookup); tuning parallelism comes from
 /// SwatopConfig::tune_threads inside each profile, and the pick -- hence

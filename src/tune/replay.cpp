@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <utility>
 #include <vector>
 
-#include "common/check.hpp"
 #include "ir/node.hpp"
-#include "rt/bind.hpp"
+#include "tune/tuner.hpp"
 
 namespace swatop::tune {
 
 namespace {
-
-using rt::ReplayEvent;
 
 /// Append one double bit-exactly (hexfloat: round-trips without rounding,
 /// and two doubles with equal text are the same bits up to -0.0/NaN, which
@@ -191,146 +187,20 @@ std::string replay_key(const ir::StmtPtr& program,
   return out;
 }
 
-rt::RunResult replay_trace(const rt::ReplayTrace& t) {
-  SWATOP_CHECK(t.complete) << "replay of an incomplete trace";
-  // Local mirrors of the core group's clock, the DMA engine's free_at and
-  // the reply table -- the replay loop performs the exact operations the
-  // booking entry points perform (sim/core_group.cpp, sim/dma.cpp), in the
-  // recorded order, so every double below matches bit-for-bit.
-  double now = 0.0;
-  double free_at = 0.0;
-  sim::CgStats st;
-  std::int64_t bytes_elided = 0;
-  std::vector<double> reply(static_cast<std::size_t>(ir::kMaxReplySlots),
-                            -1.0);
-
-  // book_dma: queue-wait accounting, engine booking, transfer statistics.
-  auto book = [&](const sim::DmaCost& c) -> double {
-    st.dma_queue_wait_cycles += free_at > now ? free_at - now : 0.0;
-    const double start = std::max(now, free_at);
-    const double done = start + c.total_cycles();
-    free_at = done;
-    st.dma_bytes_requested += c.bytes_requested;
-    st.dma_bytes_wasted += c.bytes_wasted;
-    st.dma_transactions += c.transactions;
-    st.dma_transfers += 1;
-    return done;
-  };
-  // wait_until: stall accounting.
-  auto wait_until = [&](double done) {
-    if (done > now) {
-      st.dma_stall_cycles += done - now;
-      now = done;
-    }
-  };
-
-  // Cursors over the per-kind side streams (see rt/replay_trace.hpp: the
-  // base stream fixes the global order, the payloads are consumed in their
-  // own streams' order).
-  std::size_t dma_i = 0, elide_i = 0, gemm_i = 0;
-  for (const ReplayEvent& e : t.events) {
-    switch (e.kind) {
-      case ReplayEvent::Kind::Compute:
-        now += e.cycles;
-        st.compute_cycles += e.cycles;
-        break;
-      case ReplayEvent::Kind::Gemm: {
-        SWATOP_CHECK(gemm_i < t.gemm_extras.size())
-            << "replay: gemm_extras stream exhausted";
-        const rt::ReplayGemmExtra& gx = t.gemm_extras[gemm_i++];
-        now += e.cycles;
-        st.compute_cycles += e.cycles;
-        st.gemm_calls += 1;
-        st.flops += gx.flops;
-        st.gemm_cycles += e.cycles;
-        st.gemm_comm_cycles += gx.comm_cycles;
-        st.pipe.issued_p0 += gx.pipe.issued_p0;
-        st.pipe.issued_p1 += gx.pipe.issued_p1;
-        st.pipe.raw_stall_cycles += gx.pipe.raw_stall_cycles;
-        break;
-      }
-      case ReplayEvent::Kind::DmaIssue:
-        SWATOP_CHECK(e.slot >= 0 && e.slot < ir::kMaxReplySlots)
-            << "replay: reply slot " << e.slot << " out of range";
-        SWATOP_CHECK(dma_i < t.dma_costs.size())
-            << "replay: dma_costs stream exhausted";
-        reply[static_cast<std::size_t>(e.slot)] = book(t.dma_costs[dma_i++]);
-        break;
-      case ReplayEvent::Kind::DmaElide:
-        SWATOP_CHECK(e.slot >= 0 && e.slot < ir::kMaxReplySlots)
-            << "replay: reply slot " << e.slot << " out of range";
-        SWATOP_CHECK(elide_i < t.elided_bytes.size())
-            << "replay: elided_bytes stream exhausted";
-        bytes_elided += t.elided_bytes[elide_i++];
-        reply[static_cast<std::size_t>(e.slot)] = now;
-        break;
-      case ReplayEvent::Kind::DmaSync:
-        SWATOP_CHECK(dma_i < t.dma_costs.size())
-            << "replay: dma_costs stream exhausted";
-        wait_until(book(t.dma_costs[dma_i++]));
-        break;
-      case ReplayEvent::Kind::SyncElide:
-        SWATOP_CHECK(elide_i < t.elided_bytes.size())
-            << "replay: elided_bytes stream exhausted";
-        bytes_elided += t.elided_bytes[elide_i++];
-        break;
-      case ReplayEvent::Kind::Wait: {
-        SWATOP_CHECK(e.slot >= 0 && e.slot < ir::kMaxReplySlots)
-            << "replay: reply slot " << e.slot << " out of range";
-        const double done = reply[static_cast<std::size_t>(e.slot)];
-        SWATOP_CHECK(done >= 0.0)
-            << "replay: wait on empty reply slot " << e.slot;
-        wait_until(done);
-        reply[static_cast<std::size_t>(e.slot)] = -1.0;
-        break;
-      }
-    }
+std::optional<double> ReplayExecutor::find(const std::string& key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = memo_.find(key);
+  if (it == memo_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-
-  rt::RunResult r;
-  r.cycles = now;
-  r.stats = st;
-  r.bytes_elided = bytes_elided;
-  return r;
+  ++stats_.hits;
+  return it->second;
 }
 
-std::string replay_diff(const rt::RunResult& a, const rt::RunResult& b) {
-  std::ostringstream os;
-  os.precision(17);
-  auto num = [&](const char* field, double x, double y) -> bool {
-    if (x == y) return false;
-    os << field << ": " << x << " vs " << y;
-    return true;
-  };
-  auto cnt = [&](const char* field, std::int64_t x, std::int64_t y) -> bool {
-    if (x == y) return false;
-    os << field << ": " << x << " vs " << y;
-    return true;
-  };
-  const sim::CgStats& s = a.stats;
-  const sim::CgStats& t = b.stats;
-  if (num("cycles", a.cycles, b.cycles) ||
-      num("compute_cycles", s.compute_cycles, t.compute_cycles) ||
-      num("dma_stall_cycles", s.dma_stall_cycles, t.dma_stall_cycles) ||
-      num("dma_queue_wait_cycles", s.dma_queue_wait_cycles,
-          t.dma_queue_wait_cycles) ||
-      cnt("dma_bytes_requested", s.dma_bytes_requested,
-          t.dma_bytes_requested) ||
-      cnt("dma_bytes_wasted", s.dma_bytes_wasted, t.dma_bytes_wasted) ||
-      cnt("dma_transactions", s.dma_transactions, t.dma_transactions) ||
-      cnt("dma_transfers", s.dma_transfers, t.dma_transfers) ||
-      cnt("flops", s.flops, t.flops) ||
-      cnt("gemm_calls", s.gemm_calls, t.gemm_calls) ||
-      num("gemm_cycles", s.gemm_cycles, t.gemm_cycles) ||
-      num("gemm_comm_cycles", s.gemm_comm_cycles, t.gemm_comm_cycles) ||
-      num("pipe.issued_p0", s.pipe.issued_p0, t.pipe.issued_p0) ||
-      num("pipe.issued_p1", s.pipe.issued_p1, t.pipe.issued_p1) ||
-      num("pipe.raw_stall_cycles", s.pipe.raw_stall_cycles,
-          t.pipe.raw_stall_cycles) ||
-      cnt("bytes_elided", a.bytes_elided, b.bytes_elided)) {
-    return os.str();
-  }
-  return std::string();
+void ReplayExecutor::store(std::string key, double cycles) {
+  std::lock_guard<std::mutex> lock(mu_);
+  memo_.emplace(std::move(key), cycles);
 }
 
 ReplayStats ReplayExecutor::stats() const {
@@ -340,78 +210,13 @@ ReplayStats ReplayExecutor::stats() const {
 
 std::int64_t ReplayExecutor::cached() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<std::int64_t>(cache_.size());
+  return static_cast<std::int64_t>(memo_.size());
 }
 
 double ReplayExecutor::measure(const dsl::OperatorDef& op,
                                const sched::Candidate& cand,
                                const sim::SimConfig& cfg) {
-  // Scratch core group on non-materialized memory, exactly like
-  // tune::measure_candidate -- binding also resolves the tensor addresses
-  // the key covers (arena allocation is deterministic per operator).
-  sim::CoreGroup cg(cfg);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  if (!opts_.enabled) {
-    rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-    return interp.run(cand.program, bt).cycles;
-  }
-
-  const std::string key = replay_key(cand.program, bt, cfg);
-  std::shared_ptr<const rt::ReplayTrace> trace;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = cache_.find(key);
-    if (it != cache_.end()) {
-      trace = it->second;
-      ++stats_.hits;
-    } else {
-      ++stats_.misses;
-    }
-  }
-
-  if (trace) {
-    const rt::RunResult r = replay_trace(*trace);
-    if (opts_.oracle) {
-      rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-      const rt::RunResult ref = interp.run(cand.program, bt);
-      const std::string diff = replay_diff(r, ref);
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.oracle_checks;
-        if (!diff.empty()) ++stats_.oracle_mismatches;
-      }
-      SWATOP_CHECK(diff.empty())
-          << "replay oracle mismatch for " << op.name() << " / "
-          << cand.strategy.to_string() << ": " << diff;
-    }
-    return r.cycles;
-  }
-
-  // Miss: measure through the interpreter, recording the event schedule.
-  auto rec = std::make_shared<rt::ReplayTrace>();
-  rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  interp.set_trace_sink(rec.get());
-  const rt::RunResult run = interp.run(cand.program, bt);
-  // Store-time self-check: replaying the fresh trace must reproduce the
-  // recording run bit-for-bit. Costs one cheap replay per distinct key and
-  // turns "replay drifted from the interpreter" into a fallback instead of
-  // a wrong measurement.
-  bool cacheable =
-      rec->complete &&
-      static_cast<std::int64_t>(rec->events.size()) <=
-          opts_.max_trace_events &&
-      replay_diff(replay_trace(*rec), run).empty();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cacheable &&
-        static_cast<std::int64_t>(cache_.size()) < opts_.max_cached_traces) {
-      cache_.emplace(key, std::move(rec));
-    } else {
-      ++stats_.fallbacks;
-    }
-  }
-  return run.cycles;
+  return measure_candidate(op, cand, cfg, this);
 }
 
 }  // namespace swatop::tune

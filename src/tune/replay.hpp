@@ -1,110 +1,81 @@
-// Trace-replay fast path, replay side (ROADMAP item 2; in the spirit of
-// ONNXim's trace-driven measurement -- see rt/replay_trace.hpp for the
-// recording side).
+// Measurement memo: a thread-safe map from the structural key of a timing
+// measurement to the cycles the interpreter measured for it.
 //
-// Measuring a candidate through the timing interpreter walks every loop
-// iteration and evaluates every extent/address expression. The first
-// measurement of a structurally identical (program, tensor binding,
-// machine) triple records the flat booking-event schedule; every later
-// measurement replays that event list -- a tight loop over plain structs,
-// no IR walk, no expression evaluation -- and reproduces the interpreter's
-// clock and statistics *bit-identically* (each event carries the exact
-// double-precision operands the interpreter handed the core group, and the
-// replay loop performs the same floating-point operations in the same
-// order).
+// A timing-only interpreter run is deterministic: its clock is a function
+// of the lowered program, the bound tensor addresses and the machine
+// config, and replay_key serializes all three. So the cycles of the first
+// measurement of a key are the cycles of every later one, bit for bit, and
+// storing them is the whole mechanism. The memo sits in front of the one
+// timing-measurement path (tune::measure_candidate and the tuners' bench,
+// tune/tuner.cpp): a hit returns the stored cycles without building a core
+// group or running the interpreter; a miss interprets and stores.
 //
-// Legality: replay is valid only for a trace whose recording run finished
-// normally in TimingOnly mode (ReplayTrace::complete), keyed on a canonical
-// serialization of the lowered IR (every timing-relevant field), the bound
-// tensor addresses, and the machine config. Anything else -- an incomplete
-// trace, an over-budget event list, a full cache -- falls back to the
-// interpreter and is counted (ReplayStats::fallbacks). The differential
-// oracle mode re-runs the interpreter on every cache hit and checks the
-// replayed result bit-for-bit.
+// Why the structural key rather than the schedule cache's cheaper
+// (operator, Strategy::serialize, machine) fingerprint: distinct
+// strategies can lower to the same program. On ResNet's top-32 shortlists
+// 270 of 640 measurements are loop-order twins -- the order=rcouvi and
+// order=rcoiuv builds of one fused 1x1 conv strategy -- and only a key over
+// the program itself sees that they are the same measurement.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 
 #include "dsl/dsl.hpp"
-#include "rt/interpreter.hpp"  // rt::RunResult, rt::ReplayTrace
 #include "sched/scheduler.hpp"
 
 namespace swatop::tune {
 
 struct ReplayOptions {
   bool enabled = false;  ///< master switch: measure() interprets when off
-  /// Differential oracle: on every cache hit, additionally re-run the
-  /// loop-by-loop interpreter and SWATOP_CHECK the replayed cycles, every
-  /// statistics field and the elided bytes bit-identical. For tests and
-  /// the fuzzer -- it costs more than it saves.
-  bool oracle = false;
-  /// Traces longer than this are not cached (replaying them would not beat
-  /// re-interpreting by much, and the memory is real).
-  std::int64_t max_trace_events = std::int64_t{1} << 22;
-  /// Cap on distinct cached traces (first-come; tuning sweeps re-measure
-  /// the same shortlist, so early keys are the hot ones).
-  std::int64_t max_cached_traces = 512;
 };
 
-/// Fast-path accounting, surfaced through obs::TuneCounters.
+/// Memo accounting, surfaced through obs::TuneCounters.
 struct ReplayStats {
-  std::int64_t hits = 0;        ///< measurements served by replay
-  std::int64_t misses = 0;      ///< first-time measurements (recorded)
-  std::int64_t fallbacks = 0;   ///< recorded but not cacheable
-  std::int64_t oracle_checks = 0;
-  std::int64_t oracle_mismatches = 0;
+  std::int64_t hits = 0;    ///< measurements served from the memo
+  std::int64_t misses = 0;  ///< measurements interpreted (and stored)
 };
-
-/// Replay a recorded event schedule; returns the run result the recording
-/// interpreter run produced, bit-identically (cycles, CgStats,
-/// bytes_elided; the profile member stays empty). The trace must be
-/// complete.
-rt::RunResult replay_trace(const rt::ReplayTrace& t);
-
-/// "" when `a` and `b` agree bit-for-bit on cycles, every CgStats field
-/// and bytes_elided; otherwise names the first differing field with both
-/// values. Shared by the oracle mode, the fuzzer's differential smoke and
-/// the unit tests.
-std::string replay_diff(const rt::RunResult& a, const rt::RunResult& b);
 
 /// Canonical structural key of a measurement: serializes every
 /// timing-relevant field of the lowered IR (ir::print omits some, e.g.
 /// DmaAttrs::rows_to_rid), the sorted bound-tensor addresses, and the
-/// machine parameters. Two measurements with equal keys book identical
-/// event schedules.
+/// machine parameters. Two measurements with equal keys measure the same
+/// cycles.
 std::string replay_key(const ir::StmtPtr& program,
                        const dsl::BoundTensors& bt,
                        const sim::SimConfig& cfg);
 
-/// The executor: a thread-safe trace cache fronting the timing
-/// interpreter. Share one across a tuning run (the tuners take a non-owning
-/// pointer); measurements of structurally identical candidates after the
-/// first replay in microseconds.
+/// The memo. Share one across a tuning run (the tuners take a non-owning
+/// pointer); every method is safe to call concurrently.
 class ReplayExecutor {
  public:
   explicit ReplayExecutor(ReplayOptions opts = {}) : opts_(opts) {}
 
-  /// Measure one candidate: replay on a key hit, interpret-and-record on a
-  /// miss. Drop-in for tune::measure_candidate (scratch core group,
-  /// non-materialized memory). Safe to call concurrently.
+  /// Measure one candidate: tune::measure_candidate with this memo
+  /// attached (a plain interpreter run when disabled).
   double measure(const dsl::OperatorDef& op, const sched::Candidate& cand,
                  const sim::SimConfig& cfg);
 
+  /// The measurement path's lookup: the stored cycles of `key` (a hit), or
+  /// nullopt (a miss, which the caller measures and store()s).
+  std::optional<double> find(const std::string& key);
+  /// Store a miss's cycles. Two threads that missed on the same key
+  /// measured the same cycles, so the first store wins.
+  void store(std::string key, double cycles);
+
   const ReplayOptions& options() const { return opts_; }
   ReplayStats stats() const;
-  /// Cached trace count (tests).
+  /// Stored key count (tests).
   std::int64_t cached() const;
 
  private:
   ReplayOptions opts_;
   mutable std::mutex mu_;
   ReplayStats stats_;
-  std::unordered_map<std::string, std::shared_ptr<const rt::ReplayTrace>>
-      cache_;
+  std::unordered_map<std::string, double> memo_;
 };
 
 }  // namespace swatop::tune

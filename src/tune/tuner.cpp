@@ -12,7 +12,6 @@
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
 #include "sched/parallel.hpp"
-#include "tune/pruner.hpp"
 #include "tune/replay.hpp"
 
 namespace swatop::tune {
@@ -25,22 +24,52 @@ double now_seconds() {
       .count();
 }
 
-/// A scratch core group with the operator's tensors bound and a timing
-/// interpreter on it (non-materialized memory, so huge workloads cost no
-/// RAM).
-struct TimingBench {
-  TimingBench(const dsl::OperatorDef& op, const sim::SimConfig& cfg)
-      : cg(cfg), interp(cg, sim::ExecMode::TimingOnly) {
-    cg.mem().set_materialize(false);
-    bt = rt::bind_tensors(cg, op);
-  }
-  double run(const sched::Candidate& c) {
-    return interp.run(c.program, bt).cycles;
+/// The one timing-measurement path: a timing interpreter on a scratch core
+/// group with the operator's tensors bound (non-materialized memory, so
+/// huge workloads cost no RAM), fronted by the measurement memo when one is
+/// attached. A memo hit builds nothing; the core group is made on the first
+/// miss and then reused, so the interpreter's GEMM and DMA cost memos stay
+/// warm across an operator's candidates.
+class TimingBench {
+ public:
+  TimingBench(const dsl::OperatorDef& op, const sim::SimConfig& cfg,
+              ReplayExecutor* memo)
+      : op_(op),
+        cfg_(cfg),
+        memo_(memo != nullptr && memo->options().enabled ? memo : nullptr) {
+    sim::MainMemory layout;
+    layout.set_materialize(false);
+    bt_ = rt::bind_tensors(layout, op);
   }
 
-  sim::CoreGroup cg;
-  rt::Interpreter interp;
-  dsl::BoundTensors bt;
+  double run(const sched::Candidate& c) {
+    if (memo_ == nullptr) return interpret(c);
+    std::string key = replay_key(c.program, bt_, cfg_);
+    if (const std::optional<double> hit = memo_->find(key)) return *hit;
+    const double cycles = interpret(c);
+    memo_->store(std::move(key), cycles);
+    return cycles;
+  }
+
+ private:
+  double interpret(const sched::Candidate& c) {
+    if (cg_ == nullptr) {
+      cg_ = std::make_unique<sim::CoreGroup>(cfg_);
+      cg_->mem().set_materialize(false);
+      SWATOP_CHECK(rt::bind_tensors(*cg_, op_) == bt_)
+          << "tensor binding of " << op_.name() << " is not deterministic";
+      interp_ =
+          std::make_unique<rt::Interpreter>(*cg_, sim::ExecMode::TimingOnly);
+    }
+    return interp_->run(c.program, bt_).cycles;
+  }
+
+  const dsl::OperatorDef& op_;
+  const sim::SimConfig& cfg_;
+  ReplayExecutor* memo_;
+  dsl::BoundTensors bt_;
+  std::unique_ptr<sim::CoreGroup> cg_;
+  std::unique_ptr<rt::Interpreter> interp_;
 };
 
 /// What the model tuner's sweep keeps of a schedule space: per candidate,
@@ -171,8 +200,8 @@ void tune_phase_span(obs::Recorder* rec, const char* name, double us0,
 
 double measure_candidate(const dsl::OperatorDef& op,
                          const sched::Candidate& cand,
-                         const sim::SimConfig& cfg) {
-  return TimingBench(op, cfg).run(cand);
+                         const sim::SimConfig& cfg, ReplayExecutor* memo) {
+  return TimingBench(op, cfg, memo).run(cand);
 }
 
 sched::Candidate build_candidate(const dsl::OperatorDef& op,
@@ -272,10 +301,10 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
                     static_cast<std::int64_t>(r.est.size()));
 
   // Rebuild and measure the shortlist in rank order, keeping only the
-  // measured winner's program. With a replay executor attached, repeat
-  // measurements of a structurally identical candidate replay the recorded
-  // event schedule (bit-identical cycles) instead of re-interpreting.
-  TimingBench bench(op, cfg_);
+  // measured winner's program. With a memo attached, a candidate that
+  // lowers to a program measured before (a loop-order twin) is not
+  // interpreted again.
+  TimingBench bench(op, cfg_, replay_);
   std::vector<double> measured(r.est.size(), -1.0);
   sched::Candidate winner;
   double best = std::numeric_limits<double>::infinity();
@@ -284,9 +313,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
     const std::size_t i = ranked[j].second;
     sched::Candidate c = rebuild(op, r, i, opts, cfg_);
     const double wm0 = rec ? rec->wall_us() : 0.0;
-    const double t =
-        replay_ != nullptr ? replay_->measure(op, c, cfg_) : bench.run(c);
-    if (pruner_ != nullptr) pruner_->observe(c.strategy, t);
+    const double t = bench.run(c);
     measured[i] = t;
     if (rec) {
       tune_phase_span(rec, "measure candidate", wm0, rec->wall_us());
@@ -334,53 +361,30 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
     tune_phase_span(rec, "enumerate+lower", w0, w_enum,
                     static_cast<std::int64_t>(cands.size()));
 
-  // Rank-prune the measured set when a trained pruner is attached. Until
-  // the pruner has enough training samples the decision is inactive and
-  // every candidate is measured (so the default argmin is unchanged);
-  // pruned candidates journal their model-predicted cycles with
-  // measured = -1, and the journal's regret curve records what the cut
-  // cost.
-  const PruneDecision pd =
-      pruner_ != nullptr ? pruner_->prune(cands) : PruneDecision{};
-  std::vector<std::size_t> to_measure;
-  to_measure.reserve(cands.size());
-  for (std::size_t i = 0; i < cands.size(); ++i)
-    if (!pd.active || pd.keep[i] != 0) to_measure.push_back(i);
-
   // Candidates are measured independently; fan out across the worker
-  // pool, one scratch core group per worker. (The machine under test is
-  // simulated, so concurrent measurements do not perturb each other --
-  // unlike the real black-box tuner this stands in for.) Workers touch
-  // only their own all_measured slots; observability is emitted after the
-  // join (see the header's aggregation note). With a replay executor
-  // attached, measurements go through its trace cache (thread-safe) and
-  // stay bit-identical to the interpreter.
+  // pool, one bench per worker. (The machine under test is simulated, so
+  // concurrent measurements do not perturb each other -- unlike the real
+  // black-box tuner this stands in for.) Workers touch only their own
+  // all_measured slots and share the memo, which is thread-safe;
+  // observability is emitted after the join (see the header's aggregation
+  // note).
   Result res;
-  res.all_measured.assign(cands.size(), -1.0);
+  res.all_measured.resize(cands.size());
   sched::parallel_for(
-      to_measure.size(),
-      sched::resolve_threads(opts.num_threads, to_measure.size()), [&] {
-        return [&, bench = std::make_unique<TimingBench>(op, cfg_)](
-                   std::size_t k) {
-          const std::size_t i = to_measure[k];
-          res.all_measured[i] = replay_ != nullptr
-                                    ? replay_->measure(op, cands[i], cfg_)
-                                    : bench->run(cands[i]);
+      cands.size(), sched::resolve_threads(opts.num_threads, cands.size()),
+      [&] {
+        return [&, bench = std::make_unique<TimingBench>(op, cfg_, replay_)](
+                   std::size_t i) {
+          res.all_measured[i] = bench->run(cands[i]);
         };
       });
   if (rec)
     tune_phase_span(rec, "measure (parallel)", w_enum, rec->wall_us(),
-                    static_cast<std::int64_t>(to_measure.size()));
-
-  // Every measurement taken trains the pruner for the next operator
-  // (calling thread, index order: deterministic at any thread count).
-  if (pruner_ != nullptr)
-    for (const std::size_t i : to_measure)
-      pruner_->observe(cands[i].strategy, res.all_measured[i]);
+                    static_cast<std::int64_t>(cands.size()));
 
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
-  for (const std::size_t i : to_measure) {
+  for (std::size_t i = 0; i < cands.size(); ++i) {
     if (res.all_measured[i] < best) {
       best = res.all_measured[i];
       best_i = i;
@@ -389,38 +393,24 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   if (rec) {
     for (std::size_t i = 0; i < cands.size(); ++i)
       rec->record_tune_sample(
-          {cands[i].strategy.to_string(),
-           pd.active ? pd.predicted[i] : -1.0, res.all_measured[i]});
+          {cands[i].strategy.to_string(), -1.0, res.all_measured[i]});
   }
-  if (journal) {
-    // Rank by measured cycles; pruned candidates sort last.
-    std::vector<double> rank_score(cands.size());
-    for (std::size_t i = 0; i < cands.size(); ++i)
-      rank_score[i] = res.all_measured[i] >= 0.0
-                          ? res.all_measured[i]
-                          : std::numeric_limits<double>::infinity();
+  if (journal)
     journal_candidates(
         journal, op, "blackbox", cands.size(),
-        [&](std::size_t i) { return cands[i].strategy; },
-        pd.active ? pd.predicted : std::vector<double>{}, res.all_measured,
-        ranks_by_score(rank_score), best_i);
-  }
+        [&](std::size_t i) { return cands[i].strategy; }, {},
+        res.all_measured, ranks_by_score(res.all_measured), best_i);
   res.best.candidate = std::move(cands[best_i]);
   res.best.cycles = best;
   res.best.stats.space_size = sched.space_size(op);
   res.best.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
-  res.best.stats.pruned =
-      static_cast<std::int64_t>(cands.size() - to_measure.size());
   res.best.stats.enumerated = work.enumerated;
   res.best.stats.lowered = work.lowered;
-  res.best.stats.ranked = pd.active ? res.best.stats.valid_candidates : 0;
-  res.best.stats.measured = static_cast<std::int64_t>(to_measure.size());
+  res.best.stats.measured = res.best.stats.valid_candidates;
   res.best.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += res.best.stats.space_size;
-    rec->tune().candidates_measured +=
-        static_cast<std::int64_t>(to_measure.size());
-    rec->tune().candidates_pruned += res.best.stats.pruned;
+    rec->tune().candidates_measured += res.best.stats.measured;
     rec->tune().seconds += res.best.stats.seconds;
   }
   return res;

@@ -22,13 +22,11 @@
 namespace swatop::tune {
 
 class ReplayExecutor;  // tune/replay.hpp
-class RankingPruner;   // tune/pruner.hpp
 
 struct TunerStats {
   std::int64_t space_size = 0;        ///< raw schedule-space size
   std::int64_t valid_candidates = 0;  ///< survivors of validity pruning
-  std::int64_t pruned = 0;  ///< cut by the ranking pruner (never measured)
-  double seconds = 0.0;     ///< wall-clock tuning time
+  double seconds = 0.0;  ///< wall-clock tuning time
 
   // Work counts: deterministic at any thread count, unlike `seconds`.
   std::int64_t enumerated = 0;  ///< strategies the sweep visited
@@ -46,10 +44,13 @@ struct Tuned {
 };
 
 /// Measure one candidate with the timing interpreter on a scratch core
-/// group (non-materialized memory, so huge workloads cost no RAM).
+/// group (non-materialized memory, so huge workloads cost no RAM). With an
+/// enabled measurement memo attached (tune/replay.hpp), a key seen before
+/// returns its stored cycles without building the core group.
 double measure_candidate(const dsl::OperatorDef& op,
                          const sched::Candidate& cand,
-                         const sim::SimConfig& cfg);
+                         const sim::SimConfig& cfg,
+                         ReplayExecutor* memo = nullptr);
 
 /// Lower + optimize one explicit strategy (how a fixed manual schedule is
 /// built) and measure it. Throws CheckError if the strategy is invalid for
@@ -100,20 +101,14 @@ class ModelTuner {
                    obs::Recorder* rec = nullptr,
                    Journal* journal = nullptr) const;
 
-  /// Route top-k shortlist measurements through a trace-replay executor
-  /// (non-owning; null reverts to the loop-by-loop interpreter). Cycle
-  /// results are bit-identical either way -- see tune/replay.hpp.
+  /// Put a measurement memo in front of the top-k shortlist measurements
+  /// (non-owning; null measures every candidate). Cycle results are
+  /// bit-identical either way -- see tune/replay.hpp.
   void set_replay(ReplayExecutor* r) { replay_ = r; }
-
-  /// Feed every top-k measurement into a ranking pruner as a training
-  /// sample (non-owning; the model tuner never prunes -- the static model
-  /// already shortlists).
-  void set_pruner(RankingPruner* p) { pruner_ = p; }
 
  private:
   sim::SimConfig cfg_;
   ReplayExecutor* replay_ = nullptr;
-  RankingPruner* pruner_ = nullptr;
 };
 
 class BlackBoxTuner {
@@ -122,9 +117,7 @@ class BlackBoxTuner {
 
   struct Result {
     Tuned best;
-    /// Per candidate, scheduler order; -1 marks a candidate the ranking
-    /// pruner cut (never measured -- only possible with set_pruner).
-    std::vector<double> all_measured;
+    std::vector<double> all_measured;  ///< per candidate, scheduler order
   };
   /// When `rec` is given, black-box tuning is traced like ModelTuner's
   /// phases, so Tab. 3 comparisons are observable on both sides. The
@@ -137,20 +130,14 @@ class BlackBoxTuner {
               const sched::SchedulerOptions& opts = {},
               obs::Recorder* rec = nullptr, Journal* journal = nullptr) const;
 
-  /// Route candidate measurements through a trace-replay executor
-  /// (non-owning; null reverts to the loop-by-loop interpreter).
+  /// Put a measurement memo in front of the candidate measurements
+  /// (non-owning and shared by the worker threads; null measures every
+  /// candidate).
   void set_replay(ReplayExecutor* r) { replay_ = r; }
-
-  /// Cut the measured set with a journal-trained ranking pruner
-  /// (non-owning; null measures everything). Pruned candidates report
-  /// measured = -1 in `all_measured` and in the journal; every measurement
-  /// taken is fed back into the pruner as a training sample.
-  void set_pruner(RankingPruner* p) { pruner_ = p; }
 
  private:
   sim::SimConfig cfg_;
   ReplayExecutor* replay_ = nullptr;
-  RankingPruner* pruner_ = nullptr;
 };
 
 /// Emit one tuner-phase span on the wall-clock track (pid 1); shared by the

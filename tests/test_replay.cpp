@@ -1,23 +1,17 @@
-// Trace-replay executor + ranking pruner tests: the bit-identity contract
-// (replayed cycles and statistics match the recording interpreter run
-// exactly), key sensitivity, executor cache behaviour, the oracle mode, and
-// the pruner's inert-until-trained guarantee that keeps the black-box
-// tuner's argmin unchanged at default settings.
+// Measurement-memo tests: key sensitivity, loop-order twins sharing a key,
+// memo hits returning the interpreter's cycles bit-identically, and the
+// tuners picking exactly what they pick with the memo off.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
+#include <set>
+#include <string>
 #include <vector>
 
-#include "common/check.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
-#include "rt/interpreter.hpp"
 #include "sched/scheduler.hpp"
-#include "tune/pruner.hpp"
 #include "tune/replay.hpp"
 #include "tune/tuner.hpp"
 
@@ -37,87 +31,34 @@ sched::Candidate matmul_candidate(const dsl::OperatorDef& op) {
   return build_candidate(op, s, cfg);
 }
 
-/// Run `cand` once in TimingOnly mode with a trace recorded.
-rt::RunResult record(const dsl::OperatorDef& op,
-                     const sched::Candidate& cand, rt::ReplayTrace* trace) {
-  sim::CoreGroup cg(cfg);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  rt::Interpreter interp(cg, sim::ExecMode::TimingOnly);
-  interp.set_trace_sink(trace);
-  return interp.run(cand.program, bt);
+/// The addresses a measurement of `op` binds its tensors to.
+dsl::BoundTensors binding(const dsl::OperatorDef& op) {
+  sim::MainMemory mem;
+  mem.set_materialize(false);
+  return rt::bind_tensors(mem, op);
 }
 
-TEST(ReplayTrace, BitIdenticalMatmul) {
-  ops::MatmulOp op(96, 72, 40);
-  const sched::Candidate cand = matmul_candidate(op);
-  rt::ReplayTrace trace;
-  const rt::RunResult run = record(op, cand, &trace);
-  ASSERT_TRUE(trace.complete);
-  ASSERT_FALSE(trace.events.empty());
-  const rt::RunResult rep = replay_trace(trace);
-  EXPECT_EQ(replay_diff(rep, run), "");
-  // Spot-check exact (not approximate) equality on the headline fields.
-  EXPECT_EQ(rep.cycles, run.cycles);
-  EXPECT_EQ(rep.stats.compute_cycles, run.stats.compute_cycles);
-  EXPECT_EQ(rep.stats.dma_stall_cycles, run.stats.dma_stall_cycles);
-  EXPECT_EQ(rep.stats.dma_bytes_requested, run.stats.dma_bytes_requested);
-  EXPECT_EQ(rep.stats.gemm_cycles, run.stats.gemm_cycles);
-  EXPECT_EQ(rep.stats.flops, run.stats.flops);
+ReplayExecutor enabled_memo() {
+  ReplayOptions ro;
+  ro.enabled = true;
+  return ReplayExecutor(ro);
 }
 
-TEST(ReplayTrace, BitIdenticalFusedConv) {
-  // A fused epilogue exercises every recorded event kind: compute, DMA
-  // issue/wait, the synchronous residual re-read and the bias fetch.
+/// A fused 1x1 implicit conv: its space offers only the two
+/// inner-reduction loop orders, which lower to the same program.
+ops::ImplicitConvOp fused_pointwise_conv() {
   ops::ConvShape s;
   s.batch = 2;
-  s.ni = 32;
-  s.no = 32;
+  s.ni = 64;
+  s.no = 64;
   s.ri = 8;
   s.ci = 8;
+  s.kr = 1;
+  s.kc = 1;
   dsl::EpilogueSpec epi;
   epi.bias = true;
-  epi.residual = true;
   epi.relu = true;
-  epi.out_pad = 1;
-  ASSERT_TRUE(ops::ImplicitConvOp::applicable(s));
-  ops::ImplicitConvOp op(s, epi);
-  const sched::Scheduler sched(cfg);
-  const std::vector<sched::Candidate> cands = sched.candidates(op);
-  ASSERT_FALSE(cands.empty());
-  for (std::size_t i = 0; i < cands.size() && i < 4; ++i) {
-    rt::ReplayTrace trace;
-    const rt::RunResult run = record(op, cands[i], &trace);
-    ASSERT_TRUE(trace.complete);
-    EXPECT_EQ(replay_diff(replay_trace(trace), run), "")
-        << "candidate " << i << ": " << cands[i].strategy.to_string();
-  }
-}
-
-TEST(ReplayTrace, FunctionalModeDoesNotRecord) {
-  // Functional GEMMs book through the primitive, which the flat event list
-  // cannot capture; the sink must be ignored outside TimingOnly.
-  ops::MatmulOp op(64, 64, 32);
-  const sched::Candidate cand = matmul_candidate(op);
-  sim::CoreGroup cg(cfg);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  rt::ReplayTrace trace;
-  rt::Interpreter interp(cg, sim::ExecMode::Functional);
-  interp.set_trace_sink(&trace);
-  (void)interp.run(cand.program, bt);
-  EXPECT_FALSE(trace.complete);
-  EXPECT_TRUE(trace.events.empty());
-}
-
-TEST(ReplayDiff, NamesTheFirstDifferingField) {
-  rt::RunResult a, b;
-  a.cycles = b.cycles = 100.0;
-  EXPECT_EQ(replay_diff(a, b), "");
-  b.cycles = 100.0000001;
-  EXPECT_NE(replay_diff(a, b).find("cycles"), std::string::npos);
-  b.cycles = a.cycles;
-  b.stats.dma_transactions = 7;
-  EXPECT_NE(replay_diff(a, b).find("dma_transactions"), std::string::npos);
+  return ops::ImplicitConvOp(s, epi);
 }
 
 TEST(ReplayKey, SensitiveToProgramBindingAndMachine) {
@@ -126,13 +67,16 @@ TEST(ReplayKey, SensitiveToProgramBindingAndMachine) {
   const sched::Candidate c1 = matmul_candidate(op);
   const sched::Candidate c1b = matmul_candidate(op);
   const sched::Candidate c2 = matmul_candidate(op2);
-  sim::CoreGroup cg(cfg);
-  cg.mem().set_materialize(false);
-  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
+  const dsl::BoundTensors bt = binding(op);
   // Same structural measurement -> same key (stability under rebuild).
   EXPECT_EQ(replay_key(c1.program, bt, cfg), replay_key(c1b.program, bt, cfg));
   // Different program -> different key.
   EXPECT_NE(replay_key(c1.program, bt, cfg), replay_key(c2.program, bt, cfg));
+  // Different binding -> different key, even for the same program.
+  dsl::BoundTensors moved = bt;
+  moved.begin()->second += 32;
+  EXPECT_NE(replay_key(c1.program, bt, cfg),
+            replay_key(c1.program, moved, cfg));
   // Different machine -> different key, even for the same program.
   sim::SimConfig faster = cfg;
   faster.clock_ghz *= 2.0;
@@ -140,13 +84,33 @@ TEST(ReplayKey, SensitiveToProgramBindingAndMachine) {
             replay_key(c1.program, bt, faster));
 }
 
+TEST(ReplayKey, LoopOrderTwinsShareAKeyAndCycles) {
+  const ops::ImplicitConvOp op = fused_pointwise_conv();
+  const std::vector<sched::Candidate> cands =
+      sched::Scheduler(cfg).candidates(op);
+  const sched::Candidate* first = nullptr;
+  for (const sched::Candidate& c : cands) {
+    if (c.strategy.choice("order") == "rcouvi") {
+      first = &c;
+      break;
+    }
+  }
+  ASSERT_NE(first, nullptr);
+  dsl::Strategy twin_strategy = first->strategy;
+  twin_strategy.set_choice("order", "rcoiuv");
+  const sched::Candidate a = build_candidate(op, first->strategy, cfg);
+  const sched::Candidate b = build_candidate(op, twin_strategy, cfg);
+  ASSERT_FALSE(a.strategy == b.strategy);
+  const dsl::BoundTensors bt = binding(op);
+  EXPECT_EQ(replay_key(a.program, bt, cfg), replay_key(b.program, bt, cfg));
+  EXPECT_EQ(measure_candidate(op, a, cfg), measure_candidate(op, b, cfg));
+}
+
 TEST(ReplayExecutor, SecondMeasurementIsACacheHit) {
   ops::MatmulOp op(96, 72, 40);
   const sched::Candidate cand = matmul_candidate(op);
   const double reference = measure_candidate(op, cand, cfg);
-  ReplayOptions ro;
-  ro.enabled = true;
-  ReplayExecutor rx(ro);
+  ReplayExecutor rx = enabled_memo();
   const double first = rx.measure(op, cand, cfg);
   const double second = rx.measure(op, cand, cfg);
   EXPECT_EQ(first, reference);
@@ -154,7 +118,6 @@ TEST(ReplayExecutor, SecondMeasurementIsACacheHit) {
   const ReplayStats st = rx.stats();
   EXPECT_EQ(st.misses, 1);
   EXPECT_EQ(st.hits, 1);
-  EXPECT_EQ(st.fallbacks, 0);
   EXPECT_EQ(rx.cached(), 1);
 }
 
@@ -164,39 +127,7 @@ TEST(ReplayExecutor, DisabledFallsThroughToInterpreter) {
   ReplayExecutor rx;  // enabled = false
   EXPECT_EQ(rx.measure(op, cand, cfg), measure_candidate(op, cand, cfg));
   const ReplayStats st = rx.stats();
-  EXPECT_EQ(st.hits + st.misses + st.fallbacks, 0);
-  EXPECT_EQ(rx.cached(), 0);
-}
-
-TEST(ReplayExecutor, OracleModeVerifiesEveryHit) {
-  ops::MatmulOp op(96, 72, 40);
-  const sched::Candidate cand = matmul_candidate(op);
-  ReplayOptions ro;
-  ro.enabled = true;
-  ro.oracle = true;
-  ReplayExecutor rx(ro);
-  (void)rx.measure(op, cand, cfg);
-  (void)rx.measure(op, cand, cfg);
-  (void)rx.measure(op, cand, cfg);
-  const ReplayStats st = rx.stats();
-  EXPECT_EQ(st.hits, 2);
-  EXPECT_EQ(st.oracle_checks, 2);
-  EXPECT_EQ(st.oracle_mismatches, 0);
-}
-
-TEST(ReplayExecutor, OverBudgetTracesFallBack) {
-  ops::MatmulOp op(96, 72, 40);
-  const sched::Candidate cand = matmul_candidate(op);
-  ReplayOptions ro;
-  ro.enabled = true;
-  ro.max_trace_events = 1;  // nothing real fits
-  ReplayExecutor rx(ro);
-  const double reference = measure_candidate(op, cand, cfg);
-  EXPECT_EQ(rx.measure(op, cand, cfg), reference);
-  EXPECT_EQ(rx.measure(op, cand, cfg), reference);
-  const ReplayStats st = rx.stats();
-  EXPECT_EQ(st.hits, 0);
-  EXPECT_EQ(st.fallbacks, 2);
+  EXPECT_EQ(st.hits + st.misses, 0);
   EXPECT_EQ(rx.cached(), 0);
 }
 
@@ -205,165 +136,64 @@ TEST(BlackBoxTuner, ReplayPreservesArgminBitExactly) {
   const BlackBoxTuner plain(cfg);
   const auto base = plain.tune(op);
 
-  ReplayOptions ro;
-  ro.enabled = true;
-  ro.oracle = true;  // every hit double-checked against the interpreter
-  ReplayExecutor rx(ro);
+  // Four workers share the memo; the second sweep is all hits.
+  sched::SchedulerOptions opts;
+  opts.num_threads = 4;
+  ReplayExecutor rx = enabled_memo();
   BlackBoxTuner with_replay(cfg);
   with_replay.set_replay(&rx);
-  const auto fast = with_replay.tune(op);
-
-  EXPECT_TRUE(fast.best.candidate.strategy == base.best.candidate.strategy);
-  EXPECT_EQ(fast.best.cycles, base.best.cycles);
-  ASSERT_EQ(fast.all_measured.size(), base.all_measured.size());
-  for (std::size_t i = 0; i < base.all_measured.size(); ++i)
-    EXPECT_EQ(fast.all_measured[i], base.all_measured[i]) << "candidate " << i;
-  EXPECT_EQ(rx.stats().oracle_mismatches, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Ranking pruner
-
-TEST(RankingPruner, FeaturesAreDeterministic) {
-  dsl::Strategy s;
-  s.set_factor("Tm", 64);
-  s.set_factor("Tn", 32);
-  s.set_choice("order", "mnk");
-  const std::vector<double> a = RankingPruner::features(s);
-  const std::vector<double> b = RankingPruner::features(s);
-  ASSERT_EQ(a.size(), RankingPruner::kDim);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a[0], 1.0);  // bias term
-  // A different strategy maps to a different feature vector.
-  dsl::Strategy t = s;
-  t.set_factor("Tm", 8);
-  EXPECT_NE(RankingPruner::features(t), a);
-}
-
-TEST(RankingPruner, InertUntilTrained) {
-  PrunerOptions po;
-  po.enabled = true;
-  po.min_train_samples = 16;
-  RankingPruner p(po);
-  ops::MatmulOp op(64, 64, 32);
-  const sched::Scheduler sched(cfg);
-  const std::vector<sched::Candidate> cands = sched.candidates(op);
-  ASSERT_FALSE(cands.empty());
-  dsl::Strategy s;
-  s.set_factor("Tm", 64);
-  for (int i = 0; i < 15; ++i) p.observe(s, 100.0 + i);
-  EXPECT_EQ(p.samples(), 15);
-  EXPECT_FALSE(p.trained());
-  EXPECT_FALSE(p.prune(cands).active);
-}
-
-TEST(RankingPruner, IgnoresNonFiniteAndNonPositiveSamples) {
-  PrunerOptions po;
-  po.enabled = true;
-  RankingPruner p(po);
-  dsl::Strategy s;
-  s.set_factor("Tm", 64);
-  p.observe(s, std::numeric_limits<double>::quiet_NaN());
-  p.observe(s, std::numeric_limits<double>::infinity());
-  p.observe(s, 0.0);
-  p.observe(s, -5.0);
-  EXPECT_EQ(p.samples(), 0);
-  p.observe(s, 123.0);
-  EXPECT_EQ(p.samples(), 1);
-}
-
-TEST(RankingPruner, PrunesDeterministicallyOnceTrained) {
-  ops::MatmulOp op(96, 72, 40);
-  const sched::Scheduler sched(cfg);
-  const std::vector<sched::Candidate> cands = sched.candidates(op);
-  ASSERT_GT(cands.size(), 4u);
-
-  PrunerOptions po;
-  po.enabled = true;
-  po.min_train_samples = 8;
-  po.keep_fraction = 0.5;
-  po.min_keep = 2;
-  RankingPruner p(po);
-  for (const sched::Candidate& c : cands)
-    p.observe(c.strategy, measure_candidate(op, c, cfg));
-  ASSERT_GE(p.samples(), po.min_train_samples);
-  EXPECT_TRUE(p.trained());
-
-  const PruneDecision d = p.prune(cands);
-  ASSERT_TRUE(d.active);
-  ASSERT_EQ(d.keep.size(), cands.size());
-  ASSERT_EQ(d.predicted.size(), cands.size());
-  std::int64_t kept = 0;
-  for (char k : d.keep) kept += k != 0 ? 1 : 0;
-  EXPECT_EQ(kept, d.kept);
-  EXPECT_GE(d.kept, po.min_keep);
-  EXPECT_LT(d.kept, static_cast<std::int64_t>(cands.size()));
-  for (double pr : d.predicted) {
-    EXPECT_TRUE(std::isfinite(pr));
-    EXPECT_GT(pr, 0.0);
+  for (int pass = 0; pass < 2; ++pass) {
+    SCOPED_TRACE("pass " + std::to_string(pass));
+    const auto fast = with_replay.tune(op, opts);
+    EXPECT_TRUE(fast.best.candidate.strategy == base.best.candidate.strategy);
+    EXPECT_EQ(fast.best.cycles, base.best.cycles);
+    ASSERT_EQ(fast.all_measured.size(), base.all_measured.size());
+    for (std::size_t i = 0; i < base.all_measured.size(); ++i)
+      EXPECT_EQ(fast.all_measured[i], base.all_measured[i])
+          << "candidate " << i;
   }
-  // Deciding again on the same set is bit-identical.
-  const PruneDecision d2 = p.prune(cands);
-  EXPECT_EQ(d2.keep, d.keep);
-  EXPECT_EQ(d2.predicted, d.predicted);
+  const ReplayStats st = rx.stats();
+  EXPECT_EQ(st.hits + st.misses,
+            2 * static_cast<std::int64_t>(base.all_measured.size()));
+  EXPECT_GE(st.hits, static_cast<std::int64_t>(base.all_measured.size()));
 }
 
-TEST(BlackBoxTuner, PrunerCutsMeasurementsAndMarksJournal) {
-  ops::MatmulOp op(96, 72, 40);
-  const sched::Scheduler sched(cfg);
-  const std::vector<sched::Candidate> cands = sched.candidates(op);
-  ASSERT_GT(cands.size(), 8u);
+TEST(ModelTuner, TopKWithMemoMatchesInterpreterAndHitsEachTwin) {
+  const ops::ImplicitConvOp op = fused_pointwise_conv();
+  constexpr int kTopK = 16;
+  Journal plain_journal, memo_journal;
+  const Tuned plain =
+      ModelTuner(cfg).tune_top_k(op, kTopK, {}, nullptr, &plain_journal);
+  ReplayExecutor rx = enabled_memo();
+  ModelTuner with_memo(cfg);
+  with_memo.set_replay(&rx);
+  const Tuned fast =
+      with_memo.tune_top_k(op, kTopK, {}, nullptr, &memo_journal);
 
-  PrunerOptions po;
-  po.enabled = true;
-  po.min_train_samples = 8;
-  po.keep_fraction = 0.25;
-  po.min_keep = 2;
-  RankingPruner p(po);
-  for (const sched::Candidate& c : cands)
-    p.observe(c.strategy, measure_candidate(op, c, cfg));
-  ASSERT_TRUE(p.trained());
+  EXPECT_TRUE(fast.candidate.strategy == plain.candidate.strategy);
+  EXPECT_EQ(fast.cycles, plain.cycles);
+  EXPECT_EQ(memo_journal.to_jsonl(), plain_journal.to_jsonl());
 
-  BlackBoxTuner tuner(cfg);
-  tuner.set_pruner(&p);
-  obs::Options oo;
-  oo.enabled = true;
-  obs::Recorder rec(oo);
-  Journal journal;
-  const auto res = tuner.tune(op, {}, &rec, &journal);
-
-  EXPECT_GT(res.best.stats.pruned, 0);
-  EXPECT_EQ(res.best.stats.pruned + static_cast<std::int64_t>(std::count_if(
-                res.all_measured.begin(), res.all_measured.end(),
-                [](double v) { return v >= 0.0; })),
-            res.best.stats.valid_candidates);
-  // Pruned slots are marked, never silently zero.
-  std::int64_t marked = 0;
-  for (double v : res.all_measured)
-    if (v < 0.0) ++marked;
-  EXPECT_EQ(marked, res.best.stats.pruned);
-  // The winner is the measured minimum.
-  double best = std::numeric_limits<double>::infinity();
-  for (double v : res.all_measured)
-    if (v >= 0.0) best = std::min(best, v);
-  EXPECT_EQ(res.best.cycles, best);
-  // Journal: one entry per candidate, pruned entries unmeasured.
-  ASSERT_EQ(journal.size(), cands.size());
-  std::int64_t journal_pruned = 0;
-  for (const JournalEntry& e : journal.entries())
-    if (e.measured < 0.0) ++journal_pruned;
-  EXPECT_EQ(journal_pruned, res.best.stats.pruned);
-  EXPECT_EQ(rec.tune().candidates_pruned, res.best.stats.pruned);
-}
-
-TEST(BlackBoxTuner, DefaultConfigurationIsUnpruned) {
-  // The acceptance guarantee: with no pruner attached (the default) the
-  // tuner measures everything, exactly as before this subsystem existed.
-  ops::MatmulOp op(64, 64, 32);
-  const BlackBoxTuner tuner(cfg);
-  const auto res = tuner.tune(op);
-  EXPECT_EQ(res.best.stats.pruned, 0);
-  for (double v : res.all_measured) EXPECT_GE(v, 0.0);
+  // The journal indexes the sweep's candidates in enumeration order, which
+  // is Scheduler::candidates' order; its measured rows are the shortlist.
+  const std::vector<sched::Candidate> cands =
+      sched::Scheduler(cfg).candidates(op);
+  ASSERT_EQ(cands.size(), memo_journal.size());
+  const dsl::BoundTensors bt = binding(op);
+  std::set<std::string> keys;
+  std::int64_t shortlist = 0;
+  for (const JournalEntry& e : memo_journal.entries()) {
+    if (e.measured < 0.0) continue;
+    ++shortlist;
+    keys.insert(replay_key(
+        cands[static_cast<std::size_t>(e.index)].program, bt, cfg));
+  }
+  ASSERT_EQ(shortlist, kTopK);
+  const auto repeats = shortlist - static_cast<std::int64_t>(keys.size());
+  EXPECT_GT(repeats, 0) << "the shortlist holds no loop-order twins";
+  const ReplayStats st = rx.stats();
+  EXPECT_EQ(st.hits, repeats);
+  EXPECT_EQ(st.misses, static_cast<std::int64_t>(keys.size()));
 }
 
 }  // namespace

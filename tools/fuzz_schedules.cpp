@@ -21,18 +21,15 @@ void usage() {
   std::cerr
       << "usage: fuzz_schedules [--seed N] [--cases N] [--max-dim N]\n"
          "                      [--tol X] [--no-sanitize] [--matmul-only]\n"
-         "                      [--conv-only] [--fused] [--replay-diff]\n"
-         "                      [--quiet]\n"
+         "                      [--conv-only] [--fused] [--quiet]\n"
          "       fuzz_schedules --op KIND:D1,D2,... [--strategy TEXT]\n"
-         "                      [--tol X] [--no-sanitize] [--replay-diff]\n"
+         "                      [--tol X] [--no-sanitize]\n"
          "operator kinds: matmul:M,N,K | implicit_conv | explicit_conv |\n"
          "  bwd_data | bwd_filter (b,ni,no,ri,ci,kr,kc,stride) |\n"
          "  winograd (...,m)\n"
          "--fused stamps random epilogues onto implicit-conv draws; a fused\n"
          "  op spec carries the epilogue as a kind suffix, e.g.\n"
-         "  implicit_conv+bar,p1:1,32,32,6,6,3,3,1\n"
-         "--replay-diff additionally records a TimingOnly trace per passing\n"
-         "  candidate and requires its replay to be bit-identical\n";
+         "  implicit_conv+bar,p1:1,32,32,6,6,3,3,1\n";
 }
 
 }  // namespace
@@ -70,8 +67,6 @@ int main(int argc, char** argv) {
       opts.matmul = false;
     } else if (a == "--fused") {
       opts.fused = true;
-    } else if (a == "--replay-diff") {
-      opts.replay_diff = true;
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--op") {
