@@ -161,7 +161,13 @@ std::string BenchJson::json() const {
     for (const auto& [k, v] : c.metrics) {
       if (!f2) os << ", ";
       f2 = false;
-      os << '"' << js_escape(k) << "\": " << v;
+      os << '"' << js_escape(k) << "\": ";
+      // Counts print exactly (the stream's 6 significant digits would
+      // round a count past a million, and CI gates some counts exactly).
+      if (v == std::floor(v) && std::abs(v) < 1e15)
+        os << static_cast<long long>(v);
+      else
+        os << v;
     }
     os << "}, \"cycles\": " << c.cycles << "}";
   }

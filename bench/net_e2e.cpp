@@ -5,8 +5,8 @@
 // via the shared bench_util emitter:
 //   BENCH_net_e2e.json            -- the fused defaults CI tracks,
 //     including the tuner's work counts per net (tune_enumerated /
-//     tune_lowered / tune_ranked / tune_measured), which are exact and
-//     gated with zero tolerance,
+//     tune_lowered / tune_ranked / tune_measured / tune_ir_nodes), which
+//     are exact and gated with zero tolerance,
 //   BENCH_net_fusion_ablation.json -- the same nets with fusion and
 //     residency forced off, plus the fused-over-unfused speedup, so the
 //     bench-regression gate catches both a fused regression and a silent
@@ -72,7 +72,8 @@ int main() {
             {"tune_enumerated", static_cast<double>(r.tune_enumerated)},
             {"tune_lowered", static_cast<double>(r.tune_lowered)},
             {"tune_ranked", static_cast<double>(r.tune_ranked)},
-            {"tune_measured", static_cast<double>(r.tune_measured)}},
+            {"tune_measured", static_cast<double>(r.tune_measured)},
+            {"tune_ir_nodes", static_cast<double>(r.tune_ir_nodes)}},
            r.cycles);
 
     // Ablation: the same network with the epilogue fusion pass and the SPM

@@ -17,9 +17,11 @@ struct Ctx {
   const sim::SimConfig* cfg = nullptr;
   std::vector<std::string> errors;
   std::set<std::string> allocated;
-  std::vector<std::string> loops;  ///< in scope, outermost first
-  std::set<std::int64_t> issued;   ///< reply slots some DMA can produce
-  std::vector<std::pair<std::int64_t, std::string>> waited;
+  std::vector<ir::VarId> loops;   ///< in scope, outermost first
+  std::set<std::int64_t> issued;  ///< reply slots some DMA can produce
+  /// Every slot a wait can wait on, with its expression (formatted only
+  /// when the slot fails a check).
+  std::vector<std::pair<std::int64_t, ir::Expr>> waited;
 
   void error(std::string msg) { errors.push_back(std::move(msg)); }
 };
@@ -30,15 +32,15 @@ struct Ctx {
 /// evaluation failure (unbound variable, division by zero), which is
 /// reported separately by the caller.
 std::vector<std::int64_t> parity_values(const ir::Expr& e, const Ctx& c) {
-  std::vector<std::string> used;
-  for (const std::string& v : c.loops)
+  std::vector<ir::VarId> used;
+  for (const ir::VarId v : c.loops)
     if (ir::uses_var(e, v)) used.push_back(v);
   if (used.size() > 10) return {};  // 2^10 cap; lowering never gets close
   std::vector<std::int64_t> out;
   const std::size_t combos = std::size_t{1} << used.size();
+  ir::Env env;
+  for (const ir::VarId v : c.loops) env[v] = 0;
   for (std::size_t m = 0; m < combos; ++m) {
-    ir::Env env;
-    for (const std::string& v : c.loops) env[v] = 0;
     for (std::size_t i = 0; i < used.size(); ++i)
       env[used[i]] = static_cast<std::int64_t>((m >> i) & 1);
     try {
@@ -50,13 +52,13 @@ std::vector<std::int64_t> parity_values(const ir::Expr& e, const Ctx& c) {
   return out;
 }
 
-void check_buffer(Ctx& c, const std::string& buf, const std::string& who) {
+void check_buffer(Ctx& c, const std::string& buf, const char* who) {
   if (buf.empty()) {
-    c.error(who + " references an empty SPM buffer name");
+    c.error(std::string(who) + " references an empty SPM buffer name");
     return;
   }
   if (c.allocated.count(buf) == 0)
-    c.error(who + " references SPM buffer '" + buf +
+    c.error(std::string(who) + " references SPM buffer '" + buf +
             "' with no preceding SpmAlloc");
 }
 
@@ -68,17 +70,19 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
       return;
     case ir::StmtKind::For: {
       ir::Env env0;
-      for (const std::string& v : c.loops) env0[v] = 0;
+      for (const ir::VarId v : c.loops) env0[v] = 0;
       try {
         const std::int64_t n = ir::eval(s->extent, env0);
         if (n <= 0) {
           std::ostringstream os;
-          os << "For " << s->var << " extent " << ir::to_string(s->extent)
-             << " evaluates to " << n << " <= 0 (outer variables at 0)";
+          os << "For " << s->var.name() << " extent "
+             << ir::to_string(s->extent) << " evaluates to " << n
+             << " <= 0 (outer variables at 0)";
           c.error(os.str());
         }
       } catch (const CheckError&) {
-        c.error("For " + s->var + " extent " + ir::to_string(s->extent) +
+        c.error("For " + s->var.name() + " extent " +
+                ir::to_string(s->extent) +
                 " references a variable not bound by an enclosing loop");
       }
       c.loops.push_back(s->var);
@@ -150,8 +154,7 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
       if (slots.empty())
         c.error("DmaWait reply expression " + ir::to_string(s->wait_reply) +
                 " is not evaluable");
-      for (std::int64_t v : slots)
-        c.waited.emplace_back(v, ir::to_string(s->wait_reply));
+      for (std::int64_t v : slots) c.waited.emplace_back(v, s->wait_reply);
       return;
     }
     case ir::StmtKind::Gemm: {
@@ -180,15 +183,15 @@ std::vector<std::string> validate_ir(const ir::StmtPtr& root,
   if (root == nullptr) return {"program is null"};
   walk(root, c);
 
-  for (const auto& [slot, text] : c.waited) {
+  for (const auto& [slot, expr] : c.waited) {
     if (slot < 0 || slot >= ir::kMaxReplySlots) {
       std::ostringstream os;
-      os << "DmaWait slot " << slot << " (" << text << ") outside the "
-         << ir::kMaxReplySlots << "-entry reply table";
+      os << "DmaWait slot " << slot << " (" << ir::to_string(expr)
+         << ") outside the " << ir::kMaxReplySlots << "-entry reply table";
       c.error(os.str());
     } else if (c.issued.count(slot) == 0) {
       std::ostringstream os;
-      os << "DmaWait on reply slot " << slot << " (" << text
+      os << "DmaWait on reply slot " << slot << " (" << ir::to_string(expr)
          << ") that no DMA in the program can issue";
       c.error(os.str());
     }

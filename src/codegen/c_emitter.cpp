@@ -21,7 +21,7 @@ std::string emit_expr(const ir::Expr& e) {
       os << e->value << "L";
       break;
     case ir::ExprKind::Var:
-      os << e->name;
+      os << e->var.name();
       break;
     case ir::ExprKind::Add:
       os << "(" << emit_expr(e->a) << " + " << emit_expr(e->b) << ")";
@@ -71,13 +71,15 @@ class Emitter {
       case ir::StmtKind::Seq:
         for (const ir::StmtPtr& c : s->body) stmt(c, depth);
         return;
-      case ir::StmtKind::For:
-        os_ << pad << "for (long " << s->var << " = 0; " << s->var << " < "
-            << emit_expr(s->extent) << "; ++" << s->var << ") {"
+      case ir::StmtKind::For: {
+        const std::string& v = s->var.name();
+        os_ << pad << "for (long " << v << " = 0; " << v << " < "
+            << emit_expr(s->extent) << "; ++" << v << ") {"
             << (s->prefetched ? "  /* double buffered */" : "") << "\n";
         stmt(s->for_body, depth + 1);
         os_ << pad << "}\n";
         return;
+      }
       case ir::StmtKind::If:
         os_ << pad << "if (" << emit_expr(s->cond) << ") {\n";
         stmt(s->then_s, depth + 1);

@@ -115,8 +115,10 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
         const auto t0 = std::chrono::steady_clock::now();
         opt::OptOptions oo = sopts.opt;
         oo.prefetch = entry->prefetch;
+        const std::int64_t nodes0 = ir::nodes_built();
         out.candidate = tune::build_candidate(op, entry->strategy,
                                               cfg_.machine, oo);
+        out.stats.ir_nodes = ir::nodes_built() - nodes0;
         out.predicted_cycles = entry->predicted_cycles;
         out.measured_cycles = entry->measured_cycles;
         if (cfg_.measure_best && out.measured_cycles == 0.0) {

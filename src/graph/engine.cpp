@@ -214,6 +214,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       res.tune_lowered += tc.handle.stats.lowered;
       res.tune_ranked += tc.handle.stats.ranked;
       res.tune_measured += tc.handle.stats.measured;
+      res.tune_ir_nodes += tc.handle.stats.ir_nodes;
       tuned.emplace(key, std::move(tc));
     }
   }

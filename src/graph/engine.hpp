@@ -127,6 +127,7 @@ struct NetRunResult {
   std::int64_t tune_lowered = 0;
   std::int64_t tune_ranked = 0;
   std::int64_t tune_measured = 0;
+  std::int64_t tune_ir_nodes = 0;  ///< IR nodes allocated building programs
   /// Measurement-memo traffic over the whole tuning phase (all zero
   /// unless SwatopConfig::replay.enabled) -- see tune/replay.hpp.
   std::int64_t replay_hits = 0;

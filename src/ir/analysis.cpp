@@ -16,8 +16,8 @@ std::int64_t spm_footprint(const StmtPtr& s) {
   return total;
 }
 
-std::vector<std::string> loop_vars(const StmtPtr& s) {
-  std::vector<std::string> vars;
+std::vector<VarId> loop_vars(const StmtPtr& s) {
+  std::vector<VarId> vars;
   visit(s, [&](const StmtPtr& n) {
     if (n->kind == StmtKind::For) vars.push_back(n->var);
   });

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "ir/node.hpp"
@@ -15,7 +14,7 @@ namespace swatop::ir {
 std::int64_t spm_footprint(const StmtPtr& s);
 
 /// All loop variables, outermost first along each path.
-std::vector<std::string> loop_vars(const StmtPtr& s);
+std::vector<VarId> loop_vars(const StmtPtr& s);
 
 /// Pointers to every Gemm node (pre- or post-inference).
 std::vector<Stmt*> find_gemms(const StmtPtr& s);

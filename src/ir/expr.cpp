@@ -1,7 +1,12 @@
 #include "ir/expr.hpp"
 
 #include <algorithm>
+#include <array>
+#include <deque>
+#include <functional>
+#include <mutex>
 #include <sstream>
+#include <unordered_map>
 
 #include "common/check.hpp"
 
@@ -9,7 +14,65 @@ namespace swatop::ir {
 
 namespace {
 
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+using NameMap =
+    std::unordered_map<std::string, std::int32_t, NameHash, std::equal_to<>>;
+
+/// The process-wide name table: ids by name, names by id (a deque, so a
+/// name's address never moves once interned and `name()` can hand out a
+/// reference after dropping the lock). Each thread caches the ids it has
+/// interned, so lowering takes the lock once per (thread, name).
+struct NameTable {
+  std::mutex mu;
+  NameMap ids;
+  std::deque<std::string> names;
+};
+
+NameTable& name_table() {
+  static NameTable t;
+  return t;
+}
+
+}  // namespace
+
+VarId::VarId(std::string_view name) {
+  SWATOP_CHECK(!name.empty()) << "variable without a name";
+  thread_local NameMap seen;
+  if (auto it = seen.find(name); it != seen.end()) {
+    index_ = it->second;
+    return;
+  }
+  NameTable& t = name_table();
+  {
+    const std::lock_guard lock(t.mu);
+    auto it = t.ids.find(name);
+    if (it == t.ids.end()) {
+      t.names.emplace_back(name);
+      it = t.ids.emplace(t.names.back(),
+                         static_cast<std::int32_t>(t.names.size() - 1))
+               .first;
+    }
+    index_ = it->second;
+  }
+  seen.emplace(std::string(name), index_);
+}
+
+const std::string& VarId::name() const {
+  SWATOP_CHECK(valid()) << "name of an unset variable id";
+  NameTable& t = name_table();
+  const std::lock_guard lock(t.mu);
+  return t.names[static_cast<std::size_t>(index_)];
+}
+
+namespace {
+
 Expr make(ExprKind k, Expr a = nullptr, Expr b = nullptr, Expr c = nullptr) {
+  ++detail::nodes_built;
   auto n = std::make_shared<ExprNode>();
   n->kind = k;
   n->a = std::move(a);
@@ -25,16 +88,29 @@ bool both_const(const Expr& a, const Expr& b) {
 }  // namespace
 
 Expr cst(std::int64_t v) {
-  auto n = std::make_shared<ExprNode>();
-  n->kind = ExprKind::Const;
-  n->value = v;
-  return n;
+  constexpr std::int64_t kLo = -16, kHi = 1024;
+  const auto make_const = [v] {
+    auto n = std::make_shared<ExprNode>();
+    n->kind = ExprKind::Const;
+    n->value = v;
+    return n;
+  };
+  if (v < kLo || v > kHi) {
+    ++detail::nodes_built;
+    return make_const();
+  }
+  thread_local std::array<Expr, kHi - kLo + 1> table;
+  Expr& slot = table[static_cast<std::size_t>(v - kLo)];
+  if (slot == nullptr) slot = make_const();
+  return slot;
 }
 
-Expr var(std::string name) {
+Expr var(VarId v) {
+  SWATOP_CHECK(v.valid()) << "variable expression without an id";
+  ++detail::nodes_built;
   auto n = std::make_shared<ExprNode>();
   n->kind = ExprKind::Var;
-  n->name = std::move(name);
+  n->var = v;
   return n;
 }
 
@@ -111,8 +187,9 @@ std::int64_t eval(const Expr& e, const Env& env) {
     case ExprKind::Const:
       return e->value;
     case ExprKind::Var: {
-      const std::int64_t* v = env.find(e->name);
-      SWATOP_CHECK(v != nullptr) << "unbound variable '" << e->name << "'";
+      const std::int64_t* v = env.find(e->var);
+      SWATOP_CHECK(v != nullptr)
+          << "unbound variable '" << e->var.name() << "'";
       return *v;
     }
     case ExprKind::Add:
@@ -145,39 +222,61 @@ std::int64_t eval(const Expr& e, const Env& env) {
   SWATOP_UNREACHABLE("bad expr kind");
 }
 
-bool uses_var(const Expr& e, const std::string& name) {
+bool uses_var(const Expr& e, VarId v) {
   if (e == nullptr) return false;
-  if (e->kind == ExprKind::Var) return e->name == name;
-  return uses_var(e->a, name) || uses_var(e->b, name) || uses_var(e->c, name);
+  if (e->kind == ExprKind::Var) return e->var == v;
+  return uses_var(e->a, v) || uses_var(e->b, v) || uses_var(e->c, v);
 }
 
-Expr substitute(const Expr& e, const std::string& name, const Expr& repl) {
+namespace {
+
+/// Rebuild `e` with every variable `hit` accepts replaced by `repl`. A node
+/// whose operands all come back unchanged is returned as is: nodes are only
+/// built by the folding constructors, so it is already in folded form.
+template <class Hit>
+Expr subst(const Expr& e, const Hit& hit, const Expr& repl) {
   if (e == nullptr) return e;
   switch (e->kind) {
     case ExprKind::Const:
       return e;
     case ExprKind::Var:
-      return e->name == name ? repl : e;
+      return hit(e->var) ? repl : e;
     default:
       break;
   }
-  const Expr a = substitute(e->a, name, repl);
-  const Expr b = substitute(e->b, name, repl);
-  const Expr c = substitute(e->c, name, repl);
+  Expr a = subst(e->a, hit, repl);
+  Expr b = subst(e->b, hit, repl);
+  Expr c = subst(e->c, hit, repl);
+  if (a == e->a && b == e->b && c == e->c) return e;
   switch (e->kind) {
-    case ExprKind::Add: return add(a, b);
-    case ExprKind::Sub: return sub(a, b);
-    case ExprKind::Mul: return mul(a, b);
-    case ExprKind::FloorDiv: return floordiv(a, b);
-    case ExprKind::Mod: return mod(a, b);
-    case ExprKind::Min: return min2(a, b);
-    case ExprKind::Max: return max2(a, b);
-    case ExprKind::Select: return select(a, b, c);
-    case ExprKind::Lt: return lt(a, b);
-    case ExprKind::Ge: return ge(a, b);
+    case ExprKind::Add: return add(std::move(a), std::move(b));
+    case ExprKind::Sub: return sub(std::move(a), std::move(b));
+    case ExprKind::Mul: return mul(std::move(a), std::move(b));
+    case ExprKind::FloorDiv: return floordiv(std::move(a), std::move(b));
+    case ExprKind::Mod: return mod(std::move(a), std::move(b));
+    case ExprKind::Min: return min2(std::move(a), std::move(b));
+    case ExprKind::Max: return max2(std::move(a), std::move(b));
+    case ExprKind::Select:
+      return select(std::move(a), std::move(b), std::move(c));
+    case ExprKind::Lt: return lt(std::move(a), std::move(b));
+    case ExprKind::Ge: return ge(std::move(a), std::move(b));
     default:
       SWATOP_UNREACHABLE("bad expr kind in substitute");
   }
+}
+
+}  // namespace
+
+Expr substitute(const Expr& e, VarId v, const Expr& repl) {
+  return subst(e, [v](VarId x) { return x == v; }, repl);
+}
+
+Expr substitute(const Expr& e, std::span<const VarId> vs, const Expr& repl) {
+  if (vs.empty()) return e;
+  return subst(
+      e,
+      [vs](VarId x) { return std::find(vs.begin(), vs.end(), x) != vs.end(); },
+      repl);
 }
 
 bool is_const(const Expr& e) { return e != nullptr && e->kind == ExprKind::Const; }
@@ -210,7 +309,7 @@ std::string to_string(const Expr& e) {
       os << e->value;
       break;
     case ExprKind::Var:
-      os << e->name;
+      os << e->var.name();
       break;
     case ExprKind::Min:
       os << "min(" << to_string(e->a) << ", " << to_string(e->b) << ")";

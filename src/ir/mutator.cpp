@@ -15,15 +15,12 @@ void visit(const StmtPtr& s, const std::function<void(const StmtPtr&)>& fn) {
 
 StmtPtr transform(StmtPtr s, const std::function<StmtPtr(StmtPtr)>& fn) {
   if (s == nullptr) return nullptr;
-  if (!s->body.empty()) {
-    std::vector<StmtPtr> nb;
-    nb.reserve(s->body.size());
-    for (StmtPtr& c : s->body) {
-      StmtPtr t = transform(std::move(c), fn);
-      if (t != nullptr) nb.push_back(std::move(t));
-    }
-    s->body = std::move(nb);
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < s->body.size(); ++i) {
+    StmtPtr t = transform(std::move(s->body[i]), fn);
+    if (t != nullptr) s->body[kept++] = std::move(t);
   }
+  s->body.resize(kept);
   if (s->for_body != nullptr) {
     StmtPtr t = transform(std::move(s->for_body), fn);
     SWATOP_CHECK(t != nullptr) << "cannot delete the body of a For";

@@ -4,19 +4,27 @@
 
 namespace swatop::ir {
 
-StmtPtr make_seq(std::vector<StmtPtr> body) {
+namespace {
+
+StmtPtr new_stmt(StmtKind kind) {
+  ++detail::nodes_built;
   auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::Seq;
+  s->kind = kind;
+  return s;
+}
+
+}  // namespace
+
+StmtPtr make_seq(std::vector<StmtPtr> body) {
+  auto s = new_stmt(StmtKind::Seq);
   s->body = std::move(body);
   return s;
 }
 
-StmtPtr make_for(std::string var, Expr extent, StmtPtr body,
-                 bool reduction) {
-  SWATOP_CHECK(!var.empty()) << "for loop without variable";
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::For;
-  s->var = std::move(var);
+StmtPtr make_for(VarId var, Expr extent, StmtPtr body, bool reduction) {
+  SWATOP_CHECK(var.valid()) << "for loop without variable";
+  auto s = new_stmt(StmtKind::For);
+  s->var = var;
   s->extent = std::move(extent);
   s->for_body = std::move(body);
   s->reduction = reduction;
@@ -24,8 +32,7 @@ StmtPtr make_for(std::string var, Expr extent, StmtPtr body,
 }
 
 StmtPtr make_if(Expr cond, StmtPtr then_s, StmtPtr else_s) {
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::If;
+  auto s = new_stmt(StmtKind::If);
   s->cond = std::move(cond);
   s->then_s = std::move(then_s);
   s->else_s = std::move(else_s);
@@ -35,8 +42,7 @@ StmtPtr make_if(Expr cond, StmtPtr then_s, StmtPtr else_s) {
 StmtPtr make_spm_alloc(std::string name, std::int64_t floats,
                        bool double_buffered) {
   SWATOP_CHECK(floats > 0) << "SPM alloc of " << floats << " floats";
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::SpmAlloc;
+  auto s = new_stmt(StmtKind::SpmAlloc);
   s->buf_name = std::move(name);
   s->buf_floats = floats;
   s->double_buffered = double_buffered;
@@ -44,8 +50,7 @@ StmtPtr make_spm_alloc(std::string name, std::int64_t floats,
 }
 
 StmtPtr make_spm_zero(std::string buf, Expr off, Expr floats) {
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::SpmZero;
+  auto s = new_stmt(StmtKind::SpmZero);
   s->buf_name = std::move(buf);
   s->zero_off = std::move(off);
   s->zero_floats = std::move(floats);
@@ -56,35 +61,32 @@ StmtPtr make_dma(StmtKind get_or_put, DmaAttrs attrs) {
   SWATOP_CHECK(get_or_put == StmtKind::DmaGet ||
                get_or_put == StmtKind::DmaPut)
       << "make_dma with non-DMA kind";
-  auto s = std::make_shared<Stmt>();
-  s->kind = get_or_put;
+  auto s = new_stmt(get_or_put);
   s->dma = std::move(attrs);
   return s;
 }
 
 StmtPtr make_dma_wait(Expr reply) {
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::DmaWait;
+  auto s = new_stmt(StmtKind::DmaWait);
   s->wait_reply = std::move(reply);
   return s;
 }
 
 StmtPtr make_gemm(GemmAttrs attrs) {
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::Gemm;
+  auto s = new_stmt(StmtKind::Gemm);
   s->gemm = std::move(attrs);
   return s;
 }
 
 StmtPtr make_comment(std::string text) {
-  auto s = std::make_shared<Stmt>();
-  s->kind = StmtKind::Comment;
+  auto s = new_stmt(StmtKind::Comment);
   s->text = std::move(text);
   return s;
 }
 
 StmtPtr deep_copy(const StmtPtr& s) {
   if (s == nullptr) return nullptr;
+  ++detail::nodes_built;
   auto n = std::make_shared<Stmt>(*s);
   n->body.clear();
   for (const StmtPtr& c : s->body) n->body.push_back(deep_copy(c));

@@ -137,7 +137,7 @@ struct Stmt {
   std::vector<StmtPtr> body;
 
   // For: for (var = 0; var < extent; ++var) for_body
-  std::string var;
+  VarId var;
   Expr extent;
   StmtPtr for_body;
   bool prefetched = false;  ///< marker: double-buffering applied here
@@ -170,7 +170,7 @@ struct Stmt {
 
 // -- constructors ------------------------------------------------------------
 StmtPtr make_seq(std::vector<StmtPtr> body = {});
-StmtPtr make_for(std::string var, Expr extent, StmtPtr body,
+StmtPtr make_for(VarId var, Expr extent, StmtPtr body,
                  bool reduction = false);
 StmtPtr make_if(Expr cond, StmtPtr then_s, StmtPtr else_s = nullptr);
 StmtPtr make_spm_alloc(std::string name, std::int64_t floats,

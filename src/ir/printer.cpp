@@ -20,7 +20,7 @@ void print_rec(std::ostringstream& os, const StmtPtr& s, int depth) {
       for (const StmtPtr& c : s->body) print_rec(os, c, depth);
       break;
     case StmtKind::For:
-      os << pad << "for " << s->var << " in [0, " << to_string(s->extent)
+      os << pad << "for " << s->var.name() << " in [0, " << to_string(s->extent)
          << ")" << (s->prefetched ? "  // prefetched" : "") << " {\n";
       print_rec(os, s->for_body, depth + 1);
       os << pad << "}\n";

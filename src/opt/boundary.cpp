@@ -14,11 +14,11 @@ ir::Expr TiledDim::valid() const {
   return ir::min2(ir::cst(tile), ir::sub(ir::cst(extent), base()));
 }
 
-TiledDim make_tiled(std::string var, std::int64_t extent, std::int64_t tile) {
+TiledDim make_tiled(ir::VarId var, std::int64_t extent, std::int64_t tile) {
   SWATOP_CHECK(extent > 0 && tile > 0)
       << "make_tiled(" << extent << ", " << tile << ")";
   TiledDim d;
-  d.var = std::move(var);
+  d.var = var;
   d.extent = extent;
   d.tile = tile;
   d.count = ceil_div(extent, tile);

@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "ir/expr.hpp"
 
@@ -22,7 +21,7 @@ namespace swatop::opt {
 /// A loop dimension of `extent` split by `tile`: `count` iterations of the
 /// loop variable `var`, the last one possibly ragged.
 struct TiledDim {
-  std::string var;
+  ir::VarId var;
   std::int64_t extent = 0;
   std::int64_t tile = 0;
   std::int64_t count = 0;
@@ -39,7 +38,7 @@ struct TiledDim {
   std::int64_t remainder() const { return extent % tile; }
 };
 
-TiledDim make_tiled(std::string var, std::int64_t extent, std::int64_t tile);
+TiledDim make_tiled(ir::VarId var, std::int64_t extent, std::int64_t tile);
 
 /// True if parameter switching is legal for this dim: the ragged remainder
 /// itself satisfies "divisible by `mesh`" and, when this dim is vectorized,

@@ -16,11 +16,11 @@ namespace {
 
 /// One level of the loop chain from the root to the gemm: the Seq, the index
 /// of the child leading deeper, and the loop variable that scopes this Seq
-/// (empty at the root).
+/// (unset at the root).
 struct PathEntry {
   ir::Stmt* seq;
   std::size_t child_idx;
-  std::string loop_var;
+  ir::VarId loop_var;
   bool reduction = false;  ///< the scoping loop accumulates into the output
 };
 
@@ -33,7 +33,7 @@ bool contains_gemm(const ir::StmtPtr& s) {
 bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
                 ir::Stmt** gemm_out) {
   ir::StmtPtr cur = root;
-  std::string scope_var;
+  ir::VarId scope_var;
   bool scope_red = false;
   while (true) {
     if (cur->kind != ir::StmtKind::Seq) return false;
@@ -79,7 +79,7 @@ std::int64_t padded_dim(const ir::Expr& e,
                         const std::vector<PathEntry>& path) {
   ir::Env env;
   for (const PathEntry& p : path)
-    if (!p.loop_var.empty()) env[p.loop_var] = 0;
+    if (p.loop_var.valid()) env[p.loop_var] = 0;
   return ir::eval(e, env);
 }
 
@@ -229,7 +229,7 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
   // schedule places a reduction loop *outside* C's scope, the tile is
   // revisited once per outer reduction iteration; it must then be re-fetched
   // (accumulating partial sums from memory) on every pass but the first.
-  std::vector<std::string> outer_reductions;
+  std::vector<ir::VarId> outer_reductions;
   for (std::size_t i = 1; i <= pc.level && i < path.size(); ++i)
     if (path[i].reduction) outer_reductions.push_back(path[i].loop_var);
 
@@ -256,7 +256,7 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
                                      ir::cst(pc.buf_floats))});
   } else {
     ir::Expr pass_sum = ir::cst(0);
-    for (const std::string& v : outer_reductions)
+    for (const ir::VarId v : outer_reductions)
       pass_sum = ir::add(pass_sum, ir::var(v));
     ir::DmaAttrs cget = pc.dma;
     cget.dir = ir::Direction::MemToSpm;

@@ -62,97 +62,67 @@ std::vector<GetGroup> collect_gets(const ir::StmtPtr& body) {
 }
 
 /// Substitute `v -> repl` through all expressions of a statement subtree.
-void subst_stmt(const ir::StmtPtr& s, const std::string& v,
-                const ir::Expr& repl) {
+void subst_stmt(const ir::StmtPtr& s, ir::VarId v, const ir::Expr& repl) {
   ir::visit(s, [&](const ir::StmtPtr& n) {
-    auto sub = [&](ir::Expr& e) {
-      if (e != nullptr) e = ir::substitute(e, v, repl);
-    };
-    sub(n->extent);
-    sub(n->cond);
-    sub(n->zero_off);
-    sub(n->zero_floats);
-    sub(n->dma.view.base);
-    sub(n->dma.view.rows);
-    sub(n->dma.view.cols);
-    sub(n->dma.rows_p);
-    sub(n->dma.cols_p);
-    sub(n->dma.spm_off);
-    sub(n->dma.reply);
-    sub(n->dma.epi.channel0);
-    sub(n->dma.epi.res.base);
-    sub(n->dma.epi.res.rows);
-    sub(n->dma.epi.res.cols);
-    sub(n->wait_reply);
-    sub(n->gemm.M);
-    sub(n->gemm.N);
-    sub(n->gemm.K);
-    sub(n->gemm.a_off);
-    sub(n->gemm.b_off);
-    sub(n->gemm.c_off);
+    ir::for_each_expr(*n, [&](ir::Expr& e) { e = ir::substitute(e, v, repl); });
   });
 }
 
-/// Find the deepest For whose direct body contains a DmaGet; returns the
-/// parent Seq and child index, or false.
-bool find_target(const ir::StmtPtr& s, ir::Stmt** parent_seq,
-                 std::size_t* idx) {
-  bool found = false;
-  std::function<void(const ir::StmtPtr&)> rec = [&](const ir::StmtPtr& n) {
-    if (n == nullptr) return;
-    if (n->kind == ir::StmtKind::Seq) {
-      for (std::size_t i = 0; i < n->body.size(); ++i) {
-        const ir::StmtPtr& c = n->body[i];
-        if (c->kind == ir::StmtKind::For) {
-          // Depth-first: deeper matches overwrite shallower ones.
-          const ir::StmtPtr& b = c->for_body;
-          bool direct = false;
-          if (b->kind == ir::StmtKind::Seq) {
-            for (const ir::StmtPtr& bc : b->body)
-              direct = direct || (bc->kind == ir::StmtKind::DmaGet &&
-                                  !already_prefetched(bc));
-          }
-          if (direct) {
-            *parent_seq = n.get();
-            *idx = i;
-            found = true;
-          }
-          rec(b);
-        } else {
-          rec(c);
-        }
-      }
+/// A loop to double-buffer: the Seq holding it and its index there.
+struct Target {
+  ir::Stmt* parent;
+  std::size_t idx;
+};
+
+/// True if the loop's body directly issues a get not yet prefetched.
+bool has_direct_get(const ir::Stmt& loop) {
+  const ir::StmtPtr& b = loop.for_body;
+  if (b->kind != ir::StmtKind::Seq) return false;
+  for (const ir::StmtPtr& c : b->body)
+    if (c->kind == ir::StmtKind::DmaGet && !already_prefetched(c)) return true;
+  return false;
+}
+
+/// Every For held by a Seq whose body directly issues a get, in pre-order
+/// (so an inner loop comes after the loops enclosing it).
+void collect_targets(const ir::StmtPtr& n, std::vector<Target>& out) {
+  if (n == nullptr) return;
+  if (n->kind != ir::StmtKind::Seq) {
+    collect_targets(n->for_body, out);
+    collect_targets(n->then_s, out);
+    collect_targets(n->else_s, out);
+    return;
+  }
+  for (std::size_t i = 0; i < n->body.size(); ++i) {
+    const ir::StmtPtr& c = n->body[i];
+    if (c->kind == ir::StmtKind::For) {
+      if (has_direct_get(*c)) out.push_back({n.get(), i});
+      collect_targets(c->for_body, out);
     } else {
-      for (const ir::StmtPtr& c : n->body) rec(c);
-      rec(n->for_body);
-      rec(n->then_s);
-      rec(n->else_s);
+      collect_targets(c, out);
     }
-  };
-  rec(s);
-  return found;
+  }
 }
 
-ir::Stmt* find_alloc(const ir::StmtPtr& root, const std::string& buf) {
-  ir::Stmt* out = nullptr;
-  ir::visit(root, [&](const ir::StmtPtr& n) {
+/// The allocation of `buf` in the root allocation list DMA inference
+/// writes.
+ir::Stmt* root_alloc(const ir::StmtPtr& root, const std::string& buf) {
+  SWATOP_CHECK(root->kind == ir::StmtKind::Seq)
+      << "double buffering expects a Seq root";
+  for (const ir::StmtPtr& n : root->body)
     if (n->kind == ir::StmtKind::SpmAlloc && n->buf_name == buf)
-      out = n.get();
-  });
-  return out;
+      return n.get();
+  return nullptr;
 }
 
-}  // namespace
-
-namespace {
-
-bool apply_one(ir::StmtPtr& root) {
-  ir::Stmt* parent = nullptr;
-  std::size_t loop_idx = 0;
-  if (!find_target(root, &parent, &loop_idx)) return false;
-
+/// Double-buffer one target loop: prefetch its gets one iteration ahead
+/// into the other half of their (now doubled) buffers.
+void apply_one(const ir::StmtPtr& root, const Target& t) {
+  ir::Stmt* parent = t.parent;
+  const std::size_t loop_idx = t.idx;
   const ir::StmtPtr loop = parent->body[loop_idx];
-  const std::string v = loop->var;
+  SWATOP_CHECK(loop->kind == ir::StmtKind::For);
+  const ir::VarId v = loop->var;
   const ir::Expr extent = loop->extent;
   ir::StmtPtr body = loop->for_body;
   SWATOP_CHECK(body->kind == ir::StmtKind::Seq);
@@ -172,7 +142,7 @@ bool apply_one(ir::StmtPtr& root) {
   for (const GetGroup& g : groups) {
     const ir::StmtPtr get = body->body[g.get_idx];
     const std::string buf = get->dma.spm_buf;
-    ir::Stmt* alloc = find_alloc(root, buf);
+    ir::Stmt* alloc = root_alloc(root, buf);
     SWATOP_CHECK(alloc != nullptr) << "no SPM alloc for '" << buf << "'";
     alloc->double_buffered = true;
     const std::int64_t half = align_up(alloc->buf_floats, 8);
@@ -239,7 +209,7 @@ bool apply_one(ir::StmtPtr& root) {
     auto fix = [&](const std::string& buf, ir::Expr& off) {
       for (const std::string& b : db_bufs) {
         if (b == buf) {
-          ir::Stmt* alloc = find_alloc(root, buf);
+          ir::Stmt* alloc = root_alloc(root, buf);
           off = ir::mul(parity_cur, ir::cst(align_up(alloc->buf_floats, 8)));
         }
       }
@@ -260,7 +230,6 @@ bool apply_one(ir::StmtPtr& root) {
   parent->body.insert(parent->body.begin() +
                           static_cast<std::ptrdiff_t>(loop_idx),
                       prologue.begin(), prologue.end());
-  return true;
 }
 
 }  // namespace
@@ -268,10 +237,15 @@ bool apply_one(ir::StmtPtr& root) {
 bool apply_double_buffer(ir::StmtPtr& root) {
   // Transform every loop that directly issues DMA gets, innermost first:
   // gets hoisted to outer levels get their own double buffers, so transfer
-  // latency is hidden at every level of the nest.
-  bool any = false;
-  while (apply_one(root)) any = true;
-  return any;
+  // latency is hidden at every level of the nest. Rewriting a loop adds
+  // only prefetched gets, so no loop becomes a target later, and a
+  // prologue lands before its own loop, after every target still pending
+  // in the same Seq: the indices collected up front stay valid.
+  std::vector<Target> targets;
+  collect_targets(root, targets);
+  for (auto it = targets.rbegin(); it != targets.rend(); ++it)
+    apply_one(root, *it);
+  return !targets.empty();
 }
 
 }  // namespace swatop::opt

@@ -8,66 +8,68 @@ namespace swatop::rt {
 
 namespace ir = swatop::ir;
 
-int ExprEvaluator::slot_of(const std::string& name) {
-  auto it = names_.find(name);
-  if (it != names_.end()) return it->second;
-  const int slot = static_cast<int>(values_.size());
-  values_.push_back(0);
-  names_.emplace(name, slot);
-  return slot;
+int ExprEvaluator::slot_of(ir::VarId v) {
+  SWATOP_CHECK(v.valid()) << "slot of an unset variable id";
+  const auto slot = static_cast<std::size_t>(v.index());
+  if (slot >= values_.size()) values_.resize(slot + 1, 0);
+  return v.index();
 }
 
-void ExprEvaluator::emit(const ir::Expr& e, Code& out) {
+int ExprEvaluator::emit(const ir::Expr& e, Code& out) {
   SWATOP_CHECK(e != nullptr) << "compile of null expression";
   switch (e->kind) {
     case ir::ExprKind::Const:
       out.push_back({Op::PushConst, e->value});
-      return;
+      return 1;
     case ir::ExprKind::Var:
-      out.push_back({Op::PushVar, slot_of(e->name)});
-      return;
-    case ir::ExprKind::Select:
-      emit(e->a, out);
-      emit(e->b, out);
-      emit(e->c, out);
+      out.push_back({Op::PushVar, slot_of(e->var)});
+      return 1;
+    case ir::ExprKind::Select: {
+      const int da = emit(e->a, out);
+      const int db = emit(e->b, out);
+      const int dc = emit(e->c, out);
       out.push_back({Op::Select, 0});
-      return;
+      return std::max({da, 1 + db, 2 + dc});
+    }
     default:
       break;
   }
-  emit(e->a, out);
-  emit(e->b, out);
+  const int da = emit(e->a, out);
+  const int db = emit(e->b, out);
   switch (e->kind) {
-    case ir::ExprKind::Add: out.push_back({Op::Add, 0}); return;
-    case ir::ExprKind::Sub: out.push_back({Op::Sub, 0}); return;
-    case ir::ExprKind::Mul: out.push_back({Op::Mul, 0}); return;
-    case ir::ExprKind::FloorDiv: out.push_back({Op::Div, 0}); return;
-    case ir::ExprKind::Mod: out.push_back({Op::Mod, 0}); return;
-    case ir::ExprKind::Min: out.push_back({Op::Min, 0}); return;
-    case ir::ExprKind::Max: out.push_back({Op::Max, 0}); return;
-    case ir::ExprKind::Lt: out.push_back({Op::Lt, 0}); return;
-    case ir::ExprKind::Ge: out.push_back({Op::Ge, 0}); return;
+    case ir::ExprKind::Add: out.push_back({Op::Add, 0}); break;
+    case ir::ExprKind::Sub: out.push_back({Op::Sub, 0}); break;
+    case ir::ExprKind::Mul: out.push_back({Op::Mul, 0}); break;
+    case ir::ExprKind::FloorDiv: out.push_back({Op::Div, 0}); break;
+    case ir::ExprKind::Mod: out.push_back({Op::Mod, 0}); break;
+    case ir::ExprKind::Min: out.push_back({Op::Min, 0}); break;
+    case ir::ExprKind::Max: out.push_back({Op::Max, 0}); break;
+    case ir::ExprKind::Lt: out.push_back({Op::Lt, 0}); break;
+    case ir::ExprKind::Ge: out.push_back({Op::Ge, 0}); break;
     default:
       SWATOP_UNREACHABLE("bad expr kind in compile");
   }
+  return std::max(da, 1 + db);
 }
 
-const ExprEvaluator::Code& ExprEvaluator::compile(const ir::Expr& e) {
+const ExprEvaluator::Entry& ExprEvaluator::compile(const ir::Expr& e) {
   auto it = cache_.find(e.get());
-  if (it != cache_.end()) return it->second.code;
-  Code code;
-  emit(e, code);
-  return cache_.emplace(e.get(), Entry{e, std::move(code)})
-      .first->second.code;
+  if (it != cache_.end()) return it->second;
+  Entry entry{e, {}};
+  const auto depth = static_cast<std::size_t>(emit(e, entry.code));
+  if (depth > stack_.size()) stack_.resize(depth);
+  return cache_.emplace(e.get(), std::move(entry)).first->second;
 }
 
 std::int64_t ExprEvaluator::eval(const ir::Expr& e) {
   // Fast paths for the two most common shapes.
   if (e->kind == ir::ExprKind::Const) return e->value;
-  const Code& code = compile(e);
-  std::int64_t stack[32];
+  const Entry& entry = compile(e);
+  // compile() keeps the stack as deep as the deepest code compiled so far,
+  // so no push can run past its end.
+  std::int64_t* stack = stack_.data();
   int top = -1;
-  for (const Step& s : code) {
+  for (const Step& s : entry.code) {
     switch (s.op) {
       case Op::PushConst:
         stack[++top] = s.payload;
@@ -118,7 +120,6 @@ std::int64_t ExprEvaluator::eval(const ir::Expr& e) {
         stack[top] = stack[top] != 0 ? stack[top + 1] : stack[top + 2];
         break;
     }
-    SWATOP_CHECK(top >= 0 && top < 32) << "expression stack out of range";
   }
   SWATOP_CHECK(top == 0) << "malformed compiled expression";
   return stack[0];

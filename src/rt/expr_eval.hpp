@@ -1,15 +1,15 @@
 // Fast expression evaluation for the runtime's hot loops.
 //
-// ir::eval walks the shared expression tree and hash-looks-up every
-// variable by name -- fine for passes, too slow for the timing interpreter
-// that evaluates the same handful of expressions millions of times. This
-// evaluator compiles each expression once (on first use, cached by node
-// pointer) into a postfix program over integer slots and keeps variable
-// values in a flat vector.
+// ir::eval walks the shared expression tree and searches its environment
+// for every variable -- fine for passes, too slow for the timing
+// interpreter that evaluates the same handful of expressions millions of
+// times. This evaluator compiles each expression once (on first use,
+// cached by node pointer) into a postfix program whose variable operands
+// are slots, one per interned variable id, and keeps the values in a flat
+// vector.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,8 +19,8 @@ namespace swatop::rt {
 
 class ExprEvaluator {
  public:
-  /// Slot for a variable name (assigned on first use).
-  int slot_of(const std::string& name);
+  /// Slot of a variable: its interned id's index.
+  int slot_of(ir::VarId v);
 
   /// Bind a slot's current value.
   void set(int slot, std::int64_t v) {
@@ -51,8 +51,8 @@ class ExprEvaluator {
   };
   using Code = std::vector<Step>;
 
-  const Code& compile(const ir::Expr& e);
-  void emit(const ir::Expr& e, Code& out);
+  /// Emit `e`'s postfix code; returns the stack depth it needs.
+  int emit(const ir::Expr& e, Code& out);
 
   // The cache is keyed by node address; each entry pins the expression so
   // the allocator can never hand the same address to a different tree.
@@ -60,9 +60,12 @@ class ExprEvaluator {
     ir::Expr pin;
     Code code;
   };
+  /// Compile `e` once, growing `stack_` to the depth its code needs.
+  const Entry& compile(const ir::Expr& e);
+
   std::unordered_map<const ir::ExprNode*, Entry> cache_;
-  std::unordered_map<std::string, int> names_;
   std::vector<std::int64_t> values_;
+  std::vector<std::int64_t> stack_;  ///< evaluation stack for eval()
 };
 
 }  // namespace swatop::rt

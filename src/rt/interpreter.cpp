@@ -41,7 +41,7 @@ std::string Interpreter::loop_context() const {
   os << "at ";
   for (std::size_t i = 0; i < loop_stack_.size(); ++i) {
     if (i > 0) os << " ";
-    os << loop_stack_[i].first << "=" << loop_stack_[i].second;
+    os << loop_stack_[i].first.name() << "=" << loop_stack_[i].second;
   }
   return os.str();
 }

@@ -119,7 +119,7 @@ class Interpreter {
   std::vector<double> reply_done_;
   std::vector<SlotInfo> slot_info_;
   // Enclosing For bindings, outermost first (diagnostics only).
-  std::vector<std::pair<std::string, std::int64_t>> loop_stack_;
+  std::vector<std::pair<ir::VarId, std::int64_t>> loop_stack_;
   // Arena allocation extents keyed by base address, for the DMA bounds
   // sanitizer (snapshotted at run() start; empty when bounds are off).
   std::unordered_map<std::int64_t, std::int64_t> alloc_floats_;

@@ -14,7 +14,7 @@ namespace swatop::sched {
 
 /// One loop of the nest, outermost first.
 struct LoopSpec {
-  std::string var;
+  ir::VarId var;
   ir::Expr extent;
   bool reduction = false;
 };

@@ -37,22 +37,24 @@ SweepStats Scheduler::sweep(
   // reached the remaining indices are skipped without being built.
   const std::size_t threads =
       cap > 0 ? 1 : resolve_threads(opts.num_threads, n);
-  std::atomic<std::int64_t> enumerated{0}, lowered{0}, kept{0};
+  std::atomic<std::int64_t> enumerated{0}, lowered{0}, kept{0}, ir_nodes{0};
   parallel_for(n, threads, [&] {
     return [&, sink = make_sink()](std::size_t i) {
       if (cap > 0 && kept.load() >= cap) return;
       enumerated.fetch_add(1);
       const auto index = static_cast<std::int64_t>(i);
       bool low = false;
+      const std::int64_t nodes0 = ir::nodes_built();
       std::optional<Candidate> c =
           try_build_candidate(op, space.at(index), cfg_, opts.opt, &low);
+      ir_nodes.fetch_add(ir::nodes_built() - nodes0);
       if (low) lowered.fetch_add(1);
       if (!c) return;
       kept.fetch_add(1);
       sink(index, std::move(*c));
     };
   });
-  return {enumerated.load(), lowered.load(), kept.load()};
+  return {enumerated.load(), lowered.load(), kept.load(), ir_nodes.load()};
 }
 
 std::vector<Candidate> Scheduler::candidates(const dsl::OperatorDef& op,

@@ -55,6 +55,10 @@ struct SweepStats {
   std::int64_t enumerated = 0;  ///< strategies visited
   std::int64_t lowered = 0;     ///< of those, lowered to a program
   std::int64_t kept = 0;        ///< of those, survived pruning (validated)
+  /// IR nodes the builds allocated (ir::nodes_built), counted by each
+  /// worker for its own candidates, so the sum is the same at any thread
+  /// count.
+  std::int64_t ir_nodes = 0;
 };
 
 /// Receives one built candidate on a worker thread, with the strategy's

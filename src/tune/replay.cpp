@@ -70,7 +70,7 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
       return;
     case ir::StmtKind::For:
       out += "F(";
-      key_str(out, s->var);
+      key_str(out, s->var.name());
       key_expr(out, s->extent);
       key_int(out, (s->prefetched ? 1 : 0) | (s->reduction ? 2 : 0));
       key_stmt(out, s->for_body);

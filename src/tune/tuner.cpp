@@ -115,24 +115,28 @@ Ranking rank_space(const dsl::OperatorDef& op,
   return r;
 }
 
-/// Rebuild ranked candidate `pos` through the sweep's build path.
+/// Rebuild ranked candidate `pos` through the sweep's build path, adding
+/// the IR nodes it allocates to `*ir_nodes`.
 sched::Candidate rebuild(const dsl::OperatorDef& op, const Ranking& r,
                          std::size_t pos,
                          const sched::SchedulerOptions& opts,
-                         const sim::SimConfig& cfg) {
+                         const sim::SimConfig& cfg, std::int64_t* ir_nodes) {
+  const std::int64_t nodes0 = ir::nodes_built();
   const dsl::Strategy s = r.strategy(pos);
   std::optional<sched::Candidate> c =
       sched::try_build_candidate(op, s, cfg, opts.opt);
   SWATOP_CHECK(c.has_value())
       << "ranked strategy " << s.to_string() << " no longer builds for "
       << op.name();
+  *ir_nodes += ir::nodes_built() - nodes0;
   return std::move(*c);
 }
 
 /// The work counts of a model-tuner run over `r` that rebuilt `rebuilt`
-/// candidates and measured `measured`.
+/// candidates (allocating `rebuilt_nodes` IR nodes) and measured
+/// `measured`.
 TunerStats ranking_stats(const Ranking& r, std::int64_t rebuilt,
-                         std::int64_t measured) {
+                         std::int64_t rebuilt_nodes, std::int64_t measured) {
   TunerStats st;
   st.space_size = r.space.size();
   st.valid_candidates = static_cast<std::int64_t>(r.est.size());
@@ -140,6 +144,7 @@ TunerStats ranking_stats(const Ranking& r, std::int64_t rebuilt,
   st.lowered = r.work.lowered + rebuilt;
   st.ranked = st.valid_candidates;
   st.measured = measured;
+  st.ir_nodes = r.work.ir_nodes + rebuilt_nodes;
   return st;
 }
 
@@ -259,9 +264,10 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
         [&](std::size_t i) { return r.strategy(i); }, r.est, {},
         ranks_by_score(r.est), best_i);
   Tuned out;
-  out.candidate = rebuild(op, r, best_i, opts, cfg_);
+  std::int64_t rebuilt_nodes = 0;
+  out.candidate = rebuild(op, r, best_i, opts, cfg_, &rebuilt_nodes);
   out.cycles = best;
-  out.stats = ranking_stats(r, 1, 0);
+  out.stats = ranking_stats(r, 1, rebuilt_nodes, 0);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
     tune_phase_span(rec, "rebuild pick", w_rank, rec->wall_us(), 1);
@@ -309,9 +315,10 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   sched::Candidate winner;
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
+  std::int64_t rebuilt_nodes = 0;
   for (std::size_t j = 0; j < keep; ++j) {
     const std::size_t i = ranked[j].second;
-    sched::Candidate c = rebuild(op, r, i, opts, cfg_);
+    sched::Candidate c = rebuild(op, r, i, opts, cfg_, &rebuilt_nodes);
     const double wm0 = rec ? rec->wall_us() : 0.0;
     const double t = bench.run(c);
     measured[i] = t;
@@ -333,7 +340,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   Tuned out;
   out.candidate = std::move(winner);
   out.cycles = best;
-  out.stats = ranking_stats(r, static_cast<std::int64_t>(keep),
+  out.stats = ranking_stats(r, static_cast<std::int64_t>(keep), rebuilt_nodes,
                             static_cast<std::int64_t>(keep));
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
@@ -406,6 +413,7 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
   res.best.stats.valid_candidates = static_cast<std::int64_t>(cands.size());
   res.best.stats.enumerated = work.enumerated;
   res.best.stats.lowered = work.lowered;
+  res.best.stats.ir_nodes = work.ir_nodes;
   res.best.stats.measured = res.best.stats.valid_candidates;
   res.best.stats.seconds = now_seconds() - t0;
   if (rec) {

@@ -35,6 +35,9 @@ struct TunerStats {
   std::int64_t lowered = 0;
   std::int64_t ranked = 0;    ///< candidates priced by a model
   std::int64_t measured = 0;  ///< candidates run through the simulator
+  /// IR nodes allocated building those programs (ir::nodes_built): the
+  /// sweep's, counted per worker, plus the rebuilds'.
+  std::int64_t ir_nodes = 0;
 };
 
 struct Tuned {

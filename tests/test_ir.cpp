@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "common/check.hpp"
 #include "ir/analysis.hpp"
 #include "ir/mutator.hpp"
@@ -77,6 +82,73 @@ TEST(Expr, ToStringReadable) {
   EXPECT_EQ(to_string(e), "min(64, (100 - (m*64)))");
 }
 
+TEST(Expr, ToStringCoversEveryKind) {
+  const Expr e =
+      select(lt(var("i"), cst(-4)),
+             max2(floordiv(var("j"), cst(3)), mod(var("i"), cst(2))),
+             ge(add(var("j"), cst(123456789012)), cst(0)));
+  EXPECT_EQ(to_string(e),
+            "((i < -4) ? max((j/3), (i%2)) : ((j + 123456789012) >= 0))");
+  EXPECT_EQ(to_string(nullptr), "<null>");
+}
+
+TEST(Expr, SubstituteKeepsUntouchedSubtrees) {
+  const Expr e = add(mul(var("k"), cst(32)), min2(var("j"), cst(7)));
+  // Absent variable: the very same node comes back, nothing is rebuilt.
+  EXPECT_EQ(substitute(e, "m", cst(0)).get(), e.get());
+  // Present variable: only the path to it is rebuilt.
+  const Expr s = substitute(e, "j", cst(2));
+  EXPECT_NE(s.get(), e.get());
+  EXPECT_EQ(s->a.get(), e->a.get());
+  EXPECT_EQ(to_string(s), "((k*32) + 2)");
+  // Several variables in one visit.
+  const VarId both[] = {"k", "j"};
+  EXPECT_EQ(as_cst(substitute(e, both, cst(1))), 33);
+}
+
+TEST(VarId, EqualNamesGetEqualIds) {
+  const VarId a("m_o");
+  EXPECT_TRUE(a.valid());
+  EXPECT_EQ(a, VarId(std::string("m_o")));
+  EXPECT_EQ(a, VarId(std::string_view("m_o_x").substr(0, 3)));
+  EXPECT_NE(a, VarId("k_o"));
+  EXPECT_EQ(a.name(), "m_o");
+  EXPECT_EQ(var("m_o")->var, a);
+  EXPECT_FALSE(VarId().valid());
+  EXPECT_THROW(VarId(""), CheckError);
+}
+
+TEST(VarId, ConcurrentInterningAgrees) {
+  // Eight threads intern overlapping name sets in different orders and
+  // look names up while others intern; the process-wide table must give
+  // every thread the same id for a name. Enough names that the table's
+  // storage grows while other threads read it.
+  constexpr int kThreads = 8, kNames = 2048;
+  auto name = [](int i) { return "concurrent_" + std::to_string(i); };
+  std::vector<std::map<std::string, std::int32_t>> seen(kThreads);
+  std::vector<std::thread> pool;
+  for (int t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      for (int k = 0; k < kNames / 2; ++k) {
+        const std::string n = name((t * 5 + k) % kNames);
+        const VarId v(n);
+        EXPECT_EQ(v.name(), n);
+        seen[static_cast<std::size_t>(t)][n] = v.index();
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  std::map<std::int32_t, std::string> by_id;
+  for (const auto& m : seen) {
+    for (const auto& [n, id] : m) {
+      EXPECT_EQ(id, VarId(n).index()) << n;
+      EXPECT_EQ(VarId(n).name(), n);
+      const auto [it, fresh] = by_id.emplace(id, n);
+      EXPECT_EQ(it->second, n) << "id " << id << " shared by two names";
+    }
+  }
+}
+
 TEST(Stmt, BuildersValidate) {
   EXPECT_THROW(make_for("", cst(4), make_seq()), CheckError);
   EXPECT_THROW(make_spm_alloc("b", 0), CheckError);
@@ -107,7 +179,7 @@ TEST(Analysis, SpmFootprintCountsDoubleBuffers) {
 
 TEST(Analysis, LoopVarsOutermostFirst) {
   const auto p = sample_program();
-  EXPECT_EQ(loop_vars(p), (std::vector<std::string>{"m_o", "k_o"}));
+  EXPECT_EQ(loop_vars(p), (std::vector<VarId>{"m_o", "k_o"}));
 }
 
 TEST(Analysis, FindGemmsAndStaticCount) {
@@ -152,6 +224,19 @@ TEST(Printer, ShowsStructure) {
   EXPECT_NE(s.find("for m_o in [0, 2)"), std::string::npos);
   EXPECT_NE(s.find("double buffered"), std::string::npos);
   EXPECT_NE(s.find("gemm_op M=64"), std::string::npos);
+}
+
+TEST(Printer, FullTextIsPinned) {
+  EXPECT_EQ(print(sample_program()),
+            "spm_alloc spm_A[256] x2 (double buffered)\n"
+            "spm_alloc spm_C[512]\n"
+            "for m_o in [0, 2) {\n"
+            "  for k_o in [0, 4) {\n"
+            "    gemm_op M=64 N=64 K=32 variant=0 A=A[base=m_o, 64x32, sr=1, "
+            "sc=64] B=B[base=0, 32x64, sr=1, sc=32] C=C[base=m_o, 64x64, "
+            "sr=1, sc=64]\n"
+            "  }\n"
+            "}\n");
 }
 
 }  // namespace

@@ -247,6 +247,19 @@ TEST(ExprEvaluator, ReusesSlotsAcrossNames) {
   EXPECT_NE(ev.slot_of("x"), ev.slot_of("y"));
 }
 
+TEST(ExprEvaluator, DeepExpressionGetsALargeEnoughStack) {
+  // x + (x + (... + x)): postfix code pushes all 41 operands before the
+  // first add, so the stack must follow the compiled depth, not a fixed
+  // 32 slots.
+  const ir::VarId x("x");
+  ir::Expr e = ir::var(x);
+  for (int i = 1; i < 41; ++i) e = ir::add(ir::var(x), e);
+  ExprEvaluator ev;
+  ev.set(ev.slot_of(x), 3);
+  EXPECT_EQ(ev.eval(e), ir::eval(e, {{x, 3}}));
+  EXPECT_EQ(ev.eval(e), 123);
+}
+
 }  // namespace
 }  // namespace swatop::rt
 

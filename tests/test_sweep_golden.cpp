@@ -1,0 +1,126 @@
+// Golden pins of every program the scheduler's sweep builds.
+//
+// For each operator below, every kept candidate's structural key
+// (tune::replay_key: the whole lowered and optimized IR, the bound tensor
+// addresses and the machine) and the bit pattern of its cost-model
+// estimate are hashed in candidate-index order. A change to lowering, to an
+// optimizer pass, to expression folding or to the cost model that alters a
+// single program or a single estimate changes the hash; a change that only
+// makes building them cheaper does not.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "ops/explicit_conv.hpp"
+#include "ops/implicit_conv.hpp"
+#include "ops/matmul.hpp"
+#include "rt/bind.hpp"
+#include "sched/scheduler.hpp"
+#include "tune/cost_model.hpp"
+#include "tune/gemm_model.hpp"
+#include "tune/replay.hpp"
+
+namespace swatop {
+namespace {
+
+const sim::SimConfig cfg;
+
+struct SweepDigest {
+  std::size_t candidates = 0;
+  std::size_t switched = 0;  ///< candidates with a parameter-switch boundary
+  std::uint64_t hash = 0;
+};
+
+/// FNV-1a over every kept candidate's replay key and estimate bits.
+SweepDigest digest(const dsl::OperatorDef& op) {
+  sched::SchedulerOptions opts;
+  opts.num_threads = 1;
+  const std::vector<sched::Candidate> cands =
+      sched::Scheduler(cfg).candidates(op, opts);
+  sim::MainMemory layout;
+  layout.set_materialize(false);
+  const dsl::BoundTensors bt = rt::bind_tensors(layout, op);
+  const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
+  std::uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](const unsigned char* p, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= p[i];
+      h *= 1099511628211ull;
+    }
+  };
+  SweepDigest d;
+  d.candidates = cands.size();
+  for (const sched::Candidate& c : cands) {
+    if (c.strategy.to_string().find("boundary=switch") != std::string::npos)
+      ++d.switched;
+    const std::string key = tune::replay_key(c.program, bt, cfg);
+    mix(reinterpret_cast<const unsigned char*>(key.data()), key.size());
+    const auto bits =
+        std::bit_cast<std::uint64_t>(model.estimate(c.program).total());
+    mix(reinterpret_cast<const unsigned char*>(&bits), sizeof bits);
+  }
+  d.hash = h;
+  return d;
+}
+
+ops::ConvShape conv_shape(std::int64_t batch, std::int64_t ni,
+                          std::int64_t no, std::int64_t out_hw,
+                          std::int64_t k, std::int64_t stride = 1) {
+  ops::ConvShape s;
+  s.batch = batch;
+  s.ni = ni;
+  s.no = no;
+  s.ri = (out_hw - 1) * stride + k;
+  s.ci = s.ri;
+  s.kr = k;
+  s.kc = k;
+  s.stride = stride;
+  return s;
+}
+
+TEST(SweepGolden, FusedPointwiseConvWithOutputPad) {
+  dsl::EpilogueSpec epi;
+  epi.bias = true;
+  epi.relu = true;
+  epi.out_pad = 1;
+  const SweepDigest d =
+      digest(ops::ImplicitConvOp(conv_shape(8, 64, 64, 8, 1), epi));
+  EXPECT_EQ(d.candidates, 384u);
+  EXPECT_EQ(d.hash, 14447736513119435455ull);
+}
+
+TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
+  // 96 channels split by 64 leave a 32-wide tail, legal for parameter
+  // switching, so the space holds switch and padded boundary candidates.
+  const SweepDigest d =
+      digest(ops::ImplicitConvOp(conv_shape(8, 96, 96, 7, 3)));
+  EXPECT_EQ(d.candidates, 1248u);
+  EXPECT_GT(d.switched, 0u);
+  EXPECT_EQ(d.hash, 6344157932393995962ull);
+}
+
+TEST(SweepGolden, StrideTwoConv) {
+  const SweepDigest d =
+      digest(ops::ImplicitConvOp(conv_shape(8, 32, 32, 8, 3, 2)));
+  EXPECT_EQ(d.candidates, 32u);
+  EXPECT_EQ(d.hash, 6180021558223015655ull);
+}
+
+TEST(SweepGolden, RaggedMatmul) {
+  const SweepDigest d = digest(ops::MatmulOp(72, 56, 40));
+  EXPECT_EQ(d.candidates, 384u);
+  EXPECT_EQ(d.hash, 4168726089075641604ull);
+}
+
+TEST(SweepGolden, ExplicitConv) {
+  const SweepDigest d =
+      digest(ops::ExplicitConvOp(conv_shape(2, 16, 32, 10, 3)));
+  EXPECT_EQ(d.candidates, 720u);
+  EXPECT_EQ(d.hash, 1340129419613475631ull);
+}
+
+}  // namespace
+}  // namespace swatop

@@ -152,6 +152,40 @@ TEST(Tuners, ModelTunerIsMuchFaster) {
   EXPECT_GE(slow.best.stats.lowered, n);
 }
 
+TEST(Tuners, IrNodeCountIsThreadCountInvariant) {
+  // Every worker counts the nodes of the candidates it builds, so the
+  // total does not depend on how the sweep was split across threads.
+  ops::ConvShape cs;
+  cs.batch = 8;
+  cs.ni = 64;
+  cs.no = 64;
+  cs.ri = 10;
+  cs.ci = 10;
+  ops::ImplicitConvOp conv(cs);
+  ops::MatmulOp odd(72, 56, 40);
+  const ModelTuner mt(cfg);
+  const dsl::OperatorDef* ops_[] = {&conv, &odd};
+  for (const dsl::OperatorDef* op : ops_) {
+    std::int64_t tuned[2] = {0, 0}, top_k[2] = {0, 0}, swept[2] = {0, 0};
+    for (const int t : {0, 1}) {
+      sched::SchedulerOptions opts;
+      opts.num_threads = t == 0 ? 1 : 4;
+      tuned[t] = mt.tune(*op, opts).stats.ir_nodes;
+      top_k[t] = mt.tune_top_k(*op, 3, opts).stats.ir_nodes;
+      sched::SweepStats st;
+      sched::Scheduler(cfg).candidates(*op, opts, &st);
+      swept[t] = st.ir_nodes;
+    }
+    EXPECT_GT(swept[0], 0) << op->name();
+    EXPECT_EQ(tuned[0], tuned[1]) << op->name();
+    EXPECT_EQ(top_k[0], top_k[1]) << op->name();
+    EXPECT_EQ(swept[0], swept[1]) << op->name();
+    // The model tuner builds what the sweep builds plus its rebuilds.
+    EXPECT_GT(tuned[0], swept[0]) << op->name();
+    EXPECT_GT(top_k[0], tuned[0]) << op->name();
+  }
+}
+
 TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
   // The streaming sweep must be bit-deterministic: estimates land in
   // enumeration-order slots and ties break by the first index, so at any
