@@ -1,6 +1,7 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <iomanip>
 #include <random>
 #include <sstream>
 
@@ -14,6 +15,8 @@
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
 #include "sched/scheduler.hpp"
+#include "tune/cost_model.hpp"
+#include "tune/gemm_model.hpp"
 #include "tune/tuner.hpp"
 
 namespace swatop::check {
@@ -84,6 +87,23 @@ Outcome run_one(const dsl::OperatorDef& op, const dsl::Strategy& s,
     return {"mismatch", os.str()};
   }
   return {};
+}
+
+/// The model tuner prunes on CostModel::lower_bound: re-lower the
+/// candidate's strategy and check that neither term of the bound exceeds
+/// the matching term of the built program's estimate.
+Outcome check_bound(const dsl::OperatorDef& op, const sched::Candidate& cand,
+                    const tune::CostModel& model) {
+  const tune::CostBound b =
+      model.lower_bound(op.lower(cand.strategy), cand.prefetch);
+  const tune::StaticCost e = model.estimate(cand.program);
+  if (b.dma_cycles <= e.dma_cycles() && b.compute_cycles <= e.compute_cycles)
+    return {};
+  std::ostringstream os;
+  os << std::setprecision(17) << "lower bound above the estimate: dma "
+     << b.dma_cycles << " vs " << e.dma_cycles() << ", compute "
+     << b.compute_cycles << " vs " << e.compute_cycles;
+  return {"bound", os.str()};
 }
 
 /// Whether `s` is a member of the operator's schedule space. Exact but
@@ -333,6 +353,7 @@ FuzzReport fuzz_schedules(const FuzzOptions& opts) {
   sim::SimConfig cfg;
   cfg.sanitize.enabled = opts.sanitize;
   const sched::Scheduler sched(cfg);
+  const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
   while (rep.cases_run < opts.cases) {
     const OpSpec spec = draw_spec(rng, opts);
     const std::unique_ptr<dsl::OperatorDef> op = make_op(spec);
@@ -353,6 +374,14 @@ FuzzReport fuzz_schedules(const FuzzOptions& opts) {
       opts.log(os.str());
     }
     if (cands.empty()) continue;
+    for (const sched::Candidate& cand : cands) {
+      const Outcome o = check_bound(*op, cand, model);
+      if (o.kind.empty()) continue;
+      const std::string strategy = cand.strategy.serialize();
+      rep.failures.push_back({o.kind, spec.to_string(), strategy, o.detail,
+                              repro_line(spec, strategy)});
+      if (opts.log) opts.log("FAIL [bound] " + rep.failures.back().repro);
+    }
     sim::CoreGroup cg(cfg);
     const dsl::BoundTensors bt = rt::bind_tensors(cg, *op);
     for (const sched::Candidate& cand : cands) {
@@ -421,6 +450,11 @@ FuzzReport replay(const std::string& op_spec, const std::string& strategy,
     return rep;
   }
   rep.cases_run = 1;
+  const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
+  const Outcome bound = check_bound(*op, cand, model);
+  if (!bound.kind.empty())
+    rep.failures.push_back({bound.kind, op_spec, strategy, bound.detail,
+                            repro_line(*spec, strategy)});
   sim::CoreGroup cg(cfg);
   const dsl::BoundTensors bt = rt::bind_tensors(cg, *op);
   const Outcome o =

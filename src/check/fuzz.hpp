@@ -1,5 +1,6 @@
 // Schedule fuzzer: draws seeded-random GEMM / convolution shapes,
-// enumerates every candidate strategy the scheduler produces, runs each one
+// enumerates every candidate strategy the scheduler produces, checks the
+// cost model's lower bound against each one's estimate, runs each one
 // functionally through the interpreter with the simulator sanitizers armed,
 // and diffs the output against the naive reference. Any mismatch is
 // minimized (dimensions shrunk while the same strategy keeps failing) and
@@ -61,8 +62,10 @@ struct FuzzOptions {
 
 struct FuzzFailure {
   /// "mismatch" (output diff over tolerance), "sanitizer" (SanitizerError),
-  /// "check" (internal invariant tripped), or "validator" (the
-  /// scheduler's IR validator rejected a lowered program).
+  /// "check" (internal invariant tripped), "validator" (the scheduler's IR
+  /// validator rejected a lowered program), or "bound" (a term of
+  /// tune::CostModel::lower_bound exceeds the candidate's estimate, which
+  /// would let the model tuner prune a winner).
   std::string kind;
   std::string op;        ///< OpSpec::to_string() of the (minimized) shape
   std::string strategy;  ///< Strategy::serialize(); empty for validator

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <map>
 #include <sstream>
 
 #include "common/check.hpp"
@@ -150,6 +151,58 @@ std::vector<Strategy> ScheduleSpace::enumerate(
     Strategy s = at(i);
     if (!valid || valid(s)) out.push_back(std::move(s));
   }
+  return out;
+}
+
+StrategyNames::StrategyNames(const ScheduleSpace& space) {
+  // Index strides in declaration order (factors, then choices; the last
+  // declared varies fastest).
+  const std::size_t nf = space.factors().size();
+  const std::size_t nv = nf + space.choices().size();
+  std::vector<std::int64_t> stride(nv, 1);
+  for (std::size_t k = nv; k-- > 1;) {
+    const std::size_t radix =
+        k < nf ? space.factors()[k].candidates.size()
+               : space.choices()[k - nf].options.size();
+    stride[k - 1] = stride[k] * static_cast<std::int64_t>(radix);
+  }
+  // to_string() prints factors by name, then choices by name; at() lets the
+  // first-declared of two same-named variables win.
+  std::map<std::string, std::size_t> factors, choices;
+  for (std::size_t k = 0; k < nf; ++k)
+    factors.emplace(space.factors()[k].name, k);
+  for (std::size_t k = nf; k < nv; ++k)
+    choices.emplace(space.choices()[k - nf].name, k);
+  for (const auto& [name, k] : factors) {
+    Var v;
+    v.stride = stride[k];
+    for (const std::int64_t f : space.factors()[k].candidates)
+      v.tokens.push_back(name + "=" + std::to_string(f) + " ");
+    vars_.push_back(std::move(v));
+  }
+  for (const auto& [name, k] : choices) {
+    Var v;
+    v.stride = stride[k];
+    for (const std::string& o : space.choices()[k - nf].options)
+      v.tokens.push_back(name + "=" + o + " ");
+    vars_.push_back(std::move(v));
+  }
+  if (space.epilogue().any()) tail_ = "epi=" + space.epilogue().tag() + " ";
+}
+
+std::string StrategyNames::operator()(std::int64_t index) const {
+  const auto token = [index](const Var& v) -> const std::string& {
+    const auto radix = static_cast<std::int64_t>(v.tokens.size());
+    return v.tokens[static_cast<std::size_t>((index / v.stride) % radix)];
+  };
+  // Exact capacity: a journal keeps one name per strategy of a space.
+  std::size_t size = tail_.size();
+  for (const Var& v : vars_) size += token(v).size();
+  std::string out;
+  out.reserve(size);
+  for (const Var& v : vars_) out += token(v);
+  out += tail_;
+  if (!out.empty()) out.pop_back();
   return out;
 }
 

@@ -122,6 +122,26 @@ class ScheduleSpace {
   EpilogueSpec epilogue_;
 };
 
+/// Strategy::to_string() of a space's strategies by index, without building
+/// them: names(i) == space.at(i).to_string(), at a few string appends each
+/// (the model tuner's journal names every strategy of a space).
+class StrategyNames {
+ public:
+  explicit StrategyNames(const ScheduleSpace& space);
+
+  std::string operator()(std::int64_t index) const;
+
+ private:
+  /// One variable in to_string()'s order: "name=value " per option (as
+  /// many as the digit's radix), and the index stride of its digit.
+  struct Var {
+    std::vector<std::string> tokens;
+    std::int64_t stride = 1;
+  };
+  std::vector<Var> vars_;
+  std::string tail_;  ///< "epi=<tag> " of a fused space
+};
+
 /// A main-memory tensor the operator reads or writes.
 struct TensorSpec {
   std::string name;

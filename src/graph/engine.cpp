@@ -211,6 +211,8 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       if (tc.handle.from_cache) ++res.cache_hits;
       ++res.shapes_tuned;
       res.tune_enumerated += tc.handle.stats.enumerated;
+      if (!tc.handle.from_cache)
+        res.tune_bounded += tc.handle.stats.valid_candidates;
       res.tune_lowered += tc.handle.stats.lowered;
       res.tune_ranked += tc.handle.stats.ranked;
       res.tune_measured += tc.handle.stats.measured;

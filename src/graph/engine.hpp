@@ -124,6 +124,9 @@ struct NetRunResult {
   /// hit counting its one rebuild: exact at any thread count, so CI can
   /// gate host work where tune_seconds is too noisy to.
   std::int64_t tune_enumerated = 0;
+  /// Strategies the model tuner lowered and bounded (cache hits bound
+  /// none); tune_ranked of them were built and priced.
+  std::int64_t tune_bounded = 0;
   std::int64_t tune_lowered = 0;
   std::int64_t tune_ranked = 0;
   std::int64_t tune_measured = 0;

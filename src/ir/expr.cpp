@@ -230,6 +230,26 @@ bool uses_var(const Expr& e, VarId v) {
 
 namespace {
 
+std::uint64_t var_bits(const Expr& e, std::span<const VarId> vars) {
+  if (e == nullptr) return 0;
+  if (e->kind == ExprKind::Var) {
+    for (std::size_t i = 0; i < vars.size(); ++i)
+      if (vars[i] == e->var) return std::uint64_t{1} << i;
+    return 0;
+  }
+  return var_bits(e->a, vars) | var_bits(e->b, vars) | var_bits(e->c, vars);
+}
+
+}  // namespace
+
+std::uint64_t uses_vars(const Expr& e, std::span<const VarId> vars) {
+  SWATOP_CHECK(vars.size() <= 64)
+      << "uses_vars over " << vars.size() << " variables";
+  return var_bits(e, vars);
+}
+
+namespace {
+
 /// Rebuild `e` with every variable `hit` accepts replaced by `repl`. A node
 /// whose operands all come back unchanged is returned as is: nodes are only
 /// built by the folding constructors, so it is already in folded form.

@@ -153,6 +153,10 @@ std::int64_t eval(const Expr& e, const Env& env);
 /// True if the expression mentions `v`.
 bool uses_var(const Expr& e, VarId v);
 
+/// The variables of `vars` the expression mentions, in one visit: bit i is
+/// set when it mentions vars[i] (at most 64 variables).
+std::uint64_t uses_vars(const Expr& e, std::span<const VarId> vars);
+
 /// Replace every occurrence of variable `v` with `repl`. Subtrees that do
 /// not mention `v` are returned as they are, not copied.
 Expr substitute(const Expr& e, VarId v, const Expr& repl);

@@ -1,8 +1,7 @@
 #include "opt/dma_inference.hpp"
 
-#include <optional>
+#include <bit>
 #include <string>
-#include <vector>
 
 #include "common/check.hpp"
 #include "ir/analysis.hpp"
@@ -15,13 +14,12 @@ namespace ir = swatop::ir;
 namespace {
 
 /// One level of the loop chain from the root to the gemm: the Seq, the index
-/// of the child leading deeper, and the loop variable that scopes this Seq
-/// (unset at the root).
+/// of the child leading deeper, and the loop whose body this Seq is (null at
+/// the root).
 struct PathEntry {
   ir::Stmt* seq;
   std::size_t child_idx;
-  ir::VarId loop_var;
-  bool reduction = false;  ///< the scoping loop accumulates into the output
+  const ir::Stmt* loop;
 };
 
 bool contains_gemm(const ir::StmtPtr& s) {
@@ -33,8 +31,7 @@ bool contains_gemm(const ir::StmtPtr& s) {
 bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
                 ir::Stmt** gemm_out) {
   ir::StmtPtr cur = root;
-  ir::VarId scope_var;
-  bool scope_red = false;
+  const ir::Stmt* scope = nullptr;
   while (true) {
     if (cur->kind != ir::StmtKind::Seq) return false;
     std::optional<std::size_t> hit;
@@ -45,15 +42,14 @@ bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
       }
     }
     if (!hit.has_value()) return false;
-    path.push_back({cur.get(), *hit, scope_var, scope_red});
+    path.push_back({cur.get(), *hit, scope});
     const ir::StmtPtr child = cur->body[*hit];
     if (child->kind == ir::StmtKind::Gemm) {
       *gemm_out = child.get();
       return true;
     }
     if (child->kind != ir::StmtKind::For) return false;
-    scope_var = child->var;
-    scope_red = child->reduction;
+    scope = child.get();
     // Normalize: For bodies are always Seq after lowering.
     if (child->for_body->kind != ir::StmtKind::Seq)
       child->for_body = ir::make_seq({child->for_body});
@@ -61,16 +57,13 @@ bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
   }
 }
 
-/// Deepest path index whose loop variable appears in any of the exprs.
-std::size_t hoist_level(const std::vector<PathEntry>& path,
+/// Deepest path index whose loop variable appears in any of the exprs;
+/// `vars` holds the loop variables of path[1], path[2], ...
+std::size_t hoist_level(const std::vector<ir::VarId>& vars,
                         std::initializer_list<ir::Expr> exprs) {
-  std::size_t level = 0;
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    for (const ir::Expr& e : exprs) {
-      if (e != nullptr && ir::uses_var(e, path[i].loop_var)) level = i;
-    }
-  }
-  return level;
+  std::uint64_t used = 0;
+  for (const ir::Expr& e : exprs) used |= ir::uses_vars(e, vars);
+  return static_cast<std::size_t>(std::bit_width(used));
 }
 
 /// Padded (tile) value of a gemm dim: its value with every loop variable at
@@ -78,17 +71,9 @@ std::size_t hoist_level(const std::vector<PathEntry>& path,
 std::int64_t padded_dim(const ir::Expr& e,
                         const std::vector<PathEntry>& path) {
   ir::Env env;
-  for (const PathEntry& p : path)
-    if (p.loop_var.valid()) env[p.loop_var] = 0;
+  for (std::size_t i = 1; i < path.size(); ++i) env[path[i].loop->var] = 0;
   return ir::eval(e, env);
 }
-
-struct OperandPlan {
-  ir::DmaAttrs dma;
-  std::string buf;
-  std::int64_t buf_floats = 0;
-  std::size_t level = 0;
-};
 
 /// Build the DMA plan of one operand. `natural` is the view in gemm-dim
 /// orientation (rows = first gemm dim of the operand); `tile_rows/cols` are
@@ -98,8 +83,7 @@ struct OperandPlan {
 OperandPlan plan_operand(const ir::ViewAttrs& natural, bool col_major,
                          ir::Expr tile_rows, ir::Expr tile_cols,
                          std::int64_t rows_pad, std::int64_t cols_pad,
-                         const std::string& buf,
-                         const std::vector<PathEntry>& path,
+                         const char* buf, const std::vector<ir::VarId>& vars,
                          const sim::SimConfig& cfg) {
   OperandPlan p;
   ir::ViewAttrs v = natural;
@@ -118,12 +102,79 @@ OperandPlan plan_operand(const ir::ViewAttrs& natural, bool col_major,
   p.dma.spm_buf = buf;
   p.dma.spm_off = ir::cst(0);
   p.dma.rows_to_rid = rows_to_rid;
-  p.buf = buf;
   p.buf_floats =
       (rows_pad / cfg.mesh_rows) * (cols_pad / cfg.mesh_cols);
-  p.level = hoist_level(path, {v.base, v.rows, v.cols, p.dma.rows_p,
+  p.level = hoist_level(vars, {v.base, v.rows, v.cols, p.dma.rows_p,
                                p.dma.cols_p});
   return p;
+}
+
+/// Plan the operand transfers of the gemm at the end of `path`.
+std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
+                                 const ir::Stmt& gemm,
+                                 const sim::SimConfig& cfg) {
+  const ir::GemmAttrs& g = gemm.gemm;
+  SWATOP_CHECK(g.a_buf.empty()) << "DMA inference ran twice";
+
+  const auto variant = isa::KernelVariant::from_index(g.variant);
+  const std::int64_t Mp = padded_dim(g.M, path);
+  const std::int64_t Np = padded_dim(g.N, path);
+  const std::int64_t Kp = padded_dim(g.K, path);
+
+  // Primitive validity of the padded tile.
+  if (Mp % cfg.mesh_rows != 0 || Np % cfg.mesh_cols != 0 ||
+      Kp % cfg.mesh_rows != 0)
+    return std::nullopt;
+  const std::int64_t vec_local = variant.vec == isa::VecDim::M
+                                     ? Mp / cfg.mesh_rows
+                                     : Np / cfg.mesh_cols;
+  if (vec_local % cfg.vector_width != 0) return std::nullopt;
+
+  DmaPlan plan;
+  std::vector<ir::VarId> vars;
+  for (std::size_t i = 1; i < path.size(); ++i) {
+    plan.loops.push_back(path[i].loop);
+    vars.push_back(path[i].loop->var);
+  }
+  plan.gemm = &gemm;
+  plan.a = plan_operand(g.a, variant.a_col_major, g.M, g.K, Mp, Kp, "spm_A",
+                        vars, cfg);
+  plan.b = plan_operand(g.b, variant.b_col_major, g.K, g.N, Kp, Np, "spm_B",
+                        vars, cfg);
+  plan.c = plan_operand(g.c, variant.vec == isa::VecDim::M, g.M, g.N, Mp, Np,
+                        "spm_C", vars, cfg);
+
+  // Reply slots: one per operand stream.
+  plan.a.dma.reply = ir::cst(0);
+  plan.b.dma.reply = ir::cst(1);
+  plan.c.dma.reply = ir::cst(2);
+  plan.a.dma.dir = ir::Direction::MemToSpm;
+  plan.b.dma.dir = ir::Direction::MemToSpm;
+  plan.c.dma.dir = ir::Direction::SpmToMem;
+
+  // Usually every reduction loop sits inside the C tile's scope. When the
+  // schedule places one *outside* it, the tile is revisited once per outer
+  // reduction iteration and must be re-fetched on every pass but the first.
+  for (std::size_t i = 1; i <= plan.c.level && i < path.size(); ++i)
+    if (path[i].loop->reduction)
+      plan.outer_reductions.push_back(path[i].loop->var);
+
+  // Fused epilogue: apply it on the C store. Legal only when every put
+  // writes finished sums -- a reduction loop outside C's scope puts the
+  // tile once per pass, and the epilogue would bias/clamp partial sums.
+  if (g.epi.any()) {
+    if (!plan.outer_reductions.empty()) return std::nullopt;
+    ir::EpilogueAttrs& e = plan.c.dma.epi;
+    e = g.epi;
+    if (variant.vec != isa::VecDim::M) {
+      // plan_operand transposed the C view for a row-major kernel; keep the
+      // residual view and the bias index in the same orientation as the put.
+      std::swap(e.res.rows, e.res.cols);
+      std::swap(e.res.stride_r, e.res.stride_c);
+      e.channels_on_rows = !e.channels_on_rows;
+    }
+  }
+  return plan;
 }
 
 /// True when the view may move fewer elements than the tile grid at some
@@ -149,50 +200,35 @@ ir::Expr partial_cond(const ir::DmaAttrs& d) {
 
 }  // namespace
 
+std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
+                                const sim::SimConfig& cfg) {
+  std::vector<PathEntry> path;
+  ir::Stmt* gemm = nullptr;
+  SWATOP_CHECK(build_path(root, path, &gemm))
+      << "DMA inference expects a single-gemm loop chain";
+  return plan_path(path, *gemm, cfg);
+}
+
 bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
   std::vector<PathEntry> path;
   ir::Stmt* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
+  std::optional<DmaPlan> plan = plan_path(path, *gemm, cfg);
+  if (!plan) return false;
+  OperandPlan& pa = plan->a;
+  OperandPlan& pb = plan->b;
+  OperandPlan& pc = plan->c;
+
+  // Bind the gemm to the SPM buffers; the epilogue moves to the C put.
   ir::GemmAttrs& g = gemm->gemm;
-  SWATOP_CHECK(g.a_buf.empty()) << "DMA inference ran twice";
-
-  const auto variant = isa::KernelVariant::from_index(g.variant);
-  const std::int64_t Mp = padded_dim(g.M, path);
-  const std::int64_t Np = padded_dim(g.N, path);
-  const std::int64_t Kp = padded_dim(g.K, path);
-
-  // Primitive validity of the padded tile.
-  if (Mp % cfg.mesh_rows != 0 || Np % cfg.mesh_cols != 0 ||
-      Kp % cfg.mesh_rows != 0)
-    return false;
-  const std::int64_t vec_local = variant.vec == isa::VecDim::M
-                                     ? Mp / cfg.mesh_rows
-                                     : Np / cfg.mesh_cols;
-  if (vec_local % cfg.vector_width != 0) return false;
-
-  OperandPlan pa = plan_operand(g.a, variant.a_col_major, g.M, g.K, Mp, Kp,
-                                "spm_A", path, cfg);
-  OperandPlan pb = plan_operand(g.b, variant.b_col_major, g.K, g.N, Kp, Np,
-                                "spm_B", path, cfg);
-  OperandPlan pc = plan_operand(g.c, variant.vec == isa::VecDim::M, g.M, g.N,
-                                Mp, Np, "spm_C", path, cfg);
-
-  // Reply slots: one per operand stream.
-  pa.dma.reply = ir::cst(0);
-  pb.dma.reply = ir::cst(1);
-  pc.dma.reply = ir::cst(2);
-  pa.dma.dir = ir::Direction::MemToSpm;
-  pb.dma.dir = ir::Direction::MemToSpm;
-  pc.dma.dir = ir::Direction::SpmToMem;
-
-  // Bind the gemm to the SPM buffers.
-  g.a_buf = pa.buf;
-  g.b_buf = pb.buf;
-  g.c_buf = pc.buf;
+  g.a_buf = pa.dma.spm_buf;
+  g.b_buf = pb.dma.spm_buf;
+  g.c_buf = pc.dma.spm_buf;
   g.a_off = ir::cst(0);
   g.b_off = ir::cst(0);
   g.c_off = ir::cst(0);
+  if (g.epi.any()) g.epi = ir::EpilogueAttrs{};
 
   // Inject, deepest level first so recorded child indices stay valid; within
   // one level, inserts before child_idx shift it.
@@ -216,7 +252,7 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
     if (needs_zero(p->dma)) {
       ns.push_back(ir::make_if(
           partial_cond(p->dma),
-          ir::make_seq({ir::make_spm_zero(p->buf, p->dma.spm_off,
+          ir::make_seq({ir::make_spm_zero(p->dma.spm_buf, p->dma.spm_off,
                                           ir::cst(p->buf_floats))})));
     }
     ns.push_back(ir::make_dma(ir::StmtKind::DmaGet, p->dma));
@@ -224,39 +260,16 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
     insert_before(p->level, std::move(ns));
   }
 
-  // Output operand. Usually every reduction loop sits inside the C tile's
-  // scope: zero the accumulator before, write it back after. When the
-  // schedule places a reduction loop *outside* C's scope, the tile is
-  // revisited once per outer reduction iteration; it must then be re-fetched
-  // (accumulating partial sums from memory) on every pass but the first.
-  std::vector<ir::VarId> outer_reductions;
-  for (std::size_t i = 1; i <= pc.level && i < path.size(); ++i)
-    if (path[i].reduction) outer_reductions.push_back(path[i].loop_var);
-
-  // Fused epilogue: apply it on the C store. Legal only when every put
-  // writes finished sums -- a reduction loop outside C's scope puts the
-  // tile once per pass, and the epilogue would bias/clamp partial sums.
-  if (g.epi.any()) {
-    if (!outer_reductions.empty()) return false;
-    pc.dma.epi = g.epi;
-    if (variant.vec != isa::VecDim::M) {
-      // plan_operand transposed the C view for a row-major kernel; keep the
-      // residual view and the bias index in the same orientation as the put.
-      ir::EpilogueAttrs& e = pc.dma.epi;
-      std::swap(e.res.rows, e.res.cols);
-      std::swap(e.res.stride_r, e.res.stride_c);
-      e.channels_on_rows = !e.channels_on_rows;
-    }
-    g.epi = ir::EpilogueAttrs{};
-  }
-
-  if (outer_reductions.empty()) {
-    insert_before(pc.level,
-                  {ir::make_spm_zero(pc.buf, ir::cst(0),
-                                     ir::cst(pc.buf_floats))});
+  // Output operand: zero the accumulator before its scope and write it back
+  // after -- or, under outer reductions, zero it on the first pass and
+  // re-fetch the partial sums from memory on every other.
+  const std::string& cbuf = pc.dma.spm_buf;
+  if (plan->outer_reductions.empty()) {
+    insert_before(pc.level, {ir::make_spm_zero(cbuf, ir::cst(0),
+                                               ir::cst(pc.buf_floats))});
   } else {
     ir::Expr pass_sum = ir::cst(0);
-    for (const ir::VarId v : outer_reductions)
+    for (const ir::VarId v : plan->outer_reductions)
       pass_sum = ir::add(pass_sum, ir::var(v));
     ir::DmaAttrs cget = pc.dma;
     cget.dir = ir::Direction::MemToSpm;
@@ -265,7 +278,7 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
         pc.level,
         {ir::make_if(
             ir::lt(pass_sum, ir::cst(1)),
-            ir::make_seq({ir::make_spm_zero(pc.buf, ir::cst(0),
+            ir::make_seq({ir::make_spm_zero(cbuf, ir::cst(0),
                                             ir::cst(pc.buf_floats))}),
             ir::make_seq({ir::make_dma(ir::StmtKind::DmaGet, cget),
                           ir::make_dma_wait(cget.reply)}))});
@@ -275,9 +288,9 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
 
   // Allocations at the root, ahead of everything else.
   std::vector<ir::StmtPtr> allocs = {
-      ir::make_spm_alloc(pa.buf, pa.buf_floats),
-      ir::make_spm_alloc(pb.buf, pb.buf_floats),
-      ir::make_spm_alloc(pc.buf, pc.buf_floats),
+      ir::make_spm_alloc(pa.dma.spm_buf, pa.buf_floats),
+      ir::make_spm_alloc(pb.dma.spm_buf, pb.buf_floats),
+      ir::make_spm_alloc(cbuf, pc.buf_floats),
   };
   path[0].seq->body.insert(path[0].seq->body.begin(), allocs.begin(),
                            allocs.end());

@@ -1,5 +1,6 @@
-// The worker pool every tuning sweep shares: the scheduler's streaming
-// candidate sweep and the black-box tuner's measurement fan-out.
+// The worker pool every tuning sweep shares: the scheduler's candidate
+// sweep, the model tuner's bounding pass and the black-box tuner's
+// measurement fan-out.
 #pragma once
 
 #include <atomic>

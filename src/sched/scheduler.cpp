@@ -27,9 +27,9 @@ std::int64_t Scheduler::space_size(const dsl::OperatorDef& op) const {
   return op.space().size();
 }
 
-SweepStats Scheduler::sweep(
-    const dsl::OperatorDef& op, const SchedulerOptions& opts,
-    const std::function<CandidateSink()>& make_sink) const {
+std::vector<Candidate> Scheduler::candidates(const dsl::OperatorDef& op,
+                                             const SchedulerOptions& opts,
+                                             SweepStats* stats) const {
   const dsl::ScheduleSpace space = op.space();
   const auto n = static_cast<std::size_t>(space.size());
   const std::int64_t cap = opts.max_candidates;
@@ -37,41 +37,27 @@ SweepStats Scheduler::sweep(
   // reached the remaining indices are skipped without being built.
   const std::size_t threads =
       cap > 0 ? 1 : resolve_threads(opts.num_threads, n);
+  std::vector<std::optional<Candidate>> slots(n);
   std::atomic<std::int64_t> enumerated{0}, lowered{0}, kept{0}, ir_nodes{0};
   parallel_for(n, threads, [&] {
-    return [&, sink = make_sink()](std::size_t i) {
-      if (cap > 0 && kept.load() >= cap) return;
+    return [&](std::size_t i) {
+      if (cap > 0 && lowered.load() >= cap) return;
       enumerated.fetch_add(1);
-      const auto index = static_cast<std::int64_t>(i);
       bool low = false;
       const std::int64_t nodes0 = ir::nodes_built();
-      std::optional<Candidate> c =
-          try_build_candidate(op, space.at(index), cfg_, opts.opt, &low);
+      std::optional<Candidate> c = try_build_candidate(
+          op, space.at(static_cast<std::int64_t>(i)), cfg_, opts.opt, &low);
       ir_nodes.fetch_add(ir::nodes_built() - nodes0);
       if (low) lowered.fetch_add(1);
       if (!c) return;
       kept.fetch_add(1);
-      sink(index, std::move(*c));
+      slots[i] = std::move(c);
     };
   });
-  return {enumerated.load(), lowered.load(), kept.load(), ir_nodes.load()};
-}
-
-std::vector<Candidate> Scheduler::candidates(const dsl::OperatorDef& op,
-                                             const SchedulerOptions& opts,
-                                             SweepStats* stats) const {
-  // Workers fill only their own index's slot; compacting the slots in
-  // index order makes the list identical at any thread count.
-  std::vector<std::optional<Candidate>> slots(
-      static_cast<std::size_t>(op.space().size()));
-  const SweepStats st = sweep(op, opts, [&] {
-    return [&](std::int64_t i, Candidate&& c) {
-      slots[static_cast<std::size_t>(i)] = std::move(c);
-    };
-  });
-  if (stats != nullptr) *stats = st;
+  if (stats != nullptr)
+    *stats = {enumerated.load(), lowered.load(), kept.load(), ir_nodes.load()};
   std::vector<Candidate> out;
-  out.reserve(static_cast<std::size_t>(st.kept));
+  out.reserve(static_cast<std::size_t>(kept.load()));
   for (std::optional<Candidate>& c : slots)
     if (c) out.push_back(std::move(*c));
   return out;

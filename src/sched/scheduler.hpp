@@ -1,12 +1,12 @@
 // The scheduler (Sec. 4.3): traverses the schedule space an operator
 // definition declares, lowers every strategy to IR, runs the IR optimizer
-// pipeline, validates what survives, and hands each candidate on as soon
-// as it is built -- one streaming sweep that the model tuner ranks and
-// drops, and that candidates() collects.
+// pipeline and validates what survives. candidates() builds the whole
+// space (the black-box tuner measures every candidate); the model tuner
+// builds through try_build_candidate() only the strategies its lower bound
+// cannot rule out (tune/tuner.hpp).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -25,15 +25,16 @@ struct Candidate {
 
 struct SchedulerOptions {
   opt::OptOptions opt;
-  /// Cap on returned candidates (0 = unlimited); applied after pruning, by
-  /// enumeration order, and reported so benches can note truncation.
+  /// Cap on the strategies lowered (0 = unlimited): a sweep considers only
+  /// the first N strategies, in enumeration order, that lower to a program
+  /// -- the candidates() list and the model tuner's search alike.
   std::int64_t max_candidates = 0;
-  /// Worker threads for the candidate sweep and the black-box tuner's
-  /// measurements (0 = hardware concurrency, 1 = serial). The candidate
-  /// list and the tuner's pick are identical at any thread count: results
-  /// keep enumeration order and ties break by the first index. A positive
-  /// max_candidates forces the serial path, because its purpose is to bound
-  /// the lowering work itself.
+  /// Worker threads for candidates(), the model tuner's bounding pass and
+  /// the black-box tuner's measurements (0 = hardware concurrency, 1 =
+  /// serial). The candidate list and the tuner's pick are identical at any
+  /// thread count: results keep enumeration order and ties break by the
+  /// first index. A positive max_candidates forces the serial path,
+  /// because its purpose is to bound the lowering work itself.
   int num_threads = 0;
 };
 
@@ -61,11 +62,6 @@ struct SweepStats {
   std::int64_t ir_nodes = 0;
 };
 
-/// Receives one built candidate on a worker thread, with the strategy's
-/// position in enumeration order. The candidate is the sink's to keep or
-/// drop; dropping it frees its IR at once.
-using CandidateSink = std::function<void(std::int64_t index, Candidate&& c)>;
-
 class Scheduler {
  public:
   explicit Scheduler(const sim::SimConfig& cfg) : cfg_(cfg) {}
@@ -73,18 +69,12 @@ class Scheduler {
   /// Raw size of the operator's schedule space (before pruning).
   std::int64_t space_size(const dsl::OperatorDef& op) const;
 
-  /// The streaming sweep: workers take strategy indices in enumeration
-  /// order, build each one through try_build_candidate() and pass every
-  /// survivor to their sink. `make_sink` is called once per worker, on
-  /// that worker, so per-worker state lives in the sink it returns. No
-  /// list of the space's strategies is built and no worker holds more than
-  /// the candidate it is building. Exceptions (validation failures) are
-  /// rethrown on the calling thread.
-  SweepStats sweep(const dsl::OperatorDef& op, const SchedulerOptions& opts,
-                   const std::function<CandidateSink()>& make_sink) const;
-
-  /// All valid optimized candidates, in enumeration order: the sweep,
-  /// collecting. `stats`, when given, receives the sweep's work counts.
+  /// All valid optimized candidates, in enumeration order. Workers take
+  /// strategy indices in order, build each one through
+  /// try_build_candidate() and keep a survivor in its index's slot, so the
+  /// list is identical at any thread count. Exceptions (validation
+  /// failures) are rethrown on the calling thread. `stats`, when given,
+  /// receives the sweep's work counts.
   std::vector<Candidate> candidates(
       const dsl::OperatorDef& op,
       const SchedulerOptions& opts = SchedulerOptions{},

@@ -1,13 +1,14 @@
 // Tuning journal: an append-only record of every schedule candidate a
-// tuner considered -- strategy fingerprint, predicted cycles, simulated
-// cycles, model rank, and whether the candidate was pruned (model only) or
+// tuner considered -- strategy fingerprint, predicted cycles (or, for a
+// strategy the model tuner's lower bound ruled out, the bound), simulated
+// cycles, rank, and whether the candidate was pruned (model only) or
 // actually run -- plus the derived statistics the paper's evaluation needs:
 // model error (Fig. 9), rank correlation (does the static model order
 // candidates the way the simulator does), and the regret curve (how fast
 // the search converged on its winner).
 //
-// Entries are appended from the tuner's calling thread in candidate-index
-// order after any parallel ranking/measuring joins, so a journal is
+// Entries are appended from the tuner's calling thread in index order
+// after any parallel bounding/measuring joins, so a journal is
 // byte-identical across thread counts (see tests/test_obs).
 #pragma once
 
@@ -19,12 +20,18 @@ namespace swatop::tune {
 
 /// One candidate's row. Negative predicted/measured mean "never evaluated
 /// that way": a model-phase entry with measured < 0 was pruned by the model
-/// (never run); a black-box entry has predicted < 0 (never modeled).
+/// (never run); a black-box entry has predicted < 0 (never modeled). A
+/// "bound" entry is a strategy the model tuner's lower bound ruled out
+/// without building it: `predicted` holds the bound, which its estimate
+/// would be at least.
 struct JournalEntry {
   std::string op;        ///< operator name
-  std::string phase;     ///< "model" | "top-k" | "blackbox" | "cache"
+  /// "model" | "top-k" | "bound" | "measure" | "blackbox" | "cache"
+  std::string phase;
   std::string strategy;  ///< strategy fingerprint
-  std::int64_t index = -1;  ///< candidate index in enumeration order
+  /// Position in the schedule space for the model tuner's rows; in
+  /// Scheduler::candidates order for black-box rows.
+  std::int64_t index = -1;
   std::int64_t rank = -1;   ///< rank by the phase's score (0 = best)
   double predicted = -1.0;  ///< cost-model cycles (< 0: not predicted)
   double measured = -1.0;   ///< simulated cycles (< 0: pruned, never run)

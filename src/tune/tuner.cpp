@@ -1,8 +1,8 @@
 #include "tune/tuner.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -72,46 +72,120 @@ class TimingBench {
   std::unique_ptr<rt::Interpreter> interp_;
 };
 
-/// What the model tuner's sweep keeps of a schedule space: per candidate,
-/// in enumeration order, its position in the space and its predicted
-/// cycles. The IR is dropped as soon as it is priced.
+/// What the model tuner's search learned about a schedule space: for each
+/// strategy that lowered, in space-index order, its lower bound and, when
+/// pass 2 priced it, its estimate.
 struct Ranking {
   dsl::ScheduleSpace space;
-  std::vector<std::int64_t> index;  ///< space index of each candidate
-  std::vector<double> est;          ///< its cost-model estimate
-  sched::SweepStats work;
+  std::vector<std::int64_t> index;  ///< space index of each lowered strategy
+  std::vector<double> bound;        ///< its lower bound
+  std::vector<double> est;          ///< its estimate, -1 when never priced
+  /// Positions in pass 2's visiting order, (bound, index) ascending; pass 2
+  /// built order[0, stop) and the bound ruled out the rest.
+  std::vector<std::size_t> order;
+  std::size_t stop = 0;
+  /// The `keep` best priced positions by (estimate, index), best first.
+  std::vector<std::size_t> best;
+  std::int64_t enumerated = 0;  ///< strategies pass 1 visited
+  std::int64_t lowered = 0;     ///< programs lowered by both passes
+  std::int64_t ranked = 0;      ///< candidates pass 2 built and priced
+  std::int64_t ir_nodes = 0;    ///< IR nodes both passes allocated
 
   dsl::Strategy strategy(std::size_t pos) const {
     return space.at(index[pos]);
   }
 };
 
-/// Price every candidate of the operator's space in one streaming sweep.
-/// Each worker owns a CostModel (its DMA-cost memo is not shareable) and
-/// writes only its own index's slot, so the ranking is identical at any
-/// thread count.
+/// Find the `keep` best candidates of the operator's space by estimate,
+/// ties broken by the lower index -- the same as pricing every candidate
+/// -- without building most of them.
+///
+/// Pass 1 lowers and bounds every strategy (CostModel::lower_bound) on the
+/// worker pool; each worker writes only its own index's slot, and the
+/// shared model's lower_bound is thread-safe. Pass 2, on the calling
+/// thread, builds and prices the lowered strategies in (bound, index)
+/// order and stops at the first bound strictly above the keep-th best
+/// estimate: every strategy left has an estimate at least its bound, so
+/// none can enter the shortlist. What pass 2 visits, and so the counts
+/// and the journal, is the same at any thread count.
 Ranking rank_space(const dsl::OperatorDef& op,
                    const sched::SchedulerOptions& opts,
-                   const sim::SimConfig& cfg) {
-  const GemmCostModel& gm = gemm_cost_model(cfg);
+                   const sim::SimConfig& cfg, std::size_t keep,
+                   obs::Recorder* rec) {
+  const CostModel model(cfg, gemm_cost_model(cfg));
   Ranking r;
   r.space = op.space();
   const auto n = static_cast<std::size_t>(r.space.size());
-  std::vector<double> est(n, 0.0);
-  std::vector<char> kept(n, 0);
-  r.work = sched::Scheduler(cfg).sweep(op, opts, [&] {
-    auto model = std::make_shared<const CostModel>(cfg, gm);
-    return [&est, &kept, model](std::int64_t i, sched::Candidate&& c) {
-      const auto slot = static_cast<std::size_t>(i);
-      est[slot] = model->estimate(c.program).total();
-      kept[slot] = 1;
+
+  const double w0 = rec ? rec->wall_us() : 0.0;
+  std::vector<double> bound(n, -1.0);  // -1: did not lower
+  const std::int64_t cap = opts.max_candidates;
+  const std::size_t threads =
+      cap > 0 ? 1 : sched::resolve_threads(opts.num_threads, n);
+  std::atomic<std::int64_t> enumerated{0}, lowered{0}, ir_nodes{0};
+  sched::parallel_for(n, threads, [&] {
+    return [&](std::size_t i) {
+      if (cap > 0 && lowered.load() >= cap) return;
+      enumerated.fetch_add(1);
+      const dsl::Strategy s = r.space.at(static_cast<std::int64_t>(i));
+      const std::int64_t nodes0 = ir::nodes_built();
+      if (const ir::StmtPtr prog = op.lower(s)) {
+        lowered.fetch_add(1);
+        const bool prefetch = opts.opt.prefetch && op.prefetch_enabled(s);
+        bound[i] = model.lower_bound(prog, prefetch).total();
+      }
+      ir_nodes.fetch_add(ir::nodes_built() - nodes0);
     };
   });
+  r.enumerated = enumerated.load();
+  r.lowered = lowered.load();
+  r.ir_nodes = ir_nodes.load();
   for (std::size_t i = 0; i < n; ++i) {
-    if (kept[i] == 0) continue;
+    if (bound[i] < 0.0) continue;
     r.index.push_back(static_cast<std::int64_t>(i));
-    r.est.push_back(est[i]);
+    r.bound.push_back(bound[i]);
   }
+  const std::size_t m = r.index.size();
+  const double w1 = rec ? rec->wall_us() : 0.0;
+  if (rec) tune_phase_span(rec, "bound", w0, w1, static_cast<std::int64_t>(m));
+
+  r.order.resize(m);
+  std::iota(r.order.begin(), r.order.end(), std::size_t{0});
+  std::stable_sort(r.order.begin(), r.order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return r.bound[a] < r.bound[b];
+                   });
+  r.est.assign(m, -1.0);
+  // Max-heap of the keep best (estimate, position) pairs so far.
+  std::vector<std::pair<double, std::size_t>> shortlist;
+  r.stop = m;
+  for (std::size_t t = 0; t < m; ++t) {
+    const std::size_t pos = r.order[t];
+    if (shortlist.size() == keep && r.bound[pos] > shortlist.front().first) {
+      r.stop = t;
+      break;
+    }
+    bool low = false;
+    const std::int64_t nodes0 = ir::nodes_built();
+    std::optional<sched::Candidate> c = sched::try_build_candidate(
+        op, r.strategy(pos), cfg, opts.opt, &low);
+    r.ir_nodes += ir::nodes_built() - nodes0;
+    if (low) ++r.lowered;
+    if (!c) continue;  // pruned by the optimizer
+    ++r.ranked;
+    r.est[pos] = model.estimate(c->program).total();
+    shortlist.emplace_back(r.est[pos], pos);
+    std::push_heap(shortlist.begin(), shortlist.end());
+    if (shortlist.size() > keep) {
+      std::pop_heap(shortlist.begin(), shortlist.end());
+      shortlist.pop_back();
+    }
+  }
+  std::sort_heap(shortlist.begin(), shortlist.end());
+  for (const auto& entry : shortlist) r.best.push_back(entry.second);
+  if (rec) tune_phase_span(rec, "visit", w1, rec->wall_us(), r.ranked);
+  SWATOP_CHECK(!r.best.empty())
+      << "no valid schedule candidate for " << op.name();
   return r;
 }
 
@@ -139,13 +213,55 @@ TunerStats ranking_stats(const Ranking& r, std::int64_t rebuilt,
                          std::int64_t rebuilt_nodes, std::int64_t measured) {
   TunerStats st;
   st.space_size = r.space.size();
-  st.valid_candidates = static_cast<std::int64_t>(r.est.size());
-  st.enumerated = r.work.enumerated;
-  st.lowered = r.work.lowered + rebuilt;
-  st.ranked = st.valid_candidates;
+  st.valid_candidates = static_cast<std::int64_t>(r.index.size());
+  st.enumerated = r.enumerated;
+  st.lowered = r.lowered + rebuilt;
+  st.ranked = r.ranked;
   st.measured = measured;
-  st.ir_nodes = r.work.ir_nodes + rebuilt_nodes;
+  st.ir_nodes = r.ir_nodes + rebuilt_nodes;
   return st;
+}
+
+/// Append one row per lowered strategy of `r`, in space-index order, from
+/// the calling thread: phase `phase` for the candidates pass 2 priced,
+/// ranked by estimate, and "bound" for the strategies the bound ruled
+/// out, ranked by bound and predicting it. A strategy pass 2 built but the
+/// optimizer pruned gets no row. `measured` is per position or empty.
+void journal_ranking(Journal* journal, const dsl::OperatorDef& op,
+                     const Ranking& r, const char* phase,
+                     const std::vector<double>& measured,
+                     std::size_t chosen) {
+  const std::size_t m = r.index.size();
+  std::vector<std::int64_t> rank(m, -1);
+  std::vector<std::size_t> priced;
+  for (std::size_t pos = 0; pos < m; ++pos)
+    if (r.est[pos] >= 0.0) priced.push_back(pos);
+  std::stable_sort(priced.begin(), priced.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return r.est[a] < r.est[b];
+                   });
+  for (std::size_t k = 0; k < priced.size(); ++k)
+    rank[priced[k]] = static_cast<std::int64_t>(k);
+  std::vector<char> ruled_out(m, 0);
+  for (std::size_t t = r.stop; t < m; ++t) {
+    ruled_out[r.order[t]] = 1;
+    rank[r.order[t]] = static_cast<std::int64_t>(t - r.stop);
+  }
+  const std::string name = op.name();
+  const dsl::StrategyNames names(r.space);
+  for (std::size_t pos = 0; pos < m; ++pos) {
+    if (rank[pos] < 0) continue;
+    JournalEntry e;
+    e.op = name;
+    e.phase = ruled_out[pos] ? "bound" : phase;
+    e.strategy = names(r.index[pos]);
+    e.index = r.index[pos];
+    e.rank = rank[pos];
+    e.predicted = ruled_out[pos] ? r.bound[pos] : r.est[pos];
+    if (!measured.empty()) e.measured = measured[pos];
+    e.chosen = pos == chosen;
+    journal->append(std::move(e));
+  }
 }
 
 /// Rank positions (0 = best) implied by an index-aligned score vector;
@@ -162,25 +278,23 @@ std::vector<std::int64_t> ranks_by_score(const std::vector<double>& score) {
   return rank;
 }
 
-/// Append one row per candidate (in index order, from the calling thread).
-/// `strategy(i)` names candidate i; `predicted`/`measured` may be empty,
-/// and missing values journal as -1.
-void journal_candidates(
-    Journal* journal, const dsl::OperatorDef& op, const char* phase,
-    std::size_t count,
-    const std::function<dsl::Strategy(std::size_t)>& strategy,
-    const std::vector<double>& predicted, const std::vector<double>& measured,
-    const std::vector<std::int64_t>& rank, std::size_t chosen_i) {
-  for (std::size_t i = 0; i < count; ++i) {
+/// Append one black-box row per candidate (in candidate order, from the
+/// calling thread).
+void journal_measured(Journal* journal, const dsl::OperatorDef& op,
+                      const std::vector<sched::Candidate>& cands,
+                      const std::vector<double>& measured,
+                      std::size_t chosen) {
+  const std::vector<std::int64_t> rank = ranks_by_score(measured);
+  const std::string name = op.name();
+  for (std::size_t i = 0; i < cands.size(); ++i) {
     JournalEntry e;
-    e.op = op.name();
-    e.phase = phase;
-    e.strategy = strategy(i).to_string();
+    e.op = name;
+    e.phase = "blackbox";
+    e.strategy = cands[i].strategy.to_string();
     e.index = static_cast<std::int64_t>(i);
     e.rank = rank[i];
-    e.predicted = i < predicted.size() ? predicted[i] : -1.0;
-    e.measured = i < measured.size() ? measured[i] : -1.0;
-    e.chosen = i == chosen_i;
+    e.measured = measured[i];
+    e.chosen = i == chosen;
     journal->append(std::move(e));
   }
 }
@@ -242,31 +356,14 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
                        const sched::SchedulerOptions& opts,
                        obs::Recorder* rec, Journal* journal) const {
   const double t0 = now_seconds();
-  const double w0 = rec ? rec->wall_us() : 0.0;
-  const Ranking r = rank_space(op, opts, cfg_);
-  SWATOP_CHECK(!r.est.empty())
-      << "no valid schedule candidate for " << op.name();
+  const Ranking r = rank_space(op, opts, cfg_, 1, rec);
   const double w_rank = rec ? rec->wall_us() : 0.0;
-  if (rec)
-    tune_phase_span(rec, "sweep (lower+rank)", w0, w_rank,
-                    static_cast<std::int64_t>(r.est.size()));
-  double best = std::numeric_limits<double>::infinity();
-  std::size_t best_i = 0;
-  for (std::size_t i = 0; i < r.est.size(); ++i) {
-    if (r.est[i] < best) {
-      best = r.est[i];
-      best_i = i;
-    }
-  }
-  if (journal)
-    journal_candidates(
-        journal, op, "model", r.est.size(),
-        [&](std::size_t i) { return r.strategy(i); }, r.est, {},
-        ranks_by_score(r.est), best_i);
+  const std::size_t best = r.best.front();
+  if (journal) journal_ranking(journal, op, r, "model", {}, best);
   Tuned out;
   std::int64_t rebuilt_nodes = 0;
-  out.candidate = rebuild(op, r, best_i, opts, cfg_, &rebuilt_nodes);
-  out.cycles = best;
+  out.candidate = rebuild(op, r, best, opts, cfg_, &rebuilt_nodes);
+  out.cycles = r.est[best];
   out.stats = ranking_stats(r, 1, rebuilt_nodes, 0);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
@@ -275,7 +372,7 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
     rec->tune().candidates_ranked += out.stats.ranked;
     rec->tune().seconds += out.stats.seconds;
     rec->record_tune_sample(
-        {out.candidate.strategy.to_string(), best, -1.0});
+        {out.candidate.strategy.to_string(), out.cycles, -1.0});
   }
   return out;
 }
@@ -285,46 +382,27 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
                              obs::Recorder* rec, Journal* journal) const {
   SWATOP_CHECK(k >= 1) << "tune_top_k with k=" << k;
   const double t0 = now_seconds();
-  const double w0 = rec ? rec->wall_us() : 0.0;
-  const Ranking r = rank_space(op, opts, cfg_);
-  SWATOP_CHECK(!r.est.empty())
-      << "no valid schedule candidate for " << op.name();
-
-  // Shortlist the k best predictions. The estimates are in enumeration
-  // order, so the shortlist is stable across thread counts (ties break
-  // towards the lower index).
-  std::vector<std::pair<double, std::size_t>> ranked;
-  ranked.reserve(r.est.size());
-  for (std::size_t i = 0; i < r.est.size(); ++i)
-    ranked.emplace_back(r.est[i], i);
-  const std::size_t keep =
-      std::min<std::size_t>(static_cast<std::size_t>(k), ranked.size());
-  std::partial_sort(ranked.begin(),
-                    ranked.begin() + static_cast<std::ptrdiff_t>(keep),
-                    ranked.end());
-  if (rec)
-    tune_phase_span(rec, "sweep (lower+rank)", w0, rec->wall_us(),
-                    static_cast<std::int64_t>(r.est.size()));
+  const Ranking r = rank_space(op, opts, cfg_, static_cast<std::size_t>(k),
+                               rec);
 
   // Rebuild and measure the shortlist in rank order, keeping only the
   // measured winner's program. With a memo attached, a candidate that
   // lowers to a program measured before (a loop-order twin) is not
   // interpreted again.
   TimingBench bench(op, cfg_, replay_);
-  std::vector<double> measured(r.est.size(), -1.0);
+  std::vector<double> measured(r.index.size(), -1.0);
   sched::Candidate winner;
   double best = std::numeric_limits<double>::infinity();
   std::size_t best_i = 0;
   std::int64_t rebuilt_nodes = 0;
-  for (std::size_t j = 0; j < keep; ++j) {
-    const std::size_t i = ranked[j].second;
+  for (const std::size_t i : r.best) {
     sched::Candidate c = rebuild(op, r, i, opts, cfg_, &rebuilt_nodes);
     const double wm0 = rec ? rec->wall_us() : 0.0;
     const double t = bench.run(c);
     measured[i] = t;
     if (rec) {
       tune_phase_span(rec, "measure candidate", wm0, rec->wall_us());
-      rec->record_tune_sample({c.strategy.to_string(), ranked[j].first, t});
+      rec->record_tune_sample({c.strategy.to_string(), r.est[i], t});
     }
     if (t < best) {
       best = t;
@@ -332,16 +410,12 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
       winner = std::move(c);
     }
   }
-  if (journal)
-    journal_candidates(
-        journal, op, "top-k", r.est.size(),
-        [&](std::size_t i) { return r.strategy(i); }, r.est, measured,
-        ranks_by_score(r.est), best_i);
+  if (journal) journal_ranking(journal, op, r, "top-k", measured, best_i);
+  const auto keep = static_cast<std::int64_t>(r.best.size());
   Tuned out;
   out.candidate = std::move(winner);
   out.cycles = best;
-  out.stats = ranking_stats(r, static_cast<std::int64_t>(keep), rebuilt_nodes,
-                            static_cast<std::int64_t>(keep));
+  out.stats = ranking_stats(r, keep, rebuilt_nodes, keep);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
     rec->tune().space_size += out.stats.space_size;
@@ -402,11 +476,7 @@ BlackBoxTuner::Result BlackBoxTuner::tune(const dsl::OperatorDef& op,
       rec->record_tune_sample(
           {cands[i].strategy.to_string(), -1.0, res.all_measured[i]});
   }
-  if (journal)
-    journal_candidates(
-        journal, op, "blackbox", cands.size(),
-        [&](std::size_t i) { return cands[i].strategy; }, {},
-        res.all_measured, ranks_by_score(res.all_measured), best_i);
+  if (journal) journal_measured(journal, op, cands, res.all_measured, best_i);
   res.best.candidate = std::move(cands[best_i]);
   res.best.cycles = best;
   res.best.stats.space_size = sched.space_size(op);

@@ -3,11 +3,11 @@
 // The black-box autotuner is the baseline: it *runs* every schedule
 // candidate (here: through the loop-by-loop timing interpreter, this
 // reproduction's stand-in for executing on the SW26010) and keeps the
-// fastest. The performance-model-based autotuner evaluates the static cost
-// model on every candidate instead -- orders of magnitude cheaper per
-// candidate -- and picks the predicted best. Table 3 measures the time
-// ratio; Fig. 9 measures the performance the model-picked candidate leaves
-// on the table.
+// fastest. The performance-model-based autotuner picks the candidate the
+// static cost model predicts best instead -- orders of magnitude cheaper
+// per candidate -- and builds only the few a lower bound on the model
+// cannot rule out. Table 3 measures the time ratio; Fig. 9 measures the
+// performance the model-picked candidate leaves on the table.
 #pragma once
 
 #include <cstdint>
@@ -24,16 +24,22 @@ namespace swatop::tune {
 class ReplayExecutor;  // tune/replay.hpp
 
 struct TunerStats {
-  std::int64_t space_size = 0;        ///< raw schedule-space size
-  std::int64_t valid_candidates = 0;  ///< survivors of validity pruning
+  std::int64_t space_size = 0;  ///< raw schedule-space size
+  /// Strategies that lowered to a program (the model tuner bounds each
+  /// one); for the black-box tuner, the candidates that survived pruning.
+  std::int64_t valid_candidates = 0;
   double seconds = 0.0;  ///< wall-clock tuning time
 
   // Work counts: deterministic at any thread count, unlike `seconds`.
   std::int64_t enumerated = 0;  ///< strategies the sweep visited
-  /// Programs lowered: the sweep's structurally valid strategies plus the
-  /// rebuild of the pick (or the top-k shortlist, or a cache hit).
+  /// Programs lowered: the sweep's structurally valid strategies -- for
+  /// the model tuner, its bounding pass plus the builds of the candidates
+  /// it prices -- plus the rebuild of the pick (or the top-k shortlist,
+  /// or a cache hit).
   std::int64_t lowered = 0;
-  std::int64_t ranked = 0;    ///< candidates priced by a model
+  /// Candidates priced by the cost model: those its lower bound could not
+  /// rule out.
+  std::int64_t ranked = 0;
   std::int64_t measured = 0;  ///< candidates run through the simulator
   /// IR nodes allocated building those programs (ir::nodes_built): the
   /// sweep's, counted per worker, plus the rebuilds'.
@@ -81,24 +87,29 @@ class ModelTuner {
  public:
   explicit ModelTuner(const sim::SimConfig& cfg);
 
-  /// One streaming sweep (sched::Scheduler::sweep): every candidate is
-  /// priced by the static cost model as soon as it is built and its IR
-  /// dropped, so a worker holds one program at a time; the winner is then
-  /// rebuilt through the same build path. When `rec` is given, the tuning
-  /// phases are traced (wall-clock track) and the pick's sample recorded.
-  /// When `journal` is given, every candidate is appended (phase "model";
-  /// only the pick is ever measured). Journal entries are appended from
-  /// the calling thread in candidate-index order, so the log is identical
-  /// at any thread count.
+  /// Branch and bound over the space: every strategy is lowered and given
+  /// a lower bound on its estimate (CostModel::lower_bound, on the worker
+  /// pool), then candidates are built, validated and priced in bound order
+  /// on the calling thread until the next bound exceeds the best estimate.
+  /// The pick -- the lowest estimate, ties to the lower index -- is that
+  /// of pricing every candidate; it is then rebuilt through the same build
+  /// path. When `rec` is given, the tuning phases are traced ("bound",
+  /// "visit" and "rebuild pick" on the wall-clock track) and the pick's
+  /// sample recorded. When `journal` is given, every lowered strategy is
+  /// appended in space-index order: priced candidates as phase "model"
+  /// (only the pick is ever measured), the rest as phase "bound" rows
+  /// whose prediction is the bound. The log is identical at any thread
+  /// count.
   Tuned tune(const dsl::OperatorDef& op,
              const sched::SchedulerOptions& opts = {},
              obs::Recorder* rec = nullptr, Journal* journal = nullptr) const;
 
   /// The paper's "pick best (or top k)" refinement: rank candidates with
-  /// the static model (the same sweep as tune()), then rebuild and
-  /// *measure* the k best through the timing interpreter and keep the
-  /// measured winner. k times the measurement cost buys back most of the
-  /// model's residual error (Fig. 9's tail).
+  /// the static model (the same search as tune(), stopping at the k-th
+  /// best estimate instead), then rebuild and *measure* the k best through
+  /// the timing interpreter and keep the measured winner. k times the
+  /// measurement cost buys back most of the model's residual error (Fig.
+  /// 9's tail). The journal's priced rows are phase "top-k".
   Tuned tune_top_k(const dsl::OperatorDef& op, int k,
                    const sched::SchedulerOptions& opts = {},
                    obs::Recorder* rec = nullptr,

@@ -50,6 +50,28 @@ TEST(ScheduleSpace, AtDecodesEnumerationOrder) {
   EXPECT_THROW(sp.at(sp.size()), CheckError);
 }
 
+TEST(StrategyNames, MatchToStringAtEveryIndex) {
+  // Names are formatted from the index alone, so they must agree with the
+  // strategy at() builds: declaration order is not name order, a fused
+  // epilogue is appended, and the first of two same-named variables wins.
+  ScheduleSpace sp;
+  sp.add(FactorVar{"Tn", {8, 16}});
+  sp.add(FactorVar{"Tm", {32, 64, 128}});
+  sp.add(ChoiceVar{"variant", {"0", "7"}});
+  sp.add(ChoiceVar{"order", {"mnk", "nmk", "kmn"}});
+  sp.add(FactorVar{"Tn", {4}});
+  EpilogueSpec epi;
+  epi.bias = true;
+  epi.out_pad = 1;
+  for (const bool fused : {false, true}) {
+    if (fused) sp.set_epilogue(epi);
+    const StrategyNames names(sp);
+    for (std::int64_t i = 0; i < sp.size(); ++i)
+      EXPECT_EQ(names(i), sp.at(i).to_string()) << i;
+  }
+  EXPECT_EQ(StrategyNames(ScheduleSpace{})(0), Strategy{}.to_string());
+}
+
 TEST(ScheduleSpace, AtCarriesTheEpilogue) {
   ScheduleSpace sp = sample_space();
   EpilogueSpec epi;

@@ -174,19 +174,20 @@ TEST(ModelTuner, TopKWithMemoMatchesInterpreterAndHitsEachTwin) {
   EXPECT_EQ(fast.cycles, plain.cycles);
   EXPECT_EQ(memo_journal.to_jsonl(), plain_journal.to_jsonl());
 
-  // The journal indexes the sweep's candidates in enumeration order, which
-  // is Scheduler::candidates' order; its measured rows are the shortlist.
+  // The journal lists every candidate once, indexed by its position in
+  // the schedule space; its measured rows are the shortlist.
   const std::vector<sched::Candidate> cands =
       sched::Scheduler(cfg).candidates(op);
   ASSERT_EQ(cands.size(), memo_journal.size());
+  const dsl::ScheduleSpace space = op.space();
   const dsl::BoundTensors bt = binding(op);
   std::set<std::string> keys;
   std::int64_t shortlist = 0;
   for (const JournalEntry& e : memo_journal.entries()) {
     if (e.measured < 0.0) continue;
     ++shortlist;
-    keys.insert(replay_key(
-        cands[static_cast<std::size_t>(e.index)].program, bt, cfg));
+    const sched::Candidate c = build_candidate(op, space.at(e.index), cfg);
+    keys.insert(replay_key(c.program, bt, cfg));
   }
   ASSERT_EQ(shortlist, kTopK);
   const auto repeats = shortlist - static_cast<std::int64_t>(keys.size());

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/check.hpp"
+#include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
 #include "tune/cost_model.hpp"
@@ -129,9 +131,10 @@ TEST(Tuners, ModelLossIsBounded) {
 
 TEST(Tuners, ModelTunerIsMuchFaster) {
   // Tab. 3's gap as work done rather than wall-clock time (which a
-  // parallel test run makes flaky): both tuners sweep the same space, the
-  // model tuner ranks every candidate and measures none, the black-box
-  // tuner measures every one.
+  // parallel test run makes flaky): both tuners sweep the same space; the
+  // black-box tuner builds and measures every candidate, the model tuner
+  // lowers and bounds every strategy but builds and prices only the few
+  // its bound cannot rule out, and measures none.
   ops::MatmulOp op(256, 256, 128);
   const ModelTuner mt(cfg);
   const BlackBoxTuner bb(cfg);
@@ -139,22 +142,26 @@ TEST(Tuners, ModelTunerIsMuchFaster) {
   const auto slow = bb.tune(op);
   const std::int64_t n = slow.best.stats.valid_candidates;
   ASSERT_GT(n, 1);
+  // Every strategy that lowers builds here, so both count the same ones.
+  EXPECT_EQ(slow.best.stats.lowered, n);
   EXPECT_EQ(fast.stats.valid_candidates, n);
-  EXPECT_EQ(fast.stats.ranked, n);
+  EXPECT_GE(fast.stats.ranked, 1);
+  EXPECT_LT(10 * fast.stats.ranked, n);
   EXPECT_EQ(fast.stats.measured, 0);
   EXPECT_EQ(slow.best.stats.ranked, 0);
   EXPECT_EQ(slow.best.stats.measured, n);
   EXPECT_EQ(fast.stats.enumerated, fast.stats.space_size);
   EXPECT_EQ(slow.best.stats.enumerated, fast.stats.enumerated);
-  // The model tuner lowers what the sweep lowers plus one rebuild of its
-  // pick; every lowered program was either ranked or pruned.
-  EXPECT_EQ(fast.stats.lowered, slow.best.stats.lowered + 1);
-  EXPECT_GE(slow.best.stats.lowered, n);
+  // The model tuner lowers every strategy to bound it, again for each
+  // candidate it prices, and once more to rebuild its pick.
+  EXPECT_EQ(fast.stats.lowered, n + fast.stats.ranked + 1);
+  // Bounding a lowered nest allocates far less than building programs.
+  EXPECT_LT(fast.stats.ir_nodes, slow.best.stats.ir_nodes);
 }
 
 TEST(Tuners, IrNodeCountIsThreadCountInvariant) {
-  // Every worker counts the nodes of the candidates it builds, so the
-  // total does not depend on how the sweep was split across threads.
+  // Every worker counts the nodes of the programs it builds, so the total
+  // does not depend on how the sweep was split across threads.
   ops::ConvShape cs;
   cs.batch = 8;
   cs.ni = 64;
@@ -180,45 +187,65 @@ TEST(Tuners, IrNodeCountIsThreadCountInvariant) {
     EXPECT_EQ(tuned[0], tuned[1]) << op->name();
     EXPECT_EQ(top_k[0], top_k[1]) << op->name();
     EXPECT_EQ(swept[0], swept[1]) << op->name();
-    // The model tuner builds what the sweep builds plus its rebuilds.
-    EXPECT_GT(tuned[0], swept[0]) << op->name();
+    // The model tuner only lowers most strategies (to bound them), so it
+    // allocates less than the sweep that builds them all; the top-k search
+    // builds more candidates than the top-1 search.
+    EXPECT_LT(tuned[0], swept[0]) << op->name();
     EXPECT_GT(top_k[0], tuned[0]) << op->name();
   }
 }
 
+/// The four operators ParallelPicksSameWinnerAsSerial tunes.
+struct PickOps {
+  ops::ConvShape cs = [] {
+    ops::ConvShape s;
+    s.batch = 4;
+    s.ni = 32;
+    s.no = 32;
+    s.ri = 8;
+    s.ci = 8;
+    return s;
+  }();
+  ops::ImplicitConvOp conv{cs};
+  ops::ImplicitConvOp fused{cs, [] {
+                              dsl::EpilogueSpec epi;
+                              epi.bias = true;
+                              epi.residual = true;
+                              epi.relu = true;
+                              return epi;
+                            }()};
+  ops::MatmulOp small{64, 64, 32};
+  ops::MatmulOp odd{72, 56, 40};
+  std::vector<const dsl::OperatorDef*> all() const {
+    return {&small, &odd, &conv, &fused};
+  }
+};
+
 TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
-  // The streaming sweep must be bit-deterministic: estimates land in
-  // enumeration-order slots and ties break by the first index, so at any
-  // thread count the pick, the journal and the top-k shortlist equal a
-  // brute-force argmin over every candidate's cost-model estimate.
-  ops::ConvShape cs;
-  cs.batch = 4;
-  cs.ni = 32;
-  cs.no = 32;
-  cs.ri = 8;
-  cs.ci = 8;
-  ops::ImplicitConvOp conv(cs);
-  dsl::EpilogueSpec epi;
-  epi.bias = true;
-  epi.residual = true;
-  epi.relu = true;
-  ops::ImplicitConvOp fused(cs, epi);
-  ops::MatmulOp small(64, 64, 32);
-  ops::MatmulOp odd(72, 56, 40);
-  const dsl::OperatorDef* ops_[] = {&small, &odd, &conv, &fused};
+  // The branch-and-bound search must be bit-deterministic and exact: at
+  // any thread count the pick, its cycles and the top-k shortlist equal a
+  // brute-force argmin over every candidate's cost-model estimate (ties to
+  // the first index), and the journal lists every lowered strategy once.
+  const PickOps pick_ops;
   const ModelTuner tuner(cfg);
   const CostModel model(cfg, gemm_cost_model(cfg));
   constexpr int kTopK = 4;
-  for (const dsl::OperatorDef* op : ops_) {
+  for (const dsl::OperatorDef* op : pick_ops.all()) {
     // Brute force: every candidate built and kept, then priced serially.
     sched::SchedulerOptions serial;
     serial.num_threads = 1;
+    sched::SweepStats swept;
     const std::vector<sched::Candidate> all =
-        sched::Scheduler(cfg).candidates(*op, serial);
+        sched::Scheduler(cfg).candidates(*op, serial, &swept);
     ASSERT_GT(all.size(), static_cast<std::size_t>(kTopK)) << op->name();
+    // Every strategy that lowers builds, so each has a journal row.
+    ASSERT_EQ(swept.kept, swept.lowered) << op->name();
     std::vector<double> est;
-    for (const sched::Candidate& c : all)
+    std::map<std::string, std::size_t> by_name;
+    for (const sched::Candidate& c : all) {
+      by_name[c.strategy.to_string()] = est.size();
       est.push_back(model.estimate(c.program).total());
+    }
     std::vector<std::size_t> order(all.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::stable_sort(order.begin(), order.end(),
@@ -237,6 +264,50 @@ TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
         best_k = order[r];
       }
     }
+    std::vector<std::size_t> shortlist_expected(order.begin(),
+                                                order.begin() + kTopK);
+    std::sort(shortlist_expected.begin(), shortlist_expected.end());
+
+    // One row per candidate in space-index order, naming its strategy.
+    // Priced rows carry the estimate and rank by it; "bound" rows carry a
+    // bound that is at most the estimate and above the `cut`-th best one.
+    const dsl::ScheduleSpace space = op->space();
+    const auto check_rows = [&](const Journal& j, const char* phase,
+                                std::size_t cut) {
+      ASSERT_EQ(j.size(), all.size());
+      std::int64_t last_index = -1;
+      std::vector<std::size_t> priced;
+      for (const JournalEntry& e : j.entries()) {
+        EXPECT_GT(e.index, last_index);
+        last_index = e.index;
+        EXPECT_EQ(e.strategy, space.at(e.index).to_string());
+        ASSERT_EQ(by_name.count(e.strategy), 1u) << e.strategy;
+        const std::size_t i = by_name.at(e.strategy);
+        if (e.phase == "bound") {
+          EXPECT_LE(e.predicted, est[i]) << e.strategy;
+          EXPECT_GT(e.predicted, est[order[cut - 1]]) << e.strategy;
+          EXPECT_FALSE(e.chosen);
+        } else {
+          EXPECT_EQ(e.phase, phase);
+          EXPECT_EQ(e.predicted, est[i]) << e.strategy;
+          priced.push_back(i);
+        }
+      }
+      // Priced rows rank by estimate (ties to the first index), so the
+      // best of them are the brute-force order's head.
+      std::sort(priced.begin(), priced.end(), [&](std::size_t a,
+                                                  std::size_t b) {
+        return est[a] < est[b] || (est[a] == est[b] && a < b);
+      });
+      ASSERT_GE(priced.size(), cut);
+      for (std::size_t r = 0; r < cut; ++r) EXPECT_EQ(priced[r], order[r]);
+      for (const JournalEntry& e : j.entries()) {
+        if (e.phase == "bound") continue;
+        const std::size_t i = by_name.at(e.strategy);
+        const auto it = std::find(priced.begin(), priced.end(), i);
+        EXPECT_EQ(e.rank, it - priced.begin()) << e.strategy;
+      }
+    };
 
     std::string first_model_log, first_topk_log;
     for (const int threads : {1, 4}) {
@@ -248,36 +319,28 @@ TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
       const Tuned t = tuner.tune(*op, opts, nullptr, &j);
       EXPECT_EQ(t.candidate.strategy, all[best].strategy);
       EXPECT_EQ(t.cycles, est[best]);
-      EXPECT_EQ(t.stats.valid_candidates,
-                static_cast<std::int64_t>(all.size()));
-      ASSERT_EQ(j.size(), all.size());
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        const JournalEntry& e = j.entries()[i];
-        EXPECT_EQ(e.index, static_cast<std::int64_t>(i));
-        EXPECT_EQ(e.strategy, all[i].strategy.to_string());
-        EXPECT_EQ(e.predicted, est[i]);
+      EXPECT_EQ(t.stats.valid_candidates, swept.lowered);
+      EXPECT_LT(t.stats.ranked, t.stats.valid_candidates);
+      check_rows(j, "model", 1);
+      for (const JournalEntry& e : j.entries()) {
         EXPECT_LT(e.measured, 0.0);
-        EXPECT_EQ(e.chosen, i == best);
+        EXPECT_EQ(e.chosen, by_name.at(e.strategy) == best);
       }
-      for (std::size_t r = 0; r < order.size(); ++r)
-        EXPECT_EQ(j.entries()[order[r]].rank, static_cast<std::int64_t>(r));
 
       Journal jk;
       const Tuned tk = tuner.tune_top_k(*op, kTopK, opts, nullptr, &jk);
       EXPECT_EQ(tk.candidate.strategy, all[best_k].strategy);
       EXPECT_EQ(tk.cycles, best_k_cycles);
       EXPECT_EQ(tk.stats.measured, kTopK);
-      ASSERT_EQ(jk.size(), all.size());
+      check_rows(jk, "top-k", kTopK);
       std::vector<std::size_t> shortlist;
-      for (std::size_t i = 0; i < all.size(); ++i) {
-        const JournalEntry& e = jk.entries()[i];
+      for (const JournalEntry& e : jk.entries()) {
+        const std::size_t i = by_name.at(e.strategy);
         if (e.measured >= 0.0) shortlist.push_back(i);
-        EXPECT_EQ(e.predicted, est[i]);
         EXPECT_EQ(e.chosen, i == best_k);
       }
-      std::vector<std::size_t> expect(order.begin(), order.begin() + kTopK);
-      std::sort(expect.begin(), expect.end());
-      EXPECT_EQ(shortlist, expect);
+      std::sort(shortlist.begin(), shortlist.end());
+      EXPECT_EQ(shortlist, shortlist_expected);
 
       // Byte-identical logs at every thread count.
       if (threads == 1) {
@@ -289,6 +352,72 @@ TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
       }
     }
   }
+}
+
+/// Every candidate of `op`, checked against the lower bound of its
+/// lowered nest; returns how many there were.
+std::size_t check_lower_bounds(const dsl::OperatorDef& op,
+                               bool prefetch = true) {
+  const CostModel model(cfg, gemm_cost_model(cfg));
+  sched::SchedulerOptions serial;
+  serial.num_threads = 1;
+  serial.opt.prefetch = prefetch;
+  const std::vector<sched::Candidate> cands =
+      sched::Scheduler(cfg).candidates(op, serial);
+  for (const sched::Candidate& c : cands) {
+    const CostBound b = model.lower_bound(op.lower(c.strategy), c.prefetch);
+    const StaticCost e = model.estimate(c.program);
+    EXPECT_GT(b.dma_cycles, 0.0) << op.name() << " " << c.strategy.to_string();
+    EXPECT_GT(b.compute_cycles, 0.0)
+        << op.name() << " " << c.strategy.to_string();
+    EXPECT_LE(b.dma_cycles, e.dma_cycles())
+        << op.name() << " " << c.strategy.to_string();
+    EXPECT_LE(b.compute_cycles, e.compute_cycles)
+        << op.name() << " " << c.strategy.to_string();
+  }
+  return cands.size();
+}
+
+ops::ConvShape golden_conv(std::int64_t batch, std::int64_t ni,
+                           std::int64_t no, std::int64_t out_hw,
+                           std::int64_t k, std::int64_t stride = 1) {
+  ops::ConvShape s;
+  s.batch = batch;
+  s.ni = ni;
+  s.no = no;
+  s.ri = (out_hw - 1) * stride + k;
+  s.ci = s.ri;
+  s.kr = k;
+  s.kc = k;
+  s.stride = stride;
+  return s;
+}
+
+TEST(CostModel, LowerBoundNeverExceedsEitherEstimateTerm) {
+  // The model tuner prunes on CostModel::lower_bound, so it must hold on
+  // every candidate: priced on the lowered nest, each of its terms is at
+  // most the matching term of the built program's estimate. Checked on
+  // test_sweep_golden's five operators and the four the pick test tunes.
+  dsl::EpilogueSpec pad;
+  pad.bias = true;
+  pad.relu = true;
+  pad.out_pad = 1;
+  const ops::ImplicitConvOp pointwise(golden_conv(8, 64, 64, 8, 1), pad);
+  const ops::ImplicitConvOp ragged(golden_conv(8, 96, 96, 7, 3));
+  const ops::ImplicitConvOp strided(golden_conv(8, 32, 32, 8, 3, 2));
+  const ops::MatmulOp matmul(72, 56, 40);
+  const ops::ExplicitConvOp explicit_conv(golden_conv(2, 16, 32, 10, 3));
+  const PickOps pick_ops;
+  std::vector<const dsl::OperatorDef*> all = {&pointwise, &ragged, &strided,
+                                              &matmul, &explicit_conv};
+  for (const dsl::OperatorDef* op : pick_ops.all()) all.push_back(op);
+  std::size_t checked = 0;
+  for (const dsl::OperatorDef* op : all) checked += check_lower_bounds(*op);
+  EXPECT_GT(checked, 3000u);
+  // Without double buffering every transfer stays where DMA inference put
+  // it.
+  EXPECT_GT(check_lower_bounds(ragged, false), 0u);
+  EXPECT_GT(check_lower_bounds(matmul, false), 0u);
 }
 
 TEST(BlackBoxTuner, RecordsTuningTrace) {

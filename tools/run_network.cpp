@@ -144,9 +144,13 @@ int main(int argc, char** argv) {
     std::printf("%-14s %-9s %22s %12.0f\n", "(mpe passes)", "-", "-",
                 mpe_cycles);
 
-    std::printf("\ntuning: %lld distinct shapes (%lld cache hits), %.1fs\n",
+    std::printf("\ntuning: %lld distinct shapes (%lld cache hits), %.1fs: "
+                "%lld strategies enumerated, %lld bounded, %lld ranked\n",
                 static_cast<long long>(r.shapes_tuned),
-                static_cast<long long>(r.cache_hits), r.tune_seconds);
+                static_cast<long long>(r.cache_hits), r.tune_seconds,
+                static_cast<long long>(r.tune_enumerated),
+                static_cast<long long>(r.tune_bounded),
+                static_cast<long long>(r.tune_ranked));
     std::printf(
         "memory: planned peak %.1f MB vs no-reuse %.1f MB (%.0f%%)\n",
         static_cast<double>(r.planned_peak_floats) * 4.0 / 1e6,
