@@ -1,15 +1,13 @@
 // Ablation: the eight GEMM micro-kernel variants (layouts x vectorization
 // dimension) across tile shapes -- the cost surface the scheduler's layout
 // and vectorization transformations explore. Also uses google-benchmark to
-// measure the real wall-clock cost of the pipeline simulation and model
-// fitting machinery itself.
+// measure the real wall-clock cost of the pipeline simulation itself.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 
 #include "bench_util.hpp"
 #include "isa/kernel_cache.hpp"
-#include "tune/gemm_model.hpp"
 
 using namespace swatop;
 
@@ -52,14 +50,6 @@ void BM_PipelineSteadyState(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelineSteadyState)->DenseRange(0, 7);
-
-void BM_GemmModelFit(benchmark::State& state) {
-  const auto& db = isa::kernel_cost_db(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tune::GemmCostModel::fit(db));
-  }
-}
-BENCHMARK(BM_GemmModelFit);
 
 }  // namespace
 

@@ -1,5 +1,6 @@
 #include "isa/kernel_cache.hpp"
 
+#include <array>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -21,17 +22,20 @@ int log2_small(int v) {
   SWATOP_UNREACHABLE("register block dims must be 1, 2 or 4");
 }
 
-/// Greedy decomposition of a length into blocks of 4/2/1 units.
-void decompose(std::int64_t len, std::int64_t unit,
-               std::vector<std::pair<int, std::int64_t>>& out) {
-  // out accumulates (block_dim, count).
-  for (int b : {4, 2, 1}) {
-    const std::int64_t span = static_cast<std::int64_t>(b) * unit;
-    const std::int64_t cnt = len / span;
-    if (cnt > 0) out.emplace_back(b, cnt);
-    len -= cnt * span;
+/// The register-block dims of decompose()'s counts, largest first.
+constexpr std::array<int, 3> kBlockDims = {4, 2, 1};
+
+/// Greedy decomposition of a length into blocks of 4/2/1 units: the count
+/// of blocks of each kBlockDims entry.
+std::array<std::int64_t, 3> decompose(std::int64_t len, std::int64_t unit) {
+  std::array<std::int64_t, 3> cnt{};
+  for (std::size_t i = 0; i < kBlockDims.size(); ++i) {
+    const std::int64_t span = static_cast<std::int64_t>(kBlockDims[i]) * unit;
+    cnt[i] = len / span;
+    len -= cnt[i] * span;
   }
   SWATOP_CHECK(len == 0) << "length not decomposable by unit " << unit;
+  return cnt;
 }
 
 }  // namespace
@@ -101,18 +105,20 @@ double KernelCostDb::local_gemm_cycles(const KernelVariant& v, std::int64_t m,
       << "vectorized dim " << vec_len << " not a multiple of "
       << cfg_.vector_width;
 
-  std::vector<std::pair<int, std::int64_t>> vec_blocks, scal_blocks;
-  decompose(vec_len, cfg_.vector_width, vec_blocks);  // mv units of 4
-  decompose(scal_len, 1, scal_blocks);                // nb units of 1
+  const auto vec_blocks = decompose(vec_len, cfg_.vector_width);  // mv
+  const auto scal_blocks = decompose(scal_len, 1);                // nb
 
   double cycles = 0.0;
-  for (const auto& [mv, mcnt] : vec_blocks) {
-    for (const auto& [nb, ncnt] : scal_blocks) {
-      const RegBlock rb{mv, nb};
+  for (std::size_t i = 0; i < kBlockDims.size(); ++i) {
+    if (vec_blocks[i] == 0) continue;
+    for (std::size_t j = 0; j < kBlockDims.size(); ++j) {
+      if (scal_blocks[j] == 0) continue;
+      const RegBlock rb{kBlockDims[i], kBlockDims[j]};
       const double per_block =
           block_overhead_cycles(v, rb) +
           static_cast<double>(k) * per_iter_cycles(v, rb);
-      cycles += static_cast<double>(mcnt * ncnt) * per_block;
+      cycles += static_cast<double>(vec_blocks[i] * scal_blocks[j]) *
+                per_block;
     }
   }
   return cycles;
@@ -130,18 +136,20 @@ obs::PipeCounters KernelCostDb::local_gemm_pipe(const KernelVariant& v,
       << "vectorized dim " << vec_len << " not a multiple of "
       << cfg_.vector_width;
 
-  std::vector<std::pair<int, std::int64_t>> vec_blocks, scal_blocks;
-  decompose(vec_len, cfg_.vector_width, vec_blocks);
-  decompose(scal_len, 1, scal_blocks);
+  const auto vec_blocks = decompose(vec_len, cfg_.vector_width);
+  const auto scal_blocks = decompose(scal_len, 1);
 
   const std::size_t vi = static_cast<std::size_t>(v.index());
-  for (const auto& [mv, mcnt] : vec_blocks) {
-    for (const auto& [nb, ncnt] : scal_blocks) {
-      const std::size_t si =
-          static_cast<std::size_t>(block_slot(RegBlock{mv, nb}));
+  for (std::size_t i = 0; i < kBlockDims.size(); ++i) {
+    if (vec_blocks[i] == 0) continue;
+    for (std::size_t j = 0; j < kBlockDims.size(); ++j) {
+      if (scal_blocks[j] == 0) continue;
+      const std::size_t si = static_cast<std::size_t>(
+          block_slot(RegBlock{kBlockDims[i], kBlockDims[j]}));
       const SteadyStateStats& it = per_iter_pipe_[vi][si];
       const SteadyStateStats& oh = overhead_pipe_[vi][si];
-      const double blocks = static_cast<double>(mcnt * ncnt);
+      const double blocks =
+          static_cast<double>(vec_blocks[i] * scal_blocks[j]);
       const double iters = static_cast<double>(k);
       out.issued_p0 += blocks * (oh.issued_p0 + iters * it.issued_p0);
       out.issued_p1 += blocks * (oh.issued_p1 + iters * it.issued_p1);

@@ -116,10 +116,8 @@ double min_transfer_cycles(const ir::DmaAttrs& d, const ir::Env& env,
 }  // namespace
 
 StaticCost CostModel::estimate(const ir::StmtPtr& root) const {
-  StaticCost acc;
   ir::Env env;
-  walk(root, env, &acc, 1.0);
-  return acc;
+  return walk(root, env);
 }
 
 CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
@@ -174,57 +172,60 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
   return {kRounding * dma, kRounding * compute};
 }
 
-void CostModel::walk(const ir::StmtPtr& s, ir::Env& env, StaticCost* acc,
-                     double scale) const {
-  if (s == nullptr) return;
+StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
+  StaticCost c;
+  if (s == nullptr) return c;
   switch (s->kind) {
     case ir::StmtKind::Seq:
-      for (const ir::StmtPtr& c : s->body) walk(c, env, acc, scale);
-      return;
+      for (const ir::StmtPtr& b : s->body) c += walk(b, env);
+      return c;
     case ir::StmtKind::For: {
       const std::int64_t n = ir::eval(s->extent, env);
-      if (n <= 0) return;
-      if (s->prefetched) acc->overlapped = true;
+      if (n <= 0) return c;
+      // An iteration of a double-buffered loop lasts as long as the longer
+      // of its cluster time and its transfers, which the DMA engine
+      // serializes while the cluster works.
+      auto iteration = [&](std::int64_t i) {
+        env[s->var] = i;
+        StaticCost it = walk(s->for_body, env);
+        if (s->prefetched)
+          it.elapsed_cycles = std::max(it.elapsed_cycles, it.transfer_cycles);
+        return it;
+      };
       // (n-1) first-shape iterations plus the last iteration evaluated
       // separately: this prices ragged boundary tiles and the final
       // iteration's skipped prefetch exactly, while staying static.
-      env[s->var] = 0;
-      walk(s->for_body, env, acc, scale * static_cast<double>(n - 1));
+      c = iteration(0);
       if (n > 1) {
-        env[s->var] = n - 1;
-        walk(s->for_body, env, acc, scale);
-      } else {
-        walk(s->for_body, env, acc, scale);
+        const double w = static_cast<double>(n - 1);
+        c.compute_cycles *= w;
+        c.transfer_cycles *= w;
+        c.elapsed_cycles *= w;
+        c += iteration(n - 1);
       }
       env.erase(s->var);
-      return;
+      return c;
     }
     case ir::StmtKind::If:
       // Static approximation: follow the branch taken at the current
       // (first-iteration) environment.
-      if (ir::eval(s->cond, env) != 0)
-        walk(s->then_s, env, acc, scale);
-      else
-        walk(s->else_s, env, acc, scale);
-      return;
-    case ir::StmtKind::SpmZero: {
-      const double n = static_cast<double>(ir::eval(s->zero_floats, env));
-      acc->compute_cycles += scale * n / cfg_.vector_width;
-      return;
-    }
+      return walk(ir::eval(s->cond, env) != 0 ? s->then_s : s->else_s, env);
+    case ir::StmtKind::SpmZero:
+      c.compute_cycles = static_cast<double>(ir::eval(s->zero_floats, env)) /
+                         cfg_.vector_width;
+      c.elapsed_cycles = c.compute_cycles;
+      return c;
     case ir::StmtKind::DmaGet:
     case ir::StmtKind::DmaPut: {
       // Tensor bases are transaction-aligned; 0 is representative.
       const rt::DmaGeometry g = rt::evaluate_dma(s->dma, env, 0, cfg_);
-      const double t =
-          scale *
+      c.transfer_cycles =
           dma_cost_cache_.get(s->dma, g, engine_, cfg_).total_cycles();
-      // Double buffering remaps reply slots into [100, ...) (and makes
-      // them parity expressions); anything still on a small constant slot
-      // is a synchronous get;wait / put;wait the cluster stalls on.
-      const bool synchronous =
-          ir::is_const(s->dma.reply) && ir::as_cst(s->dma.reply) < 100;
-      (synchronous ? acc->dma_sync_cycles : acc->dma_overlapped_cycles) += t;
+      // The cluster waits on a transfer on a constant reply slot before it
+      // goes on: a get;wait / put;wait pair, or a prologue get the first
+      // iteration waits on at once. Double buffering gives its in-loop
+      // prefetches parity slots; their enclosing loop prices them.
+      if (ir::is_const(s->dma.reply)) c.elapsed_cycles = c.transfer_cycles;
       if (s->kind == ir::StmtKind::DmaPut && s->dma.epi.any()) {
         // Mirror the runtime's epilogue pricing: a synchronous residual
         // re-read of the same tile, plus the vector ops on the tile. The
@@ -238,31 +239,35 @@ void CostModel::walk(const ir::StmtPtr& s, ir::Env& env, StaticCost* acc,
           rd.rows_to_rid = s->dma.rows_to_rid;
           rt::DmaGeometry rg = g;
           rg.base = ir::eval(e.res.base, env);
-          acc->dma_sync_cycles +=
-              scale *
+          const double t =
               dma_cost_cache_.get(rd, rg, engine_, cfg_).total_cycles();
+          c.transfer_cycles += t;
+          c.elapsed_cycles += t;
         }
         const int nops =
             (e.bias ? 1 : 0) + (e.residual ? 1 : 0) + (e.relu ? 1 : 0);
-        acc->compute_cycles += scale * static_cast<double>(nops) *
-                               static_cast<double>(g.tr) *
-                               static_cast<double>(g.tc) / cfg_.vector_width;
+        c.compute_cycles = static_cast<double>(nops) *
+                           static_cast<double>(g.tr) *
+                           static_cast<double>(g.tc) / cfg_.vector_width;
+        c.elapsed_cycles += c.compute_cycles;
       }
-      return;
+      return c;
     }
     case ir::StmtKind::Gemm: {
       const ir::GemmAttrs& gm = s->gemm;
       const std::int64_t M = ir::eval(gm.M, env);
       const std::int64_t N = ir::eval(gm.N, env);
       const std::int64_t K = ir::eval(gm.K, env);
-      if (M > 0 && N > 0 && K > 0)
-        acc->compute_cycles += scale * gm_.cycles(gm.variant, M, N, K);
-      return;
+      if (M > 0 && N > 0 && K > 0) {
+        c.compute_cycles = gm_.cycles(gm.variant, M, N, K);
+        c.elapsed_cycles = c.compute_cycles;
+      }
+      return c;
     }
     case ir::StmtKind::SpmAlloc:
     case ir::StmtKind::DmaWait:
     case ir::StmtKind::Comment:
-      return;
+      return c;
   }
   SWATOP_UNREACHABLE("bad stmt kind in cost model");
 }

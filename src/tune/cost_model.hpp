@@ -3,14 +3,23 @@
 // Walks a candidate's IR without iterating data: a loop of n iterations
 // costs its body at the first iteration n-1 times plus its body at the last
 // iteration once (so ragged boundary tiles and the final iteration's
-// skipped prefetch are priced), an If follows the branch taken at that
-// environment, DMA nodes are priced with Eq. (1) (transaction-granular
-// transfer + start-up latency), gemm nodes with the fitted Eq. (2) linear
-// model, and -- because prefetching overlaps transfers and computation --
-// the overall estimate is max(T_DMA, T_compute) for double-buffered programs
-// and the sum otherwise. Pricing only those two iterations of every loop and
-// the linear-fit residual are the model's (intentional, paper-faithful)
-// error sources.
+// skipped prefetch are priced), and an If follows the branch taken at that
+// environment. DMA nodes are priced with Eq. (1) (transaction-granular
+// transfer + start-up latency) and gemm calls with Eq. (2), read from the
+// kernel cost table the simulator charges (GemmCostModel).
+//
+// Time is composed bottom-up, per loop iteration. One iteration of a
+// double-buffered loop costs max(every transfer it issues, its cluster
+// time): the DMA engine serializes all of its transfers while the cluster
+// computes. Cluster time adds compute, nested loops and every transfer on
+// a constant reply slot -- the synchronous get;wait / put;wait pairs and
+// the prologue get issued before a prefetched loop, which the first
+// iteration waits on at once. Everywhere else times add. So the prologue
+// and the last iteration's compute (which has no prefetch to hide behind)
+// are exposed, and per-iteration imbalance between DMA and compute is not
+// averaged away. Pricing only two iterations of every loop, and not
+// modelling the DMA queue across iteration boundaries, are the model's
+// remaining error sources.
 #pragma once
 
 #include <algorithm>
@@ -23,30 +32,29 @@
 namespace swatop::tune {
 
 struct StaticCost {
-  /// Transfers rewritten by double buffering: overlap with computation.
-  double dma_overlapped_cycles = 0.0;
-  /// Synchronous get;wait / put;wait transfers (the output accumulator
-  /// traffic, un-prefetched gets): the cluster stalls on these.
-  double dma_sync_cycles = 0.0;
+  /// Gemm calls, zero-fills and fused-epilogue vector ops.
   double compute_cycles = 0.0;
-  bool overlapped = false;  ///< a prefetched loop was seen
+  /// Every transfer, at Eq. (1) cost, whether or not it overlaps.
+  double transfer_cycles = 0.0;
+  /// The composed time: at least each of the two sums above, at most their
+  /// sum.
+  double elapsed_cycles = 0.0;
 
-  double dma_cycles() const {
-    return dma_overlapped_cycles + dma_sync_cycles;
-  }
+  double dma_cycles() const { return transfer_cycles; }
+  double total() const { return elapsed_cycles; }
 
-  /// Sync transfers serialize with computation (and occupy the engine);
-  /// prefetched transfers hide behind whichever side is longer.
-  double total() const {
-    if (!overlapped) return dma_cycles() + compute_cycles;
-    return dma_sync_cycles +
-           std::max(dma_overlapped_cycles, compute_cycles);
+  StaticCost& operator+=(const StaticCost& o) {
+    compute_cycles += o.compute_cycles;
+    transfer_cycles += o.transfer_cycles;
+    elapsed_cycles += o.elapsed_cycles;
+    return *this;
   }
 };
 
 /// A lower bound on a candidate's StaticCost, priced before the optimizer
 /// runs (CostModel::lower_bound). Each term is at most the matching
-/// estimate term, so total() is at most StaticCost::total().
+/// estimate term, so total() is at most StaticCost::total() (see
+/// lower_bound's soundness note).
 struct CostBound {
   double dma_cycles = 0.0;      ///< <= StaticCost::dma_cycles()
   double compute_cycles = 0.0;  ///< <= StaticCost::compute_cycles
@@ -72,9 +80,13 @@ class CostModel {
   ///
   /// Why it is sound. estimate() adds every transfer and every gemm call of
   /// p, each weighted by its loops' walk weights (first iteration n-1
-  /// times, last iteration once), and total() >= max(dma_cycles(),
-  /// compute_cycles) whether or not transfers overlap. The bound adds a
-  /// subset of the same terms at the same environments and weights:
+  /// times, last iteration once). Its time is at least both sums: an
+  /// iteration of a double-buffered loop costs at least the transfers it
+  /// issues and at least its cluster time, which holds its compute, and
+  /// everywhere else times add. So total() >= max(dma_cycles(),
+  /// compute_cycles), and a bound below both terms is below total(). The
+  /// bound adds a subset of the same terms at the same environments and
+  /// weights:
   ///  - compute: the gemm calls, priced exactly (p's compute also holds the
   ///    zero-fills and the epilogue's vector ops). Removing unit loops and
   ///    double buffering change neither the gemm's dims nor its loops.
@@ -95,8 +107,8 @@ class CostModel {
   CostBound lower_bound(const ir::StmtPtr& lowered, bool prefetch) const;
 
  private:
-  void walk(const ir::StmtPtr& s, ir::Env& env, StaticCost* acc,
-            double scale) const;
+  /// The cost of `s` at `env`, its loops priced by their walk weights.
+  StaticCost walk(const ir::StmtPtr& s, ir::Env& env) const;
 
   sim::SimConfig cfg_;
   sim::DmaEngine engine_;

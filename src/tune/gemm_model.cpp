@@ -1,114 +1,27 @@
 #include "tune/gemm_model.hpp"
 
-#include <cmath>
 #include <map>
-#include <memory>
 #include <mutex>
-#include <tuple>
-#include <vector>
 
 #include "common/check.hpp"
-#include "common/least_squares.hpp"
 
 namespace swatop::tune {
-
-GemmCostModel GemmCostModel::fit(const isa::KernelCostDb& db) {
-  GemmCostModel m;
-  const sim::SimConfig& cfg = db.config();
-  // Sample grid: the tile sizes the scheduler actually deploys (power-of-two
-  // menus), legal for every variant (both local dims multiples of the
-  // vector width).
-  const std::vector<std::int64_t> ms = {32, 64, 128, 256};
-  const std::vector<std::int64_t> ns = {32, 64, 128, 256};
-  const std::vector<std::int64_t> ks = {8, 16, 32, 64, 128, 256};
-  for (int v = 0; v < 8; ++v) {
-    const auto variant = isa::KernelVariant::from_index(v);
-    std::vector<double> X, y;
-    for (std::int64_t M : ms) {
-      for (std::int64_t N : ns) {
-        for (std::int64_t K : ks) {
-          const double t = db.spm_gemm_cycles(variant, M, N, K);
-          // Weight each sample by 1/t: the fit minimizes *relative* error,
-          // so cheap small-tile calls are predicted as well as large ones.
-          // The K * vec-dim feature follows the paper's vecM switch.
-          const double w = 1.0 / t;
-          const std::int64_t V = variant.vec == isa::VecDim::M ? M : N;
-          X.push_back(static_cast<double>(K) * w);
-          X.push_back(static_cast<double>(K * V) * w);
-          X.push_back(static_cast<double>(K * M) * static_cast<double>(N) *
-                      w);
-          X.push_back(static_cast<double>(M * N) * w);
-          X.push_back(w);
-          y.push_back(1.0);
-        }
-      }
-    }
-    const std::size_t rows = y.size();
-    const auto c = least_squares(X, y, rows, 5);
-    for (int i = 0; i < 5; ++i)
-      m.coef_[v][static_cast<std::size_t>(i)] = c[static_cast<std::size_t>(i)];
-    // Mean relative residual.
-    double rel = 0.0;
-    for (std::int64_t M : ms) {
-      for (std::int64_t N : ns) {
-        for (std::int64_t K : ks) {
-          const double pred = m.cycles(v, M, N, K);
-          const double meas = db.spm_gemm_cycles(variant, M, N, K);
-          rel += std::fabs(pred - meas) / meas;
-        }
-      }
-    }
-    m.residual_[v] = rel / static_cast<double>(rows);
-  }
-  (void)cfg;
-  return m;
-}
 
 double GemmCostModel::cycles(int variant, std::int64_t M, std::int64_t N,
                              std::int64_t K) const {
   SWATOP_CHECK(variant >= 0 && variant < 8);
-  const auto& c = coef_[static_cast<std::size_t>(variant)];
-  const std::int64_t V =
-      isa::KernelVariant::from_index(variant).vec == isa::VecDim::M ? M : N;
-  const double t = c[0] * static_cast<double>(K) +
-                   c[1] * static_cast<double>(K * V) +
-                   c[2] * static_cast<double>(K * M) * static_cast<double>(N) +
-                   c[3] * static_cast<double>(M * N) + c[4];
-  return t > 0.0 ? t : 0.0;
-}
-
-const std::array<double, 5>& GemmCostModel::coefficients(int variant) const {
-  SWATOP_CHECK(variant >= 0 && variant < 8);
-  return coef_[static_cast<std::size_t>(variant)];
+  return db_.spm_gemm_cycles(isa::KernelVariant::from_index(variant), M, N,
+                             K);
 }
 
 const GemmCostModel& gemm_cost_model(const sim::SimConfig& cfg) {
-  // One fitted model per distinct kernel-cost database (see
-  // isa::kernel_cost_db for the key fields). Same locking discipline as
-  // that registry: the map mutex is never held across the expensive fit
-  // (which itself builds the kernel cost database), only across the slot
-  // lookup; a per-key once_flag serializes exactly the threads that need
-  // the same key.
-  using Key = std::tuple<int, int, int, int, int, int, int>;
-  const Key key{cfg.vmad_latency,  cfg.vload_latency, cfg.vstore_latency,
-                cfg.reg_comm_latency, cfg.vector_width, cfg.mesh_rows,
-                cfg.mesh_cols};
-  struct Slot {
-    std::once_flag once;
-    std::unique_ptr<GemmCostModel> model;
-  };
+  // One model per kernel cost database; the database registry owns the
+  // expensive construction and keeps each database's address stable.
+  const isa::KernelCostDb& db = isa::kernel_cost_db(cfg);
   static std::mutex mu;
-  static std::map<Key, Slot> registry;
-  Slot* slot;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    slot = &registry[key];
-  }
-  std::call_once(slot->once, [&] {
-    slot->model = std::make_unique<GemmCostModel>(
-        GemmCostModel::fit(isa::kernel_cost_db(cfg)));
-  });
-  return *slot->model;
+  static std::map<const isa::KernelCostDb*, GemmCostModel> registry;
+  const std::lock_guard<std::mutex> lock(mu);
+  return registry.try_emplace(&db, db).first->second;
 }
 
 }  // namespace swatop::tune

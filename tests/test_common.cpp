@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "common/least_squares.hpp"
 #include "common/math_util.hpp"
 
 namespace swatop {
@@ -62,45 +61,6 @@ TEST(Check, ThrowsWithMessage) {
   } catch (const CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("context 42"), std::string::npos);
   }
-}
-
-TEST(LeastSquares, SolvesExactSystem) {
-  // y = 2x + 3.
-  std::vector<double> X = {1, 1, 2, 1, 3, 1, 4, 1};
-  std::vector<double> y = {5, 7, 9, 11};
-  const auto b = least_squares(X, y, 4, 2);
-  EXPECT_NEAR(b[0], 2.0, 1e-9);
-  EXPECT_NEAR(b[1], 3.0, 1e-9);
-}
-
-TEST(LeastSquares, MinimizesResidualOnNoisyData) {
-  // y = 4x - 1 with symmetric perturbation: fit must recover the line.
-  std::vector<double> X, y;
-  for (int i = 0; i < 10; ++i) {
-    X.push_back(i);
-    X.push_back(1);
-    y.push_back(4.0 * i - 1.0 + ((i % 2 == 0) ? 0.5 : -0.5));
-  }
-  const auto b = least_squares(X, y, 10, 2);
-  EXPECT_NEAR(b[0], 4.0, 0.05);
-  EXPECT_NEAR(b[1], -1.0, 0.5);
-}
-
-TEST(LeastSquares, RejectsUnderdetermined) {
-  std::vector<double> X = {1, 2};
-  std::vector<double> y = {1};
-  EXPECT_THROW(least_squares(X, y, 1, 2), CheckError);
-}
-
-TEST(SolveLinear, PivotsOnZeroDiagonal) {
-  // [[0, 1], [1, 0]] x = [2, 3] -> x = [3, 2].
-  const auto x = solve_linear({0, 1, 1, 0}, {2, 3}, 2);
-  EXPECT_NEAR(x[0], 3.0, 1e-12);
-  EXPECT_NEAR(x[1], 2.0, 1e-12);
-}
-
-TEST(SolveLinear, ThrowsOnSingular) {
-  EXPECT_THROW(solve_linear({1, 2, 2, 4}, {1, 2}, 2), CheckError);
 }
 
 }  // namespace

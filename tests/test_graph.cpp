@@ -625,15 +625,25 @@ TEST(Engine, SecondRunHitsTheScheduleCache) {
 }
 
 TEST(Engine, TimingOnlyMatchesFunctionalCycles) {
+  // With two groups of one image each, a timing-only run reuses group 0's
+  // conv runs for group 1, while a functional run simulates both.
   GraphEngine engine(fast_cfg());
-  NetOptions fun;
-  const NetRunResult f = engine.run(make_tiny(1), 2, fun);
-  NetOptions tim;
-  tim.mode = sim::ExecMode::TimingOnly;
-  const NetRunResult t = engine.run(make_tiny(1), 2, tim);
-  EXPECT_FALSE(t.checked);
-  EXPECT_DOUBLE_EQ(t.cycles, f.cycles);
-  EXPECT_EQ(t.flops, f.flops);
+  for (const int groups : {1, 2}) {
+    NetOptions fun;
+    fun.groups = groups;
+    const NetRunResult f = engine.run(make_tiny(1), 2, fun);
+    NetOptions tim = fun;
+    tim.mode = sim::ExecMode::TimingOnly;
+    const NetRunResult t = engine.run(make_tiny(1), 2, tim);
+    EXPECT_FALSE(t.checked);
+    EXPECT_DOUBLE_EQ(t.cycles, f.cycles) << groups << " groups";
+    EXPECT_EQ(t.flops, f.flops);
+    EXPECT_DOUBLE_EQ(t.chip_stats.compute_cycles,
+                     f.chip_stats.compute_cycles);
+    EXPECT_EQ(t.chip_stats.dma_bytes_requested,
+              f.chip_stats.dma_bytes_requested);
+    EXPECT_EQ(t.dma_bytes_elided, f.dma_bytes_elided);
+  }
 }
 
 TEST(Engine, WinogradRunsFunctionally) {

@@ -2,11 +2,12 @@
 //
 // For each operator below, every kept candidate's structural key
 // (tune::replay_key: the whole lowered and optimized IR, the bound tensor
-// addresses and the machine) and the bit pattern of its cost-model
-// estimate are hashed in candidate-index order. A change to lowering, to an
-// optimizer pass, to expression folding or to the cost model that alters a
-// single program or a single estimate changes the hash; a change that only
-// makes building them cheaper does not.
+// addresses and the machine) is hashed in candidate-index order, and so,
+// separately, is the bit pattern of its cost-model estimate. A change to
+// lowering, to an optimizer pass or to expression folding that alters a
+// single program changes the program hash; a change to the cost model
+// that alters a single estimate changes the estimate hash; a change that
+// only makes building or pricing them cheaper changes neither.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -31,10 +32,27 @@ const sim::SimConfig cfg;
 struct SweepDigest {
   std::size_t candidates = 0;
   std::size_t switched = 0;  ///< candidates with a parameter-switch boundary
-  std::uint64_t hash = 0;
+  std::uint64_t program_hash = 0;   ///< over every replay key
+  std::uint64_t estimate_hash = 0;  ///< over every estimate's bits
 };
 
-/// FNV-1a over every kept candidate's replay key and estimate bits.
+/// FNV-1a, one running hash per pinned quantity.
+class Fnv1a {
+ public:
+  void mix(const void* data, std::size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ull;
+    }
+  }
+  std::uint64_t value() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+/// Every kept candidate's replay key and estimate, hashed apart.
 SweepDigest digest(const dsl::OperatorDef& op) {
   sched::SchedulerOptions opts;
   opts.num_threads = 1;
@@ -44,25 +62,20 @@ SweepDigest digest(const dsl::OperatorDef& op) {
   layout.set_materialize(false);
   const dsl::BoundTensors bt = rt::bind_tensors(layout, op);
   const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](const unsigned char* p, std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  };
+  Fnv1a programs, estimates;
   SweepDigest d;
   d.candidates = cands.size();
   for (const sched::Candidate& c : cands) {
     if (c.strategy.to_string().find("boundary=switch") != std::string::npos)
       ++d.switched;
     const std::string key = tune::replay_key(c.program, bt, cfg);
-    mix(reinterpret_cast<const unsigned char*>(key.data()), key.size());
+    programs.mix(key.data(), key.size());
     const auto bits =
         std::bit_cast<std::uint64_t>(model.estimate(c.program).total());
-    mix(reinterpret_cast<const unsigned char*>(&bits), sizeof bits);
+    estimates.mix(&bits, sizeof bits);
   }
-  d.hash = h;
+  d.program_hash = programs.value();
+  d.estimate_hash = estimates.value();
   return d;
 }
 
@@ -89,7 +102,8 @@ TEST(SweepGolden, FusedPointwiseConvWithOutputPad) {
   const SweepDigest d =
       digest(ops::ImplicitConvOp(conv_shape(8, 64, 64, 8, 1), epi));
   EXPECT_EQ(d.candidates, 384u);
-  EXPECT_EQ(d.hash, 14447736513119435455ull);
+  EXPECT_EQ(d.program_hash, 6162669301611119043ull);
+  EXPECT_EQ(d.estimate_hash, 6216435193014496843ull);
 }
 
 TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
@@ -99,27 +113,31 @@ TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
       digest(ops::ImplicitConvOp(conv_shape(8, 96, 96, 7, 3)));
   EXPECT_EQ(d.candidates, 1248u);
   EXPECT_GT(d.switched, 0u);
-  EXPECT_EQ(d.hash, 6344157932393995962ull);
+  EXPECT_EQ(d.program_hash, 13093886021669661887ull);
+  EXPECT_EQ(d.estimate_hash, 14298991650334533986ull);
 }
 
 TEST(SweepGolden, StrideTwoConv) {
   const SweepDigest d =
       digest(ops::ImplicitConvOp(conv_shape(8, 32, 32, 8, 3, 2)));
   EXPECT_EQ(d.candidates, 32u);
-  EXPECT_EQ(d.hash, 6180021558223015655ull);
+  EXPECT_EQ(d.program_hash, 12671191846776121283ull);
+  EXPECT_EQ(d.estimate_hash, 7120686040687931094ull);
 }
 
 TEST(SweepGolden, RaggedMatmul) {
   const SweepDigest d = digest(ops::MatmulOp(72, 56, 40));
   EXPECT_EQ(d.candidates, 384u);
-  EXPECT_EQ(d.hash, 4168726089075641604ull);
+  EXPECT_EQ(d.program_hash, 18023560195678050115ull);
+  EXPECT_EQ(d.estimate_hash, 64487128613814354ull);
 }
 
 TEST(SweepGolden, ExplicitConv) {
   const SweepDigest d =
       digest(ops::ExplicitConvOp(conv_shape(2, 16, 32, 10, 3)));
   EXPECT_EQ(d.candidates, 720u);
-  EXPECT_EQ(d.hash, 1340129419613475631ull);
+  EXPECT_EQ(d.program_hash, 16095947494903292419ull);
+  EXPECT_EQ(d.estimate_hash, 7452451226757476571ull);
 }
 
 }  // namespace

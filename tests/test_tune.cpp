@@ -11,6 +11,7 @@
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
+#include "prim/gemm_primitive.hpp"
 #include "tune/cost_model.hpp"
 #include "tune/gemm_model.hpp"
 #include "tune/tuner.hpp"
@@ -20,41 +21,37 @@ namespace {
 
 sim::SimConfig cfg;
 
-TEST(GemmModel, FitResidualIsSmall) {
-  // Eq. (2) is a smooth surrogate for a genuinely stepped cost surface
-  // (ragged register-block decomposition); a mean relative residual in the
-  // low tens of percent per *single call* is expected -- what Fig. 9
-  // validates is the end-to-end candidate ranking, tested separately.
+TEST(GemmModel, EqualsTheCyclesSpmGemmBooks) {
+  // Eq. (2) is priced from the kernel cost table, so the model charges
+  // exactly what the primitive books, for every variant over the tile
+  // sizes the scheduler deploys.
   const GemmCostModel& m = gemm_cost_model(cfg);
+  const isa::KernelCostDb& db = isa::kernel_cost_db(cfg);
+  sim::CoreGroup cg(cfg);
   for (int v = 0; v < 8; ++v) {
-    EXPECT_LT(m.residual(v), 0.15) << "variant " << v;
+    for (std::int64_t M : {32, 64, 128, 256}) {
+      for (std::int64_t N : {32, 64, 128, 256}) {
+        for (std::int64_t K : {8, 16, 32, 64, 128, 256}) {
+          prim::SpmGemmArgs a;
+          a.M = M;
+          a.N = N;
+          a.K = K;
+          a.variant = isa::KernelVariant::from_index(v);
+          cg.reset_execution();
+          prim::spm_gemm(cg, a, sim::ExecMode::TimingOnly, db);
+          EXPECT_EQ(m.cycles(v, M, N, K), cg.now())
+              << "variant " << v << " " << M << "x" << N << "x" << K;
+        }
+      }
+    }
   }
 }
 
-TEST(GemmModel, PredictsMeasuredOrdering) {
-  // The fitted Eq. (2) must preserve the ordering between a cheap and an
-  // expensive variant at a representative shape.
-  const GemmCostModel& m = gemm_cost_model(cfg);
-  const auto& db = isa::kernel_cost_db(cfg);
-  const double fast = db.spm_gemm_cycles(isa::KernelVariant::from_index(0),
-                                         128, 128, 64);
-  const double slow = db.spm_gemm_cycles(isa::KernelVariant::from_index(1),
-                                         128, 128, 64);
-  ASSERT_LT(fast, slow);
-  EXPECT_LT(m.cycles(0, 128, 128, 64), m.cycles(1, 128, 128, 64));
-}
-
-TEST(GemmModel, GrowsWithEveryDim) {
-  const GemmCostModel& m = gemm_cost_model(cfg);
-  const double base = m.cycles(0, 64, 64, 32);
-  EXPECT_GT(m.cycles(0, 128, 64, 32), base);
-  EXPECT_GT(m.cycles(0, 64, 128, 32), base);
-  EXPECT_GT(m.cycles(0, 64, 64, 64), base);
-}
-
 TEST(CostModel, TracksInterpreterWithinTolerance) {
-  // The static estimate should land near the measured run for an aligned
-  // shape (no boundary approximation error).
+  // The static estimate should land on the measured run for an aligned
+  // shape (no boundary approximation error): the gemm calls are priced
+  // from the table the interpreter charges, and each double-buffered
+  // iteration as the longer of its transfers and its compute.
   ops::MatmulOp op(128, 128, 64);
   dsl::Strategy s;
   s.set_factor("Tm", 64);
@@ -67,10 +64,14 @@ TEST(CostModel, TracksInterpreterWithinTolerance) {
   const double measured = measure_candidate(op, cand, cfg);
   const CostModel model(cfg, gemm_cost_model(cfg));
   const double predicted = model.estimate(cand.program).total();
-  EXPECT_NEAR(predicted, measured, 0.35 * measured);
+  EXPECT_NEAR(predicted, measured, 0.01 * measured);
 }
 
 TEST(CostModel, OverlapUsesMax) {
+  // Double buffering hides each prefetch behind its iteration's compute,
+  // so the prefetched program prices below the synchronous one; and any
+  // composition of per-iteration maxima lies between max(DMA, compute)
+  // and their sum.
   ops::MatmulOp op(128, 128, 64);
   dsl::Strategy s;
   s.set_factor("Tm", 64);
@@ -84,13 +85,18 @@ TEST(CostModel, OverlapUsesMax) {
   const auto without = build_candidate(op, s, cfg, false);
   const StaticCost cw = model.estimate(with.program);
   const StaticCost co = model.estimate(without.program);
-  EXPECT_TRUE(cw.overlapped);
-  EXPECT_FALSE(co.overlapped);
   EXPECT_LT(cw.total(), co.total());
-  EXPECT_DOUBLE_EQ(cw.total(),
-                   cw.dma_sync_cycles + std::max(cw.dma_overlapped_cycles,
-                                                 cw.compute_cycles));
-  EXPECT_DOUBLE_EQ(co.total(), co.dma_cycles() + co.compute_cycles);
+  // (The sums run in another order than the composition; 1e-12 absorbs
+  // the rounding.)
+  for (const StaticCost& c : {cw, co}) {
+    const double sum = c.dma_cycles() + c.compute_cycles;
+    EXPECT_GE(c.total(),
+              (1 - 1e-12) * std::max(c.dma_cycles(), c.compute_cycles));
+    EXPECT_LE(c.total(), (1 + 1e-12) * sum);
+  }
+  // Without double buffering every transfer is waited on at once.
+  EXPECT_NEAR(co.total(), co.dma_cycles() + co.compute_cycles,
+              1e-12 * co.total());
 }
 
 TEST(ModelTuner, FindsACandidateAndReportsStats) {
@@ -530,12 +536,54 @@ TEST(CostModel, PenalizesSynchronousAccumulatorTraffic) {
   const auto bad = build_candidate(op, strat("rcuvio"), cfg);
   const StaticCost cg_ = model.estimate(good.program);
   const StaticCost cb = model.estimate(bad.program);
-  // The reduction-outside order carries far more synchronous DMA...
-  EXPECT_GT(cb.dma_sync_cycles, 2.0 * cg_.dma_sync_cycles);
-  // ...and both the model and the interpreter agree on the ordering.
+  // The reduction-outside order re-fetches C on every pass...
+  EXPECT_GT(cb.dma_cycles(), 1.5 * cg_.dma_cycles());
+  // ...on a constant reply slot, so the cluster waits on it: most of the
+  // extra traffic shows in the total instead of hiding behind compute.
+  EXPECT_GT(cb.total() - cg_.total(),
+            0.5 * (cb.dma_cycles() - cg_.dma_cycles()));
+  // ...and the model and the interpreter agree on the ordering.
   EXPECT_GT(cb.total(), cg_.total());
   EXPECT_GT(measure_candidate(op, bad, cfg),
             measure_candidate(op, good, cfg));
+}
+
+TEST(CostModel, OrdersFig9LoopOrderTwinsLikeTheInterpreter) {
+  // Regression for Fig. 9's worst shape (Ni 256, No 64): two loop orders
+  // that differ only in which loop is innermost -- so how many prologue
+  // gets the first iterations wait on, and whether the last iteration's
+  // compute has a prefetch to hide behind. A program-wide max(DMA,
+  // compute) priced them identically and the index tie-break picked the
+  // slower one.
+  ops::ConvShape s;
+  s.batch = 32;
+  s.ni = 256;
+  s.no = 64;
+  s.ri = 34;
+  s.ci = 34;
+  ops::ImplicitConvOp op(s);
+  auto strat = [](const char* order) {
+    dsl::Strategy st;
+    st.set_factor("Tco", 32);
+    st.set_factor("Tni", 128);
+    st.set_factor("Tno", 64);
+    st.set_choice("boundary", "pad");
+    st.set_choice("order", order);
+    st.set_choice("variant", "7");
+    st.set_choice("wlayout", "ni_major");
+    return st;
+  };
+  const CostModel model(cfg, gemm_cost_model(cfg));
+  const auto a = build_candidate(op, strat("rcouvi"), cfg);
+  const auto b = build_candidate(op, strat("rcoiuv"), cfg);
+  const double ma = measure_candidate(op, a, cfg);
+  const double mb = measure_candidate(op, b, cfg);
+  const double ea = model.estimate(a.program).total();
+  const double eb = model.estimate(b.program).total();
+  if (ma < mb)
+    EXPECT_LT(ea, eb);
+  else
+    EXPECT_GT(ea, eb);
 }
 
 }  // namespace
