@@ -56,7 +56,7 @@ int main() {
   {
     const double t0 = now_seconds();
     for (const auto& op : ops) {
-      cold_picks.push_back(compile(op, cfg).handle().candidate.strategy);
+      cold_picks.push_back(compile(op, cfg).candidate.strategy);
     }
     cold_seconds = now_seconds() - t0;
   }
@@ -70,8 +70,8 @@ int main() {
     for (std::size_t i = 0; i < ops.size(); ++i) {
       // Fresh compile(): every banked strategy must come off the disk.
       const CompiledOp compiled = compile(ops[i], cfg);
-      if (compiled.handle().from_cache) ++hits;
-      if (!(compiled.handle().candidate.strategy == cold_picks[i]))
+      if (compiled.from_cache) ++hits;
+      if (!(compiled.candidate.strategy == cold_picks[i]))
         ++mismatches;
     }
     warm_seconds = now_seconds() - t0;

@@ -20,7 +20,7 @@ double tuned(const dsl::OperatorDef& op, const sim::SimConfig& machine) {
   SwatopConfig c;
   c.machine = machine;
   c.measure_best = true;
-  return compile(op, c).handle().measured_cycles;
+  return compile(op, c).measured_cycles;
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
 
   CompiledOp compiled = compile(*op);
   std::printf("custom operator tuned: %s\n",
-              compiled.handle().candidate.strategy.to_string().c_str());
+              compiled.candidate.strategy.to_string().c_str());
 
   // The compiled handle owns the core group, binding and input fill.
   const auto r = compiled.run();

@@ -18,11 +18,10 @@ int main(int argc, char** argv) {
   ops::MatmulOp op(M, N, K);
   SwatopConfig cfg;  // default machine; the single configuration surface
   const CompiledOp compiled = compile(op, cfg);
-  const OptimizedOperator& tuned = compiled.handle();
 
   std::printf("// strategy: %s\n",
-              tuned.candidate.strategy.to_string().c_str());
-  std::printf("// predicted cycles: %.0f\n\n", tuned.predicted_cycles);
-  std::fputs(tuned.c_source.c_str(), stdout);
+              compiled.candidate.strategy.to_string().c_str());
+  std::printf("// predicted cycles: %.0f\n\n", compiled.predicted_cycles);
+  std::fputs(compiled.c_source.c_str(), stdout);
   return 0;
 }

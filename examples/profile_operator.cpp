@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   CompiledOp compiled = compile(op, cfg);
   const rt::RunResult r = compiled.run(sim::ExecMode::TimingOnly);
   std::printf("picked %s: %.0f cycles measured, %.1f GFLOPS\n\n",
-              compiled.handle().candidate.strategy.to_string().c_str(),
+              compiled.candidate.strategy.to_string().c_str(),
               r.cycles, r.gflops(op.flops(), cfg.machine));
 
   // The profile snapshot rides on the run result.

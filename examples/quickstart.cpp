@@ -25,15 +25,14 @@ int main(int argc, char** argv) {
   //    generated code, the core group and the tuning journal.
   const SwatopConfig cfg;
   CompiledOp compiled = compile(op, cfg);
-  const OptimizedOperator& tuned = compiled.handle();
 
   std::printf("operator:        %s\n", op.name().c_str());
   std::printf("schedule space:  %lld strategies, %lld valid after pruning\n",
-              static_cast<long long>(tuned.stats.space_size),
-              static_cast<long long>(tuned.stats.valid_candidates));
+              static_cast<long long>(compiled.stats.space_size),
+              static_cast<long long>(compiled.stats.valid_candidates));
   std::printf("picked strategy: %s\n",
-              tuned.candidate.strategy.to_string().c_str());
-  std::printf("tuning took:     %.3f s\n", tuned.stats.seconds);
+              compiled.candidate.strategy.to_string().c_str());
+  std::printf("tuning took:     %.3f s\n", compiled.stats.seconds);
 
   // 3. Run functionally and validate against the naive reference.
   const rt::RunResult r = compiled.run();

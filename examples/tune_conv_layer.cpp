@@ -24,20 +24,19 @@ int main(int argc, char** argv) {
   ops::ImplicitConvOp op(shape);
   SwatopConfig cfg;
   cfg.measure_best = true;  // also run the winner through the interpreter
-  CompiledOp compiled = compile(op, cfg);
-  const OptimizedOperator& tuned = compiled.handle();
-  const double swatop_cycles = tuned.measured_cycles;
+  const CompiledOp compiled = compile(op, cfg);
+  const double swatop_cycles = compiled.measured_cycles;
   std::printf("\nswATOP: %lld-strategy space tuned in %.2f s\n",
-              static_cast<long long>(tuned.stats.space_size),
-              tuned.stats.seconds);
-  std::printf("picked: %s\n", tuned.candidate.strategy.to_string().c_str());
+              static_cast<long long>(compiled.stats.space_size),
+              compiled.stats.seconds);
+  std::printf("picked: %s\n", compiled.candidate.strategy.to_string().c_str());
   std::printf("measured: %.0f cycles = %.1f GFLOPS\n", swatop_cycles,
               static_cast<double>(shape.flops()) / swatop_cycles *
-                  compiled.config().machine.clock_ghz);
+                  compiled.machine().clock_ghz);
 
   if (baseline::SwDnnConv::applicable(shape)) {
     const double manual =
-        baseline::SwDnnConv(compiled.config().machine).cycles(shape);
+        baseline::SwDnnConv(compiled.machine()).cycles(shape);
     std::printf("swDNN manual schedule: %.0f cycles -> swATOP speedup "
                 "%.2fx\n",
                 manual, manual / swatop_cycles);
@@ -48,6 +47,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\ntuned schedule IR:\n%s",
-              ir::print(tuned.candidate.program).c_str());
+              ir::print(compiled.candidate.program).c_str());
   return 0;
 }

@@ -2,68 +2,89 @@
 
 #include <cctype>
 #include <chrono>
+#include <cstdio>
 
 #include "common/check.hpp"
 #include "tune/cost_model.hpp"
 
 namespace swatop {
 
-rt::RunResult OptimizedOperator::run(sim::CoreGroup& cg,
-                                     const dsl::BoundTensors& bt,
-                                     sim::ExecMode mode,
-                                     const rt::ResidentSet* resident) const {
+rt::RunResult CompiledOp::run(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
+                              sim::ExecMode mode,
+                              const rt::ResidentSet* resident) const {
   rt::Interpreter interp(cg, mode);
   if (resident != nullptr && !resident->empty())
     interp.set_resident(resident);
   return interp.run(candidate.program, bt);
 }
 
-void OptimizedOperator::ensure_bound() {
+rt::RunResult CompiledOp::run(sim::ExecMode mode) {
   SWATOP_CHECK(op_ != nullptr)
-      << "OptimizedOperator::execute on a default-constructed handle; use "
-         "Optimizer::optimize";
-  if (cg_) return;
-  cg_ = std::make_unique<sim::CoreGroup>(machine_);
-  if (recorder_) cg_->attach_observer(recorder_.get());
-  bt_ = rt::bind_tensors(*cg_, *op_);
-  op_->fill_inputs(*cg_, bt_, candidate.strategy);
-}
-
-rt::RunResult OptimizedOperator::execute(sim::ExecMode mode) {
-  ensure_bound();
-  if (executed_ && cg_->mem().materialize()) {
+      << "CompiledOp::run on a default-constructed handle; use compile()";
+  if (!cg_) {
+    cg_ = std::make_unique<sim::CoreGroup>(machine_);
+    if (recorder_) cg_->attach_observer(recorder_.get());
+    bt_ = rt::bind_tensors(*cg_, *op_);
+    op_->fill_inputs(*cg_, bt_, candidate.strategy);
+  } else if (cg_->mem().materialize()) {
     // Restore the launch-time state (outputs zeroed, as alloc left them;
     // inputs are never written by a program and keep their fill). Today's
     // generated programs zero their SPM accumulator on the first reduction
     // pass and overwrite the output tile on DmaPut, so they happen to be
     // idempotent on preserved memory -- but that is a property of the DMA
-    // inference pass, not of execute()'s contract; zeroing here keeps
-    // re-runs correct for any accumulating schedule.
+    // inference pass, not of run()'s contract; zeroing here keeps re-runs
+    // correct for any accumulating schedule.
     for (const dsl::TensorSpec& t : op_->tensors())
       if (t.is_output) cg_->mem().fill(bt_.at(t.name), t.floats, 0.0f);
   }
-  executed_ = true;
-  return run(*cg_, bt_, mode);
+  rt::RunResult r = run(*cg_, bt_, mode);
+  last_cycles_ = r.cycles;
+  ran_ = true;
+  checkable_ = mode == sim::ExecMode::Functional;
+  return r;
 }
 
-double OptimizedOperator::check_output() {
-  ensure_bound();
+double CompiledOp::check() {
+  SWATOP_CHECK(checkable_)
+      << "CompiledOp::check() needs a functional run() first"
+      << (ran_ ? " (the last run was timing-only and wrote no output)" : "");
   return op_->check_output(*cg_, bt_, candidate.strategy);
 }
 
-sim::CoreGroup& OptimizedOperator::core_group() {
-  ensure_bound();
-  return *cg_;
+const tune::Journal& CompiledOp::journal() const {
+  SWATOP_CHECK(journal_ != nullptr)
+      << "CompiledOp::journal(): tuned without a journal (compile() always "
+         "has one)";
+  return *journal_;
 }
 
-const dsl::BoundTensors& OptimizedOperator::tensors() {
-  ensure_bound();
-  return bt_;
-}
-
-std::int64_t OptimizedOperator::flops() const {
-  SWATOP_CHECK(op_ != nullptr) << "flops() on a default-constructed handle";
-  return op_->flops();
+std::string CompiledOp::report() const {
+  SWATOP_CHECK(op_ != nullptr) << "CompiledOp::report on an empty handle";
+  char buf[256];
+  std::string s;
+  s += "== " + op_->name() + " ==\n";
+  s += "strategy:  " + candidate.strategy.serialize() + "\n";
+  std::snprintf(buf, sizeof(buf), "predicted: %.0f cycles%s\n",
+                predicted_cycles, from_cache ? "  (schedule cache hit)" : "");
+  s += buf;
+  if (measured_cycles > 0.0) {
+    std::snprintf(buf, sizeof(buf), "measured:  %.0f cycles (tuning)\n",
+                  measured_cycles);
+    s += buf;
+  }
+  if (ran_) {
+    rt::RunResult last;
+    last.cycles = last_cycles_;
+    std::snprintf(buf, sizeof(buf), "last run:  %.0f cycles, %.1f GFLOPS\n",
+                  last.cycles, last.gflops(op_->flops(), machine_));
+    s += buf;
+  }
+  if (journal_ != nullptr) {
+    std::snprintf(buf, sizeof(buf), "journal:   %zu candidate rows\n",
+                  journal_->size());
+    s += buf;
+  }
+  return s;
 }
 
 Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
@@ -73,10 +94,11 @@ Optimizer::Optimizer(SwatopConfig cfg) : cfg_(cfg) {
     replay_ = std::make_shared<tune::ReplayExecutor>(cfg_.replay);
 }
 
-OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
-  OptimizedOperator out;
+CompiledOp Optimizer::optimize(const dsl::OperatorDef& op) const {
+  CompiledOp out;
   out.op_ = &op;
   out.machine_ = cfg_.machine;
+  out.journal_ = cfg_.journal;
   if (cfg_.observability.enabled)
     out.recorder_ = std::make_shared<obs::Recorder>(cfg_.observability);
 
@@ -90,16 +112,8 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
   auto measure = [&](const sched::Candidate& c) {
     return tune::measure_candidate(op, c, cfg_.machine, replay_.get());
   };
-  // Surface the memo's traffic for this optimize() call into the
-  // recorder's tuning counters (called at every return).
   const tune::ReplayStats replay0 =
       replay_ ? replay_->stats() : tune::ReplayStats{};
-  auto flush_replay = [&] {
-    if (!replay_ || rec == nullptr) return;
-    const tune::ReplayStats r = replay_->stats();
-    rec->tune().replay_hits += r.hits - replay0.hits;
-    rec->tune().replay_misses += r.misses - replay0.misses;
-  };
 
   // Cache fast path: a banked winner is rebuilt directly through the
   // tuner's build path (one lower + optimize + validate, no space
@@ -150,66 +164,64 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
           e.chosen = true;
           cfg_.journal->append(std::move(e));
         }
-        codegen::EmitOptions eopts;
-        eopts.kernel_name = "swatop_" + op.name();
-        for (char& c : eopts.kernel_name)
-          if (!isalnum(static_cast<unsigned char>(c))) c = '_';
-        out.c_source = codegen::emit_c(out.candidate.program, eopts);
-        flush_replay();
-        return out;
       } catch (const CheckError&) {
         // A stale/corrupt entry that no longer lowers, optimizes or
         // validates cleanly: fall through to a fresh tuning run (which
         // re-banks the key).
       }
     }
-    if (rec) rec->tune().cache_misses += 1;
+    if (!out.from_cache && rec) rec->tune().cache_misses += 1;
   }
 
-  if (cfg_.tune_top_k >= 1) {
-    tune::Tuned tuned =
-        tuner.tune_top_k(op, cfg_.tune_top_k, sopts, rec, cfg_.journal);
-    out.measured_cycles = tuned.cycles;
-    out.stats = tuned.stats;
-    out.candidate = std::move(tuned.candidate);
-    // tune_top_k reports measured cycles; recover the model's estimate of
-    // the winner so callers can compare.
-    const tune::CostModel model(cfg_.machine, tune::gemm_cost_model(cfg_.machine));
-    out.predicted_cycles = model.estimate(out.candidate.program).total();
-  } else {
-    tune::Tuned tuned = tuner.tune(op, sopts, rec, cfg_.journal);
-    out.predicted_cycles = tuned.cycles;
-    out.stats = tuned.stats;
-    out.candidate = std::move(tuned.candidate);
-    if (cfg_.measure_best) {
-      out.measured_cycles = measure(out.candidate);
-      out.stats.measured += 1;
-      // Record the pick's model-vs-simulator sample (the "model" rows
-      // above carry no measurement by construction).
-      if (cfg_.journal) {
-        tune::JournalEntry e;
-        e.op = op.name();
-        e.phase = "measure";
-        e.strategy = out.candidate.strategy.to_string();
-        e.rank = 0;
-        e.predicted = out.predicted_cycles;
-        e.measured = out.measured_cycles;
-        cfg_.journal->append(std::move(e));
+  // Fresh tuning (no cache, a miss, or an entry that failed to rebuild),
+  // banked for the next call.
+  if (!out.from_cache) {
+    if (cfg_.tune_top_k >= 1) {
+      tune::Tuned tuned =
+          tuner.tune_top_k(op, cfg_.tune_top_k, sopts, rec, cfg_.journal);
+      out.measured_cycles = tuned.cycles;
+      out.stats = tuned.stats;
+      out.candidate = std::move(tuned.candidate);
+      // tune_top_k reports measured cycles; recover the model's estimate of
+      // the winner so callers can compare.
+      const tune::CostModel model(cfg_.machine,
+                                  tune::gemm_cost_model(cfg_.machine));
+      out.predicted_cycles = model.estimate(out.candidate.program).total();
+    } else {
+      tune::Tuned tuned = tuner.tune(op, sopts, rec, cfg_.journal);
+      out.predicted_cycles = tuned.cycles;
+      out.stats = tuned.stats;
+      out.candidate = std::move(tuned.candidate);
+      if (cfg_.measure_best) {
+        out.measured_cycles = measure(out.candidate);
+        out.stats.measured += 1;
+        // Record the pick's model-vs-simulator sample (the "model" rows
+        // above carry no measurement by construction).
+        if (cfg_.journal) {
+          tune::JournalEntry e;
+          e.op = op.name();
+          e.phase = "measure";
+          e.strategy = out.candidate.strategy.to_string();
+          e.rank = 0;
+          e.predicted = out.predicted_cycles;
+          e.measured = out.measured_cycles;
+          cfg_.journal->append(std::move(e));
+        }
       }
     }
-  }
 
-  if (cache_) {
-    const double w0 = rec ? rec->wall_us() : 0.0;
-    tune::CacheEntry e;
-    e.strategy = out.candidate.strategy;
-    e.prefetch = out.candidate.prefetch;
-    e.predicted_cycles = out.predicted_cycles;
-    e.measured_cycles = out.measured_cycles;
-    cache_->store(cache_key, e);
-    if (rec) {
-      rec->tune().cache_stores += 1;
-      tune::tune_phase_span(rec, "cache store", w0, rec->wall_us());
+    if (cache_) {
+      const double w0 = rec ? rec->wall_us() : 0.0;
+      tune::CacheEntry e;
+      e.strategy = out.candidate.strategy;
+      e.prefetch = out.candidate.prefetch;
+      e.predicted_cycles = out.predicted_cycles;
+      e.measured_cycles = out.measured_cycles;
+      cache_->store(cache_key, e);
+      if (rec) {
+        rec->tune().cache_stores += 1;
+        tune::tune_phase_span(rec, "cache store", w0, rec->wall_us());
+      }
     }
   }
 
@@ -218,16 +230,15 @@ OptimizedOperator Optimizer::optimize(const dsl::OperatorDef& op) const {
   for (char& c : eopts.kernel_name)
     if (!isalnum(static_cast<unsigned char>(c))) c = '_';
   out.c_source = codegen::emit_c(out.candidate.program, eopts);
-  flush_replay();
-  return out;
-}
 
-RunOutcome optimize_and_run(const SwatopConfig& cfg,
-                            const dsl::OperatorDef& op, sim::ExecMode mode) {
-  RunOutcome o;
-  o.optimized = Optimizer(cfg).optimize(op);
-  o.result = o.optimized.execute(mode);
-  return o;
+  // Surface the memo's traffic for this call into the recorder's tuning
+  // counters.
+  if (replay_ && rec) {
+    const tune::ReplayStats r = replay_->stats();
+    rec->tune().replay_hits += r.hits - replay0.hits;
+    rec->tune().replay_misses += r.misses - replay0.misses;
+  }
+  return out;
 }
 
 }  // namespace swatop

@@ -1,30 +1,22 @@
-// swATOP low-level optimizer API: describe an operator (ops/ provides
-// matmul and the three convolution designs, or implement dsl::OperatorDef
-// for your own), call Optimizer::optimize, and get back a tuned schedule,
-// the generated C source for SW26010, and a handle that owns everything
-// needed to run it.
-//
-// NOTE: this header is the implementation layer underneath
-// swatop::compile() (graph/compile.hpp), which is the preferred front door
-// for new code -- it owns the tuning journal, runs the graph-level fusion
-// and SPM-residency passes, and keeps reports glued to the runs that
-// produced them. Optimizer / OptimizedOperator::execute /
-// optimize_and_run remain supported for callers that need the low-level
-// surface (caller-owned core groups, manual tensor binding, per-candidate
-// control), and compile() is implemented on top of them.
+// swATOP's operator handle and the tuning service behind it. Describe an
+// operator (ops/ provides matmul and the three convolution designs, or
+// implement dsl::OperatorDef for your own) and compile it:
 //
 //   swatop::SwatopConfig cfg;
 //   swatop::ops::MatmulOp op(512, 512, 512);
-//   auto compiled = swatop::compile(op, cfg);     // preferred
-//   // or, step by step on this layer:
-//   swatop::Optimizer opt(cfg);
-//   auto tuned = opt.optimize(op);
-//   auto result = tuned.execute(sim::ExecMode::Functional);
+//   auto compiled = swatop::compile(op, cfg);   // graph/compile.hpp
+//   auto result = compiled.run();               // functional by default
+//   double err = compiled.check();
 //
-// The one-call paths own the core group, tensor binding and input fill
-// internally; the pre-existing low-level entry points (bind_tensors +
-// OptimizedOperator::run on a caller-owned core group) keep working for
-// callers that manage memory themselves.
+// CompiledOp is the one handle for a tuned operator: the schedule, its
+// generated C source, the tuning numbers, and a core group it owns and
+// binds on first run(). Callers that manage memory themselves run the same
+// handle on their own core group and binding (run(cg, bt, mode)), which is
+// what the graph engine does for every layer.
+//
+// Optimizer is the schedule-cache and measurement-memo service that
+// compile(op) and graph::GraphEngine share: Optimizer::optimize tunes (or
+// serves from the cache) and code-generates one operator.
 #pragma once
 
 #include <memory>
@@ -36,6 +28,7 @@
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
 #include "sched/scheduler.hpp"
+#include "tune/journal.hpp"
 #include "tune/replay.hpp"
 #include "tune/schedule_cache.hpp"
 #include "tune/tuner.hpp"
@@ -115,17 +108,17 @@ struct SwatopConfig {
   }
 };
 
-/// A tuned, code-generated operator. Owns (lazily) the simulated core group
-/// and tensor binding needed to run it, so `execute()` is one call; the
-/// operator definition passed to Optimizer::optimize must outlive it.
-/// Move-only (it owns a core group).
-class OptimizedOperator {
+/// A tuned, code-generated operator: returned by compile(op, cfg)
+/// (graph/compile.hpp) and by Optimizer::optimize. It owns (lazily) the
+/// simulated core group and tensor binding needed to run it; the operator
+/// definition must outlive it. Move-only (it owns a core group).
+class CompiledOp {
  public:
-  OptimizedOperator() = default;
-  OptimizedOperator(OptimizedOperator&&) = default;
-  OptimizedOperator& operator=(OptimizedOperator&&) = default;
-  OptimizedOperator(const OptimizedOperator&) = delete;
-  OptimizedOperator& operator=(const OptimizedOperator&) = delete;
+  CompiledOp() = default;
+  CompiledOp(CompiledOp&&) = default;
+  CompiledOp& operator=(CompiledOp&&) = default;
+  CompiledOp(const CompiledOp&) = delete;
+  CompiledOp& operator=(const CompiledOp&) = delete;
 
   sched::Candidate candidate;
   tune::TunerStats stats;
@@ -139,59 +132,64 @@ class OptimizedOperator {
   /// first use. Repeated calls reuse the core group; output tensors are
   /// re-zeroed before each re-run so an accumulating schedule (C += A*B)
   /// starts from the same state every time -- inputs are read-only to the
-  /// generated programs and keep their first-use fill. When the optimizer
-  /// was configured with observability enabled, the result's `profile`
-  /// carries the counters and trace of this run plus the accumulated
-  /// tuning history.
-  rt::RunResult execute(sim::ExecMode mode = sim::ExecMode::Functional);
+  /// generated programs and keep their first-use fill. With observability
+  /// enabled, the result's `profile` carries the counters and trace of
+  /// this run plus the accumulated tuning history.
+  rt::RunResult run(sim::ExecMode mode = sim::ExecMode::Functional);
 
-  /// Max |computed - reference| over the outputs of the last execute().
-  double check_output();
+  /// Max |computed - reference| over the outputs of the last run(). Throws
+  /// swatop::CheckError unless the last run() was functional: a timing-only
+  /// run writes no output, so there is nothing to compare.
+  double check();
 
-  /// The internally owned core group / binding (created on demand); for
-  /// callers that want to inspect or reuse the memory execute() ran on.
-  sim::CoreGroup& core_group();
-  const dsl::BoundTensors& tensors();
+  /// One-paragraph text summary: strategy, predicted/measured cycles,
+  /// cache status, and the last run's numbers when available.
+  std::string report() const;
 
-  /// The operator's useful flops under the tuned strategy; convenience for
-  /// RunResult::gflops.
-  std::int64_t flops() const;
+  /// Every candidate the tuner considered compiling this operator (plus
+  /// any the caller's own SwatopConfig::journal had recorded before).
+  /// Throws when the handle was tuned without a journal (an
+  /// Optimizer::optimize call whose config had none).
+  const tune::Journal& journal() const;
 
-  /// Low-level entry point: run on a caller-owned core group and binding.
-  /// `resident` (optional) pins operand tensors on-chip for the run -- the
-  /// graph engine's inter-layer SPM residency (see rt::ResidentSet).
+  const sim::SimConfig& machine() const { return machine_; }
+
+  /// Run on a caller-owned core group and binding. `resident` (optional)
+  /// pins operand tensors on-chip for the run -- the graph engine's
+  /// inter-layer SPM residency (see rt::ResidentSet).
   rt::RunResult run(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                     sim::ExecMode mode,
                     const rt::ResidentSet* resident = nullptr) const;
 
  private:
   friend class Optimizer;
-
-  void ensure_bound();
+  friend CompiledOp compile(const dsl::OperatorDef& op, SwatopConfig cfg);
 
   const dsl::OperatorDef* op_ = nullptr;
   sim::SimConfig machine_{};
   std::shared_ptr<obs::Recorder> recorder_;  ///< null when obs is off
+  tune::Journal* journal_ = nullptr;  ///< the config's journal, if any
+  std::unique_ptr<tune::Journal> owned_journal_;  ///< compile(op)'s own
   std::unique_ptr<sim::CoreGroup> cg_;
   dsl::BoundTensors bt_;
-  bool executed_ = false;  ///< outputs must be re-zeroed before a re-run
+  double last_cycles_ = 0.0;  ///< of the last run(), for report()
+  bool ran_ = false;
+  bool checkable_ = false;  ///< the last run() was functional
 };
 
 class Optimizer {
  public:
   explicit Optimizer(SwatopConfig cfg = {});
 
-  const sim::SimConfig& machine() const { return cfg_.machine; }
-  const SwatopConfig& config() const { return cfg_; }
-
   /// Tune the operator with the performance-model-based autotuner (plus
   /// top-k measurement when configured) and generate its code. The
-  /// returned handle keeps a pointer to `op`. With the schedule cache
-  /// enabled, a previously tuned (operator, machine, knobs) is served from
-  /// the cache: the banked winning strategy is re-lowered directly (the
-  /// schedule space is never enumerated) and the handle is marked
+  /// returned handle keeps a pointer to `op`; its journal is the config's
+  /// (compile(op) supplies one when the caller did not). With the schedule
+  /// cache enabled, a previously tuned (operator, machine, knobs) is served
+  /// from the cache: the banked winning strategy is re-lowered directly
+  /// (the schedule space is never enumerated) and the handle is marked
   /// `from_cache`; fresh results are banked after tuning.
-  OptimizedOperator optimize(const dsl::OperatorDef& op) const;
+  CompiledOp optimize(const dsl::OperatorDef& op) const;
 
   /// The schedule cache, when enabled (for inspection / explicit save()).
   tune::ScheduleCache* schedule_cache() const { return cache_.get(); }
@@ -205,18 +203,5 @@ class Optimizer {
   std::shared_ptr<tune::ScheduleCache> cache_;  ///< null when disabled
   std::shared_ptr<tune::ReplayExecutor> replay_;  ///< null when disabled
 };
-
-/// The whole pipeline in one call: tune, generate code, execute.
-/// Prefer swatop::compile(op, cfg) (graph/compile.hpp) in new code: the
-/// compiled handle additionally owns the tuning journal and keeps
-/// check()/report() attached to the run. This shim remains for existing
-/// callers and costs nothing extra.
-struct RunOutcome {
-  OptimizedOperator optimized;
-  rt::RunResult result;
-};
-RunOutcome optimize_and_run(const SwatopConfig& cfg,
-                            const dsl::OperatorDef& op,
-                            sim::ExecMode mode = sim::ExecMode::Functional);
 
 }  // namespace swatop

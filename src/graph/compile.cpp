@@ -1,64 +1,21 @@
 #include "graph/compile.hpp"
 
-#include <cstdio>
+#include <memory>
 #include <utility>
 
 #include "common/check.hpp"
 
 namespace swatop {
 
-// ---------------------------------------------------------------- CompiledOp
-
-CompiledOp::CompiledOp(const dsl::OperatorDef& op, SwatopConfig cfg)
-    : op_(&op) {
-  if (!cfg.journal) {
-    owned_journal_ = std::make_unique<tune::Journal>();
-    cfg.journal = owned_journal_.get();
-  }
-  journal_ = cfg.journal;
-  optimizer_ = std::make_unique<Optimizer>(std::move(cfg));
-  opt_ = optimizer_->optimize(op);
-}
-
-rt::RunResult CompiledOp::run(sim::ExecMode mode) {
-  last_ = opt_.execute(mode);
-  ran_ = true;
-  return last_;
-}
-
-double CompiledOp::check() {
-  SWATOP_CHECK(ran_) << "CompiledOp::check() before the first run()";
-  return opt_.check_output();
-}
-
-std::string CompiledOp::report() const {
-  char buf[256];
-  std::string s;
-  s += "== " + op_->name() + " ==\n";
-  s += "strategy:  " + opt_.candidate.strategy.serialize() + "\n";
-  std::snprintf(buf, sizeof(buf), "predicted: %.0f cycles%s\n",
-                opt_.predicted_cycles,
-                opt_.from_cache ? "  (schedule cache hit)" : "");
-  s += buf;
-  if (opt_.measured_cycles > 0.0) {
-    std::snprintf(buf, sizeof(buf), "measured:  %.0f cycles (tuning)\n",
-                  opt_.measured_cycles);
-    s += buf;
-  }
-  if (ran_) {
-    std::snprintf(buf, sizeof(buf),
-                  "last run:  %.0f cycles, %.1f GFLOPS\n", last_.cycles,
-                  last_.gflops(opt_.flops(), config().machine));
-    s += buf;
-  }
-  std::snprintf(buf, sizeof(buf), "journal:   %zu candidate rows\n",
-                journal_->size());
-  s += buf;
-  return s;
-}
-
 CompiledOp compile(const dsl::OperatorDef& op, SwatopConfig cfg) {
-  return CompiledOp(op, std::move(cfg));
+  std::unique_ptr<tune::Journal> owned;
+  if (!cfg.journal) {
+    owned = std::make_unique<tune::Journal>();
+    cfg.journal = owned.get();
+  }
+  CompiledOp c = Optimizer(std::move(cfg)).optimize(op);
+  c.owned_journal_ = std::move(owned);
+  return c;
 }
 
 // --------------------------------------------------------------- CompiledNet

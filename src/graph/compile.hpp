@@ -1,6 +1,6 @@
-// swatop::compile -- the fusion-aware front door of the library. One call
-// turns a thing-to-run (a single dsl::OperatorDef, or a whole
-// graph::Graph) plus one SwatopConfig into a compiled handle:
+// swatop::compile -- the front door of the library. One call turns a
+// thing-to-run (a single dsl::OperatorDef, or a whole graph::Graph) plus
+// one SwatopConfig into a compiled handle:
 //
 //   auto net = swatop::compile(swatop::graph::build_net("vgg16"), cfg);
 //   auto r = net.run(/*batch=*/4, opts);   // tune + plan + execute
@@ -8,20 +8,16 @@
 //   net.journal().write_jsonl("tune.jsonl");
 //
 //   auto op = swatop::compile(conv, cfg);  // single-operator flavour
-//   auto rr = op.run();
+//   auto rr = op.run();                    // CompiledOp (core/swatop.hpp)
 //
 // compile(graph) is where the graph-level optimizations live: epilogue
 // fusion (graph/fuse.hpp) and inter-layer SPM residency
 // (graph/memory_plan.hpp) run inside CompiledNet::run under
-// NetOptions::fusion / NetOptions::residency, so callers of the new API
-// get fused candidates and elided DMA traffic without touching the
-// tuner, IR validator or fuzzer.
-//
-// The pre-existing entry points (swatop::Optimizer +
-// OptimizedOperator::execute, graph::GraphEngine) remain as the
-// implementation layer underneath and keep working, but new code should
-// come through compile(): it is the only surface that owns the tuning
-// journal for you and keeps the report glued to the run that produced it.
+// NetOptions::fusion / NetOptions::residency, and NetOptions::groups
+// splits the batch over core groups -- the one multi-core-group path.
+// Both handles own the tuning journal when the caller provides none.
+// graph::GraphEngine, which CompiledNet wraps, stays public for callers
+// that run many graphs through one schedule cache (the serving layer).
 #pragma once
 
 #include <cstdint>
@@ -34,50 +30,6 @@
 #include "tune/journal.hpp"
 
 namespace swatop {
-
-/// A compiled single operator: tuned schedule + generated code + the
-/// simulated core group to run it on. Obtained from compile(op, cfg); the
-/// operator definition must outlive the handle (same contract as
-/// Optimizer::optimize). Move-only.
-class CompiledOp {
- public:
-  CompiledOp(CompiledOp&&) = default;
-  CompiledOp& operator=(CompiledOp&&) = default;
-
-  /// Execute the tuned schedule (repeat runs reuse the bound core group).
-  rt::RunResult run(sim::ExecMode mode = sim::ExecMode::Functional);
-
-  /// Max |computed - reference| over the outputs of the last run().
-  /// Throws swatop::CheckError before the first run().
-  double check();
-
-  /// One-paragraph text summary: strategy, predicted/measured cycles,
-  /// cache status, and the last run's numbers when available.
-  std::string report() const;
-
-  /// Every candidate the tuner considered compiling this operator (plus
-  /// any the caller's own SwatopConfig::journal had recorded before).
-  const tune::Journal& journal() const { return *journal_; }
-
-  /// The underlying tuned handle, for callers that need the low-level
-  /// surface (generated C source, caller-owned core groups, ...).
-  OptimizedOperator& handle() { return opt_; }
-  const OptimizedOperator& handle() const { return opt_; }
-
-  const SwatopConfig& config() const { return optimizer_->config(); }
-
- private:
-  friend CompiledOp compile(const dsl::OperatorDef& op, SwatopConfig cfg);
-  CompiledOp(const dsl::OperatorDef& op, SwatopConfig cfg);
-
-  const dsl::OperatorDef* op_ = nullptr;
-  std::unique_ptr<tune::Journal> owned_journal_;  ///< null if caller's
-  tune::Journal* journal_ = nullptr;
-  std::unique_ptr<Optimizer> optimizer_;
-  OptimizedOperator opt_;
-  rt::RunResult last_{};
-  bool ran_ = false;
-};
 
 /// A compiled network: the graph, the engine that tunes/plans/executes it,
 /// and the journal + last result that report() renders. Obtained from
@@ -130,7 +82,8 @@ class CompiledNet {
 CompiledNet compile(graph::Graph g, SwatopConfig cfg = {});
 
 /// Compile a single operator: tune + codegen now, execute via run().
-/// `op` must outlive the returned handle.
+/// `op` must outlive the returned handle. When cfg.journal is unset the
+/// handle owns a journal (journal() returns it).
 CompiledOp compile(const dsl::OperatorDef& op, SwatopConfig cfg = {});
 
 }  // namespace swatop

@@ -60,7 +60,7 @@ ConvMethod resolve_method(ConvMethod req, const ops::ConvShape& s) {
 struct TunedConv {
   ConvMethod method = ConvMethod::Implicit;
   std::unique_ptr<dsl::OperatorDef> op;
-  OptimizedOperator handle;
+  CompiledOp handle;
 };
 
 std::string shape_key(ConvMethod m, const ops::ConvShape& s,

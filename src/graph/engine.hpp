@@ -14,12 +14,11 @@
 // the per-step maximum over groups plus those barriers, which is what an
 // honest data-parallel deployment pays.
 //
-// NOTE: GraphEngine is the implementation layer underneath
-// swatop::compile(graph, cfg) (graph/compile.hpp), which is the preferred
-// front door for new code -- the CompiledNet handle owns the tuning
-// journal and glues report()/report_json() to the run that produced them.
-// Constructing a GraphEngine directly remains supported for callers that
-// re-run many graphs through one engine instance.
+// Callers come through swatop::compile(graph, cfg) (graph/compile.hpp),
+// whose CompiledNet handle owns the tuning journal and glues
+// report()/report_json() to the run that produced them. A GraphEngine is
+// constructed directly only to run many graphs through one schedule cache
+// and measurement memo, as the serving layer (src/serve/) does.
 #pragma once
 
 #include <cstdint>
@@ -156,16 +155,13 @@ class GraphEngine {
   NetRunResult run(const Graph& g, std::int64_t batch,
                    const NetOptions& opts = {});
 
-  /// The engine's Optimizer. Persistent across run() calls, so one
-  /// engine's schedule cache and measurement memo warm every graph it ever
-  /// runs -- the serving path (src/serve/) prices many (net, sub-batch)
-  /// combinations through one engine and re-tunes a layer shape only the
-  /// first time any of them needs it. Per-run memo numbers in NetRunResult
-  /// are deltas against this shared state.
-  const Optimizer& optimizer() const { return *optimizer_; }
-
  private:
   SwatopConfig cfg_;
+  /// Persistent across run() calls, so one engine's schedule cache and
+  /// measurement memo warm every graph it ever runs: the serving path
+  /// prices many (net, sub-batch) combinations through one engine and
+  /// re-tunes a layer shape only the first time any of them needs it.
+  /// Per-run memo numbers in NetRunResult are deltas against this state.
   std::unique_ptr<Optimizer> optimizer_;
   /// Memo totals already attributed to previous run() calls.
   std::int64_t replay_hits_seen_ = 0;

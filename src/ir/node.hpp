@@ -120,7 +120,6 @@ struct DmaAttrs {
   Expr spm_off;  ///< offset within the buffer (double-buffer parity)
   Expr reply;    ///< reply-word slot id
   Direction dir = Direction::MemToSpm;
-  bool scatter = true;  ///< 8x8 scatter vs replicate to every CPE
   /// True when view-row blocks map to mesh row ids (the natural
   /// orientation); false when the view was transposed to feed a row-major
   /// kernel operand, in which case view-row blocks map to column ids.

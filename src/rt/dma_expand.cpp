@@ -52,11 +52,6 @@ DmaGeometry evaluate_dma(const ir::DmaAttrs& d, ExprEvaluator& ev,
 
 void block_of(const ir::DmaAttrs& d, int rid, int cid, std::int64_t* br,
               std::int64_t* bc) {
-  if (!d.scatter) {
-    *br = 0;
-    *bc = 0;
-    return;
-  }
   *br = d.rows_to_rid ? rid : cid;
   *bc = d.rows_to_rid ? cid : rid;
 }
@@ -67,7 +62,7 @@ const sim::DmaCost& DmaCostCache::get(const ir::DmaAttrs& d,
                                       const sim::SimConfig& cfg) {
   const std::int64_t align_floats =
       static_cast<std::int64_t>(cfg.dram_transaction_bytes / sizeof(float));
-  const std::array<std::int64_t, 10> key = {
+  const std::array<std::int64_t, 9> key = {
       g.base % align_floats,
       g.rows,
       g.cols,
@@ -75,7 +70,6 @@ const sim::DmaCost& DmaCostCache::get(const ir::DmaAttrs& d,
       g.cols_p,
       d.view.stride_r,
       d.view.stride_c,
-      d.scatter ? 1 : 0,
       d.rows_to_rid ? 1 : 0,
       d.dir == ir::Direction::MemToSpm ? 0 : 1};
   auto it = memo_.find(key);

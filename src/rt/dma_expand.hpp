@@ -53,7 +53,7 @@ class DmaCostCache {
 
  private:
   struct KeyHash {
-    std::size_t operator()(const std::array<std::int64_t, 10>& k) const {
+    std::size_t operator()(const std::array<std::int64_t, 9>& k) const {
       std::uint64_t h = 1469598103934665603ull;  // FNV-1a
       for (std::int64_t v : k) {
         h ^= static_cast<std::uint64_t>(v);
@@ -62,7 +62,7 @@ class DmaCostCache {
       return static_cast<std::size_t>(h);
     }
   };
-  std::unordered_map<std::array<std::int64_t, 10>, sim::DmaCost, KeyHash>
+  std::unordered_map<std::array<std::int64_t, 9>, sim::DmaCost, KeyHash>
       memo_;
 };
 

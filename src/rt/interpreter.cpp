@@ -455,7 +455,6 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
     ir::DmaAttrs rd;
     rd.view = e.res;
     rd.dir = ir::Direction::MemToSpm;
-    rd.scatter = d.scatter;
     rd.rows_to_rid = d.rows_to_rid;
     DmaGeometry rg = geo;
     rg.base = rt->second + eval_.eval(e.res.base);

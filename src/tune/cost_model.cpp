@@ -96,19 +96,13 @@ double min_transfer_cycles(const ir::DmaAttrs& d, const ir::Env& env,
   auto valid_cols = [&](std::int64_t bc) {
     return std::clamp<std::int64_t>(cols - bc * tc, 0, tc);
   };
-  // Every CPE's block is (0, 0) when replicating; scattering gives each
-  // (block-row, block-col) pair of the mesh to one CPE.
-  std::int64_t txns = 0;
-  if (!d.scatter) {
-    txns = cfg.num_cpes() * col_txns(0) * valid_cols(0);
-  } else {
-    const int nbr = d.rows_to_rid ? cfg.mesh_rows : cfg.mesh_cols;
-    const int nbc = d.rows_to_rid ? cfg.mesh_cols : cfg.mesh_rows;
-    std::int64_t per_col = 0, ncols = 0;
-    for (int br = 0; br < nbr; ++br) per_col += col_txns(br);
-    for (int bc = 0; bc < nbc; ++bc) ncols += valid_cols(bc);
-    txns = per_col * ncols;
-  }
+  // Each (block-row, block-col) pair of the mesh goes to one CPE.
+  const int nbr = d.rows_to_rid ? cfg.mesh_rows : cfg.mesh_cols;
+  const int nbc = d.rows_to_rid ? cfg.mesh_cols : cfg.mesh_rows;
+  std::int64_t per_col = 0, ncols = 0;
+  for (int br = 0; br < nbr; ++br) per_col += col_txns(br);
+  for (int bc = 0; bc < nbc; ++bc) ncols += valid_cols(bc);
+  const std::int64_t txns = per_col * ncols;
   return cfg.dma_latency_cycles +
          static_cast<double>(txns * txn) / cfg.dma_bytes_per_cycle();
 }
@@ -235,7 +229,6 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
           ir::DmaAttrs rd;
           rd.view = e.res;
           rd.dir = ir::Direction::MemToSpm;
-          rd.scatter = s->dma.scatter;
           rd.rows_to_rid = s->dma.rows_to_rid;
           rt::DmaGeometry rg = g;
           rg.base = ir::eval(e.res.base, env);

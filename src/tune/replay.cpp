@@ -55,7 +55,7 @@ void key_epi(std::string& out, const ir::EpilogueAttrs& e) {
 
 /// Canonical recursive serializer. Unlike ir::print (a human-readable
 /// pretty-printer), this covers *every* field that can change what the
-/// interpreter books: rows_to_rid, scatter, channels_on_rows, alpha, the
+/// interpreter books: rows_to_rid, channels_on_rows, alpha, the
 /// kernel variant, reduction/prefetched markers.
 void key_stmt(std::string& out, const ir::StmtPtr& s) {
   if (s == nullptr) {
@@ -107,8 +107,10 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
       key_str(out, d.spm_buf);
       key_expr(out, d.spm_off);
       key_expr(out, d.reply);
-      key_int(out, (d.dir == ir::Direction::MemToSpm ? 1 : 0) |
-                       (d.scatter ? 2 : 0) | (d.rows_to_rid ? 4 : 0));
+      // The 2 is the removed scatter-vs-replicate flag, which was always
+      // set: keys stay byte-identical to those recorded with it.
+      key_int(out, (d.dir == ir::Direction::MemToSpm ? 1 : 0) | 2 |
+                       (d.rows_to_rid ? 4 : 0));
       key_epi(out, d.epi);
       out += ')';
       return;

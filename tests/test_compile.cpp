@@ -1,6 +1,5 @@
-// Tests for swatop::compile(), the fusion-aware front door: the CompiledOp
-// and CompiledNet handles, journal ownership, report gating and the
-// equivalence of the new surface with the low-level Optimizer it wraps.
+// Tests for swatop::compile(), the front door: the CompiledOp and
+// CompiledNet handles, journal ownership and report/check gating.
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
@@ -22,8 +21,8 @@ TEST(CompiledOp, RunCheckAndReport) {
   ops::MatmulOp op(48, 48, 48);
   CompiledOp compiled = compile(op, fast_cfg());
 
-  // Tuned at construction: the low-level handle is already populated.
-  EXPECT_GT(compiled.handle().predicted_cycles, 0.0);
+  // Tuned at compile() time: the schedule and its estimate are there.
+  EXPECT_GT(compiled.predicted_cycles, 0.0);
 
   const rt::RunResult r = compiled.run();
   EXPECT_GT(r.cycles, 0.0);
@@ -38,6 +37,19 @@ TEST(CompiledOp, RunCheckAndReport) {
 TEST(CompiledOp, CheckBeforeRunThrows) {
   ops::MatmulOp op(32, 32, 32);
   CompiledOp compiled = compile(op, fast_cfg());
+  EXPECT_THROW(compiled.check(), CheckError);
+}
+
+TEST(CompiledOp, CheckAfterTimingOnlyRunThrows) {
+  // A timing-only run writes no output, so there is nothing to check --
+  // also after an earlier functional run, whose outputs the re-run zeroed.
+  ops::MatmulOp op(64, 64, 32);
+  CompiledOp compiled = compile(op, fast_cfg());
+  compiled.run(sim::ExecMode::TimingOnly);
+  EXPECT_THROW(compiled.check(), CheckError);
+  compiled.run();
+  EXPECT_LT(compiled.check(), 1e-4);
+  compiled.run(sim::ExecMode::TimingOnly);
   EXPECT_THROW(compiled.check(), CheckError);
 }
 

@@ -3,7 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
-#include "core/swatop.hpp"
+#include "graph/compile.hpp"
+#include "graph/net_report.hpp"
 #include "ir/analysis.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
@@ -16,12 +17,12 @@ namespace {
 
 constexpr double kTol = 2e-3;  // fp32 accumulation over O(10^2..10^3) terms
 
-/// Tune, run functionally, and compare against the reference -- through the
-/// one-call API (the tuned handle owns core group, binding and input fill).
+/// Tune, run functionally, and compare against the reference -- through
+/// compile() (the handle owns core group, binding and input fill).
 double optimize_and_check(const dsl::OperatorDef& op) {
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  return tuned.check_output();
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  return compiled.check();
 }
 
 TEST(Integration, MatmulAlignedSmall) {
@@ -119,16 +120,16 @@ TEST(Integration, RepeatedExecuteDoesNotAccumulate) {
   // Regression: the handle reuses its core group between runs with memory
   // contents preserved, and the generated schedules *accumulate* into
   // their outputs (C += A*B). A re-run must not double the result --
-  // execute() re-zeroes output tensors before each re-run rather than
-  // relying on every schedule's first-pass SPM zero guard.
+  // run() re-zeroes output tensors before each re-run rather than relying
+  // on every schedule's first-pass SPM zero guard.
   ops::MatmulOp op(64, 64, 32);
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
 }
 
 TEST(Integration, RepeatedExecuteConvDoesNotAccumulate) {
@@ -139,18 +140,18 @@ TEST(Integration, RepeatedExecuteConvDoesNotAccumulate) {
   s.ri = 6;
   s.ci = 6;
   ops::ImplicitConvOp op(s);
-  OptimizedOperator tuned = Optimizer().optimize(op);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
-  tuned.execute(sim::ExecMode::Functional);
-  EXPECT_LE(tuned.check_output(), kTol);
+  CompiledOp compiled = compile(op);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
+  compiled.run();
+  EXPECT_LE(compiled.check(), kTol);
 }
 
 TEST(Integration, OuterReductionReRunDoesNotAccumulate) {
   // The riskiest re-run shape: order kmn with Tk < K places the reduction
   // loop outside the C tile's scope, so the program re-fetches C from main
   // memory and accumulates partial sums into it. Even through the
-  // low-level path (no execute()-level re-zero), a re-run must be
+  // low-level path (no run()-level re-zero), a re-run must be
   // idempotent: the first pass zeroes the SPM accumulator and the final
   // DmaPut overwrites the tile.
   ops::MatmulOp op(64, 64, 64);
@@ -174,11 +175,10 @@ TEST(Integration, OuterReductionReRunDoesNotAccumulate) {
 
 TEST(Integration, GeneratedCodeIsNonTrivial) {
   ops::MatmulOp op(64, 64, 32);
-  Optimizer optimizer;
-  const OptimizedOperator tuned = optimizer.optimize(op);
-  EXPECT_NE(tuned.c_source.find("spm_gemm"), std::string::npos);
-  EXPECT_NE(tuned.c_source.find("swDMA"), std::string::npos);
-  EXPECT_GT(tuned.stats.valid_candidates, 10);
+  const CompiledOp compiled = compile(op);
+  EXPECT_NE(compiled.c_source.find("spm_gemm"), std::string::npos);
+  EXPECT_NE(compiled.c_source.find("swDMA"), std::string::npos);
+  EXPECT_GT(compiled.stats.valid_candidates, 10);
 }
 
 }  // namespace
@@ -214,10 +214,28 @@ TEST(Integration, ConvBackwardFilterTuned) {
 }  // namespace
 }  // namespace swatop
 
-#include "core/chip_parallel.hpp"
-
 namespace swatop {
 namespace {
+
+/// Chip-level data parallelism runs through the graph engine: a graph of
+/// one convolution, its batch split over core groups.
+graph::NetRunResult run_conv_on_groups(const ops::ConvShape& s, int groups) {
+  graph::Graph g("conv");
+  g.add_input("in", {s.ri, s.ni});
+  graph::Node conv;
+  conv.kind = graph::NodeKind::Conv;
+  conv.name = "conv";
+  conv.inputs = {"in"};
+  conv.output = "out";
+  conv.kernel = s.kr;
+  conv.channels_out = s.no;
+  g.add(conv);
+  graph::NetOptions opts;
+  opts.groups = groups;
+  opts.mode = sim::ExecMode::TimingOnly;
+  opts.check = false;
+  return compile(g).run(s.batch, opts);
+}
 
 TEST(Integration, ChipDataParallelScales) {
   // A training batch large enough that the per-group sub-batch (32) keeps
@@ -228,9 +246,8 @@ TEST(Integration, ChipDataParallelScales) {
   s.no = 64;
   s.ri = 16;
   s.ci = 16;
-  const sim::SimConfig cfg;
-  const auto one = run_conv_data_parallel(s, 1, cfg);
-  const auto four = run_conv_data_parallel(s, 4, cfg);
+  const auto one = run_conv_on_groups(s, 1);
+  const auto four = run_conv_on_groups(s, 4);
   EXPECT_EQ(four.groups_used, 4);
   // Near-linear: four groups at least 2.5x faster than one.
   EXPECT_LT(four.cycles, one.cycles / 2.5);
@@ -244,31 +261,25 @@ TEST(Integration, ChipBatchOneCannotSplit) {
   s.no = 64;
   s.ri = 16;
   s.ci = 16;
-  const sim::SimConfig cfg;
-  const auto r = run_conv_data_parallel(s, 4, cfg);
+  const auto r = run_conv_on_groups(s, 4);
   EXPECT_EQ(r.groups_used, 1);
 }
 
-}  // namespace
-}  // namespace swatop
-
-namespace swatop {
-namespace {
-
 TEST(Integration, ChipUnevenSplit) {
   // Batch 5 over 3 groups: 2 + 2 + 1; the odd group finishes early, the
-  // slowest one bounds the elapsed time.
+  // slowest one bounds the elapsed time, and the attribution books the
+  // idle group's wait as imbalance.
   ops::ConvShape s;
   s.batch = 5;
   s.ni = 32;
   s.no = 32;
   s.ri = 10;
   s.ci = 10;
-  const sim::SimConfig cfg;
-  const auto r = run_conv_data_parallel(s, 3, cfg);
+  const auto r = run_conv_on_groups(s, 3);
   EXPECT_EQ(r.groups_used, 3);
-  ASSERT_EQ(r.per_group_cycles.size(), 3u);
-  EXPECT_GE(r.per_group_cycles[0], r.per_group_cycles[2]);
+  const obs::Attribution a = graph::net_attribution(r);
+  EXPECT_TRUE(a.balanced());
+  EXPECT_GT(a.at(obs::AttrCat::Imbalance), 0.0);
 }
 
 }  // namespace
@@ -319,21 +330,20 @@ TEST(Integration, ProTunedStillCorrect) {
   ops::MatmulOp op(72, 56, 40);
   SwatopConfig cfg;
   cfg.machine = sim::SimConfig::sw26010pro();
-  auto [tuned, r] = optimize_and_run(cfg, op);
-  EXPECT_GT(r.cycles, 0.0);
-  EXPECT_LE(tuned.check_output(), 2e-3);
+  CompiledOp compiled = compile(op, cfg);
+  EXPECT_GT(compiled.run().cycles, 0.0);
+  EXPECT_LE(compiled.check(), 2e-3);
 }
 
 TEST(Integration, LowLevelEntryPointsStillWork) {
   // Callers that manage the core group themselves keep working.
   ops::MatmulOp op(64, 64, 32);
-  Optimizer optimizer;
-  const OptimizedOperator tuned = optimizer.optimize(op);
-  sim::CoreGroup cg(optimizer.machine());
+  const CompiledOp compiled = compile(op);
+  sim::CoreGroup cg(compiled.machine());
   const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
-  op.fill_inputs(cg, bt, tuned.candidate.strategy);
-  tuned.run(cg, bt, sim::ExecMode::Functional);
-  EXPECT_LE(op.check_output(cg, bt, tuned.candidate.strategy), kTol);
+  op.fill_inputs(cg, bt, compiled.candidate.strategy);
+  compiled.run(cg, bt, sim::ExecMode::Functional);
+  EXPECT_LE(op.check_output(cg, bt, compiled.candidate.strategy), kTol);
 }
 
 }  // namespace

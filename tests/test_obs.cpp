@@ -10,8 +10,8 @@
 #include <sstream>
 #include <string>
 
-#include "core/swatop.hpp"
 #include "graph/build.hpp"
+#include "graph/compile.hpp"
 #include "graph/engine.hpp"
 #include "graph/net_report.hpp"
 #include "obs/attribution.hpp"
@@ -412,7 +412,8 @@ TEST(Obs, OneCallApiCarriesTuningHistory) {
   cfg.observability.enabled = true;
   cfg.tune_top_k = 3;
   ops::MatmulOp op(128, 128, 64);
-  auto [tuned, r] = optimize_and_run(cfg, op, sim::ExecMode::TimingOnly);
+  CompiledOp tuned = compile(op, cfg);
+  const rt::RunResult r = tuned.run(sim::ExecMode::TimingOnly);
   ASSERT_TRUE(r.profile.enabled);
   EXPECT_EQ(r.profile.tune.candidates_measured, 3);
   EXPECT_GT(r.profile.tune.candidates_ranked, 0);
@@ -440,8 +441,7 @@ TEST(Obs, ReportMentionsDmaShare) {
   SwatopConfig cfg;
   cfg.observability.enabled = true;
   ops::MatmulOp op(128, 128, 64);
-  auto [tuned, r] = optimize_and_run(cfg, op, sim::ExecMode::TimingOnly);
-  (void)tuned;
+  const rt::RunResult r = compile(op, cfg).run(sim::ExecMode::TimingOnly);
   const std::string rep = r.profile.report();
   EXPECT_NE(rep.find("DMA"), std::string::npos);
   EXPECT_NE(rep.find("wasted"), std::string::npos);
@@ -452,10 +452,9 @@ TEST(Obs, RepeatedExecuteResetsExecutionCounters) {
   SwatopConfig cfg;
   cfg.observability.enabled = true;
   ops::MatmulOp op(128, 128, 64);
-  Optimizer optimizer(cfg);
-  OptimizedOperator tuned = optimizer.optimize(op);
-  const rt::RunResult r1 = tuned.execute(sim::ExecMode::TimingOnly);
-  const rt::RunResult r2 = tuned.execute(sim::ExecMode::TimingOnly);
+  CompiledOp tuned = compile(op, cfg);
+  const rt::RunResult r1 = tuned.run(sim::ExecMode::TimingOnly);
+  const rt::RunResult r2 = tuned.run(sim::ExecMode::TimingOnly);
   // Counters describe one execution, not the accumulation of both.
   EXPECT_EQ(r1.profile.counters.dma.bytes_requested,
             r2.profile.counters.dma.bytes_requested);
@@ -769,8 +768,7 @@ TEST(Obs, ProfileTextIsDeterministic) {
   // the single host-time line ("wall clock") is the only exception and is
   // stripped before comparing.
   const auto report_of = [&]() {
-    auto [tuned, r] = optimize_and_run(cfg, op, sim::ExecMode::TimingOnly);
-    (void)tuned;
+    const rt::RunResult r = compile(op, cfg).run(sim::ExecMode::TimingOnly);
     std::istringstream in(r.profile.report());
     std::string out, line;
     while (std::getline(in, line))

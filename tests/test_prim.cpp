@@ -6,7 +6,6 @@
 #include "common/check.hpp"
 #include "ops/reference.hpp"
 #include "ops/tensor.hpp"
-#include "prim/dma_primitive.hpp"
 #include "prim/gemm_primitive.hpp"
 #include "prim/pack.hpp"
 
@@ -272,66 +271,6 @@ TEST(SpmGemm, ValidityPredicate) {
   EXPECT_FALSE(spm_gemm_valid(8, 32, 8, vm, cfg));
   EXPECT_TRUE(spm_gemm_valid(8, 32, 8, vn, cfg));
   EXPECT_FALSE(spm_gemm_valid(0, 32, 8, vn, cfg));
-}
-
-TEST(DmaPrimitive, Scatter2dMatchesPaperExample) {
-  // Paper Sec. 4.5.1: col-major A(M, N), each CPE reads tile (rid, cid):
-  // block = M/8, stride = M*7/8, offset = (cid*N/8)*M + rid*M/8.
-  sim::SimConfig cfg;
-  const std::int64_t M = 64, N = 128;
-  const auto descs =
-      scatter_2d(cfg, 0, M, N, M, 0, sim::DmaDir::MemToSpm);
-  ASSERT_EQ(descs.size(), 64u);
-  for (int rid = 0; rid < 8; ++rid) {
-    for (int cid = 0; cid < 8; ++cid) {
-      const auto& d = descs[static_cast<std::size_t>(rid * 8 + cid)];
-      EXPECT_EQ(d.block, M / 8);
-      EXPECT_EQ(d.stride, M * 7 / 8);
-      EXPECT_EQ(d.mem_base, (cid * (N / 8)) * M + rid * (M / 8));
-      EXPECT_EQ(d.total, (M / 8) * (N / 8));
-    }
-  }
-}
-
-TEST(DmaPrimitive, ScatterGatherRoundTrip) {
-  sim::CoreGroup cg;
-  const std::int64_t M = 32, N = 16;
-  const auto src = cg.mem().alloc(M * N, "src");
-  const auto dst = cg.mem().alloc(M * N, "dst");
-  for (std::int64_t i = 0; i < M * N; ++i)
-    cg.mem().write(src + i, static_cast<float>(i));
-  const std::int64_t spm = cg.cluster().spm_alloc((M / 8) * (N / 8));
-
-  auto get = scatter_2d(cg.config(), src, M, N, M, spm,
-                        sim::DmaDir::MemToSpm);
-  ReplyWord r1 = swdma(cg, get, sim::ExecMode::Functional);
-  swdma_wait(cg, r1);
-  auto put = scatter_2d(cg.config(), dst, M, N, M, spm,
-                        sim::DmaDir::SpmToMem);
-  ReplyWord r2 = swdma(cg, put, sim::ExecMode::Functional);
-  swdma_wait(cg, r2);
-  for (std::int64_t i = 0; i < M * N; ++i)
-    EXPECT_FLOAT_EQ(cg.mem().read(dst + i), static_cast<float>(i));
-}
-
-TEST(DmaPrimitive, ReplicateLoadsSameDataEverywhere) {
-  sim::CoreGroup cg;
-  const auto src = cg.mem().alloc(16);
-  cg.mem().write(src + 7, 3.5f);
-  const std::int64_t spm = cg.cluster().spm_alloc(16);
-  auto descs = replicate_1d(cg.config(), src, 16, spm);
-  ReplyWord r = swdma(cg, descs, sim::ExecMode::Functional);
-  swdma_wait(cg, r);
-  EXPECT_FLOAT_EQ(cg.cluster().at(0, 0).spm().read(spm + 7), 3.5f);
-  EXPECT_FLOAT_EQ(cg.cluster().at(7, 3).spm().read(spm + 7), 3.5f);
-}
-
-TEST(DmaPrimitive, Scatter2dRejectsBadGeometry) {
-  sim::SimConfig cfg;
-  EXPECT_THROW(scatter_2d(cfg, 0, 60, 64, 60, 0, sim::DmaDir::MemToSpm),
-               CheckError);
-  EXPECT_THROW(scatter_2d(cfg, 0, 64, 64, 32, 0, sim::DmaDir::MemToSpm),
-               CheckError);
 }
 
 TEST(Pack, PadFullZeroExtends) {

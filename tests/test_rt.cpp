@@ -45,6 +45,41 @@ TEST(DmaExpand, RejectsOversizedRegion) {
   EXPECT_THROW(evaluate_dma(d, {}, 0, cfg), CheckError);
 }
 
+TEST(DmaExpand, RejectsMeshIndivisibleGrid) {
+  // A tile grid the 8x8 mesh cannot split evenly, along either dimension.
+  ir::DmaAttrs d;
+  d.view = {"A", ir::cst(0), 1, 100, ir::cst(60), ir::cst(16)};
+  d.rows_p = ir::cst(60);
+  d.cols_p = ir::cst(16);
+  EXPECT_THROW(evaluate_dma(d, {}, 0, cfg), CheckError);
+  d.view.rows = ir::cst(64);
+  d.rows_p = ir::cst(64);
+  d.view.cols = ir::cst(12);
+  d.cols_p = ir::cst(12);
+  EXPECT_THROW(evaluate_dma(d, {}, 0, cfg), CheckError);
+}
+
+TEST(DmaExpand, ColumnMajorViewMatchesPaperExample) {
+  // Paper Sec. 4.5.1: col-major A(M, N), each CPE reads tile (rid, cid):
+  // block = M/8, stride = M - M/8, offset = (cid*N/8)*M + rid*M/8.
+  const std::int64_t M = 64, N = 128;
+  ir::DmaAttrs d;
+  d.view = {"A", ir::cst(0), 1, M, ir::cst(M), ir::cst(N)};
+  d.rows_p = ir::cst(M);
+  d.cols_p = ir::cst(N);
+  const auto descs = expand_dma(d, evaluate_dma(d, {}, 0, cfg), 0, cfg);
+  ASSERT_EQ(descs.size(), 64u);
+  for (int rid = 0; rid < 8; ++rid) {
+    for (int cid = 0; cid < 8; ++cid) {
+      const auto& desc = descs[static_cast<std::size_t>(rid * 8 + cid)];
+      EXPECT_EQ(desc.block, M / 8);
+      EXPECT_EQ(desc.stride, M - M / 8);
+      EXPECT_EQ(desc.mem_base, (cid * (N / 8)) * M + rid * (M / 8));
+      EXPECT_EQ(desc.total, (M / 8) * (N / 8));
+    }
+  }
+}
+
 TEST(DmaExpand, PartialTilesClampPerCpe) {
   ir::DmaAttrs d;
   d.view = {"A", ir::cst(0), 1, 100, ir::cst(40), ir::cst(16)};

@@ -424,11 +424,11 @@ TEST(OptimizerCache, WarmHitReturnsIdenticalStrategyWithoutSearch) {
   cfg.observability.enabled = true;
   const Optimizer optimizer(cfg);
 
-  const OptimizedOperator cold = optimizer.optimize(op);
+  const CompiledOp cold = optimizer.optimize(op);
   EXPECT_FALSE(cold.from_cache);
   EXPECT_GT(cold.stats.valid_candidates, 1);
 
-  const OptimizedOperator warm = optimizer.optimize(op);
+  const CompiledOp warm = optimizer.optimize(op);
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.candidate.strategy, cold.candidate.strategy);
   EXPECT_EQ(warm.candidate.prefetch, cold.candidate.prefetch);
@@ -450,10 +450,10 @@ TEST(OptimizerCache, WarmResultIsFunctionallyCorrect) {
   cfg.cache.enabled = true;
   const Optimizer optimizer(cfg);
   (void)optimizer.optimize(op);  // cold: banks the winner
-  OptimizedOperator warm = optimizer.optimize(op);
+  CompiledOp warm = optimizer.optimize(op);
   ASSERT_TRUE(warm.from_cache);
-  warm.execute(sim::ExecMode::Functional);
-  EXPECT_LE(warm.check_output(), 2e-3);
+  warm.run();
+  EXPECT_LE(warm.check(), 2e-3);
 }
 
 TEST(OptimizerCache, PersistsAcrossOptimizers) {
@@ -466,19 +466,19 @@ TEST(OptimizerCache, PersistsAcrossOptimizers) {
   cfg.cache.enabled = true;
   cfg.cache.path = path;
 
-  const OptimizedOperator cold = Optimizer(cfg).optimize(op);
+  const CompiledOp cold = Optimizer(cfg).optimize(op);
   EXPECT_FALSE(cold.from_cache);
 
   // A brand-new Optimizer (fresh process in real deployments) reloads the
   // banked winner from disk.
-  const OptimizedOperator warm = Optimizer(cfg).optimize(op);
+  const CompiledOp warm = Optimizer(cfg).optimize(op);
   EXPECT_TRUE(warm.from_cache);
   EXPECT_EQ(warm.candidate.strategy, cold.candidate.strategy);
 
   // A different machine misses: the key isolates sw26010 from sw26010pro.
   SwatopConfig pro = cfg;
   pro.machine = sim::SimConfig::sw26010pro();
-  const OptimizedOperator pro_run = Optimizer(pro).optimize(op);
+  const CompiledOp pro_run = Optimizer(pro).optimize(op);
   EXPECT_FALSE(pro_run.from_cache);
   std::filesystem::remove(path);
 }
@@ -490,15 +490,15 @@ TEST(OptimizerCache, ObservabilityCountsHitsMissesStores) {
   cfg.observability.enabled = true;
   const Optimizer optimizer(cfg);
 
-  OptimizedOperator cold = optimizer.optimize(op);
-  const auto cold_run = cold.execute(sim::ExecMode::TimingOnly);
+  CompiledOp cold = optimizer.optimize(op);
+  const auto cold_run = cold.run(sim::ExecMode::TimingOnly);
   ASSERT_TRUE(cold_run.profile.enabled);
   EXPECT_EQ(cold_run.profile.tune.cache_hits, 0);
   EXPECT_EQ(cold_run.profile.tune.cache_misses, 1);
   EXPECT_EQ(cold_run.profile.tune.cache_stores, 1);
 
-  OptimizedOperator warm = optimizer.optimize(op);
-  const auto warm_run = warm.execute(sim::ExecMode::TimingOnly);
+  CompiledOp warm = optimizer.optimize(op);
+  const auto warm_run = warm.run(sim::ExecMode::TimingOnly);
   EXPECT_EQ(warm_run.profile.tune.cache_hits, 1);
   EXPECT_EQ(warm_run.profile.tune.cache_misses, 0);
   bool saw_hit_span = false;
@@ -529,7 +529,7 @@ TEST(OptimizerCache, CorruptBankedStrategyFallsBackToTuning) {
     // Valid line shape, nonsense schedule: lowering will throw.
     out << key << "\t1\t2\t1\tf:Tm=3 c:order=zzz\n";
   }
-  const OptimizedOperator tuned = Optimizer(cfg).optimize(op);
+  const CompiledOp tuned = Optimizer(cfg).optimize(op);
   EXPECT_FALSE(tuned.from_cache);
   EXPECT_GT(tuned.stats.valid_candidates, 1);  // really searched
   std::filesystem::remove(path);

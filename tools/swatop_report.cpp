@@ -186,7 +186,6 @@ int report_op(int argc, char** argv, int i0) {
   }
 
   swatop::CompiledOp compiled = swatop::compile(*op, cfg);
-  const swatop::OptimizedOperator& tuned = compiled.handle();
   const swatop::rt::RunResult r =
       compiled.run(swatop::sim::ExecMode::TimingOnly);
   const swatop::obs::Counters& cnt = r.profile.counters;
@@ -202,8 +201,8 @@ int report_op(int argc, char** argv, int i0) {
         "\"predicted_cycles\": %.0f, \"events_dropped\": %lld, "
         "\"attribution\": %s, \"roofline\": %s, "
         "\"journal\": %s}\n",
-        op->name().c_str(), tuned.candidate.strategy.to_string().c_str(),
-        r.cycles, tuned.predicted_cycles,
+        op->name().c_str(), compiled.candidate.strategy.to_string().c_str(),
+        r.cycles, compiled.predicted_cycles,
         static_cast<long long>(r.profile.events_dropped),
         swatop::obs::attribution_json(attr).c_str(),
         swatop::obs::roofline_json(pts, m).c_str(),
@@ -211,8 +210,8 @@ int report_op(int argc, char** argv, int i0) {
   } else {
     std::printf("%s: picked %s, %.0f cycles (model predicted %.0f)\n\n",
                 op->name().c_str(),
-                tuned.candidate.strategy.to_string().c_str(), r.cycles,
-                tuned.predicted_cycles);
+                compiled.candidate.strategy.to_string().c_str(), r.cycles,
+                compiled.predicted_cycles);
     std::fputs(swatop::obs::attribution_report(attr).c_str(), stdout);
     std::printf("\n%s", swatop::obs::roofline_report(pts, m).c_str());
     std::printf("\n%s", swatop::tune::journal_summary(compiled.journal()).c_str());
