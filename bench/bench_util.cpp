@@ -94,10 +94,8 @@ MethodResult run_implicit(const ops::ConvShape& s,
 MethodResult run_winograd(const ops::ConvShape& s,
                           const sim::SimConfig& cfg) {
   MethodResult r;
-  const ops::WinogradPlan plan(s);
   const ops::WinogradGemmOp op(s);
-  r.swatop_cycles = tuned_cycles(op, cfg) +
-                    ops::WinogradGemmOp::pre_post_cycles(plan, cfg);
+  r.swatop_cycles = tuned_cycles(op, cfg) + op.pass_cycles(cfg);
   r.manual_cycles = baseline::ManualWinogradConv(cfg).cycles(s);
   r.gflops = static_cast<double>(s.flops()) / r.swatop_cycles * cfg.clock_ghz;
   r.efficiency = r.gflops / cfg.peak_gflops();
@@ -108,8 +106,7 @@ MethodResult run_explicit(const ops::ConvShape& s,
                           const sim::SimConfig& cfg) {
   MethodResult r;
   const ops::ExplicitConvOp op(s);
-  r.swatop_cycles =
-      tuned_cycles(op, cfg) + ops::ExplicitConvOp::pre_post_cycles(s, cfg);
+  r.swatop_cycles = tuned_cycles(op, cfg) + op.pass_cycles(cfg);
   r.manual_cycles = baseline::ManualExplicitConv(cfg).cycles(s);
   r.gflops = static_cast<double>(s.flops()) / r.swatop_cycles * cfg.clock_ghz;
   r.efficiency = r.gflops / cfg.peak_gflops();

@@ -16,11 +16,13 @@ using namespace swatop;
 
 namespace {
 
-double tuned(const dsl::OperatorDef& op, const sim::SimConfig& machine) {
+/// Measured cycles of the tuned GEMM core plus the design's pre/post
+/// passes.
+double tuned(const ops::ConvOp& op, const sim::SimConfig& machine) {
   SwatopConfig c;
   c.machine = machine;
-  c.measure_best = true;
-  return compile(op, c).measured_cycles;
+  c.tune_top_k = 1;  // measure the model's pick
+  return compile(op, c).measured_cycles + op.pass_cycles(machine);
 }
 
 }  // namespace
@@ -44,13 +46,9 @@ int main(int argc, char** argv) {
     double t_imp = -1, t_win = -1, t_exp = -1;
     if (ops::ImplicitConvOp::applicable(s))
       t_imp = tuned(ops::ImplicitConvOp(s), cfg);
-    if (ops::WinogradPlan::applicable(s)) {
-      const ops::WinogradPlan plan(s);
-      t_win = tuned(ops::WinogradGemmOp(s), cfg) +
-              ops::WinogradGemmOp::pre_post_cycles(plan, cfg);
-    }
-    t_exp = tuned(ops::ExplicitConvOp(s), cfg) +
-            ops::ExplicitConvOp::pre_post_cycles(s, cfg);
+    if (ops::WinogradPlan::applicable(s))
+      t_win = tuned(ops::WinogradGemmOp(s), cfg);
+    t_exp = tuned(ops::ExplicitConvOp(s), cfg);
 
     auto gf = [&](double cyc) {
       return cyc > 0 ? static_cast<double>(s.flops()) / cyc * cfg.clock_ghz

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
 
   ops::ImplicitConvOp op(shape);
   SwatopConfig cfg;
-  cfg.measure_best = true;  // also run the winner through the interpreter
+  cfg.tune_top_k = 1;  // also run the winner through the interpreter
   const CompiledOp compiled = compile(op, cfg);
   const double swatop_cycles = compiled.measured_cycles;
   std::printf("\nswATOP: %lld-strategy space tuned in %.2f s\n",

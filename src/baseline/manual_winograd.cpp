@@ -25,8 +25,7 @@ double marshal_cycles(std::int64_t floats, std::int64_t run,
 
 double ManualWinogradConv::cycles(const ops::ConvShape& s) const {
   const ops::WinogradPlan plan(s);
-  const double pre_post =
-      ops::WinogradGemmOp::pre_post_cycles(plan, cfg_);
+  const double pre_post = ops::WinogradGemmOp(s).pass_cycles(cfg_);
   const XMathGemm gemm(cfg_);
   // 16 separate library calls: M = No, N = P, K = Ni each, plus the
   // marshalling each call boundary forces.

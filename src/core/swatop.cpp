@@ -5,7 +5,6 @@
 #include <cstdio>
 
 #include "common/check.hpp"
-#include "tune/cost_model.hpp"
 
 namespace swatop {
 
@@ -107,11 +106,6 @@ CompiledOp Optimizer::optimize(const dsl::OperatorDef& op) const {
   const sched::SchedulerOptions sopts = cfg_.scheduler_options();
   obs::Recorder* rec = out.recorder_.get();
 
-  // One candidate measurement, through the shared memo when enabled
-  // (bit-identical cycles either way).
-  auto measure = [&](const sched::Candidate& c) {
-    return tune::measure_candidate(op, c, cfg_.machine, replay_.get());
-  };
   const tune::ReplayStats replay0 =
       replay_ ? replay_->stats() : tune::ReplayStats{};
 
@@ -135,10 +129,6 @@ CompiledOp Optimizer::optimize(const dsl::OperatorDef& op) const {
         out.stats.ir_nodes = ir::nodes_built() - nodes0;
         out.predicted_cycles = entry->predicted_cycles;
         out.measured_cycles = entry->measured_cycles;
-        if (cfg_.measure_best && out.measured_cycles == 0.0) {
-          out.measured_cycles = measure(out.candidate);
-          out.stats.measured = 1;
-        }
         out.from_cache = true;
         out.stats.space_size = op.space().size();
         out.stats.valid_candidates = 1;
@@ -176,39 +166,15 @@ CompiledOp Optimizer::optimize(const dsl::OperatorDef& op) const {
   // Fresh tuning (no cache, a miss, or an entry that failed to rebuild),
   // banked for the next call.
   if (!out.from_cache) {
-    if (cfg_.tune_top_k >= 1) {
-      tune::Tuned tuned =
-          tuner.tune_top_k(op, cfg_.tune_top_k, sopts, rec, cfg_.journal);
-      out.measured_cycles = tuned.cycles;
-      out.stats = tuned.stats;
-      out.candidate = std::move(tuned.candidate);
-      // tune_top_k reports measured cycles; recover the model's estimate of
-      // the winner so callers can compare.
-      const tune::CostModel model(cfg_.machine,
-                                  tune::gemm_cost_model(cfg_.machine));
-      out.predicted_cycles = model.estimate(out.candidate.program).total();
-    } else {
-      tune::Tuned tuned = tuner.tune(op, sopts, rec, cfg_.journal);
-      out.predicted_cycles = tuned.cycles;
-      out.stats = tuned.stats;
-      out.candidate = std::move(tuned.candidate);
-      if (cfg_.measure_best) {
-        out.measured_cycles = measure(out.candidate);
-        out.stats.measured += 1;
-        // Record the pick's model-vs-simulator sample (the "model" rows
-        // above carry no measurement by construction).
-        if (cfg_.journal) {
-          tune::JournalEntry e;
-          e.op = op.name();
-          e.phase = "measure";
-          e.strategy = out.candidate.strategy.to_string();
-          e.rank = 0;
-          e.predicted = out.predicted_cycles;
-          e.measured = out.measured_cycles;
-          cfg_.journal->append(std::move(e));
-        }
-      }
-    }
+    const bool measure = cfg_.tune_top_k >= 1;
+    tune::Tuned tuned =
+        measure
+            ? tuner.tune_top_k(op, cfg_.tune_top_k, sopts, rec, cfg_.journal)
+            : tuner.tune(op, sopts, rec, cfg_.journal);
+    out.predicted_cycles = tuned.predicted;
+    if (measure) out.measured_cycles = tuned.cycles;
+    out.stats = tuned.stats;
+    out.candidate = std::move(tuned.candidate);
 
     if (cache_) {
       const double w0 = rec ? rec->wall_us() : 0.0;

@@ -50,12 +50,9 @@ struct SwatopConfig {
   /// 0: pick the cost model's best candidate without measuring (the pure
   /// model-based autotuner). k >= 1: additionally measure the k
   /// model-ranked best through the timing interpreter and keep the
-  /// measured winner (Sec. 4.6's "pick best (or top k)").
+  /// measured winner (Sec. 4.6's "pick best (or top k)"); k = 1 measures
+  /// the model's pick.
   int tune_top_k = 0;
-
-  /// Run the chosen candidate through the timing interpreter and report
-  /// the measured cycles (implied by tune_top_k >= 1).
-  bool measure_best = false;
 
   /// Worker threads for tuning (lower+optimize sweep and cost-model
   /// ranking): 0 = hardware concurrency, 1 = serial. The pick is identical
@@ -70,10 +67,10 @@ struct SwatopConfig {
   tune::CacheConfig cache{};
 
   /// Measurement memo: when enabled, every candidate measurement this
-  /// configuration triggers (top-k shortlists, measure_best, cache-hit
-  /// re-measures) goes through one shared ReplayExecutor, so a program
-  /// measured before -- keyed on its structure, not its strategy -- is not
-  /// interpreted again. Cycles are bit-identical either way.
+  /// configuration triggers (the top-k shortlists) goes through one shared
+  /// ReplayExecutor, so a program measured before -- keyed on its
+  /// structure, not its strategy -- is not interpreted again. Cycles are
+  /// bit-identical either way.
   tune::ReplayOptions replay{};
 
   /// Observability: off by default (near-zero overhead). When enabled, the

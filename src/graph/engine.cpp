@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 #include "graph/reference.hpp"
 #include "obs/recorder.hpp"
 #include "ops/explicit_conv.hpp"
@@ -19,14 +18,27 @@
 
 namespace swatop::graph {
 
+namespace {
+
+constexpr std::pair<ConvMethod, const char*> kMethodNames[] = {
+    {ConvMethod::Auto, "auto"},
+    {ConvMethod::Implicit, "implicit"},
+    {ConvMethod::Explicit, "explicit"},
+    {ConvMethod::Winograd, "winograd"},
+};
+
+}  // namespace
+
 const char* conv_method_name(ConvMethod m) {
-  switch (m) {
-    case ConvMethod::Auto: return "auto";
-    case ConvMethod::Implicit: return "implicit";
-    case ConvMethod::Explicit: return "explicit";
-    case ConvMethod::Winograd: return "winograd";
-  }
+  for (const auto& [method, name] : kMethodNames)
+    if (method == m) return name;
   SWATOP_UNREACHABLE("bad conv method");
+}
+
+std::optional<ConvMethod> parse_conv_method(const std::string& name) {
+  for (const auto& [method, method_name] : kMethodNames)
+    if (name == method_name) return method;
+  return std::nullopt;
 }
 
 namespace {
@@ -54,12 +66,25 @@ ConvMethod resolve_method(ConvMethod req, const ops::ConvShape& s) {
                                             : ConvMethod::Explicit;
 }
 
+std::unique_ptr<ops::ConvOp> make_conv_op(ConvMethod m,
+                                          const ops::ConvShape& s,
+                                          const dsl::EpilogueSpec& epi) {
+  switch (m) {
+    case ConvMethod::Implicit:
+      return std::make_unique<ops::ImplicitConvOp>(s, epi);
+    case ConvMethod::Explicit: return std::make_unique<ops::ExplicitConvOp>(s);
+    case ConvMethod::Winograd: return std::make_unique<ops::WinogradGemmOp>(s);
+    case ConvMethod::Auto: break;
+  }
+  SWATOP_UNREACHABLE("unresolved method");
+}
+
 /// One tuned convolution kernel, shared by every node/group with the same
 /// (method, shape, sub-batch). The operator definition is kept alive with
 /// the handle.
 struct TunedConv {
   ConvMethod method = ConvMethod::Implicit;
-  std::unique_ptr<dsl::OperatorDef> op;
+  std::unique_ptr<ops::ConvOp> op;
   CompiledOp handle;
 };
 
@@ -70,37 +95,16 @@ std::string shape_key(ConvMethod m, const ops::ConvShape& s,
   return key;
 }
 
-/// Price an MPE-side elementwise pass: streaming DMA traffic (Eq. (1)
-/// accounting, contiguous floats) plus scalar compute on the MPE.
-void charge_mpe_pass(sim::CoreGroup& cg, std::int64_t read_floats,
-                     std::int64_t write_floats, double ops) {
-  const sim::SimConfig& cfg = cg.config();
-  const std::int64_t txn =
-      static_cast<std::int64_t>(cfg.dram_transaction_bytes);
-  sim::DmaCost c;
-  c.latency_cycles = cfg.dma_latency_cycles;
-  c.bytes_requested = (read_floats + write_floats) * 4;
-  c.transactions =
-      ceil_div(read_floats * 4, txn) + ceil_div(write_floats * 4, txn);
-  c.bytes_wasted = c.transactions * txn - c.bytes_requested;
-  if (c.bytes_wasted < 0) c.bytes_wasted = 0;
-  c.transfer_cycles =
-      static_cast<double>(c.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(c);
-  cg.advance_compute(ops / kMpeFlopsPerCycle);
-}
-
 /// Per-core-group run state: its sub-batch, its arena plan, and its
-/// long-lived weight allocations (parameters live outside the activation
-/// arena -- a deployment keeps them resident for the network's lifetime).
+/// long-lived parameter allocations (outside the activation arena -- a
+/// deployment keeps them resident for the network's lifetime).
 struct GroupState {
   std::int64_t batch = 0;
   std::int64_t batch0 = 0;  ///< first logical batch index of this group
   MemoryPlan plan;
   sim::MainMemory::Addr arena = 0;
-  std::unordered_map<std::string, sim::MainMemory::Addr> waddr;
-  std::unordered_map<std::string, sim::MainMemory::Addr> uaddr;  // winograd
-  std::unordered_map<std::string, sim::MainMemory::Addr> baddr;  // fused bias
+  /// Per conv node: its operator's parameters plus a fused "bias".
+  std::unordered_map<std::string, dsl::BoundTensors> params;
   sim::CgStats agg;
 };
 
@@ -207,18 +211,7 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       if (tuned.count(key)) continue;
       TunedConv tc;
       tc.method = m;
-      switch (m) {
-        case ConvMethod::Implicit:
-          tc.op = std::make_unique<ops::ImplicitConvOp>(s, n.epilogue);
-          break;
-        case ConvMethod::Explicit:
-          tc.op = std::make_unique<ops::ExplicitConvOp>(s);
-          break;
-        case ConvMethod::Winograd:
-          tc.op = std::make_unique<ops::WinogradGemmOp>(s);
-          break;
-        case ConvMethod::Auto: SWATOP_UNREACHABLE("unresolved method");
-      }
+      tc.op = make_conv_op(m, s, n.epilogue);
       tc.handle = optimizer.optimize(*tc.op);
       if (tc.handle.from_cache) ++res.cache_hits;
       ++res.shapes_tuned;
@@ -245,7 +238,11 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     replay_misses_seen_ = rs.misses;
   }
 
-  // --- Memory plan + per-group setup (arena, weights, input fill). ---
+  // --- Memory plan + per-group setup (arena, parameters, input fill). ---
+  auto conv_of = [&](const Node& n, std::int64_t b) -> const TunedConv& {
+    const ops::ConvShape s = fg.conv_shape(n, b);
+    return tuned.at(shape_key(resolve_method(opts.method, s), s, n.epilogue));
+  };
   sim::Chip chip(cfg_.machine, G);
   for (int gi = 0; gi < G; ++gi) {
     GroupState& st = gs[static_cast<std::size_t>(gi)];
@@ -253,18 +250,8 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     for (int stp = 0; stp < steps; ++stp) {
       const Node& n = fg.nodes()[static_cast<std::size_t>(order[stp])];
       if (n.kind != NodeKind::Conv) continue;
-      const ops::ConvShape s = fg.conv_shape(n, st.batch);
-      const ConvMethod m = resolve_method(opts.method, s);
-      if (m == ConvMethod::Explicit) {
-        const std::int64_t K = s.ni * s.kr * s.kc;
-        const std::int64_t N = s.batch * s.ro() * s.co();
-        tr.push_back({n.name + ":dcol", K * N, stp});
-        tr.push_back({n.name + ":outmat", s.no * N, stp});
-      } else if (m == ConvMethod::Winograd) {
-        const ops::WinogradPlan p(s);
-        tr.push_back({n.name + ":V", p.T() * s.ni * p.P, stp});
-        tr.push_back({n.name + ":Mt", p.T() * s.no * p.P, stp});
-      }
+      for (const dsl::TensorSpec& t : conv_of(n, st.batch).op->scratch())
+        tr.push_back({n.name + ":" + t.name, t.floats, stp});
     }
     st.plan = plan_memory(fg, st.batch, tr);
     res.planned_peak_floats += st.plan.peak_floats;
@@ -277,58 +264,21 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
     for (int idx : order) {
       const Node& n = fg.nodes()[static_cast<std::size_t>(idx)];
       if (n.kind != NodeKind::Conv) continue;
-      const ops::ConvShape s = fg.conv_shape(n, st.batch);
-      const ConvMethod m = resolve_method(opts.method, s);
-      const std::int64_t Ni = s.ni, No = s.no;
-      const std::int64_t K = Ni * s.kr * s.kc;
-      if (m == ConvMethod::Explicit) {
-        st.waddr[n.name] = cg.mem().alloc(No * K, n.name + ":wmat");
-      } else {
-        st.waddr[n.name] = cg.mem().alloc(K * No, n.name + ":w");
-        if (m == ConvMethod::Winograd) {
-          const ops::WinogradPlan p(s);
-          st.uaddr[n.name] = cg.mem().alloc(p.T() * No * Ni, n.name + ":U");
-        }
-      }
+      const TunedConv& tc = conv_of(n, st.batch);
+      dsl::BoundTensors& p = st.params[n.name];
+      for (const dsl::TensorSpec& t : tc.op->params())
+        p[t.name] = cg.mem().alloc(t.floats, n.name + ":" + t.name);
       if (n.epilogue.bias) {
-        st.baddr[n.name] = cg.mem().alloc(No, n.name + ":bvec");
+        const std::int64_t No = tc.op->shape().no;
+        p["bias"] = cg.mem().alloc(No, n.name + ":bias");
         // Seeded by the *folded Bias node's* name: identical to the bias
         // vector the unfused graph (and the host reference) applies.
         if (functional)
-          cg.mem().copy_in(st.baddr.at(n.name), make_bias(n.bias_name, No));
+          cg.mem().copy_in(p.at("bias"), make_bias(n.bias_name, No));
       }
-      if (!functional) continue;
-      const std::vector<float> w = make_weights(n.name, s);
-      const TunedConv& tc = tuned.at(shape_key(m, s, n.epilogue));
-      if (m == ConvMethod::Implicit) {
-        // Written in the tuned strategy's weight layout.
-        const dsl::Strategy& str = tc.handle.candidate.strategy;
-        const bool ni_major =
-            str.has_choice("wlayout") && str.choice("wlayout") == "ni_major";
-        auto v = cg.mem().view(st.waddr.at(n.name), K * No);
-        for (std::int64_t kr = 0; kr < s.kr; ++kr)
-          for (std::int64_t kc = 0; kc < s.kc; ++kc)
-            for (std::int64_t ni = 0; ni < Ni; ++ni)
-              for (std::int64_t no = 0; no < No; ++no) {
-                const std::int64_t base = (kr * s.kc + kc) * Ni * No;
-                const std::int64_t off =
-                    ni_major ? base + no * Ni + ni : base + ni * No + no;
-                v[static_cast<std::size_t>(off)] =
-                    w[static_cast<std::size_t>(base + ni * No + no)];
-              }
-      } else if (m == ConvMethod::Explicit) {
-        // wmat: column-major No x K, from canonical [kk][no].
-        auto v = cg.mem().view(st.waddr.at(n.name), No * K);
-        for (std::int64_t kk = 0; kk < K; ++kk)
-          for (std::int64_t no = 0; no < No; ++no)
-            v[static_cast<std::size_t>(no + kk * No)] =
-                w[static_cast<std::size_t>(kk * No + no)];
-      } else {
-        cg.mem().copy_in(st.waddr.at(n.name), w);
-        ops::WinogradGemmOp::transform_filter(
-            cg, st.waddr.at(n.name), st.uaddr.at(n.name),
-            ops::WinogradPlan(s));
-      }
+      if (functional)
+        tc.op->load_weights(cg, p, tc.handle.candidate.strategy,
+                            make_weights(n.name, tc.op->shape()));
     }
 
     if (functional) {
@@ -367,57 +317,33 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
       double cycles = 0.0;
       sim::CgStats stats;
       if (n.kind == NodeKind::Conv) {
-        const ops::ConvShape s = fg.conv_shape(n, st.batch);
-        const ConvMethod m = resolve_method(opts.method, s);
-        const TunedConv& tc = tuned.at(shape_key(m, s, n.epilogue));
+        const TunedConv& tc = conv_of(n, st.batch);
+        const ops::ConvOp& op = *tc.op;
         if (gi == 0) {
           lr.conv = true;
           lr.fused = n.epilogue.any();
-          lr.kind = conv_method_name(m);
+          lr.kind = conv_method_name(tc.method);
           lr.from_cache = tc.handle.from_cache;
-          lr.shape = s;
+          lr.shape = op.shape();
         }
-        step_flops += s.flops();
-        const sim::MainMemory::Addr in = addr(n.inputs[0]);
-        const sim::MainMemory::Addr out = addr(n.output);
-        dsl::BoundTensors bt;
-        if (m == ConvMethod::Implicit) {
-          if (functional)
-            cg.mem().fill(out, shapes.at(n.output).floats(st.batch), 0.0f);
-          bt = {{"in", in}, {"w", st.waddr.at(n.name)}, {"out", out}};
-          if (n.epilogue.bias) bt["bias"] = st.baddr.at(n.name);
-          if (n.epilogue.residual) bt["res"] = addr(n.inputs[1]);
-        } else if (m == ConvMethod::Explicit) {
-          const std::int64_t N = s.batch * s.ro() * s.co();
-          const sim::MainMemory::Addr dcol = addr(n.name + ":dcol");
-          const sim::MainMemory::Addr outmat = addr(n.name + ":outmat");
-          if (functional) {
-            ops::ExplicitConvOp::im2col(cg, in, dcol, s);
-            cg.mem().fill(outmat, s.no * N, 0.0f);
-          }
-          bt = {{"wmat", st.waddr.at(n.name)},
-                {"dcol", dcol},
-                {"outmat", outmat}};
-        } else {
-          const ops::WinogradPlan p(s);
-          const sim::MainMemory::Addr V = addr(n.name + ":V");
-          const sim::MainMemory::Addr Mt = addr(n.name + ":Mt");
-          if (functional) {
-            ops::WinogradGemmOp::transform_input(cg, in, V, p);
-            cg.mem().fill(Mt, p.T() * s.no * p.P, 0.0f);
-          }
-          bt = {{"U", st.uaddr.at(n.name)}, {"V", V}, {"Mt", Mt}};
-        }
-        // Inter-layer residency: operands the plan pinned on-chip, by the
-        // operator's own tensor names (implicit GEMM only -- the planner
-        // gates conv edges on the method).
+        step_flops += op.flops();
+        // The layer tensors in the arena, the resident parameters and this
+        // step's scratch, by the operator's tensor names.
+        dsl::BoundTensors bt = st.params.at(n.name);
+        bt["in"] = addr(n.inputs[0]);
+        bt["out"] = addr(n.output);
+        if (n.epilogue.residual) bt["res"] = addr(n.inputs[1]);
+        for (const dsl::TensorSpec& t : op.scratch())
+          bt[t.name] = addr(n.name + ":" + t.name);
+        if (functional) op.pre_pass(cg, bt);
+        // Inter-layer residency: the layer tensors the plan pinned on-chip
+        // (implicit GEMM only -- the planner gates conv edges on the
+        // method).
         rt::ResidentSet rs;
-        if (m == ConvMethod::Implicit) {
-          if (rplan.resident.count(n.inputs[0])) rs.tensors.insert("in");
-          if (rplan.resident.count(n.output)) rs.tensors.insert("out");
-          if (n.epilogue.residual && rplan.resident.count(n.inputs[1]))
-            rs.tensors.insert("res");
-        }
+        if (rplan.resident.count(n.inputs[0])) rs.tensors.insert("in");
+        if (rplan.resident.count(n.output)) rs.tensors.insert("out");
+        if (n.epilogue.residual && rplan.resident.count(n.inputs[1]))
+          rs.tensors.insert("res");
         // A timing-only run is a function of the program, the sub-batch,
         // the tensor addresses and the resident set: a group matching an
         // earlier group of this step reuses its numbers.
@@ -435,46 +361,13 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
           lr.dma_bytes_elided += same->bytes_elided;
         } else {
           // Interpreter::run resets the CG clock and statistics, so the
-          // node's cycles are cg.now() afterwards and the pre/post charges
+          // node's cycles are cg.now() afterwards and the pass charges
           // must come after the run.
           const rt::RunResult rr =
               tc.handle.run(cg, bt, opts.mode, rs.empty() ? nullptr : &rs);
           lr.dma_bytes_elided += rr.bytes_elided;
-          if (m == ConvMethod::Explicit) {
-            if (functional) {
-              const std::int64_t Ro = s.ro(), Co = s.co(), B = s.batch;
-              const std::int64_t No = s.no;
-              auto om = cg.mem().view(addr(n.name + ":outmat"),
-                                      No * B * Ro * Co);
-              auto ov = cg.mem().view(out, Ro * No * Co * B);
-              for (std::int64_t b = 0; b < B; ++b)
-                for (std::int64_t ro = 0; ro < Ro; ++ro)
-                  for (std::int64_t co = 0; co < Co; ++co) {
-                    const std::int64_t j = (b * Ro + ro) * Co + co;
-                    for (std::int64_t no = 0; no < No; ++no)
-                      ov[static_cast<std::size_t>(((ro * No + no) * Co + co) *
-                                                      B +
-                                                  b)] =
-                          om[static_cast<std::size_t>(no + j * No)];
-                  }
-            }
-            ops::ExplicitConvOp::charge_pre_post(cg, s);
-          } else if (m == ConvMethod::Winograd) {
-            const ops::WinogradPlan p(s);
-            if (functional)
-              ops::WinogradGemmOp::inverse_transform(cg, addr(n.name + ":Mt"),
-                                                     out, p);
-            ops::WinogradGemmOp::charge_pre_post(cg, p);
-          }
-          if (n.epilogue.out_pad > 0) {
-            // The fused kernel writes only the interior; the zero border is
-            // written once per run (an absorbed Pad's remaining cost).
-            const TensorShape& os2 = shapes.at(n.output);
-            const std::int64_t raw_hw = os2.hw - 2 * n.epilogue.out_pad;
-            const std::int64_t border =
-                (os2.hw * os2.hw - raw_hw * raw_hw) * os2.channels * st.batch;
-            charge_mpe_pass(cg, 0, border, 0.0);
-          }
+          if (functional) op.post_pass(cg, bt);
+          op.charge_passes(cg);
           cycles = cg.now();
           stats = cg.stats();
           if (!functional)
@@ -497,8 +390,9 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
         lr.dma_bytes_elided += (elide_read + elide_write) * 4;
         auto charge = [&](std::int64_t read_f, std::int64_t write_f,
                           double mops) {
-          charge_mpe_pass(cg, read_f - elide_read, write_f - elide_write,
-                          mops);
+          cg.charge_dma_cost_sync(ops::pass_cost(
+              cg.config(), read_f - elide_read, write_f - elide_write));
+          cg.advance_compute(mops / kMpeFlopsPerCycle);
         };
         switch (n.kind) {
           case NodeKind::Bias: {

@@ -7,12 +7,21 @@
 // topological order with tensors actually flowing layer to layer:
 // convolutions run their tuned programs through the interpreter on the
 // arena, the elementwise passes (bias / relu / pool / pad / residual add)
-// run as priced MPE-side passes. With groups > 1 the batch is split across
-// core groups (batch is the innermost dimension of every activation
-// layout, so each group simply owns a contiguous sub-batch) and a NoC
-// barrier is charged per convolution launch -- the chip-level latency is
-// the per-step maximum over groups plus those barriers, which is what an
-// honest data-parallel deployment pays.
+// run as priced MPE-side passes.
+//
+// Every convolution design is an ops::ConvOp (ops/conv_op.hpp). The engine
+// resolves a layer's design, builds its operator, and runs the layer
+// through that contract alone: the design's parameters (loaded once per
+// network), its per-step scratch (planned into the arena), its pre/post
+// passes and their price. A new GEMM mapping arrives as one operator, with
+// no edit here.
+//
+// With groups > 1 the batch is split across core groups (batch is the
+// innermost dimension of every activation layout, so each group simply
+// owns a contiguous sub-batch) and a NoC barrier is charged per
+// convolution launch -- the chip-level latency is the per-step maximum
+// over groups plus those barriers, which is what an honest data-parallel
+// deployment pays.
 //
 // Callers come through swatop::compile(graph, cfg) (graph/compile.hpp),
 // whose CompiledNet handle owns the tuning journal and glues
@@ -23,6 +32,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +54,9 @@ namespace swatop::graph {
 enum class ConvMethod { Auto, Implicit, Explicit, Winograd };
 
 const char* conv_method_name(ConvMethod m);
+/// Inverse of conv_method_name ("auto", "implicit", "explicit",
+/// "winograd"); nullopt for any other name.
+std::optional<ConvMethod> parse_conv_method(const std::string& name);
 
 struct NetOptions {
   int groups = 1;  ///< core groups to data-parallel the batch over (1..4)

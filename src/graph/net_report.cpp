@@ -110,7 +110,6 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
                   "layer", "kind", "cycles", "%net", "GFLOPS", "kern%",
                   "dma%", "idle%", "bound by");
     os << buf;
-    const obs::RooflineMachine m = roofline_machine(machine);
     for (const LayerReport& lr : r.layers) {
       const obs::Attribution a = layer_attribution(lr);
       const double kern = a.share(obs::AttrCat::KernelIssue) +
@@ -121,14 +120,10 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
                          a.share(obs::AttrCat::DmaWait);
       const double idle = a.share(obs::AttrCat::Barrier) +
                           a.share(obs::AttrCat::Imbalance);
-      const char* bound = "-";
-      if (lr.conv) {
-        const obs::RooflinePoint p = obs::roofline_place(
-            lr.name, lr.flops,
-            lr.stats.dma_bytes_requested + lr.stats.dma_bytes_wasted,
-            lr.cycles * static_cast<double>(lr.groups), m);
-        bound = p.binding();
-      }
+      // What bound the step: its largest attribution group.
+      const char* bound = kern >= dma && kern >= idle ? "kernel"
+                          : dma >= idle               ? "dma"
+                                                      : "idle";
       std::snprintf(buf, sizeof buf,
                     "  %-14s %-9s %12.0f %5.1f%% %7.1f %5.1f%% %5.1f%% "
                     "%5.1f%%  %s%s%s\n",

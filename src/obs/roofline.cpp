@@ -20,15 +20,10 @@ RooflinePoint roofline_place(std::string name, std::int64_t flops,
                     : 0.0;
   p.achieved =
       cycles > 0.0 ? static_cast<double>(flops) / cycles : 0.0;
-  const double mem_roof = p.intensity * m.dma_bytes_per_cycle;
-  if (dram_bytes <= 0) {
-    // No DRAM traffic: only the compute roof applies.
-    p.roof = m.peak_flops_per_cycle;
-    p.compute_bound = true;
-  } else {
-    p.compute_bound = p.intensity >= m.ridge();
-    p.roof = std::min(m.peak_flops_per_cycle, mem_roof);
-  }
+  // No DRAM traffic: only the compute roof applies.
+  p.roof = dram_bytes > 0 ? std::min(m.peak_flops_per_cycle,
+                                     p.intensity * m.dma_bytes_per_cycle)
+                          : m.peak_flops_per_cycle;
   p.utilization = p.roof > 0.0 ? p.achieved / p.roof : 0.0;
   return p;
 }
@@ -49,13 +44,13 @@ std::string roofline_report(const std::vector<RooflinePoint>& pts,
                 "%.2f B/cy, ridge %.1f flop/B)\n",
                 m.peak_flops_per_cycle, m.dma_bytes_per_cycle, m.ridge());
   os << buf;
-  std::snprintf(buf, sizeof buf, "  %-16s %10s %10s %10s %6s  %s\n", "span",
-                "flop/B", "flop/cy", "roof", "util%", "bound by");
+  std::snprintf(buf, sizeof buf, "  %-16s %10s %10s %10s %6s\n", "span",
+                "flop/B", "flop/cy", "roof", "util%");
   os << buf;
   for (const RooflinePoint& p : pts) {
-    std::snprintf(buf, sizeof buf, "  %-16s %10.2f %10.1f %10.1f %6.1f  %s\n",
+    std::snprintf(buf, sizeof buf, "  %-16s %10.2f %10.1f %10.1f %6.1f\n",
                   p.name.c_str(), p.intensity, p.achieved, p.roof,
-                  100.0 * p.utilization, p.binding());
+                  100.0 * p.utilization);
     os << buf;
   }
   return os.str();
@@ -75,8 +70,7 @@ std::string roofline_json(const std::vector<RooflinePoint>& pts,
        << ", \"dram_bytes\": " << p.dram_bytes << ", \"cycles\": " << p.cycles
        << ", \"intensity\": " << p.intensity
        << ", \"achieved\": " << p.achieved << ", \"roof\": " << p.roof
-       << ", \"utilization\": " << p.utilization << ", \"bound\": \""
-       << p.binding() << "\"}";
+       << ", \"utilization\": " << p.utilization << "}";
   }
   os << "]}";
   return os.str();

@@ -1,7 +1,10 @@
 // Roofline placement: arithmetic intensity from the already-wired byte
 // counters against the simulated machine's two roofs -- the CPE cluster's
-// peak issue rate and the DMA engine's DRAM bandwidth -- naming, for every
-// operator or layer, the resource that bounds it.
+// peak issue rate and the DMA engine's DRAM bandwidth -- giving every
+// operator or layer its roof and the share of it achieved. What actually
+// bound a span is attribution's answer (obs/attribution.hpp), not the
+// intensity's: a schedule whose DMA overlaps its kernels runs at the
+// compute roof's pace below the ridge.
 //
 // The byte basis is *transaction* bytes (requested + wasted): that is what
 // the DMA engine actually moves, so a padding-wasteful schedule is honestly
@@ -45,12 +48,6 @@ struct RooflinePoint {
   double achieved = 0.0;   ///< achieved flops per cycle
   double roof = 0.0;       ///< min(compute roof, intensity * memory roof)
   double utilization = 0.0;  ///< achieved / roof
-  bool compute_bound = false;
-
-  /// The binding resource by name ("compute" or "dma-bandwidth").
-  const char* binding() const {
-    return compute_bound ? "compute" : "dma-bandwidth";
-  }
 };
 
 /// Place one span. `cycles` is the per-group cycle basis (for multi-group
@@ -64,7 +61,7 @@ RooflinePoint roofline_place(std::string name, std::int64_t flops,
 RooflinePoint roofline_place(std::string name, const Counters& c,
                              const RooflineMachine& m);
 
-/// Text table: AI, achieved vs roof, utilization, binding resource.
+/// Text table: AI, achieved vs roof, utilization.
 std::string roofline_report(const std::vector<RooflinePoint>& pts,
                             const RooflineMachine& m);
 

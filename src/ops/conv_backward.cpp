@@ -2,6 +2,7 @@
 
 #include "common/check.hpp"
 #include "isa/kernel_gen.hpp"
+#include "ops/conv_op.hpp"
 #include "ops/matmul.hpp"
 #include "common/math_util.hpp"
 #include "ops/tensor.hpp"
@@ -62,31 +63,6 @@ void reference_conv_bwd_filter(const float* in, const float* dout, float* dw,
 }
 
 namespace {
-
-/// Deterministic host gradients/activations shared by fill and check.
-std::vector<float> host_dout(const ConvShape& s) {
-  std::vector<float> v(static_cast<std::size_t>(s.ro() * s.no * s.co() *
-                                                s.batch));
-  Prng rng(23);
-  for (float& x : v) x = rng.next();
-  return v;
-}
-
-std::vector<float> host_w(const ConvShape& s) {
-  std::vector<float> v(
-      static_cast<std::size_t>(s.kr * s.kc * s.ni * s.no));
-  Prng rng(13);
-  for (float& x : v) x = rng.next();
-  return v;
-}
-
-std::vector<float> host_in(const ConvShape& s) {
-  std::vector<float> v(static_cast<std::size_t>(s.ri * s.ni * s.ci *
-                                                s.batch));
-  Prng rng(7);
-  for (float& x : v) x = rng.next();
-  return v;
-}
 
 std::vector<std::int64_t> fused_tile_menu(std::int64_t extent,
                                           std::int64_t batch) {
@@ -220,7 +196,7 @@ void ConvBwdDataOp::fill_inputs(sim::CoreGroup& cg,
   const ConvShape& s = shape_;
   const std::int64_t B = s.batch, No = s.no;
   const std::int64_t Ro = s.ro(), Co = s.co(), Cp = cp();
-  const std::vector<float> dout = host_dout(s);
+  const std::vector<float> dout = test_tensor(TestTensor::Dout, s.out_floats());
   // Pad by (kr-1, kc-1) on each border.
   auto pad = cg.mem().view(bt.at("dout_pad"), rp() * No * Cp * B);
   std::fill(pad.begin(), pad.end(), 0.0f);
@@ -232,7 +208,7 @@ void ConvBwdDataOp::fill_inputs(sim::CoreGroup& cg,
               (((ro + s.kr - 1) * No + no) * Cp + (co + s.kc - 1)) * B + b)] =
               dout[static_cast<std::size_t>(((ro * No + no) * Co + co) * B +
                                             b)];
-  const std::vector<float> w = host_w(s);
+  const std::vector<float> w = test_tensor(TestTensor::W, s.w_floats());
   cg.mem().copy_in(bt.at("w"), w);
 }
 
@@ -240,8 +216,8 @@ double ConvBwdDataOp::check_output(sim::CoreGroup& cg,
                                    const dsl::BoundTensors& bt,
                                    const dsl::Strategy&) const {
   const ConvShape& s = shape_;
-  const std::vector<float> dout = host_dout(s);
-  const std::vector<float> w = host_w(s);
+  const std::vector<float> dout = test_tensor(TestTensor::Dout, s.out_floats());
+  const std::vector<float> w = test_tensor(TestTensor::W, s.w_floats());
   std::vector<float> ref(static_cast<std::size_t>(s.ri * s.ni * s.ci *
                                                   s.batch));
   reference_conv_bwd_data(dout.data(), w.data(), ref.data(), s);
@@ -359,16 +335,18 @@ std::vector<dsl::TensorSpec> ConvBwdFilterOp::tensors() const {
 void ConvBwdFilterOp::fill_inputs(sim::CoreGroup& cg,
                                   const dsl::BoundTensors& bt,
                                   const dsl::Strategy&) const {
-  cg.mem().copy_in(bt.at("in"), host_in(shape_));
-  cg.mem().copy_in(bt.at("dout"), host_dout(shape_));
+  cg.mem().copy_in(bt.at("in"),
+                   test_tensor(TestTensor::In, shape_.in_floats()));
+  cg.mem().copy_in(bt.at("dout"),
+                   test_tensor(TestTensor::Dout, shape_.out_floats()));
 }
 
 double ConvBwdFilterOp::check_output(sim::CoreGroup& cg,
                                      const dsl::BoundTensors& bt,
                                      const dsl::Strategy&) const {
   const ConvShape& s = shape_;
-  const std::vector<float> in = host_in(s);
-  const std::vector<float> dout = host_dout(s);
+  const std::vector<float> in = test_tensor(TestTensor::In, s.in_floats());
+  const std::vector<float> dout = test_tensor(TestTensor::Dout, s.out_floats());
   std::vector<float> ref(static_cast<std::size_t>(s.kr * s.kc * s.ni *
                                                   s.no));
   reference_conv_bwd_filter(in.data(), dout.data(), ref.data(), s);

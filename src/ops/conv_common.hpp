@@ -21,6 +21,11 @@ struct ConvShape {
   std::int64_t ro() const { return (ri - kr) / stride + 1; }
   std::int64_t co() const { return (ci - kc) / stride + 1; }
 
+  /// Floats of the canonical layer tensors (layouts in ops/conv_op.hpp).
+  std::int64_t in_floats() const { return ri * ni * ci * batch; }
+  std::int64_t w_floats() const { return kr * kc * ni * no; }
+  std::int64_t out_floats() const { return ro() * no * co() * batch; }
+
   /// Direct-convolution MACs * 2 (the flop count every method's efficiency
   /// is normalized to, hence Winograd's > 100% efficiencies).
   std::int64_t flops() const {

@@ -1,23 +1,18 @@
 #include "ops/explicit_conv.hpp"
 
-#include "common/check.hpp"
-#include "common/math_util.hpp"
-#include "ops/reference.hpp"
-#include "ops/tensor.hpp"
-
 namespace swatop::ops {
 
 ExplicitConvOp::ExplicitConvOp(const ConvShape& shape)
-    : MatmulOp(shape.no, shape.batch * shape.ro() * shape.co(),
-               shape.ni * shape.kr * shape.kc),
-      shape_(shape) {
-  a_name_ = "wmat";
-  b_name_ = "dcol";
-  c_name_ = "outmat";
-}
+    : ConvOp(shape),
+      gemm_(shape.no, shape.batch * shape.ro() * shape.co(),
+            shape.ni * shape.kr * shape.kc, "wmat", "dcol", "outmat") {}
 
 std::string ExplicitConvOp::name() const {
   return "explicit_conv[" + shape_.to_string() + "]";
+}
+
+std::vector<dsl::TensorSpec> ExplicitConvOp::params() const {
+  return {tensors().front()};
 }
 
 void ExplicitConvOp::im2col(sim::CoreGroup& cg, sim::MainMemory::Addr in,
@@ -47,122 +42,50 @@ void ExplicitConvOp::im2col(sim::CoreGroup& cg, sim::MainMemory::Addr in,
   }
 }
 
-void ExplicitConvOp::charge_pre_post(sim::CoreGroup& cg, const ConvShape& s) {
-  const sim::SimConfig& cfg = cg.config();
-  const std::int64_t txn =
-      static_cast<std::int64_t>(cfg.dram_transaction_bytes);
-  const std::int64_t B = s.batch;
-  const std::int64_t K = s.ni * s.kr * s.kc;
-  const std::int64_t N = B * s.ro() * s.co();
-
-  // im2col reads the input Kr*Kc times in runs of B contiguous floats, and
-  // writes the K x N column matrix contiguously.
-  sim::DmaCost pre;
-  pre.latency_cycles = cfg.dma_latency_cycles;
-  const std::int64_t read_runs = K * N / B;
-  const std::int64_t run_bytes = B * static_cast<std::int64_t>(sizeof(float));
-  const std::int64_t tx_per_run = ceil_div(run_bytes + txn / 2, txn);
-  pre.bytes_requested = K * N * static_cast<std::int64_t>(sizeof(float));
-  pre.transactions = read_runs * tx_per_run +
-                     ceil_div(K * N * 4, txn);  // + contiguous write
-  pre.bytes_requested += K * N * 4;
-  pre.bytes_wasted = pre.transactions * txn - pre.bytes_requested;
-  if (pre.bytes_wasted < 0) pre.bytes_wasted = 0;
-  pre.transfer_cycles =
-      static_cast<double>(pre.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(pre);
-
-  // Output re-layout: read outmat contiguously, write the canonical output
-  // tensor in runs of B.
-  sim::DmaCost post;
-  post.latency_cycles = cfg.dma_latency_cycles;
-  const std::int64_t out_floats = s.no * N;
-  const std::int64_t write_runs = out_floats / B;
-  post.bytes_requested = 2 * out_floats * 4;
-  post.transactions =
-      ceil_div(out_floats * 4, txn) + write_runs * tx_per_run;
-  post.bytes_wasted = post.transactions * txn - post.bytes_requested;
-  if (post.bytes_wasted < 0) post.bytes_wasted = 0;
-  post.transfer_cycles =
-      static_cast<double>(post.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(post);
-}
-
-double ExplicitConvOp::pre_post_cycles(const ConvShape& s,
-                                       const sim::SimConfig& cfg) {
-  sim::CoreGroup cg(cfg);
-  charge_pre_post(cg, s);
-  return cg.now();
-}
-
-void ExplicitConvOp::fill_inputs(sim::CoreGroup& cg,
-                                 const dsl::BoundTensors& bt,
-                                 const dsl::Strategy&) const {
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  const std::int64_t K = Ni * shape_.kr * shape_.kc;
-  // Generate a canonical input tensor and weights, then materialize the
-  // im2col matrix and the weight matrix the GEMM consumes.
-  std::vector<float> in(static_cast<std::size_t>(shape_.ri * Ni * shape_.ci *
-                                                 shape_.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(shape_.kr * shape_.kc * Ni *
-                                                No));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-
-  // wmat: column-major No x K; element (no, kk) with kk = ((kr*Kc+kc)*Ni+ni).
-  auto wmat = cg.mem().view(bt.at(a_name_), No * K);
+void ExplicitConvOp::load_weights(sim::CoreGroup& cg,
+                                  const dsl::BoundTensors& bt,
+                                  const dsl::Strategy&,
+                                  const std::vector<float>& w) const {
+  // wmat element (no, kk) is canonical w[kk][no], kk = (kr*Kc + kc)*Ni + ni.
+  const std::int64_t No = shape_.no, K = gemm_.k();
+  auto wmat = cg.mem().view(bt.at("wmat"), No * K);
   for (std::int64_t kk = 0; kk < K; ++kk)
     for (std::int64_t no = 0; no < No; ++no)
       wmat[static_cast<std::size_t>(no + kk * No)] =
           w[static_cast<std::size_t>(kk * No + no)];
-
-  // dcol via the functional im2col on a scratch copy of `in` in the arena.
-  const sim::MainMemory::Addr in_addr =
-      cg.mem().alloc(static_cast<std::int64_t>(in.size()), "in_scratch");
-  cg.mem().copy_in(in_addr, in);
-  im2col(cg, in_addr, bt.at(b_name_), shape_);
 }
 
-double ExplicitConvOp::check_output(sim::CoreGroup& cg,
-                                    const dsl::BoundTensors& bt,
-                                    const dsl::Strategy&) const {
-  // The GEMM result must equal the direct convolution, column j of outmat
-  // being output pixel (b, ro, co).
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  std::vector<float> in(static_cast<std::size_t>(shape_.ri * Ni * shape_.ci *
-                                                 shape_.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(shape_.kr * shape_.kc * Ni *
-                                                No));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-  std::vector<float> ref(static_cast<std::size_t>(
-      shape_.ro() * No * shape_.co() * shape_.batch));
-  reference_conv(in.data(), w.data(), ref.data(), shape_);
+void ExplicitConvOp::pre_pass(sim::CoreGroup& cg,
+                              const dsl::BoundTensors& bt) const {
+  im2col(cg, bt.at("in"), bt.at("dcol"), shape_);
+  cg.mem().fill(bt.at("outmat"), gemm_.m() * gemm_.n(), 0.0f);
+}
 
-  const std::int64_t Ro = shape_.ro(), Co = shape_.co();
-  auto got = cg.mem().view(bt.at(c_name_), No * N_);
-  double m = 0.0;
-  for (std::int64_t b = 0; b < shape_.batch; ++b) {
-    for (std::int64_t ro = 0; ro < Ro; ++ro) {
+void ExplicitConvOp::post_pass(sim::CoreGroup& cg,
+                               const dsl::BoundTensors& bt) const {
+  const std::int64_t Ro = shape_.ro(), Co = shape_.co(), B = shape_.batch;
+  const std::int64_t No = shape_.no;
+  auto om = cg.mem().view(bt.at("outmat"), No * gemm_.n());
+  auto out = cg.mem().view(bt.at("out"), shape_.out_floats());
+  for (std::int64_t b = 0; b < B; ++b)
+    for (std::int64_t ro = 0; ro < Ro; ++ro)
       for (std::int64_t co = 0; co < Co; ++co) {
         const std::int64_t j = (b * Ro + ro) * Co + co;
-        for (std::int64_t no = 0; no < No; ++no) {
-          const double d = std::abs(
-              static_cast<double>(got[static_cast<std::size_t>(no + j * No)]) -
-              static_cast<double>(
-                  ref[static_cast<std::size_t>(((ro * No + no) * Co + co) *
-                                                   shape_.batch +
-                                               b)]));
-          if (d > m) m = d;
-        }
+        for (std::int64_t no = 0; no < No; ++no)
+          out[static_cast<std::size_t>(((ro * No + no) * Co + co) * B + b)] =
+              om[static_cast<std::size_t>(no + j * No)];
       }
-    }
-  }
-  return m;
+}
+
+void ExplicitConvOp::charge_passes(sim::CoreGroup& cg) const {
+  // im2col reads the input Kr*Kc times in runs of B contiguous floats and
+  // writes the K x N column matrix contiguously; the re-layout reads
+  // outmat contiguously and writes the output tensor in runs of B.
+  const std::int64_t B = shape_.batch;
+  const std::int64_t dcol = gemm_.k() * gemm_.n();
+  const std::int64_t outmat = gemm_.m() * gemm_.n();
+  cg.charge_dma_cost_sync(pass_cost(cg.config(), dcol, dcol, B, 0));
+  cg.charge_dma_cost_sync(pass_cost(cg.config(), outmat, outmat, 0, B));
 }
 
 }  // namespace swatop::ops

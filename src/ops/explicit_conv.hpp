@@ -2,41 +2,45 @@
 // column matrix, the convolution becomes one large GEMM
 //   outmat (No x B*Ro*Co) = wmat (No x Ni*Kr*Kc) x dcol (Ni*Kr*Kc x B*Ro*Co),
 // and the result is re-laid out into the canonical output tensor. The GEMM
-// core reuses the matmul schedule space; the im2col / re-layout passes are
-// priced separately (they are what caps this method's efficiency in Fig. 8).
+// core is a matmul (its schedule space and lowering); the ConvOp hooks are
+// the layout around it: the parameter "wmat" (the canonical weights
+// transposed), the scratch "dcol" and "outmat", the im2col pre pass and the
+// re-layout post pass, priced separately (they are what caps this method's
+// efficiency in Fig. 8).
 #pragma once
 
-#include "dsl/dsl.hpp"
-#include "ops/conv_common.hpp"
+#include "ops/conv_op.hpp"
 #include "ops/matmul.hpp"
 
 namespace swatop::ops {
 
-class ExplicitConvOp : public MatmulOp {
+class ExplicitConvOp : public ConvOp {
  public:
   explicit ExplicitConvOp(const ConvShape& shape);
 
   static bool applicable(const ConvShape&) { return true; }
 
   std::string name() const override;
-  /// Direct-convolution flops equal the GEMM flops here, but keep the
-  /// canonical definition for efficiency reporting.
-  std::int64_t flops() const override { return shape_.flops(); }
+  dsl::ScheduleSpace space() const override { return gemm_.space(); }
+  ir::StmtPtr lower(const dsl::Strategy& s) const override {
+    return gemm_.lower(s);
+  }
+  std::vector<dsl::TensorSpec> tensors() const override {
+    return gemm_.tensors();
+  }
 
-  void fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
-                   const dsl::Strategy& s) const override;
-  double check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
-                      const dsl::Strategy& s) const override;
-
-  const ConvShape& shape() const { return shape_; }
-
-  /// im2col + output re-layout cycles (the pre/post passes around the
-  /// tuned GEMM), charged to `cg`'s clock.
-  static void charge_pre_post(sim::CoreGroup& cg, const ConvShape& s);
-
-  /// Convenience: pre/post cycles on a scratch clock.
-  static double pre_post_cycles(const ConvShape& s,
-                                const sim::SimConfig& cfg);
+  /// {"wmat"}: column-major No x K, K ordered (kr, kc, ni).
+  std::vector<dsl::TensorSpec> params() const override;
+  void load_weights(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
+                    const dsl::Strategy& s,
+                    const std::vector<float>& w) const override;
+  /// im2col of "in" into "dcol"; zero "outmat".
+  void pre_pass(sim::CoreGroup& cg,
+                const dsl::BoundTensors& bt) const override;
+  /// Re-layout "outmat" (column j = output pixel (b, ro, co)) into "out".
+  void post_pass(sim::CoreGroup& cg,
+                 const dsl::BoundTensors& bt) const override;
+  void charge_passes(sim::CoreGroup& cg) const override;
 
   /// Functional im2col: expand `in` ([ri][ni][ci][b]) into `dcol`
   /// (column-major Ni*Kr*Kc x B*Ro*Co), host-side loops on the arena.
@@ -44,7 +48,7 @@ class ExplicitConvOp : public MatmulOp {
                      sim::MainMemory::Addr dcol, const ConvShape& s);
 
  private:
-  ConvShape shape_;
+  MatmulOp gemm_;
 };
 
 }  // namespace swatop::ops

@@ -7,8 +7,6 @@
 #include "common/math_util.hpp"
 #include "isa/kernel_gen.hpp"
 #include "ops/matmul.hpp"
-#include "ops/reference.hpp"
-#include "ops/tensor.hpp"
 #include "sched/lower.hpp"
 
 namespace swatop::ops {
@@ -16,9 +14,7 @@ namespace swatop::ops {
 namespace ir = swatop::ir;
 
 ImplicitConvOp::ImplicitConvOp(const ConvShape& shape, dsl::EpilogueSpec epi)
-    : shape_(shape), epi_(epi) {
-  SWATOP_CHECK(shape.ro() > 0 && shape.co() > 0)
-      << "kernel larger than input: " << shape.to_string();
+    : ConvOp(shape), epi_(epi) {
   SWATOP_CHECK(epi.out_pad >= 0) << "negative output padding";
 }
 
@@ -186,88 +182,67 @@ ir::StmtPtr ImplicitConvOp::lower(const dsl::Strategy& s) const {
 
 std::vector<dsl::TensorSpec> ImplicitConvOp::tensors() const {
   std::vector<dsl::TensorSpec> t = {
-      {"in", shape_.ri * shape_.ni * shape_.ci * shape_.batch, false},
-      {"w", shape_.kr * shape_.kc * shape_.ni * shape_.no, false},
-      {"out", ro_p() * shape_.no * co_p() * shape_.batch, true}};
+      {"in", shape_.in_floats(), false},
+      {"w", shape_.w_floats(), false},
+      {"out", padded_out_floats(), true}};
   if (epi_.bias) t.push_back({"bias", shape_.no, false});
-  if (epi_.residual)
-    t.push_back(
-        {"res", shape_.ro() * shape_.no * shape_.co() * shape_.batch, false});
+  if (epi_.residual) t.push_back({"res", shape_.out_floats(), false});
   return t;
+}
+
+std::vector<dsl::TensorSpec> ImplicitConvOp::params() const {
+  return {{"w", shape_.w_floats(), false}};
+}
+
+void ImplicitConvOp::load_weights(sim::CoreGroup& cg,
+                                  const dsl::BoundTensors& bt,
+                                  const dsl::Strategy& s,
+                                  const std::vector<float>& w) const {
+  const std::int64_t Ni = shape_.ni, No = shape_.no;
+  const bool ni_major = s.choice("wlayout") == "ni_major";
+  auto v = cg.mem().view(bt.at("w"), shape_.w_floats());
+  for (std::int64_t base = 0; base < shape_.w_floats(); base += Ni * No)
+    for (std::int64_t ni = 0; ni < Ni; ++ni)
+      for (std::int64_t no = 0; no < No; ++no)
+        v[static_cast<std::size_t>(ni_major ? base + no * Ni + ni
+                                            : base + ni * No + no)] =
+            w[static_cast<std::size_t>(base + ni * No + no)];
+}
+
+void ImplicitConvOp::pre_pass(sim::CoreGroup& cg,
+                              const dsl::BoundTensors& bt) const {
+  cg.mem().fill(bt.at("out"), padded_out_floats(), 0.0f);
+}
+
+void ImplicitConvOp::charge_passes(sim::CoreGroup& cg) const {
+  // The schedule writes only the interior; the zero border is written once
+  // per run (an absorbed Pad's remaining cost).
+  if (epi_.out_pad == 0) return;
+  const std::int64_t border = padded_out_floats() - shape_.out_floats();
+  cg.charge_dma_cost_sync(pass_cost(cg.config(), 0, border));
 }
 
 void ImplicitConvOp::fill_inputs(sim::CoreGroup& cg,
                                  const dsl::BoundTensors& bt,
                                  const dsl::Strategy& s) const {
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  Prng rng(7);
-  auto in = cg.mem().view(bt.at("in"),
-                          shape_.ri * Ni * shape_.ci * shape_.batch);
-  for (float& x : in) x = rng.next();
-
-  if (epi_.bias) {
-    auto b = cg.mem().view(bt.at("bias"), No);
-    Prng brng(17);
-    for (float& x : b) x = brng.next();
-  }
-  if (epi_.residual) {
-    auto res = cg.mem().view(bt.at("res"), shape_.ro() * No * shape_.co() *
-                                               shape_.batch);
-    Prng rrng(19);
-    for (float& x : res) x = rrng.next();
-  }
-
-  // Weights are generated in the canonical [kr][kc][ni][no] order and
-  // written in the strategy's chosen layout.
-  const bool ni_major = s.choice("wlayout") == "ni_major";
-  auto w = cg.mem().view(bt.at("w"), shape_.kr * shape_.kc * Ni * No);
-  Prng wrng(13);
-  for (std::int64_t kr = 0; kr < shape_.kr; ++kr) {
-    for (std::int64_t kc = 0; kc < shape_.kc; ++kc) {
-      for (std::int64_t ni = 0; ni < Ni; ++ni) {
-        for (std::int64_t no = 0; no < No; ++no) {
-          const float val = wrng.next();
-          const std::int64_t base = (kr * shape_.kc + kc) * Ni * No;
-          const std::int64_t off =
-              ni_major ? base + no * Ni + ni : base + ni * No + no;
-          w[static_cast<std::size_t>(off)] = val;
-        }
-      }
-    }
-  }
+  ConvOp::fill_inputs(cg, bt, s);
+  if (epi_.bias)
+    cg.mem().copy_in(bt.at("bias"), test_tensor(TestTensor::Bias, shape_.no));
+  if (epi_.residual)
+    cg.mem().copy_in(bt.at("res"),
+                     test_tensor(TestTensor::Res, shape_.out_floats()));
 }
 
 double ImplicitConvOp::check_output(sim::CoreGroup& cg,
                                     const dsl::BoundTensors& bt,
                                     const dsl::Strategy&) const {
-  const std::int64_t Ni = shape_.ni, No = shape_.no;
-  // Regenerate the canonical host inputs from the same seeds.
-  std::vector<float> in(static_cast<std::size_t>(shape_.ri * Ni * shape_.ci *
-                                                 shape_.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(shape_.kr * shape_.kc * Ni *
-                                                No));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-
-  std::vector<float> ref(static_cast<std::size_t>(
-      shape_.ro() * No * shape_.co() * shape_.batch));
-  reference_conv(in.data(), w.data(), ref.data(), shape_);
-
+  const std::int64_t No = shape_.no, Co = shape_.co(), B = shape_.batch;
+  std::vector<float> ref = reference_output();
   if (epi_.compute()) {
     // Same order as the fused store: bias, residual-add, relu.
-    std::vector<float> bias(static_cast<std::size_t>(No));
-    if (epi_.bias) {
-      Prng brng(17);
-      for (float& x : bias) x = brng.next();
-    }
-    std::vector<float> res(ref.size());
-    if (epi_.residual) {
-      Prng rrng(19);
-      for (float& x : res) x = rrng.next();
-    }
-    const std::int64_t Co = shape_.co(), B = shape_.batch;
+    const std::vector<float> bias = test_tensor(TestTensor::Bias, No);
+    const std::vector<float> res =
+        test_tensor(TestTensor::Res, shape_.out_floats());
     for (std::size_t i = 0; i < ref.size(); ++i) {
       const std::int64_t no =
           (static_cast<std::int64_t>(i) / (Co * B)) % No;
@@ -276,19 +251,10 @@ double ImplicitConvOp::check_output(sim::CoreGroup& cg,
       if (epi_.relu) ref[i] = std::max(ref[i], 0.0f);
     }
   }
-
-  if (epi_.out_pad == 0) {
-    auto got = cg.mem().view(bt.at("out"),
-                             static_cast<std::int64_t>(ref.size()));
-    return max_abs_diff(got.data(), ref.data(),
-                        static_cast<std::int64_t>(ref.size()));
-  }
-  // Padded output: the schedule owns the interior only (the border is
-  // pre-zeroed by the consumer), so compare element-wise at the padded
-  // offsets.
-  const std::int64_t P = epi_.out_pad, Co = shape_.co(), B = shape_.batch;
-  const std::int64_t Wp = co_p();
-  auto got = cg.mem().view(bt.at("out"), ro_p() * No * Wp * B);
+  // Compare element-wise at the (possibly) padded offsets: the schedule
+  // owns only the interior.
+  const std::int64_t P = epi_.out_pad, Wp = co_p();
+  auto got = cg.mem().view(bt.at("out"), padded_out_floats());
   double worst = 0.0;
   for (std::int64_t r = 0; r < shape_.ro(); ++r) {
     for (std::int64_t no = 0; no < No; ++no) {

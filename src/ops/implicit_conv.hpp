@@ -6,27 +6,27 @@
 // enlarges a GEMM dim), which is what makes the channel-major interleaved
 // layouts below affine and DMA-friendly.
 //
-// Tensor layouts:
+// The core binds the canonical layer tensors themselves, so the design's
+// passes are trivial: the pre pass zeroes "out", there is no post pass,
+// and the only priced pass is a fused output border's zero fill.
 //   in  [ri][ni][ci][b]                (ci and b adjacent => N fusion)
 //   w   [kr][kc][ni][no]  ("no_major") or [kr][kc][no][ni] ("ni_major"),
 //                                       a layout-transformation choice
 //   out [ro][no][co][b]
 #pragma once
 
-#include "dsl/dsl.hpp"
-#include "ops/conv_common.hpp"
+#include "ops/conv_op.hpp"
 
 namespace swatop::ops {
 
-class ImplicitConvOp : public dsl::OperatorDef {
+class ImplicitConvOp : public ConvOp {
  public:
   /// `epi` fuses an elementwise tail (bias / residual-add / relu, applied
   /// in that order) into the C store path and/or stores into a
   /// zero-padded output border (`out_pad`). Extra tensors: "bias" (No
   /// floats) when epi.bias, "res" (unpadded output size) when
   /// epi.residual; "out" grows to the padded extent when epi.out_pad > 0.
-  /// The padded border itself is owned by the caller (pre-zeroed once);
-  /// the schedule only writes the interior.
+  /// The schedule writes only the interior; pre_pass zeroes the border.
   explicit ImplicitConvOp(const ConvShape& shape,
                           dsl::EpilogueSpec epi = {});
 
@@ -38,21 +38,34 @@ class ImplicitConvOp : public dsl::OperatorDef {
   dsl::ScheduleSpace space() const override;
   ir::StmtPtr lower(const dsl::Strategy& s) const override;
   std::vector<dsl::TensorSpec> tensors() const override;
-  std::int64_t flops() const override { return shape_.flops(); }
+
+  /// {"w"}, in the strategy's "wlayout".
+  std::vector<dsl::TensorSpec> params() const override;
+  void load_weights(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
+                    const dsl::Strategy& s,
+                    const std::vector<float>& w) const override;
+  void pre_pass(sim::CoreGroup& cg,
+                const dsl::BoundTensors& bt) const override;
+  void charge_passes(sim::CoreGroup& cg) const override;
+
+  /// The canonical fill plus a fused epilogue's seeded "bias" / "res".
   void fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                    const dsl::Strategy& s) const override;
+  /// The reference with the epilogue applied, compared on the interior of
+  /// a padded output.
   double check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                       const dsl::Strategy& s) const override;
 
-  const ConvShape& shape() const { return shape_; }
   const dsl::EpilogueSpec& epilogue() const { return epi_; }
 
  private:
   /// Padded output spatial dims (identical to the raw dims without pad).
   std::int64_t ro_p() const { return shape_.ro() + 2 * epi_.out_pad; }
   std::int64_t co_p() const { return shape_.co() + 2 * epi_.out_pad; }
+  std::int64_t padded_out_floats() const {
+    return ro_p() * shape_.no * co_p() * shape_.batch;
+  }
 
-  ConvShape shape_;
   dsl::EpilogueSpec epi_;
 };
 

@@ -13,8 +13,14 @@ namespace swatop::ops {
 
 namespace ir = swatop::ir;
 
-MatmulOp::MatmulOp(std::int64_t M, std::int64_t N, std::int64_t K)
-    : M_(M), N_(N), K_(K) {
+MatmulOp::MatmulOp(std::int64_t M, std::int64_t N, std::int64_t K,
+                   std::string a, std::string b, std::string c)
+    : M_(M),
+      N_(N),
+      K_(K),
+      a_name_(std::move(a)),
+      b_name_(std::move(b)),
+      c_name_(std::move(c)) {
   SWATOP_CHECK(M > 0 && N > 0 && K > 0)
       << "matmul dims (" << M << "," << N << "," << K << ")";
 }

@@ -14,7 +14,10 @@ namespace swatop::ops {
 
 class MatmulOp : public dsl::OperatorDef {
  public:
-  MatmulOp(std::int64_t M, std::int64_t N, std::int64_t K);
+  /// `a` / `b` / `c` name the operand tensors (explicit convolution binds
+  /// its GEMM core as "wmat" x "dcol" -> "outmat").
+  MatmulOp(std::int64_t M, std::int64_t N, std::int64_t K,
+           std::string a = "A", std::string b = "B", std::string c = "C");
 
   std::string name() const override;
   dsl::ScheduleSpace space() const override;
@@ -36,13 +39,9 @@ class MatmulOp : public dsl::OperatorDef {
       std::int64_t extent, std::int64_t align,
       const std::vector<std::int64_t>& menu);
 
- protected:
-  /// Tensor names; subclasses (explicit convolution) re-target them.
-  std::string a_name_ = "A";
-  std::string b_name_ = "B";
-  std::string c_name_ = "C";
-
+ private:
   std::int64_t M_, N_, K_;
+  std::string a_name_, b_name_, c_name_;
 };
 
 }  // namespace swatop::ops

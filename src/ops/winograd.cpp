@@ -7,8 +7,6 @@
 #include "common/math_util.hpp"
 #include "isa/kernel_gen.hpp"
 #include "ops/matmul.hpp"
-#include "ops/reference.hpp"
-#include "ops/tensor.hpp"
 #include "sched/lower.hpp"
 
 namespace swatop::ops {
@@ -84,27 +82,6 @@ void sandwich(const double* A, const double* D, double* out,
   }
 }
 
-/// Charge a bulk re-layout pass: `read_floats` read and `write_floats`
-/// written through SPM (both in long contiguous runs), plus a compute term
-/// of `flops` spread over the whole cluster.
-void charge_pass(sim::CoreGroup& cg, std::int64_t read_floats,
-                 std::int64_t write_floats, double flops) {
-  const sim::SimConfig& cfg = cg.config();
-  const std::int64_t txn =
-      static_cast<std::int64_t>(cfg.dram_transaction_bytes);
-  sim::DmaCost c;
-  c.latency_cycles = cfg.dma_latency_cycles;
-  c.bytes_requested = (read_floats + write_floats) * 4;
-  c.transactions = ceil_div(read_floats * 4, txn) +
-                   ceil_div(write_floats * 4, txn);
-  c.bytes_wasted = c.transactions * txn - c.bytes_requested;
-  if (c.bytes_wasted < 0) c.bytes_wasted = 0;
-  c.transfer_cycles =
-      static_cast<double>(c.transactions * txn) / cfg.dma_bytes_per_cycle();
-  cg.charge_dma_cost_sync(c);
-  cg.advance_compute(flops / cfg.peak_flops_per_cycle());
-}
-
 }  // namespace
 
 WinogradPlan::WinogradPlan(const ConvShape& s, std::int64_t m_) : shape(s) {
@@ -119,7 +96,7 @@ WinogradPlan::WinogradPlan(const ConvShape& s, std::int64_t m_) : shape(s) {
 }
 
 WinogradGemmOp::WinogradGemmOp(const ConvShape& shape, std::int64_t m)
-    : plan_(shape, m) {}
+    : ConvOp(shape), plan_(shape, m) {}
 
 std::string WinogradGemmOp::name() const {
   return "winograd" + std::to_string(plan_.m) + "_conv[" +
@@ -203,28 +180,49 @@ std::vector<dsl::TensorSpec> WinogradGemmOp::tensors() const {
           {"Mt", T * No * P, true}};
 }
 
-void WinogradGemmOp::charge_pre_post(sim::CoreGroup& cg,
-                                     const WinogradPlan& p) {
-  const ConvShape& s = p.shape;
-  const double T = static_cast<double>(p.T());
-  // Input transform: the overlapping tiles read ~T/(m^2)x the input volume,
-  // write T * Ni * P; two tile x tile sandwiches per channel tile.
-  charge_pass(cg, p.T() * s.ni * p.P, p.T() * s.ni * p.P,
-              static_cast<double>(p.P) * static_cast<double>(s.ni) * 8.0 * T);
-  // Filter transform: small.
-  charge_pass(cg, s.ni * s.no * 9, p.T() * s.ni * s.no,
-              static_cast<double>(s.ni) * static_cast<double>(s.no) * 5.0 *
-                  T);
-  // Inverse transform: read T * No * P, write the output tensor.
-  charge_pass(cg, p.T() * s.no * p.P, s.no * s.ro() * s.co() * s.batch,
-              static_cast<double>(p.P) * static_cast<double>(s.no) * 3.0 * T);
+std::vector<dsl::TensorSpec> WinogradGemmOp::params() const {
+  return {{"w", shape_.w_floats(), false}, tensors().front()};
 }
 
-double WinogradGemmOp::pre_post_cycles(const WinogradPlan& p,
-                                       const sim::SimConfig& cfg) {
-  sim::CoreGroup cg(cfg);
-  charge_pre_post(cg, p);
-  return cg.now();
+void WinogradGemmOp::load_weights(sim::CoreGroup& cg,
+                                  const dsl::BoundTensors& bt,
+                                  const dsl::Strategy&,
+                                  const std::vector<float>& w) const {
+  cg.mem().copy_in(bt.at("w"), w);
+  transform_filter(cg, bt.at("w"), bt.at("U"), plan_);
+}
+
+void WinogradGemmOp::pre_pass(sim::CoreGroup& cg,
+                              const dsl::BoundTensors& bt) const {
+  transform_input(cg, bt.at("in"), bt.at("V"), plan_);
+  cg.mem().fill(bt.at("Mt"), plan_.T() * shape_.no * plan_.P, 0.0f);
+}
+
+void WinogradGemmOp::post_pass(sim::CoreGroup& cg,
+                               const dsl::BoundTensors& bt) const {
+  inverse_transform(cg, bt.at("Mt"), bt.at("out"), plan_);
+}
+
+void WinogradGemmOp::charge_passes(sim::CoreGroup& cg) const {
+  // Each transform streams its operands through SPM in long contiguous runs
+  // and spreads its arithmetic over the whole cluster.
+  const WinogradPlan& p = plan_;
+  const ConvShape& s = shape_;
+  const double T = static_cast<double>(p.T());
+  auto charge = [&](std::int64_t read, std::int64_t write, double flops) {
+    cg.charge_dma_cost_sync(pass_cost(cg.config(), read, write));
+    cg.advance_compute(flops / cg.config().peak_flops_per_cycle());
+  };
+  // Input transform: the overlapping tiles read ~T/(m^2)x the input volume,
+  // write T * Ni * P; two tile x tile sandwiches per channel tile.
+  charge(p.T() * s.ni * p.P, p.T() * s.ni * p.P,
+         static_cast<double>(p.P) * static_cast<double>(s.ni) * 8.0 * T);
+  // Filter transform: small.
+  charge(s.ni * s.no * 9, p.T() * s.ni * s.no,
+         static_cast<double>(s.ni) * static_cast<double>(s.no) * 5.0 * T);
+  // Inverse transform: read T * No * P, write the output tensor.
+  charge(p.T() * s.no * p.P, s.out_floats(),
+         static_cast<double>(p.P) * static_cast<double>(s.no) * 3.0 * T);
 }
 
 void WinogradGemmOp::transform_input(sim::CoreGroup& cg,
@@ -340,51 +338,6 @@ void WinogradGemmOp::inverse_transform(sim::CoreGroup& cg,
       }
     }
   }
-}
-
-void WinogradGemmOp::fill_inputs(sim::CoreGroup& cg,
-                                 const dsl::BoundTensors& bt,
-                                 const dsl::Strategy&) const {
-  const ConvShape& s = plan_.shape;
-  std::vector<float> in(static_cast<std::size_t>(s.ri * s.ni * s.ci *
-                                                 s.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(9 * s.ni * s.no));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-
-  const sim::MainMemory::Addr in_addr =
-      cg.mem().alloc(static_cast<std::int64_t>(in.size()), "in_scratch");
-  cg.mem().copy_in(in_addr, in);
-  const sim::MainMemory::Addr w_addr =
-      cg.mem().alloc(static_cast<std::int64_t>(w.size()), "w_scratch");
-  cg.mem().copy_in(w_addr, w);
-  transform_input(cg, in_addr, bt.at("V"), plan_);
-  transform_filter(cg, w_addr, bt.at("U"), plan_);
-}
-
-double WinogradGemmOp::check_output(sim::CoreGroup& cg,
-                                    const dsl::BoundTensors& bt,
-                                    const dsl::Strategy&) const {
-  const ConvShape& s = plan_.shape;
-  // Inverse-transform the computed Mt and compare against direct conv.
-  const std::int64_t out_floats = s.ro() * s.no * s.co() * s.batch;
-  const sim::MainMemory::Addr out_addr =
-      cg.mem().alloc(out_floats, "wino_out");
-  inverse_transform(cg, bt.at("Mt"), out_addr, plan_);
-
-  std::vector<float> in(static_cast<std::size_t>(s.ri * s.ni * s.ci *
-                                                 s.batch));
-  Prng rng(7);
-  for (float& x : in) x = rng.next();
-  std::vector<float> w(static_cast<std::size_t>(9 * s.ni * s.no));
-  Prng wrng(13);
-  for (float& x : w) x = wrng.next();
-  std::vector<float> ref(static_cast<std::size_t>(out_floats));
-  reference_conv(in.data(), w.data(), ref.data(), s);
-  auto got = cg.mem().view(out_addr, out_floats);
-  return max_abs_diff(got.data(), ref.data(), out_floats);
 }
 
 }  // namespace swatop::ops

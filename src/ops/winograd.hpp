@@ -4,11 +4,12 @@
 //   M_t (No x P) = U_t (No x Ni) x V_t (Ni x P),   t = 0..15,
 // and the inverse transform produces the 2x2 output tiles. The batched GEMM
 // is the tuned core (an extra non-reduction t loop around a matmul-style
-// schedule space); the transforms are priced pre/post passes.
+// schedule space). On the ConvOp hooks the parameters are the canonical
+// "w" and its transform "U", the scratch is "V" and "Mt", and the input /
+// inverse transforms are the priced pre / post passes.
 #pragma once
 
-#include "dsl/dsl.hpp"
-#include "ops/conv_common.hpp"
+#include "ops/conv_op.hpp"
 
 namespace swatop::ops {
 
@@ -40,8 +41,8 @@ struct WinogradPlan {
   }
 };
 
-/// The tuned batched-GEMM core.
-class WinogradGemmOp : public dsl::OperatorDef {
+/// The tuned batched-GEMM core and its transforms.
+class WinogradGemmOp : public ConvOp {
  public:
   explicit WinogradGemmOp(const ConvShape& shape, std::int64_t m = 2);
 
@@ -49,24 +50,26 @@ class WinogradGemmOp : public dsl::OperatorDef {
   dsl::ScheduleSpace space() const override;
   ir::StmtPtr lower(const dsl::Strategy& s) const override;
   std::vector<dsl::TensorSpec> tensors() const override;
-  /// Reported against the direct-convolution flop count (Fig. 8's > 100%
-  /// efficiencies come from exactly this convention).
-  std::int64_t flops() const override { return plan_.shape.flops(); }
-  void fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
-                   const dsl::Strategy& s) const override;
-  double check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
-                      const dsl::Strategy& s) const override;
+
+  /// {"w", "U"}: the canonical weights and their filter transform.
+  std::vector<dsl::TensorSpec> params() const override;
+  /// Write "w", then transform it into "U".
+  void load_weights(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
+                    const dsl::Strategy& s,
+                    const std::vector<float>& w) const override;
+  /// Input transform of "in" into "V"; zero "Mt".
+  void pre_pass(sim::CoreGroup& cg,
+                const dsl::BoundTensors& bt) const override;
+  /// Inverse transform of "Mt" into "out".
+  void post_pass(sim::CoreGroup& cg,
+                 const dsl::BoundTensors& bt) const override;
+  /// The input, filter and inverse transforms, in that order.
+  void charge_passes(sim::CoreGroup& cg) const override;
 
   const WinogradPlan& plan() const { return plan_; }
 
-  /// Charge the input/filter transform (pre) and inverse transform (post)
-  /// costs to a core group's clock.
-  static void charge_pre_post(sim::CoreGroup& cg, const WinogradPlan& p);
-  static double pre_post_cycles(const WinogradPlan& p,
-                                const sim::SimConfig& cfg);
-
   // Functional transforms (host loops over the arena), used by tests and
-  // the fill/check hooks, for both F(2x2) and F(4x4). Layouts: in
+  // the hooks above, for both F(2x2) and F(4x4). Layouts: in
   // [ri][ni][ci][b]; U [t][ni][no] (column-major No x Ni per t); V
   // [t][p][ni] (column-major Ni x P per t); Mt [t][p][no] (column-major
   // No x P per t); out [ro][no][co][b].

@@ -26,7 +26,7 @@ namespace swatop::tune {
 /// would be at least.
 struct JournalEntry {
   std::string op;        ///< operator name
-  /// "model" | "top-k" | "bound" | "measure" | "blackbox" | "cache"
+  /// "model" | "top-k" | "bound" | "blackbox" | "cache"
   std::string phase;
   std::string strategy;  ///< strategy fingerprint
   /// Position in the schedule space for the model tuner's rows; in

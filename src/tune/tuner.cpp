@@ -364,6 +364,7 @@ Tuned ModelTuner::tune(const dsl::OperatorDef& op,
   std::int64_t rebuilt_nodes = 0;
   out.candidate = rebuild(op, r, best, opts, cfg_, &rebuilt_nodes);
   out.cycles = r.est[best];
+  out.predicted = r.est[best];
   out.stats = ranking_stats(r, 1, rebuilt_nodes, 0);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {
@@ -415,6 +416,7 @@ Tuned ModelTuner::tune_top_k(const dsl::OperatorDef& op, int k,
   Tuned out;
   out.candidate = std::move(winner);
   out.cycles = best;
+  out.predicted = r.est[best_i];
   out.stats = ranking_stats(r, keep, rebuilt_nodes, keep);
   out.stats.seconds = now_seconds() - t0;
   if (rec) {

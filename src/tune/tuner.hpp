@@ -48,7 +48,10 @@ struct TunerStats {
 
 struct Tuned {
   sched::Candidate candidate;
-  double cycles = 0.0;  ///< model-predicted (ModelTuner) or measured (BlackBox)
+  /// Model-predicted (ModelTuner::tune) or measured (tune_top_k, BlackBox).
+  double cycles = 0.0;
+  /// The cost model's estimate of the pick (model tuner only).
+  double predicted = 0.0;
   TunerStats stats;
 };
 

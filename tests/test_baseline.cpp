@@ -128,8 +128,7 @@ TEST(ManualWinograd, SixteenCallsDominatePrePost) {
   ManualWinogradConv conv(cfg);
   const auto s = shape(32, 64, 64, 14);
   const double total = conv.cycles(s);
-  const ops::WinogradPlan plan(s);
-  const double pre_post = ops::WinogradGemmOp::pre_post_cycles(plan, cfg);
+  const double pre_post = ops::WinogradGemmOp(s).pass_cycles(cfg);
   EXPECT_GT(total, pre_post);
 }
 
@@ -137,7 +136,7 @@ TEST(ManualExplicit, CostsImToColPlusGemm) {
   ManualExplicitConv conv(cfg);
   const auto s = shape(8, 32, 32, 8);
   const double total = conv.cycles(s);
-  EXPECT_GT(total, ops::ExplicitConvOp::pre_post_cycles(s, cfg));
+  EXPECT_GT(total, ops::ExplicitConvOp(s).pass_cycles(cfg));
 }
 
 }  // namespace

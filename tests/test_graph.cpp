@@ -624,37 +624,57 @@ TEST(Engine, SecondRunHitsTheScheduleCache) {
   std::remove(path);
 }
 
+/// Every convolution design the tiny net admits: its convs have too few
+/// input channels for implicit GEMM, so Auto runs them as explicit GEMM.
+const ConvMethod kTinyMethods[] = {ConvMethod::Auto, ConvMethod::Explicit,
+                                   ConvMethod::Winograd};
+
 TEST(Engine, TimingOnlyMatchesFunctionalCycles) {
   // With two groups of one image each, a timing-only run reuses group 0's
   // conv runs for group 1, while a functional run simulates both.
   GraphEngine engine(fast_cfg());
-  for (const int groups : {1, 2}) {
-    NetOptions fun;
-    fun.groups = groups;
-    const NetRunResult f = engine.run(make_tiny(1), 2, fun);
-    NetOptions tim = fun;
-    tim.mode = sim::ExecMode::TimingOnly;
-    const NetRunResult t = engine.run(make_tiny(1), 2, tim);
-    EXPECT_FALSE(t.checked);
-    EXPECT_DOUBLE_EQ(t.cycles, f.cycles) << groups << " groups";
-    EXPECT_EQ(t.flops, f.flops);
-    EXPECT_DOUBLE_EQ(t.chip_stats.compute_cycles,
-                     f.chip_stats.compute_cycles);
-    EXPECT_EQ(t.chip_stats.dma_bytes_requested,
-              f.chip_stats.dma_bytes_requested);
-    EXPECT_EQ(t.dma_bytes_elided, f.dma_bytes_elided);
+  for (const ConvMethod method : kTinyMethods) {
+    for (const int groups : {1, 2}) {
+      NetOptions fun;
+      fun.groups = groups;
+      fun.method = method;
+      const NetRunResult f = engine.run(make_tiny(1), 2, fun);
+      NetOptions tim = fun;
+      tim.mode = sim::ExecMode::TimingOnly;
+      const NetRunResult t = engine.run(make_tiny(1), 2, tim);
+      SCOPED_TRACE(std::string(conv_method_name(method)) + ", " +
+                   std::to_string(groups) + " groups");
+      EXPECT_FALSE(t.checked);
+      EXPECT_DOUBLE_EQ(t.cycles, f.cycles);
+      EXPECT_EQ(t.flops, f.flops);
+      EXPECT_DOUBLE_EQ(t.chip_stats.compute_cycles,
+                       f.chip_stats.compute_cycles);
+      EXPECT_EQ(t.chip_stats.dma_bytes_requested,
+                f.chip_stats.dma_bytes_requested);
+      EXPECT_EQ(t.dma_bytes_elided, f.dma_bytes_elided);
+    }
   }
 }
 
 TEST(Engine, WinogradRunsFunctionally) {
-  // conv2's 16 input channels satisfy Winograd's ni % 8 == 0; conv1 falls
-  // back. The whole-net check still has to pass end to end.
+  // Both convs are 3x3 with 8 and 16 input channels, so Winograd applies
+  // to each. Every design's pre and post passes must keep the whole-net
+  // check passing end to end.
   GraphEngine engine(fast_cfg());
-  NetOptions opts;
-  opts.method = ConvMethod::Winograd;
-  const NetRunResult r = engine.run(make_tiny(1), 1, opts);
-  EXPECT_TRUE(r.checked);
-  EXPECT_LT(r.max_rel_err, 1e-4);
+  for (const ConvMethod method : kTinyMethods) {
+    SCOPED_TRACE(conv_method_name(method));
+    NetOptions opts;
+    opts.method = method;
+    const NetRunResult r = engine.run(make_tiny(1), 1, opts);
+    for (const LayerReport& l : r.layers) {
+      if (!l.conv) continue;
+      EXPECT_EQ(l.kind, method == ConvMethod::Winograd ? "winograd"
+                                                        : "explicit")
+          << l.name;
+    }
+    EXPECT_TRUE(r.checked);
+    EXPECT_LT(r.max_rel_err, 1e-4);
+  }
 }
 
 TEST(Engine, RejectsBadOptions) {

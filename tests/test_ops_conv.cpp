@@ -364,9 +364,9 @@ TEST(ExplicitConv, Im2colMatchesDefinition) {
 }
 
 TEST(ExplicitConv, PrePostCostGrowsWithKernelArea) {
-  const double c3 = ExplicitConvOp::pre_post_cycles(small_shape(4, 32, 32, 8, 3), cfg);
+  const double c3 = ExplicitConvOp(small_shape(4, 32, 32, 8, 3)).pass_cycles(cfg);
   ConvShape s1 = small_shape(4, 32, 32, 8, 1);
-  const double c1 = ExplicitConvOp::pre_post_cycles(s1, cfg);
+  const double c1 = ExplicitConvOp(s1).pass_cycles(cfg);
   EXPECT_GT(c3, 2.0 * c1);  // 9x the im2col volume
 }
 
@@ -437,10 +437,8 @@ TEST(Winograd, GemmOpSpaceAndTensors) {
 }
 
 TEST(Winograd, PrePostCyclesPositiveAndScale) {
-  const WinogradPlan p1(small_shape(1, 16, 16, 8));
-  const WinogradPlan p2(small_shape(4, 16, 16, 8));
-  const double c1 = WinogradGemmOp::pre_post_cycles(p1, cfg);
-  const double c2 = WinogradGemmOp::pre_post_cycles(p2, cfg);
+  const double c1 = WinogradGemmOp(small_shape(1, 16, 16, 8)).pass_cycles(cfg);
+  const double c2 = WinogradGemmOp(small_shape(4, 16, 16, 8)).pass_cycles(cfg);
   EXPECT_GT(c1, 0.0);
   EXPECT_GT(c2, 2.0 * c1);
 }

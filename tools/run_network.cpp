@@ -43,17 +43,6 @@ void usage() {
          "         [--journal FILE]    write the tuning journal (JSONL)\n";
 }
 
-swatop::graph::ConvMethod parse_method(const swatop::cli::Args& args,
-                                       const std::string& s) {
-  using swatop::graph::ConvMethod;
-  if (s == "auto") return ConvMethod::Auto;
-  if (s == "implicit") return ConvMethod::Implicit;
-  if (s == "explicit") return ConvMethod::Explicit;
-  if (s == "winograd") return ConvMethod::Winograd;
-  args.fail("unknown method '" + s +
-            "' (expected auto, implicit, explicit or winograd)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -76,7 +65,12 @@ int main(int argc, char** argv) {
     if (a == "--groups") {
       opts.groups = static_cast<int>(args.int64(a, args.value(a), 1, 4));
     } else if (a == "--method") {
-      opts.method = parse_method(args, args.value(a));
+      const std::string v = args.value(a);
+      const auto m = swatop::graph::parse_conv_method(v);
+      if (!m)
+        args.fail("unknown method '" + v +
+                  "' (expected auto, implicit, explicit or winograd)");
+      opts.method = *m;
     } else if (a == "--timing-only") {
       opts.mode = swatop::sim::ExecMode::TimingOnly;
     } else if (a == "--no-check") {

@@ -4,7 +4,7 @@
 // then renders:
 //   - the per-layer network breakdown with cycle-attribution shares,
 //   - the exact whole-run cycle attribution (categories sum to elapsed),
-//   - the roofline table naming every span's binding resource,
+//   - the roofline table (every span's roof and the share achieved),
 //   - the tuning-journal summary (model error, rank correlation, regret),
 //   - (op mode) the observability profile report,
 // as text (default) or one JSON object (--json).
@@ -17,13 +17,14 @@
 // Exit status: 0 on success, 2 on usage errors.
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli.hpp"
 #include "common/check.hpp"
 #include "graph/build.hpp"
 #include "graph/compile.hpp"
@@ -50,62 +51,44 @@ void usage() {
          "         [--journal FILE] also write the journal JSONL\n";
 }
 
-std::int64_t parse_int(const char* s) {
-  char* end = nullptr;
-  const std::int64_t v = std::strtoll(s, &end, 10);
-  if (end == s || *end != '\0' || v < 1) {
-    std::cerr << "bad number '" << s << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-swatop::graph::ConvMethod parse_method(const std::string& s) {
-  using swatop::graph::ConvMethod;
-  if (s == "auto") return ConvMethod::Auto;
-  if (s == "implicit") return ConvMethod::Implicit;
-  if (s == "explicit") return ConvMethod::Explicit;
-  if (s == "winograd") return ConvMethod::Winograd;
-  std::cerr << "unknown method '" << s << "'\n";
-  usage();
-  std::exit(2);
-}
-
+/// The options every mode shares; true when `a` was one of them.
 struct CommonArgs {
   bool json = false;
   std::string journal_path;
+
+  bool parse(swatop::cli::Args& args, const std::string& a) {
+    if (a == "--json") {
+      json = true;
+    } else if (a == "--journal") {
+      journal_path = args.value(a);
+    } else {
+      return false;
+    }
+    return true;
+  }
 };
 
-int report_net(const std::string& net, std::int64_t batch, int argc,
-               char** argv, int i0) {
+int report_net(swatop::cli::Args& args) {
+  const std::string net = args.pop("network name");
+  const std::int64_t batch = args.int64("batch", args.pop("batch size"), 1);
   swatop::SwatopConfig cfg;
   swatop::graph::NetOptions opts;
   opts.mode = swatop::sim::ExecMode::TimingOnly;
   opts.check = false;
   CommonArgs c;
-  for (int i = i0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  while (args.more()) {
+    const std::string a = args.pop("option");
     if (a == "--groups") {
-      opts.groups = static_cast<int>(parse_int(next()));
+      opts.groups = static_cast<int>(args.int64(a, args.value(a), 1, 4));
     } else if (a == "--method") {
-      opts.method = parse_method(next());
-    } else if (a == "--json") {
-      c.json = true;
-    } else if (a == "--journal") {
-      c.journal_path = next();
-    } else {
-      std::cerr << "unknown option '" << a << "'\n";
-      usage();
-      return 2;
+      const std::string v = args.value(a);
+      const auto m = swatop::graph::parse_conv_method(v);
+      if (!m)
+        args.fail("unknown method '" + v +
+                  "' (expected auto, implicit, explicit or winograd)");
+      opts.method = *m;
+    } else if (!c.parse(args, a)) {
+      args.fail("unknown option '" + a + "'");
     }
   }
 
@@ -122,66 +105,39 @@ int report_net(const std::string& net, std::int64_t batch, int argc,
   return 0;
 }
 
-int report_op(int argc, char** argv, int i0) {
-  if (i0 >= argc) {
-    usage();
-    return 2;
-  }
-  const std::string kind = argv[i0++];
+int report_op(swatop::cli::Args& args) {
+  const std::string kind = args.pop("operator kind");
+  auto dim = [&](const char* what) {
+    return args.int64(what, args.pop(what), 1);
+  };
   std::unique_ptr<swatop::dsl::OperatorDef> op;
   if (kind == "matmul") {
-    if (i0 + 3 > argc) {
-      usage();
-      return 2;
-    }
-    op = std::make_unique<swatop::ops::MatmulOp>(
-        parse_int(argv[i0]), parse_int(argv[i0 + 1]),
-        parse_int(argv[i0 + 2]));
-    i0 += 3;
+    const std::int64_t M = dim("M"), N = dim("N"), K = dim("K");
+    op = std::make_unique<swatop::ops::MatmulOp>(M, N, K);
   } else if (kind == "conv") {
-    if (i0 + 6 > argc) {
-      usage();
-      return 2;
-    }
     swatop::ops::ConvShape s;
-    s.ri = parse_int(argv[i0]);
-    s.ci = parse_int(argv[i0 + 1]);
-    s.ni = parse_int(argv[i0 + 2]);
-    s.no = parse_int(argv[i0 + 3]);
-    s.kr = s.kc = parse_int(argv[i0 + 4]);
-    s.batch = parse_int(argv[i0 + 5]);
-    i0 += 6;
+    s.ri = dim("ri");
+    s.ci = dim("ci");
+    s.ni = dim("ni");
+    s.no = dim("no");
+    s.kr = s.kc = dim("k");
+    s.batch = dim("batch");
     op = std::make_unique<swatop::ops::ImplicitConvOp>(s);
   } else {
-    std::cerr << "unknown operator '" << kind << "'\n";
-    usage();
-    return 2;
+    args.fail("unknown operator '" + kind + "'");
   }
 
   swatop::SwatopConfig cfg;
   cfg.observability.enabled = true;
-  cfg.measure_best = true;
+  cfg.tune_top_k = 1;  // measure the model's pick
   CommonArgs c;
-  for (int i = i0; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  while (args.more()) {
+    const std::string a = args.pop("option");
     if (a == "--top-k") {
-      cfg.tune_top_k = static_cast<int>(parse_int(next()));
-    } else if (a == "--json") {
-      c.json = true;
-    } else if (a == "--journal") {
-      c.journal_path = next();
-    } else {
-      std::cerr << "unknown option '" << a << "'\n";
-      usage();
-      return 2;
+      cfg.tune_top_k = static_cast<int>(
+          args.int64(a, args.value(a), 1, std::numeric_limits<int>::max()));
+    } else if (!c.parse(args, a)) {
+      args.fail("unknown option '" + a + "'");
     }
   }
 
@@ -236,14 +192,11 @@ double num_field(const std::string& s, const char* key) {
 /// Deliberately a key scanner, not a JSON parser: the emitter's field
 /// order and spelling are part of its determinism contract, so scanning
 /// for `"key":` is reliable here (and keeps the tool dependency-free).
-int report_serve_timeline(int argc, char** argv, int i0) {
-  if (i0 >= argc) {
-    usage();
-    return 2;
-  }
-  std::ifstream is(argv[i0]);
+int report_serve_timeline(swatop::cli::Args& args) {
+  const std::string path = args.pop("timeline file");
+  std::ifstream is(path);
   if (!is) {
-    std::cerr << "error: cannot open " << argv[i0] << "\n";
+    std::cerr << "error: cannot open " << path << "\n";
     return 2;
   }
   std::printf("== serving timeline ==\n");
@@ -299,24 +252,13 @@ int report_serve_timeline(int argc, char** argv, int i0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    usage();
-    return 2;
-  }
-  const std::string mode = argv[1];
+  swatop::cli::Args args(argc, argv, usage);
+  const std::string mode = args.pop("mode");
   try {
-    if (mode == "net") {
-      if (argc < 4) {
-        usage();
-        return 2;
-      }
-      return report_net(argv[2], parse_int(argv[3]), argc, argv, 4);
-    }
-    if (mode == "op") return report_op(argc, argv, 2);
-    if (mode == "serve-timeline") return report_serve_timeline(argc, argv, 2);
-    std::cerr << "unknown mode '" << mode << "'\n";
-    usage();
-    return 2;
+    if (mode == "net") return report_net(args);
+    if (mode == "op") return report_op(args);
+    if (mode == "serve-timeline") return report_serve_timeline(args);
+    args.fail("unknown mode '" + mode + "'");
   } catch (const swatop::CheckError& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
