@@ -7,6 +7,7 @@
 
 #include "check/validate_ir.hpp"
 #include "common/check.hpp"
+#include "ir/analysis.hpp"
 #include "ops/conv_backward.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
@@ -94,16 +95,26 @@ Outcome run_one(const dsl::OperatorDef& op, const dsl::Strategy& s,
 /// the matching term of the built program's estimate.
 Outcome check_bound(const dsl::OperatorDef& op, const sched::Candidate& cand,
                     const tune::CostModel& model) {
-  const tune::CostBound b =
-      model.lower_bound(op.lower(cand.strategy), cand.prefetch);
+  opt::OptOptions o;
+  o.prefetch = cand.prefetch;
+  const tune::CostBound b = model.lower_bound(op.lower(cand.strategy), o);
   const tune::StaticCost e = model.estimate(cand.program);
-  if (b.dma_cycles <= e.dma_cycles() && b.compute_cycles <= e.compute_cycles)
+  if (b.total() <= e.total() && b.dma_cycles() <= e.dma_cycles() &&
+      b.compute_cycles <= e.compute_cycles)
     return {};
   std::ostringstream os;
-  os << std::setprecision(17) << "lower bound above the estimate: dma "
-     << b.dma_cycles << " vs " << e.dma_cycles() << ", compute "
-     << b.compute_cycles << " vs " << e.compute_cycles;
+  os << std::setprecision(17) << "lower bound above the estimate: total "
+     << b.total() << " vs " << e.total() << ", dma " << b.dma_cycles()
+     << " vs " << e.dma_cycles() << ", compute " << b.compute_cycles
+     << " vs " << e.compute_cycles;
   return {"bound", os.str()};
+}
+
+/// True when DMA inference cached one of the program's input operands.
+bool has_cached_operand(const ir::StmtPtr& prog) {
+  for (const ir::Stmt* d : ir::find_dmas(prog))
+    if (d->dma.cache_fill) return true;
+  return false;
 }
 
 /// Whether `s` is a member of the operator's schedule space. Exact but
@@ -387,6 +398,7 @@ FuzzReport fuzz_schedules(const FuzzOptions& opts) {
     for (const sched::Candidate& cand : cands) {
       if (rep.cases_run >= opts.cases) break;
       ++rep.cases_run;
+      if (has_cached_operand(cand.program)) ++rep.cached_cases;
       const Outcome o =
           run_one(*op, cand.strategy, cand.program, cg, bt, opts.tolerance);
       if (o.kind.empty()) continue;
@@ -450,6 +462,7 @@ FuzzReport replay(const std::string& op_spec, const std::string& strategy,
     return rep;
   }
   rep.cases_run = 1;
+  rep.cached_cases = has_cached_operand(cand.program) ? 1 : 0;
   const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
   const Outcome bound = check_bound(*op, cand, model);
   if (!bound.kind.empty())

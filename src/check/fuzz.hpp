@@ -75,6 +75,9 @@ struct FuzzFailure {
 
 struct FuzzReport {
   std::int64_t cases_run = 0;  ///< candidates executed functionally
+  /// Of those, candidates whose program caches an input operand (DMA
+  /// inference's fill nest), so the cached path stays under test.
+  std::int64_t cached_cases = 0;
   std::int64_t shapes = 0;     ///< shapes drawn
   std::vector<FuzzFailure> failures;
   bool ok() const { return failures.empty(); }

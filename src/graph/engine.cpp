@@ -172,17 +172,17 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
   }
 
   // Inter-layer SPM residency: pin qualifying tensors on-chip between
-  // adjacent steps. Conv-adjacent tensors must fit half a core group's
-  // aggregate SPM (the other half stays with the kernels' tile buffers)
+  // adjacent steps. Conv-adjacent tensors must fit the core group's
+  // aggregate SPM outside the kernels' share (SimConfig::kernel_spm_floats)
   // at the largest sub-batch, and only implicit-GEMM layers qualify --
   // their get/put paths are what the elision models.
   ResidencyPlan rplan;
   if (opts.residency) {
+    const sim::SimConfig& m = cfg_.machine;
     ResidencyOptions ro;
     ro.batch = gs[0].batch;
-    ro.conv_budget_floats = cfg_.machine.spm_floats() *
-                            cfg_.machine.mesh_rows *
-                            cfg_.machine.mesh_cols / 2;
+    ro.conv_budget_floats =
+        (m.spm_floats() - m.kernel_spm_floats()) * m.num_cpes();
     ro.conv_ok = [&](const Node& n) {
       return resolve_method(opts.method, fg.conv_shape(n, gs[0].batch)) ==
              ConvMethod::Implicit;
@@ -325,6 +325,8 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
           lr.kind = conv_method_name(tc.method);
           lr.from_cache = tc.handle.from_cache;
           lr.shape = op.shape();
+          lr.predicted_cycles = tc.handle.predicted_cycles;
+          lr.measured_cycles = tc.handle.measured_cycles;
         }
         step_flops += op.flops();
         // The layer tensors in the arena, the resident parameters and this

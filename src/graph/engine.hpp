@@ -87,6 +87,12 @@ struct LayerReport {
   bool from_cache = false;  ///< schedule served from the cache
   ops::ConvShape shape;     ///< conv only; batch = group 0's sub-batch
   double cycles = 0.0;      ///< slowest group's cycles, incl. NoC barrier
+  /// Conv only, for group 0's sub-batch: the cost model's estimate of the
+  /// tuned program (CompiledOp::predicted_cycles), and its simulated
+  /// cycles when the tuner measured it (top-k), else 0. Neither counts the
+  /// design's priced passes or the NoC barrier that `cycles` holds.
+  double predicted_cycles = 0.0;
+  double measured_cycles = 0.0;
   std::int64_t flops = 0;   ///< whole-batch useful flops
   double gflops = 0.0;      ///< chip-level, for this step
 

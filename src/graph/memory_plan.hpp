@@ -70,10 +70,10 @@ MemoryPlan plan_memory(const Graph& g, std::int64_t batch,
 ///    be pinned, distributed across the mesh's 64 SPMs, for the duration
 ///    of both steps. Such an edge qualifies only when the tensor's
 ///    per-group footprint fits `conv_budget_floats` (the engine passes
-///    half the aggregate SPM of a core group, leaving the other half to
-///    the kernels' tile buffers) and every conv endpoint passes `conv_ok`
-///    (the engine admits only implicit-GEMM layers, whose get/put paths
-///    the elision models).
+///    the core group's aggregate SPM outside the kernels' share,
+///    sim::SimConfig::kernel_spm_floats) and every conv endpoint passes
+///    `conv_ok` (the engine admits only implicit-GEMM layers, whose
+///    get/put paths the elision models).
 struct ResidencyPlan {
   std::unordered_set<std::string> resident;
   /// Per-batch-element floats of all resident tensors (reporting).

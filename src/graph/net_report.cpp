@@ -106,10 +106,21 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
   }
 
   if (o.layers) {
-    std::snprintf(buf, sizeof buf, "\n  %-14s %-9s %12s %6s %7s %6s %6s %6s  %s\n",
-                  "layer", "kind", "cycles", "%net", "GFLOPS", "kern%",
-                  "dma%", "idle%", "bound by");
+    std::snprintf(buf, sizeof buf,
+                  "\n  %-14s %-9s %12s %12s %12s %6s %7s %6s %6s %6s  %s\n",
+                  "layer", "kind", "cycles", "predicted", "measured", "%net",
+                  "GFLOPS", "kern%", "dma%", "idle%", "bound by");
     os << buf;
+    // A conv row's model estimate and top-k measurement of its program
+    // (group 0's sub-batch), next to the simulated step; "-" when absent.
+    auto program_cycles = [](double c) {
+      char b[32];
+      if (c > 0.0)
+        std::snprintf(b, sizeof b, "%12.0f", c);
+      else
+        std::snprintf(b, sizeof b, "%12s", "-");
+      return std::string(b);
+    };
     for (const LayerReport& lr : r.layers) {
       const obs::Attribution a = layer_attribution(lr);
       const double kern = a.share(obs::AttrCat::KernelIssue) +
@@ -125,9 +136,11 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
                           : dma >= idle               ? "dma"
                                                       : "idle";
       std::snprintf(buf, sizeof buf,
-                    "  %-14s %-9s %12.0f %5.1f%% %7.1f %5.1f%% %5.1f%% "
-                    "%5.1f%%  %s%s%s\n",
+                    "  %-14s %-9s %12.0f %s %s %5.1f%% %7.1f %5.1f%% "
+                    "%5.1f%% %5.1f%%  %s%s%s\n",
                     lr.name.c_str(), lr.kind.c_str(), lr.cycles,
+                    program_cycles(lr.predicted_cycles).c_str(),
+                    program_cycles(lr.measured_cycles).c_str(),
                     r.cycles > 0.0 ? 100.0 * lr.cycles / r.cycles : 0.0,
                     lr.gflops, 100.0 * kern, 100.0 * dma, 100.0 * idle,
                     bound, lr.fused ? " (fused)" : "",
@@ -180,7 +193,10 @@ std::string net_report_json(const NetRunResult& r,
          << ", \"fused\": " << (lr.fused ? "true" : "false")
          << ", \"from_cache\": " << (lr.from_cache ? "true" : "false")
          << ", \"dma_bytes_elided\": " << lr.dma_bytes_elided
-         << ", \"cycles\": " << lr.cycles << ", \"flops\": " << lr.flops
+         << ", \"cycles\": " << lr.cycles
+         << ", \"predicted_cycles\": " << lr.predicted_cycles
+         << ", \"measured_cycles\": " << lr.measured_cycles
+         << ", \"flops\": " << lr.flops
          << ", \"gflops\": " << lr.gflops << ", \"attribution\": "
          << obs::attribution_json(layer_attribution(lr)) << "}";
     }

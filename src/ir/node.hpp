@@ -127,6 +127,9 @@ struct DmaAttrs {
   /// Fused elementwise tail (DmaPut of a GEMM output only); moved here
   /// from GemmAttrs by DMA inference.
   EpilogueAttrs epi;
+  /// A get that fills one tile of a cached operand's SPM slab (DMA
+  /// inference's fill nest): synchronous, and never double-buffered.
+  bool cache_fill = false;
 };
 
 struct Stmt {

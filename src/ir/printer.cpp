@@ -50,7 +50,8 @@ void print_rec(std::ostringstream& os, const StmtPtr& s, int depth) {
       os << (s->kind == StmtKind::DmaGet ? " -> " : " <- ") << s->dma.spm_buf
          << " + " << to_string(s->dma.spm_off) << " (tile "
          << to_string(s->dma.rows_p) << "x" << to_string(s->dma.cols_p)
-         << ", reply " << to_string(s->dma.reply) << ")";
+         << ", reply " << to_string(s->dma.reply)
+         << (s->dma.cache_fill ? ", cache fill" : "") << ")";
       if (s->dma.epi.any()) {
         os << "  // epilogue:";
         if (s->dma.epi.bias)

@@ -205,7 +205,9 @@ void WinogradGemmOp::post_pass(sim::CoreGroup& cg,
 
 void WinogradGemmOp::charge_passes(sim::CoreGroup& cg) const {
   // Each transform streams its operands through SPM in long contiguous runs
-  // and spreads its arithmetic over the whole cluster.
+  // and spreads its arithmetic over the whole cluster. The filter
+  // transform is not charged: load_weights computes U once, and it stays
+  // resident like any parameter (as explicit GEMM's wmat re-layout does).
   const WinogradPlan& p = plan_;
   const ConvShape& s = shape_;
   const double T = static_cast<double>(p.T());
@@ -217,9 +219,6 @@ void WinogradGemmOp::charge_passes(sim::CoreGroup& cg) const {
   // write T * Ni * P; two tile x tile sandwiches per channel tile.
   charge(p.T() * s.ni * p.P, p.T() * s.ni * p.P,
          static_cast<double>(p.P) * static_cast<double>(s.ni) * 8.0 * T);
-  // Filter transform: small.
-  charge(s.ni * s.no * 9, p.T() * s.ni * s.no,
-         static_cast<double>(s.ni) * static_cast<double>(s.no) * 5.0 * T);
   // Inverse transform: read T * No * P, write the output tensor.
   charge(p.T() * s.no * p.P, s.out_floats(),
          static_cast<double>(p.P) * static_cast<double>(s.no) * 3.0 * T);

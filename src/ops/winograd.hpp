@@ -63,7 +63,8 @@ class WinogradGemmOp : public ConvOp {
   /// Inverse transform of "Mt" into "out".
   void post_pass(sim::CoreGroup& cg,
                  const dsl::BoundTensors& bt) const override;
-  /// The input, filter and inverse transforms, in that order.
+  /// The input and inverse transforms; the filter transform runs once, in
+  /// load_weights, and is not charged per execution.
   void charge_passes(sim::CoreGroup& cg) const override;
 
   const WinogradPlan& plan() const { return plan_; }

@@ -4,6 +4,7 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "common/math_util.hpp"
 #include "ir/analysis.hpp"
 #include "isa/kernel_gen.hpp"
 
@@ -57,13 +58,15 @@ bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
   }
 }
 
-/// Deepest path index whose loop variable appears in any of the exprs;
-/// `vars` holds the loop variables of path[1], path[2], ...
-std::size_t hoist_level(const std::vector<ir::VarId>& vars,
-                        std::initializer_list<ir::Expr> exprs) {
+/// The loops a transfer reads: bit i is set when its address or tile grid
+/// mentions vars[i], the variable of path[i + 1]'s loop.
+std::uint64_t read_mask(const ir::DmaAttrs& d,
+                        const std::vector<ir::VarId>& vars) {
   std::uint64_t used = 0;
-  for (const ir::Expr& e : exprs) used |= ir::uses_vars(e, vars);
-  return static_cast<std::size_t>(std::bit_width(used));
+  for (const ir::Expr& e :
+       {d.view.base, d.view.rows, d.view.cols, d.rows_p, d.cols_p})
+    used |= ir::uses_vars(e, vars);
+  return used;
 }
 
 /// Padded (tile) value of a gemm dim: its value with every loop variable at
@@ -104,15 +107,48 @@ OperandPlan plan_operand(const ir::ViewAttrs& natural, bool col_major,
   p.dma.rows_to_rid = rows_to_rid;
   p.buf_floats =
       (rows_pad / cfg.mesh_rows) * (cols_pad / cfg.mesh_cols);
-  p.level = hoist_level(vars, {v.base, v.rows, v.cols, p.dma.rows_p,
-                               p.dma.cols_p});
+  // Hoisted to just inside the innermost loop the transfer reads.
+  p.reads = read_mask(p.dma, vars);
+  p.level = static_cast<std::size_t>(std::bit_width(p.reads));
   return p;
+}
+
+/// Cache input operand `p` (see OperandPlan) when the loops it does not
+/// read multiply its fetches, every extent from R down to its get is
+/// constant, and the slab fits `room` per-CPE floats.
+void plan_cache(OperandPlan& p, const std::vector<const ir::Stmt*>& loops,
+                std::int64_t room) {
+  auto read = [&](std::size_t i) { return (p.reads >> i & 1) != 0; };
+  std::size_t r = 0;
+  while (r < p.level && read(r)) ++r;
+  std::int64_t reuse = 1, tiles = 1;
+  for (std::size_t i = r; i < p.level; ++i) {
+    const ir::Expr& n = loops[i]->extent;
+    if (!ir::is_const(n) || ir::as_cst(n) < 1) return;
+    (read(i) ? tiles : reuse) *= ir::as_cst(n);
+  }
+  if (reuse <= 1 || tiles * p.tile_stride() > room) return;
+  for (std::size_t i = r; i < p.level; ++i)
+    if (read(i)) p.fill.push_back(i);
+  p.cache_at = r;
+  p.slab_tiles = tiles;
+}
+
+/// The slab offset of a cached operand's tile: its index over the fill
+/// loops (row-major, outermost first) times the tile stride.
+ir::Expr slab_offset(const OperandPlan& p,
+                     const std::vector<const ir::Stmt*>& loops) {
+  ir::Expr tile = ir::cst(0);
+  for (const std::size_t i : p.fill)
+    tile = ir::add(ir::mul(tile, loops[i]->extent), ir::var(loops[i]->var));
+  return ir::mul(tile, ir::cst(p.tile_stride()));
 }
 
 /// Plan the operand transfers of the gemm at the end of `path`.
 std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
                                  const ir::Stmt& gemm,
-                                 const sim::SimConfig& cfg) {
+                                 const sim::SimConfig& cfg,
+                                 std::int64_t spm_reserve_floats) {
   const ir::GemmAttrs& g = gemm.gemm;
   SWATOP_CHECK(g.a_buf.empty()) << "DMA inference ran twice";
 
@@ -174,6 +210,18 @@ std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
       e.channels_on_rows = !e.channels_on_rows;
     }
   }
+
+  // Cache the inputs, A first, each within the kernel share left by the C
+  // tile and the other input: its slab when cached, else both halves of
+  // its tile (double buffering may split it).
+  auto input_floats = [](const OperandPlan& p) {
+    return p.cached() ? p.alloc_floats() : 2 * p.tile_stride();
+  };
+  const std::int64_t share = cfg.kernel_spm_floats() - spm_reserve_floats -
+                             plan.c.tile_stride();
+  plan_cache(plan.a, plan.loops, share - input_floats(plan.b));
+  plan_cache(plan.b, plan.loops, share - input_floats(plan.a));
+
   return plan;
 }
 
@@ -200,38 +248,51 @@ ir::Expr partial_cond(const ir::DmaAttrs& d) {
 
 }  // namespace
 
-std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
-                                const sim::SimConfig& cfg) {
-  std::vector<PathEntry> path;
-  ir::Stmt* gemm = nullptr;
-  SWATOP_CHECK(build_path(root, path, &gemm))
-      << "DMA inference expects a single-gemm loop chain";
-  return plan_path(path, *gemm, cfg);
+std::int64_t OperandPlan::tile_stride() const {
+  return align_up(buf_floats, 8);
 }
 
-bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
+std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
+                                const sim::SimConfig& cfg,
+                                std::int64_t spm_reserve_floats) {
   std::vector<PathEntry> path;
   ir::Stmt* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
-  std::optional<DmaPlan> plan = plan_path(path, *gemm, cfg);
+  return plan_path(path, *gemm, cfg, spm_reserve_floats);
+}
+
+bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
+               std::int64_t spm_reserve_floats) {
+  std::vector<PathEntry> path;
+  ir::Stmt* gemm = nullptr;
+  SWATOP_CHECK(build_path(root, path, &gemm))
+      << "DMA inference expects a single-gemm loop chain";
+  std::optional<DmaPlan> plan =
+      plan_path(path, *gemm, cfg, spm_reserve_floats);
   if (!plan) return false;
   OperandPlan& pa = plan->a;
   OperandPlan& pb = plan->b;
   OperandPlan& pc = plan->c;
+  for (OperandPlan* p : {&pa, &pb}) {
+    if (!p->cached()) continue;
+    p->dma.spm_off = slab_offset(*p, plan->loops);
+    p->dma.cache_fill = true;
+  }
 
-  // Bind the gemm to the SPM buffers; the epilogue moves to the C put.
+  // Bind the gemm to the SPM buffers (a cached operand's tile sits at its
+  // slab offset); the epilogue moves to the C put.
   ir::GemmAttrs& g = gemm->gemm;
   g.a_buf = pa.dma.spm_buf;
   g.b_buf = pb.dma.spm_buf;
   g.c_buf = pc.dma.spm_buf;
-  g.a_off = ir::cst(0);
-  g.b_off = ir::cst(0);
+  g.a_off = pa.dma.spm_off;
+  g.b_off = pb.dma.spm_off;
   g.c_off = ir::cst(0);
   if (g.epi.any()) g.epi = ir::EpilogueAttrs{};
 
-  // Inject, deepest level first so recorded child indices stay valid; within
-  // one level, inserts before child_idx shift it.
+  // Inject; each insert touches one level's Seq, and inserts before
+  // child_idx shift it, so the recorded indices stay valid in any order.
   auto insert_before = [&](std::size_t level, std::vector<ir::StmtPtr> ns) {
     ir::Stmt* seq = path[level].seq;
     seq->body.insert(
@@ -246,7 +307,8 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
                      ns.begin(), ns.end());
   };
 
-  // Input operands: optional zero-fill guard, then get + wait.
+  // Input operands: optional zero-fill guard, then get + wait -- at the
+  // hoist level, or, for a cached operand, as the fill nest before R.
   for (OperandPlan* p : {&pa, &pb}) {
     std::vector<ir::StmtPtr> ns;
     if (needs_zero(p->dma)) {
@@ -257,7 +319,16 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
     }
     ns.push_back(ir::make_dma(ir::StmtKind::DmaGet, p->dma));
     ns.push_back(ir::make_dma_wait(p->dma.reply));
-    insert_before(p->level, std::move(ns));
+    if (!p->cached()) {
+      insert_before(p->level, std::move(ns));
+      continue;
+    }
+    ir::StmtPtr nest = ir::make_seq(std::move(ns));
+    for (auto it = p->fill.rbegin(); it != p->fill.rend(); ++it) {
+      const ir::Stmt& loop = *plan->loops[*it];
+      nest = ir::make_seq({ir::make_for(loop.var, loop.extent, nest)});
+    }
+    insert_before(p->cache_at, std::move(nest->body));
   }
 
   // Output operand: zero the accumulator before its scope and write it back
@@ -288,8 +359,8 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg) {
 
   // Allocations at the root, ahead of everything else.
   std::vector<ir::StmtPtr> allocs = {
-      ir::make_spm_alloc(pa.dma.spm_buf, pa.buf_floats),
-      ir::make_spm_alloc(pb.dma.spm_buf, pb.buf_floats),
+      ir::make_spm_alloc(pa.dma.spm_buf, pa.alloc_floats()),
+      ir::make_spm_alloc(pb.dma.spm_buf, pb.alloc_floats()),
       ir::make_spm_alloc(cbuf, pc.buf_floats),
   };
   path[0].seq->body.insert(path[0].seq->body.begin(), allocs.begin(),

@@ -35,10 +35,12 @@ bool is_zero_guard_for(const ir::StmtPtr& s, const std::string& buf) {
   return false;
 }
 
-/// A get already rewritten by a previous double-buffering round (its reply
-/// slot was remapped into the prefetch range) must not be transformed again.
-bool already_prefetched(const ir::StmtPtr& get) {
-  return !ir::is_const(get->dma.reply) ||
+/// Gets the pass leaves alone: a cached operand's fills (DMA inference
+/// stages them once, ahead of the loops that reuse the tiles), and gets a
+/// previous double-buffering round already rewrote (their reply slot was
+/// remapped into the prefetch range).
+bool leave_alone(const ir::StmtPtr& get) {
+  return get->dma.cache_fill || !ir::is_const(get->dma.reply) ||
          ir::as_cst(get->dma.reply) >= kPrefetchReplyBase;
 }
 
@@ -46,7 +48,7 @@ std::vector<GetGroup> collect_gets(const ir::StmtPtr& body) {
   std::vector<GetGroup> out;
   for (std::size_t i = 0; i < body->body.size(); ++i) {
     if (body->body[i]->kind != ir::StmtKind::DmaGet) continue;
-    if (already_prefetched(body->body[i])) continue;
+    if (leave_alone(body->body[i])) continue;
     GetGroup g;
     g.get_idx = i;
     SWATOP_CHECK(i + 1 < body->body.size() &&
@@ -74,12 +76,12 @@ struct Target {
   std::size_t idx;
 };
 
-/// True if the loop's body directly issues a get not yet prefetched.
+/// True if the loop's body directly issues a get the pass transforms.
 bool has_direct_get(const ir::Stmt& loop) {
   const ir::StmtPtr& b = loop.for_body;
   if (b->kind != ir::StmtKind::Seq) return false;
   for (const ir::StmtPtr& c : b->body)
-    if (c->kind == ir::StmtKind::DmaGet && !already_prefetched(c)) return true;
+    if (c->kind == ir::StmtKind::DmaGet && !leave_alone(c)) return true;
   return false;
 }
 

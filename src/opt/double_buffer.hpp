@@ -5,7 +5,10 @@
 // gets of iteration i+1 (guarded by i+1 < extent, the paper's generated
 // if-then-else address inference) before waiting on the data of iteration i.
 // Addresses are inferred by substituting var -> var+1 into the DMA address
-// expressions, which are functions of the enclosing loop variables.
+// expressions, which are functions of the enclosing loop variables. The
+// fills of a cached operand (DmaAttrs::cache_fill, see dma_inference.hpp)
+// stay synchronous: each tile is fetched once, so there is no next
+// iteration's copy to overlap.
 #pragma once
 
 #include "ir/node.hpp"

@@ -9,7 +9,7 @@ namespace swatop::opt {
 
 bool optimize(ir::StmtPtr& root, const sim::SimConfig& cfg,
               const OptOptions& opts) {
-  if (!infer_dma(root, cfg)) return false;
+  if (!infer_dma(root, cfg, opts.spm_reserve_floats)) return false;
   eliminate_unit_loops(root);
   if (opts.prefetch) apply_double_buffer(root);
   coalesce_spm(root);

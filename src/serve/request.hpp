@@ -34,9 +34,10 @@ enum class Outcome : std::uint8_t {
 
 const char* outcome_name(Outcome o);
 
-/// Per-request ledger entry the server keeps for reporting.
+/// Per-request ledger entry the server keeps for reporting: what happened
+/// to one request of the trace it served (the request itself stays in the
+/// caller's trace).
 struct RequestRecord {
-  Request req;
   Outcome outcome = Outcome::Completed;
   double finish_us = 0.0;   ///< completion (or shed/reject) time
   double latency_us = 0.0;  ///< finish - arrival for completed requests

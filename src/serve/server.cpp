@@ -116,7 +116,6 @@ ServingReport Server::run(const std::vector<Request>& trace) {
         << "trace not sorted by arrival at request " << r.id;
     SWATOP_CHECK(index.emplace(r.id, i).second)
         << "duplicate request id " << r.id;
-    rep.records[i].req = r;
     rep.images_offered += r.images;
     net_index.emplace(r.net, 0);
   }
@@ -204,23 +203,24 @@ ServingReport Server::run(const std::vector<Request>& trace) {
 
   auto finalize = [&](std::size_t i, Outcome o, double finish_us) {
     RequestRecord& rec = rep.records[i];
+    const Request& req = trace[i];
     Inflight& st = state[i];
-    SWATOP_CHECK(!st.done) << "request " << rec.req.id << " finalized twice";
+    SWATOP_CHECK(!st.done) << "request " << req.id << " finalized twice";
     st.done = true;
     rec.outcome = o;
     rec.finish_us = finish_us;
     if (o != Outcome::Rejected) --live_requests;
     switch (o) {
       case Outcome::Completed: {
-        rec.latency_us = finish_us - rec.req.arrival_us;
+        rec.latency_us = finish_us - req.arrival_us;
         ++rep.completed;
-        rep.images_completed += rec.req.images;
+        rep.images_completed += req.images;
         last_finish = std::max(last_finish, finish_us);
-        if (rec.latency_us > rec.req.slo_us + kLateEpsUs) ++rep.slo_violations;
+        if (rec.latency_us > req.slo_us + kLateEpsUs) ++rep.slo_violations;
         if (telem)
           telem->on_completed(net_of[i], finish_us, rec.latency_us,
-                              rec.req.images,
-                              rec.latency_us > rec.req.slo_us + kLateEpsUs);
+                              req.images,
+                              rec.latency_us > req.slo_us + kLateEpsUs);
         break;
       }
       case Outcome::Rejected:
@@ -241,23 +241,23 @@ ServingReport Server::run(const std::vector<Request>& trace) {
       // request still owes its "queued" span (arrival -> drop decision),
       // then a dur-0 terminal span anchors the flow end.
       if (!st.started && o != Outcome::Rejected)
-        request_span(rec.req, "queued", rec.req.arrival_us,
-                     finish_us - rec.req.arrival_us);
-      request_span(rec.req, outcome_name(o), finish_us, 0.0);
-      request_flow(rec.req, 'f', request_track(rec.req.id), finish_us);
+        request_span(req, "queued", req.arrival_us,
+                     finish_us - req.arrival_us);
+      request_span(req, outcome_name(o), finish_us, 0.0);
+      request_flow(req, 'f', request_track(req.id), finish_us);
     }
     if (tracing && o != Outcome::Completed) {
       obs::TraceEvent ev;
-      ev.name = std::string(outcome_name(o)) + ":" + rec.req.net;
+      ev.name = std::string(outcome_name(o)) + ":" + req.net;
       ev.cat = obs::Category::Serve;
       ev.pid = 2;
       ev.tid = obs::Track::kServeAdmission;
       ev.ts = finish_us;
       ev.instant = true;
       ev.arg_name[0] = "request";
-      ev.arg[0] = rec.req.id;
+      ev.arg[0] = req.id;
       ev.arg_name[1] = "images";
-      ev.arg[1] = rec.req.images;
+      ev.arg[1] = req.images;
       rec_->trace_event(std::move(ev));
     }
   };
@@ -451,19 +451,21 @@ ServingReport Server::run(const std::vector<Request>& trace) {
   std::vector<double> all_lat;
   std::map<std::string, NetServingStats> per_net;
   std::map<std::string, std::vector<double>> per_net_lat;
-  for (const RequestRecord& r : rep.records) {
-    NetServingStats& ns = per_net[r.req.net];
-    ns.net = r.req.net;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const Request& req = trace[i];
+    const RequestRecord& r = rep.records[i];
+    NetServingStats& ns = per_net[req.net];
+    ns.net = req.net;
     ++ns.offered;
-    ns.images_offered += r.req.images;
-    ns.slo_ms = std::max(ns.slo_ms, r.req.slo_us / 1e3);
+    ns.images_offered += req.images;
+    ns.slo_ms = std::max(ns.slo_ms, req.slo_us / 1e3);
     switch (r.outcome) {
       case Outcome::Completed:
         ++ns.completed;
-        ns.images_completed += r.req.images;
+        ns.images_completed += req.images;
         all_lat.push_back(r.latency_us);
-        per_net_lat[r.req.net].push_back(r.latency_us);
-        if (r.latency_us > r.req.slo_us + kLateEpsUs) ++ns.slo_violations;
+        per_net_lat[req.net].push_back(r.latency_us);
+        if (r.latency_us > req.slo_us + kLateEpsUs) ++ns.slo_violations;
         break;
       case Outcome::Rejected: ++ns.rejected; break;
       case Outcome::Shed:

@@ -112,7 +112,9 @@ struct ServingReport {
 
   std::vector<NetServingStats> per_net;
   std::vector<Fleet::ChipStats> chips;
-  std::vector<RequestRecord> records;  ///< per-request ledger, id order
+  /// Per-request ledger: records[i] is the outcome of the served trace's
+  /// request i.
+  std::vector<RequestRecord> records;
 
   /// Windowed flight-recorder timeline (empty stub unless
   /// ServerConfig::telemetry.enabled). Window counter sums are checked

@@ -102,6 +102,11 @@ struct SimConfig {
     return static_cast<std::int64_t>(spm_bytes / sizeof(float));
   }
 
+  /// Per-CPE SPM floats left to a kernel's tile buffers: half the SPM. The
+  /// graph engine's residency planner pins activations in the other half,
+  /// and DMA inference stages cached operands only within this share.
+  std::int64_t kernel_spm_floats() const { return spm_floats() / 2; }
+
   /// The machine the paper targets (all defaults).
   static SimConfig sw26010() { return SimConfig{}; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -16,80 +17,118 @@ namespace ir = swatop::ir;
 
 namespace {
 
-/// The visits the walk makes to a statement inside loops[0, depth) of a
-/// chain, each with its weight: iteration 0 of an n-iteration loop n-1
-/// times and iteration n-1 once -- or, for the loop `prefetch_at` that
-/// double-buffers the statement (a get), iteration 0 once (the prologue)
-/// and iteration 1 n-1 times. A loop whose variable neither the leaf nor a
-/// deeper loop's extent reads only multiplies by its trip count.
+/// A bound term in two parts (LoopWeights::Split says which visits go
+/// where).
+struct Parts {
+  double first = 0.0;
+  double second = 0.0;
+
+  double total() const { return first + second; }
+  Parts& operator+=(const Parts& o) {
+    first += o.first;
+    second += o.second;
+    return *this;
+  }
+};
+
+Parts scaled(double w, const Parts& p) { return {w * p.first, w * p.second}; }
+
+/// The loops [0, n) of a chain, as a member mask.
+std::uint64_t first_loops(std::size_t n) {
+  return n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+}
+
+/// The visits the walk makes to a statement inside the loops of `loops`
+/// that `members` selects (bit i: loops[i]; the others do not enclose it),
+/// each with its weight: iteration 0 of an n-iteration loop n-1 times and
+/// iteration n-1 once. A loop whose variable neither the leaf nor a deeper
+/// loop's extent reads only multiplies by its trip count. Every visit lands
+/// in the first part, except at the loop `split_at`:
+///  - Prefetch (the loop double-buffers the statement, a get): iteration 0
+///    once, the prologue, in the first part; iteration 1 n-1 times, the
+///    prefetches the walk prices at the first iteration, in the second;
+///  - Last: the usual visits, iteration n-1's in the second part.
 class LoopWeights {
  public:
   static constexpr std::size_t kNone = SIZE_MAX;
+  enum class Split { Prefetch, Last };
 
-  LoopWeights(const std::vector<const ir::Stmt*>& loops, std::size_t depth,
-              std::size_t prefetch_at, std::initializer_list<ir::Expr> reads,
+  /// `vars` holds the variables of `loops`.
+  LoopWeights(const std::vector<const ir::Stmt*>& loops,
+              std::span<const ir::VarId> vars, std::uint64_t members,
+              std::size_t split_at, Split how,
+              std::initializer_list<ir::Expr> reads,
               const std::vector<ir::VarId>& read_vars = {})
-      : loops_(loops), depth_(depth), prefetch_at_(prefetch_at) {
-    std::vector<ir::VarId> vars;
-    for (std::size_t i = 0; i < depth; ++i) vars.push_back(loops[i]->var);
+      : loops_(loops), members_(members), split_at_(split_at), how_(how) {
     for (const ir::Expr& e : reads) read_ |= ir::uses_vars(e, vars);
-    for (std::size_t k = 1; k < depth; ++k)
-      read_ |= ir::uses_vars(loops[k]->extent, vars);
-    for (std::size_t i = 0; i < depth; ++i)
+    for (std::size_t k = 0; k < loops_.size(); ++k)
+      if ((members_ >> k & 1) != 0)
+        read_ |= ir::uses_vars(loops_[k]->extent, vars);
+    for (std::size_t i = 0; i < vars.size(); ++i)
       for (const ir::VarId r : read_vars)
         if (r == vars[i]) read_ |= std::uint64_t{1} << i;
   }
 
   /// Sum of leaf(env) over the visits, times their weights.
   template <typename Leaf>
-  double sum(const Leaf& leaf) const {
+  Parts sum(const Leaf& leaf) const {
     ir::Env env;
     return sum_from(0, env, leaf);
   }
 
  private:
   template <typename Leaf>
-  double sum_from(std::size_t i, ir::Env& env, const Leaf& leaf) const {
-    if (i == depth_) return leaf(env);
+  Parts sum_from(std::size_t i, ir::Env& env, const Leaf& leaf) const {
+    while (i < loops_.size() && (members_ >> i & 1) == 0) ++i;
+    if (i == loops_.size()) return {leaf(env), 0.0};
     const ir::Stmt& loop = *loops_[i];
     const std::int64_t n = ir::eval(loop.extent, env);
-    if (n <= 0) return 0.0;
-    if ((read_ >> i & 1) == 0)
-      return static_cast<double>(n) * sum_from(i + 1, env, leaf);
-    const bool pf = i == prefetch_at_;
+    if (n <= 0) return {};
+    const bool split = i == split_at_;
+    if (!split && (read_ >> i & 1) == 0)
+      return scaled(static_cast<double>(n), sum_from(i + 1, env, leaf));
+    const bool pf = split && how_ == Split::Prefetch;
     const std::int64_t visits[2][2] = {{0, pf ? 1 : n - 1},
                                        {pf ? 1 : n - 1, pf ? n - 1 : 1}};
-    double s = 0.0;
-    for (const auto& [iter, weight] : visits) {
+    Parts p;
+    for (int v = 0; v < 2; ++v) {
+      const auto [iter, weight] = visits[v];
       if (weight == 0) continue;
       env[loop.var] = iter;
-      s += static_cast<double>(weight) * sum_from(i + 1, env, leaf);
+      const Parts inner =
+          scaled(static_cast<double>(weight), sum_from(i + 1, env, leaf));
+      if (split)
+        (v == 0 ? p.first : p.second) += inner.total();
+      else
+        p += inner;
     }
     env.erase(loop.var);
-    return s;
+    return p;
   }
 
   const std::vector<const ir::Stmt*>& loops_;
-  std::size_t depth_;
-  std::size_t prefetch_at_;
+  std::uint64_t members_;
+  std::size_t split_at_;
+  Split how_;
   std::uint64_t read_ = 0;  ///< bit i: loop i's variable is read
 };
 
-/// The fewest DMA cycles a transfer of `d` at `env` can cost: Eq. (1)'s
-/// latency plus whole transactions at peak bandwidth, per CPE block
-/// (rt::expand_dma) ceil(bytes / transaction) for each contiguous column,
-/// or one transaction per element when the row stride is not 1.
-double min_transfer_cycles(const ir::DmaAttrs& d, const ir::Env& env,
-                           const sim::SimConfig& cfg) {
-  const std::int64_t rows = ir::eval(d.view.rows, env);
-  const std::int64_t cols = ir::eval(d.view.cols, env);
+/// The fewest DMA cycles a transfer of view `v` on the tile grid and mesh
+/// distribution of `d` can cost at `env`: Eq. (1)'s latency plus whole
+/// transactions at peak bandwidth, per CPE block (rt::expand_dma)
+/// ceil(bytes / transaction) for each contiguous column, or one
+/// transaction per element when the row stride is not 1.
+double min_transfer_cycles(const ir::ViewAttrs& v, const ir::DmaAttrs& d,
+                           const ir::Env& env, const sim::SimConfig& cfg) {
+  const std::int64_t rows = ir::eval(v.rows, env);
+  const std::int64_t cols = ir::eval(v.cols, env);
   const std::int64_t tr = ir::eval(d.rows_p, env) / cfg.mesh_rows;
   const std::int64_t tc = ir::eval(d.cols_p, env) / cfg.mesh_cols;
   const auto txn = static_cast<std::int64_t>(cfg.dram_transaction_bytes);
   // Transactions of block-row br's valid rows, per valid column.
   auto col_txns = [&](std::int64_t br) {
     const std::int64_t vr = std::clamp<std::int64_t>(rows - br * tr, 0, tr);
-    return d.view.stride_r == 1
+    return v.stride_r == 1
                ? ceil_div(vr * static_cast<std::int64_t>(sizeof(float)), txn)
                : vr;
   };
@@ -115,14 +154,74 @@ StaticCost CostModel::estimate(const ir::StmtPtr& root) const {
 }
 
 CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
-                                 bool prefetch) const {
-  const std::optional<opt::DmaPlan> plan = opt::plan_dma(lowered, cfg_);
+                                 const opt::OptOptions& o) const {
+  const std::optional<opt::DmaPlan> plan =
+      opt::plan_dma(lowered, cfg_, o.spm_reserve_floats);
   if (!plan) return {};
   const std::vector<const ir::Stmt*>& loops = plan->loops;
+  std::vector<ir::VarId> vars;
+  for (const ir::Stmt* l : loops) vars.push_back(l->var);
+  using Split = LoopWeights::Split;
 
+  // The gets: a cached operand's fills at its fill loops (sync); any other
+  // at its hoist level, where double buffering moves it to its innermost
+  // enclosing loop that unit-loop elimination keeps (its prologue sync,
+  // its prefetches async).
+  Parts dma;
+  std::size_t prefetch_loops[2] = {LoopWeights::kNone, LoopWeights::kNone};
+  for (int k = 0; k < 2; ++k) {
+    const opt::OperandPlan& p = k == 0 ? plan->a : plan->b;
+    const ir::DmaAttrs& d = p.dma;
+    std::uint64_t members = first_loops(p.level);
+    std::size_t& at = prefetch_loops[k];
+    if (p.cached()) {
+      members = first_loops(p.cache_at);
+      for (const std::size_t i : p.fill) members |= std::uint64_t{1} << i;
+    } else {
+      for (std::size_t i = 0; o.prefetch && i < p.level; ++i) {
+        const ir::Expr& n = loops[i]->extent;
+        if (!(ir::is_const(n) && ir::as_cst(n) == 1)) at = i;
+      }
+    }
+    dma += LoopWeights(loops, vars, members, at, Split::Prefetch,
+                       {d.view.rows, d.view.cols, d.rows_p, d.cols_p})
+               .sum([&](const ir::Env& env) {
+                 return min_transfer_cycles(d.view, d, env, cfg_);
+               });
+  }
+  // The C put with its fused residual re-read, plus its re-fetch on every
+  // pass but the first when a reduction loop encloses it (sync).
+  const ir::DmaAttrs& c = plan->c.dma;
+  const ir::ViewAttrs& res = c.epi.res;
+  const std::vector<ir::VarId>& outer = plan->outer_reductions;
+  dma.first += LoopWeights(loops, vars, first_loops(plan->c.level),
+                           LoopWeights::kNone, Split::Last,
+                           {c.view.rows, c.view.cols, c.rows_p, c.cols_p,
+                            res.rows, res.cols},
+                           outer)
+                   .sum([&](const ir::Env& env) {
+                     const double t = min_transfer_cycles(c.view, c, env, cfg_);
+                     const bool refetch = std::any_of(
+                         outer.begin(), outer.end(),
+                         [&](ir::VarId v) { return *env.find(v) > 0; });
+                     return (refetch ? 2.0 * t : t) +
+                            (c.epi.residual
+                                 ? min_transfer_cycles(res, c, env, cfg_)
+                                 : 0.0);
+                   })
+                   .total();
+
+  // The gemm calls. When one loop double-buffers every moved get, the
+  // compute of its last iteration has no prefetch to hide behind.
+  const auto [pa, pb] = prefetch_loops;
+  const std::size_t last_at =
+      pa == LoopWeights::kNone || pb == LoopWeights::kNone || pa == pb
+          ? std::min(pa, pb)
+          : LoopWeights::kNone;
   const ir::GemmAttrs& g = plan->gemm->gemm;
-  const double compute =
-      LoopWeights(loops, loops.size(), LoopWeights::kNone, {g.M, g.N, g.K})
+  const Parts compute =
+      LoopWeights(loops, vars, first_loops(loops.size()), last_at,
+                  Split::Last, {g.M, g.N, g.K})
           .sum([&](const ir::Env& env) {
             const std::int64_t M = ir::eval(g.M, env);
             const std::int64_t N = ir::eval(g.N, env);
@@ -131,39 +230,10 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
                                            : 0.0;
           });
 
-  double dma = 0.0;
-  for (const opt::OperandPlan* p : {&plan->a, &plan->b}) {
-    // Double buffering moves a get to its innermost enclosing loop that
-    // unit-loop elimination keeps.
-    std::size_t at = LoopWeights::kNone;
-    for (std::size_t i = 0; prefetch && i < p->level; ++i) {
-      const ir::Expr& n = loops[i]->extent;
-      if (!(ir::is_const(n) && ir::as_cst(n) == 1)) at = i;
-    }
-    const ir::DmaAttrs& d = p->dma;
-    dma += LoopWeights(loops, p->level, at,
-                       {d.view.rows, d.view.cols, d.rows_p, d.cols_p})
-               .sum([&](const ir::Env& env) {
-                 return min_transfer_cycles(d, env, cfg_);
-               });
-  }
-  // The C put, plus its re-fetch on every pass but the first when a
-  // reduction loop encloses it.
-  const ir::DmaAttrs& c = plan->c.dma;
-  const std::vector<ir::VarId>& outer = plan->outer_reductions;
-  dma += LoopWeights(loops, plan->c.level, LoopWeights::kNone,
-                     {c.view.rows, c.view.cols, c.rows_p, c.cols_p}, outer)
-             .sum([&](const ir::Env& env) {
-               const double t = min_transfer_cycles(c, env, cfg_);
-               const bool refetch =
-                   std::any_of(outer.begin(), outer.end(),
-                               [&](ir::VarId v) { return *env.find(v) > 0; });
-               return refetch ? 2.0 * t : t;
-             });
-
   // The bound sums the walk's terms in another order.
   constexpr double kRounding = 1.0 - 1e-9;
-  return {kRounding * dma, kRounding * compute};
+  return {kRounding * dma.first, kRounding * dma.second,
+          kRounding * compute.total(), kRounding * compute.second};
 }
 
 StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {

@@ -12,12 +12,13 @@
 // double-buffered loop costs max(every transfer it issues, its cluster
 // time): the DMA engine serializes all of its transfers while the cluster
 // computes. Cluster time adds compute, nested loops and every transfer on
-// a constant reply slot -- the synchronous get;wait / put;wait pairs and
-// the prologue get issued before a prefetched loop, which the first
-// iteration waits on at once. Everywhere else times add. So the prologue
-// and the last iteration's compute (which has no prefetch to hide behind)
-// are exposed, and per-iteration imbalance between DMA and compute is not
-// averaged away. Pricing only two iterations of every loop, and not
+// a constant reply slot -- the synchronous get;wait / put;wait pairs (a
+// cached operand's fill nest is a loop nest of them) and the prologue get
+// issued before a prefetched loop, which the first iteration waits on at
+// once. Everywhere else times add. So the prologue and the last
+// iteration's compute (which has no prefetch to hide behind) are exposed,
+// and per-iteration imbalance between DMA and compute is not averaged
+// away. Pricing only two iterations of every loop, and not
 // modelling the DMA queue across iteration boundaries, are the model's
 // remaining error sources.
 #pragma once
@@ -25,6 +26,7 @@
 #include <algorithm>
 
 #include "ir/node.hpp"
+#include "opt/pass_manager.hpp"
 #include "rt/dma_expand.hpp"
 #include "sim/dma.hpp"
 #include "tune/gemm_model.hpp"
@@ -52,14 +54,29 @@ struct StaticCost {
 };
 
 /// A lower bound on a candidate's StaticCost, priced before the optimizer
-/// runs (CostModel::lower_bound). Each term is at most the matching
-/// estimate term, so total() is at most StaticCost::total() (see
+/// runs (CostModel::lower_bound). The transfers split into those the
+/// cluster waits on and the prefetches a double-buffered loop overlaps
+/// with its compute; total() is at most StaticCost::total() (see
 /// lower_bound's soundness note).
 struct CostBound {
-  double dma_cycles = 0.0;      ///< <= StaticCost::dma_cycles()
+  /// Fills, the C put (with a fused residual re-read) and re-fetch, gets
+  /// that are not double-buffered and the prologue gets of double-buffered
+  /// loops.
+  double sync_dma_cycles = 0.0;
+  /// The prefetches double buffering issues inside its loops.
+  double async_dma_cycles = 0.0;
   double compute_cycles = 0.0;  ///< <= StaticCost::compute_cycles
+  /// The part of compute_cycles no prefetch overlaps: the last iteration
+  /// of the double-buffered loop, when there is exactly one.
+  double exposed_compute_cycles = 0.0;
 
-  double total() const { return std::max(dma_cycles, compute_cycles); }
+  /// <= StaticCost::dma_cycles().
+  double dma_cycles() const { return sync_dma_cycles + async_dma_cycles; }
+  double total() const {
+    return sync_dma_cycles + exposed_compute_cycles +
+           std::max(async_dma_cycles,
+                    compute_cycles - exposed_compute_cycles);
+  }
 };
 
 class CostModel {
@@ -69,42 +86,55 @@ class CostModel {
 
   StaticCost estimate(const ir::StmtPtr& root) const;
 
-  /// Lower bound on estimate(p) for the program p the optimizer builds
-  /// from `lowered`, a lowered single-gemm chain (the loop nest every
-  /// operator builds with sched::build_nest), with double buffering on or
-  /// off as `prefetch` says. Costs a handful of expression evaluations
-  /// instead of a build and a walk; unlike estimate() it is thread-safe.
-  /// Returns a zero bound when DMA inference would reject the program, and
-  /// throws CheckError when it is not a single-gemm chain (as building it
-  /// would). May wrap loop bodies into Seqs, as DMA inference does.
+  /// Lower bound on estimate(p) for the program p that opt::optimize(
+  /// lowered, cfg, o) builds from `lowered`, a lowered single-gemm chain
+  /// (the loop nest every operator builds with sched::build_nest); `o` is
+  /// the candidate's options, its `prefetch` already resolved for the
+  /// strategy. Costs a handful of expression evaluations instead of a
+  /// build and a walk; unlike estimate() it is thread-safe. Returns a zero
+  /// bound when DMA inference would reject the program, and throws
+  /// CheckError when it is not a single-gemm chain (as building it would).
+  /// May wrap loop bodies into Seqs, as DMA inference does.
   ///
   /// Why it is sound. estimate() adds every transfer and every gemm call of
   /// p, each weighted by its loops' walk weights (first iteration n-1
-  /// times, last iteration once). Its time is at least both sums: an
-  /// iteration of a double-buffered loop costs at least the transfers it
-  /// issues and at least its cluster time, which holds its compute, and
-  /// everywhere else times add. So total() >= max(dma_cycles(),
-  /// compute_cycles), and a bound below both terms is below total(). The
-  /// bound adds a subset of the same terms at the same environments and
-  /// weights:
+  /// times, last iteration once). Call a transfer on a constant reply slot
+  /// synchronous (S; the cluster waits on it) and a prefetch asynchronous
+  /// (A), and let C be the compute. Every subtree outside a
+  /// double-buffered loop's body takes at least S + max(A, C): a sync
+  /// transfer adds its time and compute adds its cycles; sums keep the
+  /// property because a sum of maxima is at least the maximum of the sums;
+  /// and one iteration of a double-buffered loop costs max(its elapsed
+  /// time, every transfer it issues) >= max(S + C, S + A). The bound adds
+  /// a subset of the same terms at the same environments and weights:
   ///  - compute: the gemm calls, priced exactly (p's compute also holds the
   ///    zero-fills and the epilogue's vector ops). Removing unit loops and
   ///    double buffering change neither the gemm's dims nor its loops.
-  ///  - DMA: the A and B gets, the C put and, under outer reductions, the
-  ///    C re-fetch (not the residual re-read), at the hoist level and SPM
-  ///    orientation opt::plan_dma reports. A get that double buffering
-  ///    moves is priced where it moves to: once at iteration 0 of its
-  ///    innermost enclosing non-unit loop (the prologue) and n-1 times at
-  ///    iteration 1 (the prefetch the walk prices at the first iteration;
-  ///    the last iteration's is skipped). Each transfer costs Eq. (1)'s
-  ///    latency plus, per CPE block, whole 128-byte transactions at peak
-  ///    bandwidth -- ceil(bytes / 128) per contiguous column, or one per
-  ///    element when the row stride is not 1 -- the fewest transactions any
-  ///    base alignment can touch, so at most what the walk charges.
-  /// A loop whose variable the term does not read contributes its trip
-  /// count as a factor instead of two visits; both terms are then scaled
-  /// by 1 - 1e-9 to absorb the different summation order.
-  CostBound lower_bound(const ir::StmtPtr& lowered, bool prefetch) const;
+  ///  - sync: a cached operand's fills, at its fill loops; the C put with
+  ///    a fused epilogue's residual re-read (the walk prices it on the
+  ///    put's geometry) and, under outer reductions, the C re-fetch; gets
+  ///    double buffering does not move.
+  ///  - A get that double buffering moves is priced where it moves to: at
+  ///    iteration 0 of its innermost enclosing non-unit loop once (the
+  ///    prologue, sync) and at iteration 1 n-1 times (the prefetch the walk
+  ///    prices at the first iteration, async; the last iteration's is
+  ///    skipped) -- also when that loop does not read the get.
+  ///  - exposed compute: when one loop L double-buffers every moved get,
+  ///    the gemm calls of L's last iteration. That iteration issues no
+  ///    prefetch (and no deeper loop does: it would be a second one), so it
+  ///    costs at least its sync transfers plus its compute, outside the
+  ///    max; the other iterations keep the argument above.
+  /// Hoist levels, caches and SPM orientations are the ones opt::plan_dma
+  /// reports, the plan DMA inference emits. Each transfer costs Eq. (1)'s
+  /// latency plus, per CPE block, whole 128-byte transactions at peak
+  /// bandwidth -- ceil(bytes / 128) per contiguous column, or one per
+  /// element when the row stride is not 1 -- the fewest transactions any
+  /// base alignment can touch, so at most what the walk charges. Any other
+  /// loop whose variable a term does not read contributes its trip count
+  /// as a factor instead of two visits; every term is then scaled by
+  /// 1 - 1e-9 to absorb the different summation order.
+  CostBound lower_bound(const ir::StmtPtr& lowered,
+                        const opt::OptOptions& o) const;
 
  private:
   /// The cost of `s` at `env`, its loops priced by their walk weights.

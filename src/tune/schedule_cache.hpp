@@ -70,8 +70,10 @@ class ScheduleCache {
   /// Bump to invalidate every existing cache file (key semantics or file
   /// format change). v2: strategies carry an EpilogueSpec (`e:` tokens) and
   /// operator signatures include the epilogue tag, so v1 unfused winners
-  /// must never be replayed against fused operators.
-  static constexpr int kVersion = 2;
+  /// must never be replayed against fused operators. v3: DMA inference
+  /// caches re-fetched operands, so a banked strategy lowers to another
+  /// program and the pick (and its banked predicted cycles) may differ.
+  static constexpr int kVersion = 3;
 
   /// Loads `cfg.path` when set; a missing, unreadable or version-mismatched
   /// file yields an empty cache, never an error.

@@ -131,8 +131,9 @@ Ranking rank_space(const dsl::OperatorDef& op,
       const std::int64_t nodes0 = ir::nodes_built();
       if (const ir::StmtPtr prog = op.lower(s)) {
         lowered.fetch_add(1);
-        const bool prefetch = opts.opt.prefetch && op.prefetch_enabled(s);
-        bound[i] = model.lower_bound(prog, prefetch).total();
+        opt::OptOptions o = opts.opt;
+        o.prefetch = o.prefetch && op.prefetch_enabled(s);
+        bound[i] = model.lower_bound(prog, o).total();
       }
       ir_nodes.fetch_add(ir::nodes_built() - nodes0);
     };

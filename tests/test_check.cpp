@@ -356,6 +356,9 @@ TEST(FuzzSmoke, FusedFixedSeedHasNoFailures) {
   opts.fused = true;
   check::FuzzReport rep = check::fuzz_schedules(opts);
   EXPECT_GE(rep.cases_run, 30);
+  // Some of them cache an input operand, so the cached path is diffed and
+  // its bound re-checked too.
+  EXPECT_GT(rep.cached_cases, 0);
   for (const auto& f : rep.failures)
     ADD_FAILURE() << "[" << f.kind << "] " << f.detail << "\n  " << f.repro;
 }
@@ -367,6 +370,7 @@ TEST(FuzzSmoke, FixedSeedHasNoFailures) {
   opts.max_dim = 48;
   check::FuzzReport rep = check::fuzz_schedules(opts);
   EXPECT_GE(rep.cases_run, 30);
+  EXPECT_GT(rep.cached_cases, 0);
   for (const auto& f : rep.failures)
     ADD_FAILURE() << "[" << f.kind << "] " << f.detail << "\n  " << f.repro;
 }

@@ -329,8 +329,12 @@ TEST(Obs, FunctionalImplicitConvSpmAccessCountsArePinned) {
   const obs::Profile p =
       observed_run(op, cand, cfg, sim::ExecMode::Functional);
   // Reads: the put and the epilogue each read the 18,816 outputs once.
+  // Writes: both inputs are cached. The weights' 36 tiles are fetched once
+  // (20,736 floats, 27,648 zeroed on the 27 partial tiles), the input's 18
+  // tiles once per (r, c) (169,344 fetched, 193,536 zeroed), plus the C
+  // tile's zero-fill per (r, c, o) (28,672) and the epilogue's 18,816.
   EXPECT_EQ(p.counters.spm_reads, 37632);
-  EXPECT_EQ(p.counters.spm_writes, 1450624);
+  EXPECT_EQ(p.counters.spm_writes, 458752);
 }
 
 TEST(Obs, ChromeTraceIsWellFormedJson) {

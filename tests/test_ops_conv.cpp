@@ -7,7 +7,9 @@
 
 #include "common/check.hpp"
 #include "ops/explicit_conv.hpp"
+#include "ir/analysis.hpp"
 #include "ops/implicit_conv.hpp"
+#include "ops/matmul.hpp"
 #include "ops/reference.hpp"
 #include "ops/tensor.hpp"
 #include "ops/winograd.hpp"
@@ -34,9 +36,10 @@ ConvShape small_shape(std::int64_t batch = 4, std::int64_t ni = 32,
   return s;
 }
 
-double run_and_check(const dsl::OperatorDef& op, const dsl::Strategy& s) {
-  const auto cand = tune::build_candidate(op, s, cfg);
-  sim::CoreGroup cg(cfg);
+double run_and_check(const dsl::OperatorDef& op, const dsl::Strategy& s,
+                     const sim::SimConfig& c = cfg) {
+  const auto cand = tune::build_candidate(op, s, c);
+  sim::CoreGroup cg(c);
   const auto bt = rt::bind_tensors(cg, op);
   op.fill_inputs(cg, bt, s);
   rt::Interpreter interp(cg, sim::ExecMode::Functional);
@@ -280,6 +283,75 @@ TEST(FusedImplicitConv, OutPadWithResidualMatchesReference) {
   EXPECT_LE(run_and_check(op, implicit_strategy(32, 32, 4, "no_major",
                                                 "rcouvi", "6")),
             2e-3);
+}
+
+/// True when DMA inference caches the input operand in `buf` (spm_A or
+/// spm_B) for this strategy.
+bool caches(const dsl::OperatorDef& op, const dsl::Strategy& s,
+            const std::string& buf) {
+  const sched::Candidate cand = tune::build_candidate(op, s, cfg);
+  for (const ir::Stmt* d : ir::find_dmas(cand.program))
+    if (d->dma.cache_fill && d->dma.spm_buf == buf) return true;
+  return false;
+}
+
+/// The functional run with the simulator's sanitizers armed (undefined SPM
+/// reads, out-of-tensor DMA, overlap with in-flight transfers).
+double run_sanitized(const dsl::OperatorDef& op, const dsl::Strategy& s) {
+  sim::SimConfig c = cfg;
+  c.sanitize.enabled = true;
+  return run_and_check(op, s, c);
+}
+
+TEST(CachedOperand, PadBoundaryMatchesReference) {
+  // Ragged channels and columns: the fill nests zero-fill partial tiles of
+  // both slabs (weights over (o, u, v, i), input over (u, v, i)).
+  ImplicitConvOp op(small_shape(8, 48, 48, 7));
+  const dsl::Strategy s =
+      implicit_strategy(32, 32, 4, "no_major", "rcouvi", "6");
+  EXPECT_TRUE(caches(op, s, "spm_A"));
+  EXPECT_TRUE(caches(op, s, "spm_B"));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
+}
+
+TEST(CachedOperand, SwitchBoundaryMatchesReference) {
+  // 96 channels in tiles of 64: the 32-wide tail tiles shrink their grid,
+  // each slab slot keeping the full tile's stride.
+  ImplicitConvOp op(small_shape(8, 96, 96, 8));
+  dsl::Strategy s = implicit_strategy(64, 64, 4, "ni_major", "rcoiuv", "6");
+  s.set_choice("boundary", "switch");
+  EXPECT_TRUE(caches(op, s, "spm_A"));
+  EXPECT_TRUE(caches(op, s, "spm_B"));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
+}
+
+TEST(CachedOperand, FusedBarP1EpilogueMatchesReference) {
+  dsl::EpilogueSpec epi = full_epilogue();
+  epi.out_pad = 1;
+  ImplicitConvOp op(small_shape(8, 48, 48, 7), epi);
+  const dsl::Strategy s =
+      implicit_strategy(32, 32, 4, "no_major", "rcouvi", "0");
+  EXPECT_TRUE(caches(op, s, "spm_A"));
+  EXPECT_TRUE(caches(op, s, "spm_B"));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
+}
+
+TEST(CachedOperand, CachedBOperandMatchesReference) {
+  // One n tile: A is read once per (m, k) and stays uncached; the m loop
+  // re-reads B, which is cached over (n, k) -- in both SPM orientations.
+  MatmulOp op(128, 64, 96);
+  for (const char* variant : {"0", "2", "5", "7"}) {
+    dsl::Strategy s;
+    s.set_factor("Tm", 64);
+    s.set_factor("Tn", 64);
+    s.set_factor("Tk", 32);
+    s.set_choice("order", "mnk");
+    s.set_choice("variant", variant);
+    s.set_choice("boundary", "pad");
+    EXPECT_FALSE(caches(op, s, "spm_A")) << variant;
+    EXPECT_TRUE(caches(op, s, "spm_B")) << variant;
+    EXPECT_LE(run_sanitized(op, s), 2e-3) << variant;
+  }
 }
 
 /// Every epilogue that computes on the stored tile, alone and combined.

@@ -9,12 +9,16 @@
 #include "opt/dma_inference.hpp"
 #include "opt/double_buffer.hpp"
 #include "opt/pass_manager.hpp"
+#include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
+#include "rt/bind.hpp"
+#include "rt/interpreter.hpp"
 
 namespace swatop::opt {
 namespace {
 
 sim::SimConfig cfg;
+const std::int64_t kReserve = OptOptions{}.spm_reserve_floats;
 
 dsl::Strategy matmul_strategy(std::int64_t tm, std::int64_t tn,
                               std::int64_t tk, const std::string& order,
@@ -64,7 +68,7 @@ TEST(DmaInference, InjectsAllocsGetsAndPuts) {
   ops::MatmulOp op(128, 128, 64);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
   ASSERT_NE(prog, nullptr);
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   const auto dmas = ir::find_dmas(prog);
   // A get, B get, C put.
   int gets = 0, puts = 0;
@@ -84,10 +88,11 @@ TEST(DmaInference, InjectsAllocsGetsAndPuts) {
 
 TEST(DmaInference, HoistsInvariantTransfers) {
   // Order mnk: A depends on (m_o, k_o), B on (k_o, n_o), C on (m_o, n_o).
-  // C's put must sit outside the k loop; A and B gets inside it.
-  ops::MatmulOp op(128, 128, 64);
+  // C's put must sit outside the k loop; A and B gets inside it. One m and
+  // one n tile: no loop re-fetches an operand, so neither is cached.
+  ops::MatmulOp op(64, 64, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   const std::string text = ir::print(prog);
   // C put appears after the k loop closes: find positions.
   const auto kpos = text.find("for k_o");
@@ -104,7 +109,7 @@ TEST(DmaInference, OuterReductionRefetchesC) {
   // accumulated on every pass after the first.
   ops::MatmulOp op(128, 128, 64);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "kmn"));
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   const std::string text = ir::print(prog);
   EXPECT_NE(text.find("dma_get C"), std::string::npos);
   EXPECT_NE(text.find("if ((k_o < 1))"), std::string::npos);
@@ -113,12 +118,12 @@ TEST(DmaInference, OuterReductionRefetchesC) {
 TEST(DmaInference, BoundaryZeroGuardsOnlyWhenRagged) {
   ops::MatmulOp aligned(128, 128, 64);
   auto p1 = aligned.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(p1, cfg));
+  ASSERT_TRUE(infer_dma(p1, cfg, kReserve));
   EXPECT_FALSE(ir::contains_kind(p1, ir::StmtKind::If));
 
   ops::MatmulOp ragged(100, 128, 64);
   auto p2 = ragged.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(p2, cfg));
+  ASSERT_TRUE(infer_dma(p2, cfg, kReserve));
   EXPECT_TRUE(ir::contains_kind(p2, ir::StmtKind::If));
 }
 
@@ -127,7 +132,7 @@ TEST(DmaInference, RejectsInvalidPaddedDims) {
   ops::MatmulOp op(64, 16, 32);
   auto prog = op.lower(matmul_strategy(64, 16, 32, "mnk", "4"));
   ASSERT_NE(prog, nullptr);
-  EXPECT_FALSE(infer_dma(prog, cfg));
+  EXPECT_FALSE(infer_dma(prog, cfg, kReserve));
 }
 
 TEST(DmaInference, RowMajorOperandSwapsDistribution) {
@@ -135,7 +140,7 @@ TEST(DmaInference, RowMajorOperandSwapsDistribution) {
   // with view rows mapped to column ids.
   ops::MatmulOp op(64, 64, 32);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk", "1"));
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   bool saw_swapped = false;
   ir::visit(prog, [&](const ir::StmtPtr& n) {
     if (n->kind == ir::StmtKind::DmaGet && n->dma.spm_buf == "spm_A")
@@ -144,10 +149,152 @@ TEST(DmaInference, RowMajorOperandSwapsDistribution) {
   EXPECT_TRUE(saw_swapped);
 }
 
-TEST(DoubleBuffer, TransformsInnermostGetLoop) {
+/// The loop variables of a Seq's For children, in order.
+std::vector<std::string> loops_in(const ir::StmtPtr& seq) {
+  std::vector<std::string> out;
+  for (const ir::StmtPtr& s : seq->body)
+    if (s->kind == ir::StmtKind::For) out.push_back(s->var.name());
+  return out;
+}
+
+/// The SPM buffers of the cache-fill gets in a subtree.
+std::vector<std::string> fill_bufs(const ir::StmtPtr& s) {
+  std::vector<std::string> out;
+  for (const ir::Stmt* d : ir::find_dmas(s))
+    if (d->dma.cache_fill) out.push_back(d->dma.spm_buf);
+  return out;
+}
+
+TEST(DmaInference, CachesMatmulOperandsAheadOfTheirReuseLoops) {
+  // Order mnk, two m and two n tiles: the n loop would re-fetch A's row
+  // panel and the m loop all of B. Each is fetched once, ahead of the
+  // loop that reuses it, one tile per fill iteration.
   ops::MatmulOp op(128, 128, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  ASSERT_TRUE(plan.has_value());
+  // A reads (m_o, k_o): R = n_o, filled over k_o (4 tiles of 64x32).
+  EXPECT_EQ(plan->a.cache_at, 1u);
+  EXPECT_EQ(plan->a.fill, std::vector<std::size_t>{2});
+  EXPECT_EQ(plan->a.slab_tiles, 4);
+  // B reads (k_o, n_o): R = m_o, filled over n_o and k_o (8 tiles).
+  EXPECT_EQ(plan->b.cache_at, 0u);
+  EXPECT_EQ(plan->b.fill, (std::vector<std::size_t>{1, 2}));
+  EXPECT_EQ(plan->b.slab_tiles, 8);
+  EXPECT_FALSE(plan->c.cached());
+
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  // Root: B's fill nest, then the m loop; in m: A's, then the n loop.
+  EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"n_o", "m_o"}));
+  const ir::StmtPtr& m = prog->body.back();
+  EXPECT_EQ(loops_in(m->for_body), (std::vector<std::string>{"k_o", "n_o"}));
+  EXPECT_EQ(fill_bufs(prog->body[prog->body.size() - 2]),
+            std::vector<std::string>{"spm_B"});
+  EXPECT_EQ(fill_bufs(m->for_body->body[0]),
+            std::vector<std::string>{"spm_A"});
+  // Slabs of 4 and 8 tiles of 32 floats per CPE; the gemm reads its tile.
+  const ir::Stmt* g = ir::find_gemms(prog)[0];
+  EXPECT_EQ(ir::eval(g->gemm.a_off, {{"k_o", 3}}), 3 * 32);
+  EXPECT_EQ(ir::eval(g->gemm.b_off, {{"n_o", 1}, {"k_o", 2}}), 6 * 32);
+  EXPECT_EQ(ir::spm_footprint(prog), 4 * 32 + 8 * 32 + 64);
+
+  // One get per tile: B's 8 once, A's 4 once per m tile, plus 4 C puts.
+  auto built = op.lower(matmul_strategy(64, 64, 32, "mnk"));
+  ASSERT_TRUE(optimize(built, cfg));
+  sim::CoreGroup cg(cfg);
+  cg.mem().set_materialize(false);
+  const dsl::BoundTensors bt = rt::bind_tensors(cg, op);
+  const rt::RunResult r =
+      rt::Interpreter(cg, sim::ExecMode::TimingOnly).run(built, bt);
+  EXPECT_EQ(r.stats.dma_transfers, 8 + 2 * 4 + 4);
+}
+
+TEST(DmaInference, CachesImplicitConvWeightsAndInput) {
+  // Order rcouvi: the weights (o, u, v, i) are re-read on every output
+  // row and column tile, the input on every output-channel tile.
+  ops::ConvShape s;
+  s.batch = 8;
+  s.ni = 64;
+  s.no = 64;
+  s.ri = 10;
+  s.ci = 10;
+  ops::ImplicitConvOp op(s);
+  dsl::Strategy st;
+  st.set_factor("Tno", 32);
+  st.set_factor("Tni", 32);
+  st.set_factor("Tco", 4);
+  st.set_choice("wlayout", "no_major");
+  st.set_choice("order", "rcouvi");
+  st.set_choice("variant", "6");
+  st.set_choice("boundary", "pad");
+  auto prog = op.lower(st);
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_EQ(plan->a.cache_at, 0u);
+  EXPECT_EQ(plan->a.fill, (std::vector<std::size_t>{2, 3, 4, 5}));
+  EXPECT_EQ(plan->a.slab_tiles, 2 * 3 * 3 * 2);
+  EXPECT_EQ(plan->b.cache_at, 2u);
+  EXPECT_EQ(plan->b.fill, (std::vector<std::size_t>{3, 4, 5}));
+  EXPECT_EQ(plan->b.slab_tiles, 3 * 3 * 2);
+
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  // Root: the weights' fill nest, then the r loop; in c_o: the input's,
+  // then the o_o loop.
+  EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"o_o", "r"}));
+  EXPECT_EQ(fill_bufs(prog->body[prog->body.size() - 2]),
+            std::vector<std::string>{"spm_A"});
+  const ir::StmtPtr& c = prog->body.back()->for_body->body[0];
+  ASSERT_EQ(c->var.name(), "c_o");
+  EXPECT_EQ(loops_in(c->for_body), (std::vector<std::string>{"u", "o_o"}));
+  EXPECT_EQ(fill_bufs(c->for_body->body[0]),
+            std::vector<std::string>{"spm_B"});
+  // 16 floats per CPE per tile; the tile index runs over (o, u, v, i) and
+  // (u, v, i).
+  const ir::Stmt* g = ir::find_gemms(prog)[0];
+  const ir::Env at = {{"o_o", 1}, {"u", 2}, {"v", 1}, {"i_o", 1}};
+  EXPECT_EQ(ir::eval(g->gemm.a_off, at), (((1 * 3 + 2) * 3 + 1) * 2 + 1) * 16);
+  EXPECT_EQ(ir::eval(g->gemm.b_off, at), ((2 * 3 + 1) * 2 + 1) * 16);
+}
+
+TEST(DmaInference, NoCacheWhenNoLoopRefetches) {
+  // One m and one n tile: the loops A and B do not read run once.
+  ops::MatmulOp op(64, 64, 128);
+  auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  ASSERT_TRUE(plan.has_value());
+  EXPECT_FALSE(plan->a.cached());
+  EXPECT_FALSE(plan->b.cached());
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  EXPECT_TRUE(fill_bufs(prog).empty());
+}
+
+TEST(DmaInference, NoCacheWhenTheSlabExceedsTheKernelShare) {
+  // Two n tiles re-read A's row panel: K/64 tiles of 64 floats per CPE.
+  // At K = 1024 the slab fits the kernel share; at K = 8192 it alone
+  // exceeds it, so A is fetched per n tile as before.
+  ops::MatmulOp fits(64, 128, 1024);
+  auto p1 = fits.lower(matmul_strategy(64, 64, 64, "mnk"));
+  const std::optional<DmaPlan> plan1 = plan_dma(p1, cfg, kReserve);
+  ASSERT_TRUE(plan1.has_value());
+  EXPECT_TRUE(plan1->a.cached());
+  EXPECT_EQ(plan1->a.alloc_floats(), 1024);
+
+  ops::MatmulOp big(64, 128, 8192);
+  auto p2 = big.lower(matmul_strategy(64, 64, 64, "mnk"));
+  const std::optional<DmaPlan> plan2 = plan_dma(p2, cfg, kReserve);
+  ASSERT_TRUE(plan2.has_value());
+  EXPECT_GT(8192, cfg.kernel_spm_floats() - kReserve);
+  EXPECT_FALSE(plan2->a.cached());
+  ASSERT_TRUE(infer_dma(p2, cfg, kReserve));
+  EXPECT_TRUE(fill_bufs(p2).empty());
+}
+
+TEST(DoubleBuffer, TransformsInnermostGetLoop) {
+  // One m and one n tile, so DMA inference caches neither operand and both
+  // gets stay in the k loop.
+  ops::MatmulOp op(64, 64, 128);
+  auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   ASSERT_TRUE(apply_double_buffer(prog));
   const std::string text = ir::print(prog);
   EXPECT_NE(text.find("// prefetched"), std::string::npos);
@@ -270,8 +417,10 @@ TEST(Simplify, KeepsMultiIterationLoops) {
 
 TEST(DoubleBuffer, MultiLevelPrefetch) {
   // Order kmn puts the k reduction outermost: A's get lands in the m loop,
-  // B's in the n loop -- both levels must be double-buffered.
-  ops::MatmulOp op(256, 256, 128);
+  // B's in the n loop -- both levels must be double-buffered. With one m
+  // tile the m loop goes (A's get moves up to the k loop) and no loop
+  // re-fetches B, so neither operand is cached.
+  ops::MatmulOp op(64, 256, 128);
   dsl::Strategy s;
   s.set_factor("Tm", 64);
   s.set_factor("Tn", 64);
@@ -280,7 +429,7 @@ TEST(DoubleBuffer, MultiLevelPrefetch) {
   s.set_choice("variant", "0");
   s.set_choice("boundary", "pad");
   auto prog = op.lower(s);
-  ASSERT_TRUE(infer_dma(prog, cfg));
+  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   eliminate_unit_loops(prog);
   ASSERT_TRUE(apply_double_buffer(prog));
   int prefetched_loops = 0;

@@ -140,7 +140,9 @@ TEST(Interpreter, DeterministicAcrossRuns) {
 }
 
 TEST(Interpreter, PrefetchReducesCycles) {
-  ops::MatmulOp op(128, 128, 128);
+  // One m and one n tile: no operand is cached, so both gets sit in the k
+  // loop for double buffering to hide.
+  ops::MatmulOp op(32, 32, 128);
   const auto with = tune::build_candidate(op, strat(32, 32, 32), cfg, true);
   const auto without =
       tune::build_candidate(op, strat(32, 32, 32), cfg, false);

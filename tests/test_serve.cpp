@@ -248,13 +248,17 @@ TrafficConfig overload_traffic() {
 TEST(Server, AdmissionKeepsEveryCompletedRequestWithinSlo) {
   SyntheticCostProvider cost(4);
   Server srv(ServerConfig{}, cost);
-  const ServingReport rep = srv.run(generate_trace(overload_traffic()));
+  const std::vector<Request> trace = generate_trace(overload_traffic());
+  const ServingReport rep = srv.run(trace);
   EXPECT_GT(rep.shed + rep.rejected, 0);  // overload: something was dropped
   EXPECT_GT(rep.completed, 0);
   EXPECT_EQ(rep.slo_violations, 0);
-  for (const RequestRecord& r : rep.records) {
+  ASSERT_EQ(rep.records.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const RequestRecord& r = rep.records[i];
     if (r.outcome == Outcome::Completed) {
-      EXPECT_LE(r.latency_us, r.req.slo_us + 1e-6) << "request " << r.req.id;
+      EXPECT_LE(r.latency_us, trace[i].slo_us + 1e-6)
+          << "request " << trace[i].id;
     }
   }
   // No silent drops: every offered request has exactly one outcome.

@@ -354,20 +354,23 @@ TEST(ServeTelemetry, WindowsTileTheRunAndConserveTotals) {
 
 TEST(ServeTelemetry, StreamingQuantilesMatchExactWithinDocumentedBound) {
   serve::SyntheticCostProvider cost;
+  const std::vector<serve::Request> trace = mixed_trace();
   const serve::ServingReport rep =
-      serve::Server(telemetry_config(), cost).run(mixed_trace());
+      serve::Server(telemetry_config(), cost).run(trace);
   const serve::TelemetryResult& tel = rep.telemetry;
   // Exact per-window oracle: bucket every completed request's latency by
   // the window its finish time falls in (same half-open rule).
   std::vector<std::vector<double>> lat(tel.windows.size());
   std::map<std::string, std::vector<double>> net_lat;
-  for (const serve::RequestRecord& r : rep.records) {
+  ASSERT_EQ(rep.records.size(), trace.size());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    const serve::RequestRecord& r = rep.records[i];
     if (r.outcome != serve::Outcome::Completed) continue;
     std::int64_t k = obs::window_index(r.finish_us, tel.window_us);
     if (k >= static_cast<std::int64_t>(tel.windows.size()))
       k = static_cast<std::int64_t>(tel.windows.size()) - 1;
     lat[static_cast<std::size_t>(k)].push_back(r.latency_us / 1e3);
-    net_lat[r.req.net].push_back(r.latency_us / 1e3);
+    net_lat[trace[i].net].push_back(r.latency_us / 1e3);
   }
   int checked = 0;
   for (std::size_t k = 0; k < tel.windows.size(); ++k) {

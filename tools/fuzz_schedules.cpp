@@ -99,8 +99,9 @@ int main(int argc, char** argv) {
     rep = swatop::check::fuzz_schedules(opts);
   }
 
-  std::cout << "fuzz: " << rep.cases_run << " cases over " << rep.shapes
-            << " shapes, " << rep.failures.size() << " failure"
+  std::cout << "fuzz: " << rep.cases_run << " cases ("
+            << rep.cached_cases << " with a cached operand) over "
+            << rep.shapes << " shapes, " << rep.failures.size() << " failure"
             << (rep.failures.size() == 1 ? "" : "s") << "\n";
   for (const auto& f : rep.failures) {
     std::cout << "---\n[" << f.kind << "] " << f.op << "\n  strategy: "
