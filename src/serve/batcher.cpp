@@ -32,19 +32,18 @@ DynamicBatcher::DynamicBatcher(BatcherConfig cfg) : cfg_(std::move(cfg)) {
   }
 }
 
-void DynamicBatcher::enqueue(const Request& r) {
+void DynamicBatcher::enqueue(const Request& r, std::size_t index) {
   SWATOP_CHECK(r.images >= 1) << "request " << r.id << " with " << r.images
                               << " images";
   NetQueue& nq = queues_[r.net];
-  nq.q.push_back({r.id, r.images, r.arrival_us, next_seq_++});
+  nq.q.push_back({r.id, index, r.images, r.arrival_us, next_seq_++});
   nq.images += r.images;
   queued_images_ += r.images;
   ++queued_requests_;
 }
 
 std::int64_t DynamicBatcher::drop(std::int64_t request_id) {
-  for (auto qit = queues_.begin(); qit != queues_.end(); ++qit) {
-    NetQueue& nq = qit->second;
+  for (auto& [net, nq] : queues_) {
     for (auto it = nq.q.begin(); it != nq.q.end(); ++it) {
       if (it->request_id != request_id) continue;
       const std::int64_t images = it->images_left;
@@ -52,7 +51,6 @@ std::int64_t DynamicBatcher::drop(std::int64_t request_id) {
       queued_images_ -= images;
       --queued_requests_;
       nq.q.erase(it);
-      if (nq.q.empty()) queues_.erase(qit);
       return images;
     }
   }
@@ -119,7 +117,8 @@ SubBatch DynamicBatcher::plan(const NetQueue& nq,
   for (auto it = nq.q.begin(); taken < size; ++it) {
     SWATOP_CHECK(it != nq.q.end()) << "batcher accounting out of sync";
     const std::int64_t take = std::min(it->images_left, size - taken);
-    sb.slices.push_back({it->request_id, take, take == it->images_left});
+    sb.slices.push_back(
+        {it->request_id, it->index, take, take == it->images_left});
     sb.oldest_arrival_us = std::min(sb.oldest_arrival_us, it->arrival_us);
     taken += take;
   }
@@ -139,15 +138,13 @@ void DynamicBatcher::consume(const std::string& net, const SubBatch& sb) {
   }
   nq.images -= sb.images;
   queued_images_ -= sb.images;
-  if (nq.q.empty()) queues_.erase(net);
 }
 
 std::optional<SubBatch> DynamicBatcher::pop(double now_us, bool drain) {
   const std::string* net = pick_net(now_us, drain);
   if (net == nullptr) return std::nullopt;
-  const std::string name = *net;  // consume() erases the map entry
-  SubBatch sb = plan(queues_.at(name), name);
-  consume(name, sb);
+  SubBatch sb = plan(queues_.at(*net), *net);
+  consume(*net, sb);
   return sb;
 }
 

@@ -47,6 +47,7 @@ struct SubBatch {
   std::int64_t images = 0;
   struct Slice {
     std::int64_t request_id = 0;
+    std::size_t index = 0;    ///< the caller's index, as enqueued
     std::int64_t images = 0;  ///< this slice's share of the request
     bool final_slice = false; ///< completes the request
   };
@@ -60,8 +61,10 @@ class DynamicBatcher {
 
   const BatcherConfig& config() const { return cfg_; }
 
-  /// Enqueue an admitted request (arrival order = call order).
-  void enqueue(const Request& r);
+  /// Enqueue an admitted request (arrival order = call order). `index` is
+  /// the caller's handle for it (the server's trace index), carried by
+  /// every slice of the request.
+  void enqueue(const Request& r, std::size_t index);
 
   /// Remove a queued request entirely (admission shed); returns the number
   /// of images dropped (0 if the id is not queued).
@@ -98,6 +101,7 @@ class DynamicBatcher {
  private:
   struct Pending {
     std::int64_t request_id = 0;
+    std::size_t index = 0;
     std::int64_t images_left = 0;
     double arrival_us = 0.0;
     std::int64_t seq = 0;  ///< global FIFO order across networks
@@ -117,7 +121,9 @@ class DynamicBatcher {
   void consume(const std::string& net, const SubBatch& sb);
 
   BatcherConfig cfg_;
-  std::map<std::string, NetQueue> queues_;  ///< ordered: deterministic scan
+  /// Ordered: deterministic scan. A queue that empties keeps its entry
+  /// (and its storage) for the next request of that network.
+  std::map<std::string, NetQueue> queues_;
   std::int64_t queued_images_ = 0;
   std::int64_t queued_requests_ = 0;
   std::int64_t next_seq_ = 0;

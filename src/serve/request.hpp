@@ -36,14 +36,18 @@ const char* outcome_name(Outcome o);
 
 /// Per-request ledger entry the server keeps for reporting: what happened
 /// to one request of the trace it served (the request itself stays in the
-/// caller's trace).
+/// caller's trace). While the request is in flight the server keeps its
+/// running state here: `finish_us` is the latest finish among its
+/// dispatched parts and `wasted_us` their chip-time share.
 struct RequestRecord {
-  Outcome outcome = Outcome::Completed;
-  double finish_us = 0.0;   ///< completion (or shed/reject) time
-  double latency_us = 0.0;  ///< finish - arrival for completed requests
+  double finish_us = 0.0;  ///< completion (or shed/reject) time
   /// Chip-microseconds spent on parts of a request that was later shed
   /// (split requests only); reported as wasted work, never hidden.
   double wasted_us = 0.0;
+  Outcome outcome = Outcome::Completed;
+
+  /// Latency of a completed request.
+  double latency_us(const Request& r) const { return finish_us - r.arrival_us; }
 };
 
 inline const char* outcome_name(Outcome o) {

@@ -96,6 +96,15 @@ std::vector<Request> generate_trace(const TrafficConfig& cfg) {
 
   Rng rng(cfg.seed);
   std::vector<Request> trace;
+  // The expected arrival count plus four standard deviations of a Poisson
+  // count, so a long trace is built without regrowing (and copying) its
+  // storage.
+  double mean_rate = cfg.rate_rps;
+  if (cfg.pattern == ArrivalPattern::Bursty)
+    mean_rate *= 1.0 + (cfg.burst_factor - 1.0) * cfg.burst_fraction;
+  const double expected = mean_rate * cfg.duration_s;
+  trace.reserve(static_cast<std::size_t>(expected + 4.0 * std::sqrt(expected)) +
+                16);
   const double horizon_us = cfg.duration_s * 1e6;
   double t_us = 0.0;
   while (true) {

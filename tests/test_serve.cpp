@@ -109,7 +109,7 @@ TEST(Batcher, LonelyRequestWaitsExactlyMaxWait) {
   cfg.max_batch = 8;
   cfg.max_wait_us = 2000.0;
   DynamicBatcher b(cfg);
-  b.enqueue(req(1, "resnet", 1, 100.0));
+  b.enqueue(req(1, "resnet", 1, 100.0), 0);
   EXPECT_FALSE(b.ready(100.0, false));
   EXPECT_EQ(b.next_deadline_us(100.0), 2100.0);
   EXPECT_FALSE(b.ready(2099.0, false));
@@ -126,7 +126,7 @@ TEST(Batcher, CoalescesSmallRequestsUpToMaxBatch) {
   BatcherConfig cfg;
   cfg.max_batch = 8;
   DynamicBatcher b(cfg);
-  for (int i = 0; i < 10; ++i) b.enqueue(req(i, "resnet", 1, 0.0));
+  for (int i = 0; i < 10; ++i) b.enqueue(req(i, "resnet", 1, 0.0), i);
   EXPECT_TRUE(b.ready(0.0, false));  // full batch, no waiting
   const std::optional<SubBatch> sb = b.pop(0.0, false);
   ASSERT_TRUE(sb.has_value());
@@ -140,7 +140,7 @@ TEST(Batcher, OversizeRequestSplitsAcrossSubBatches) {
   BatcherConfig cfg;
   cfg.max_batch = 8;
   DynamicBatcher b(cfg);
-  b.enqueue(req(5, "resnet", 20, 0.0));
+  b.enqueue(req(5, "resnet", 20, 0.0), 3);
   std::vector<std::int64_t> sizes;
   bool saw_final = false;
   while (!b.empty()) {
@@ -148,6 +148,7 @@ TEST(Batcher, OversizeRequestSplitsAcrossSubBatches) {
     ASSERT_TRUE(sb.has_value());
     ASSERT_EQ(sb->slices.size(), 1u);
     EXPECT_EQ(sb->slices[0].request_id, 5);
+    EXPECT_EQ(sb->slices[0].index, 3u);  // the caller's index, every slice
     EXPECT_FALSE(saw_final);  // the final slice must be the last one
     saw_final = sb->slices[0].final_slice;
     sizes.push_back(sb->images);
@@ -164,7 +165,8 @@ TEST(Batcher, NeverMixesNetworksInOneSubBatch) {
   cfg.max_batch = 8;
   DynamicBatcher b(cfg);
   for (int i = 0; i < 6; ++i)
-    b.enqueue(req(i, i % 2 == 0 ? "resnet" : "yolo", 1, static_cast<double>(i)));
+    b.enqueue(req(i, i % 2 == 0 ? "resnet" : "yolo", 1, static_cast<double>(i)),
+              i);
   while (!b.empty()) {
     const std::optional<SubBatch> sb = b.pop(10.0, /*drain=*/true);
     ASSERT_TRUE(sb.has_value());
@@ -181,9 +183,9 @@ TEST(Batcher, FifoModeIsStrictArrivalOrderAcrossNets) {
   cfg.coalesce = false;
   cfg.max_batch = 8;  // forced down to 1 by coalesce=false
   DynamicBatcher b(cfg);
-  b.enqueue(req(0, "resnet", 1, 0.0));
-  b.enqueue(req(1, "yolo", 1, 1.0));
-  b.enqueue(req(2, "resnet", 1, 2.0));
+  b.enqueue(req(0, "resnet", 1, 0.0), 0);
+  b.enqueue(req(1, "yolo", 1, 1.0), 1);
+  b.enqueue(req(2, "resnet", 1, 2.0), 2);
   std::vector<std::int64_t> order;
   while (!b.empty()) {
     const std::optional<SubBatch> sb = b.pop(100.0, false);
@@ -196,8 +198,8 @@ TEST(Batcher, FifoModeIsStrictArrivalOrderAcrossNets) {
 
 TEST(Batcher, DropRemovesAllQueuedImagesOfARequest) {
   DynamicBatcher b(BatcherConfig{});
-  b.enqueue(req(1, "resnet", 3, 0.0));
-  b.enqueue(req(2, "resnet", 2, 0.0));
+  b.enqueue(req(1, "resnet", 3, 0.0), 0);
+  b.enqueue(req(2, "resnet", 2, 0.0), 1);
   EXPECT_EQ(b.drop(1), 3);
   EXPECT_EQ(b.drop(1), 0);  // already gone
   EXPECT_EQ(b.queued_images(), 2);
@@ -257,7 +259,7 @@ TEST(Server, AdmissionKeepsEveryCompletedRequestWithinSlo) {
   for (std::size_t i = 0; i < trace.size(); ++i) {
     const RequestRecord& r = rep.records[i];
     if (r.outcome == Outcome::Completed) {
-      EXPECT_LE(r.latency_us, trace[i].slo_us + 1e-6)
+      EXPECT_LE(r.latency_us(trace[i]), trace[i].slo_us + 1e-6)
           << "request " << trace[i].id;
     }
   }
@@ -310,7 +312,7 @@ TEST(Server, SplitRequestCompletesWhenItsLastSliceDoes) {
   EXPECT_EQ(rep.batches, 3);  // 8 + 8 + 4
   // All three parts start at t=0 on idle chips; completion is the slowest
   // part (a size-8 sub-batch: 300 us launch + 2 images/group * 1000 us).
-  EXPECT_DOUBLE_EQ(rep.records[0].latency_us, 2300.0);
+  EXPECT_DOUBLE_EQ(rep.records[0].latency_us(trace[0]), 2300.0);
   EXPECT_EQ(rep.records[0].wasted_us, 0.0);
 }
 
@@ -348,6 +350,46 @@ TEST(Server, RejectsMalformedTraces) {
   std::vector<Request> dup{req(0, "resnet", 1, 0.0),
                            req(0, "resnet", 1, 1.0)};
   EXPECT_THROW(srv.run(dup), CheckError);
+}
+
+TEST(Server, UniqueIdsNeedNotIncrease) {
+  // Ids only have to be unique: a trace whose ids fall is served, and a
+  // duplicate that is not adjacent to its twin is still refused.
+  SyntheticCostProvider cost(4);
+  Server srv(ServerConfig{}, cost);
+  const std::vector<Request> falling{
+      req(7, "resnet", 1, 0.0), req(3, "yolo", 2, 1.0),
+      req(9, "resnet", 1, 2.0), req(-4, "resnet", 1, 3.0)};
+  const ServingReport rep = srv.run(falling);
+  EXPECT_EQ(rep.completed, 4);
+  ASSERT_EQ(rep.per_net.size(), 2u);
+  EXPECT_EQ(rep.per_net[0].net, "resnet");
+  EXPECT_EQ(rep.per_net[0].completed, 3);
+  EXPECT_EQ(rep.per_net[1].net, "yolo");
+  EXPECT_EQ(rep.per_net[1].images_completed, 2);
+  const std::vector<Request> dup{req(7, "resnet", 1, 0.0),
+                                 req(3, "resnet", 1, 1.0),
+                                 req(7, "resnet", 1, 2.0)};
+  EXPECT_THROW(srv.run(dup), CheckError);
+}
+
+TEST(Server, ShedSplitRequestReportsItsDispatchedPartsAsWasted) {
+  // 20 images on two chips (max_batch 8): two 8-image parts start at t=0
+  // and finish at 2300 us; the last 4-image part would then finish at
+  // 2300 + 1300 us, past the 3 ms SLO, so the request is shed at 2300 us
+  // and both dispatched parts (2 x 2300 chip-us) are wasted work.
+  SyntheticCostProvider cost(4);
+  ServerConfig cfg;
+  cfg.fleet.chips = 2;
+  const std::vector<Request> trace{req(0, "resnet", 20, 0.0, 3e3)};
+  const ServingReport rep = Server(cfg, cost).run(trace);
+  EXPECT_EQ(rep.shed, 1);
+  EXPECT_EQ(rep.batches, 2);
+  EXPECT_EQ(rep.records[0].outcome, Outcome::Shed);
+  EXPECT_DOUBLE_EQ(rep.records[0].finish_us, 2300.0);
+  EXPECT_DOUBLE_EQ(rep.records[0].wasted_us, 4600.0);
+  EXPECT_DOUBLE_EQ(rep.wasted_ms, 4.6);
+  EXPECT_DOUBLE_EQ(rep.makespan_s, 2300e-6);
 }
 
 TEST(Server, EmitsServeCountersAndFleetTraceEvents) {

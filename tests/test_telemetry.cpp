@@ -369,8 +369,8 @@ TEST(ServeTelemetry, StreamingQuantilesMatchExactWithinDocumentedBound) {
     std::int64_t k = obs::window_index(r.finish_us, tel.window_us);
     if (k >= static_cast<std::int64_t>(tel.windows.size()))
       k = static_cast<std::int64_t>(tel.windows.size()) - 1;
-    lat[static_cast<std::size_t>(k)].push_back(r.latency_us / 1e3);
-    net_lat[trace[i].net].push_back(r.latency_us / 1e3);
+    lat[static_cast<std::size_t>(k)].push_back(r.latency_us(trace[i]) / 1e3);
+    net_lat[trace[i].net].push_back(r.latency_us(trace[i]) / 1e3);
   }
   int checked = 0;
   for (std::size_t k = 0; k < tel.windows.size(); ++k) {
