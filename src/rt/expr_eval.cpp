@@ -53,17 +53,23 @@ int ExprEvaluator::emit(const ir::Expr& e, Code& out) {
 }
 
 const ExprEvaluator::Entry& ExprEvaluator::compile(const ir::Expr& e) {
+  Recent& recent = recent_[(reinterpret_cast<std::uintptr_t>(e.get()) >> 4) %
+                           recent_.size()];
+  if (recent.node == e.get()) return *recent.entry;
   auto it = cache_.find(e.get());
-  if (it != cache_.end()) return it->second;
-  Entry entry{e, {}};
-  const auto depth = static_cast<std::size_t>(emit(e, entry.code));
-  if (depth > stack_.size()) stack_.resize(depth);
-  return cache_.emplace(e.get(), std::move(entry)).first->second;
+  if (it == cache_.end()) {
+    Entry entry{e, {}};
+    const auto depth = static_cast<std::size_t>(emit(e, entry.code));
+    if (depth > stack_.size()) stack_.resize(depth);
+    it = cache_.emplace(e.get(), std::move(entry)).first;
+  }
+  recent = {e.get(), &it->second};
+  return it->second;
 }
 
-std::int64_t ExprEvaluator::eval(const ir::Expr& e) {
-  // Fast paths for the two most common shapes.
-  if (e->kind == ir::ExprKind::Const) return e->value;
+std::int64_t ExprEvaluator::eval_compiled(const ir::Expr& e) {
+  if (e->kind == ir::ExprKind::Var)
+    return values_[static_cast<std::size_t>(slot_of(e->var))];
   const Entry& entry = compile(e);
   // compile() keeps the stack as deep as the deepest code compiled so far,
   // so no push can run past its end.

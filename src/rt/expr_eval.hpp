@@ -9,6 +9,7 @@
 // vector.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -27,10 +28,15 @@ class ExprEvaluator {
     values_[static_cast<std::size_t>(slot)] = v;
   }
 
-  /// Evaluate an expression against the current bindings.
-  std::int64_t eval(const ir::Expr& e);
+  /// Evaluate an expression against the current bindings. Constants, the
+  /// most common operand, are answered inline.
+  std::int64_t eval(const ir::Expr& e) {
+    return e->kind == ir::ExprKind::Const ? e->value : eval_compiled(e);
+  }
 
  private:
+  std::int64_t eval_compiled(const ir::Expr& e);
+
   enum class Op : std::uint8_t {
     PushConst,
     PushVar,
@@ -64,6 +70,13 @@ class ExprEvaluator {
   const Entry& compile(const ir::Expr& e);
 
   std::unordered_map<const ir::ExprNode*, Entry> cache_;
+  /// A direct-mapped front to `cache_`, so most evaluations find their
+  /// code without hashing. Entries of `cache_` never move or go away.
+  struct Recent {
+    const ir::ExprNode* node = nullptr;
+    const Entry* entry = nullptr;
+  };
+  std::array<Recent, 256> recent_{};
   std::vector<std::int64_t> values_;
   std::vector<std::int64_t> stack_;  ///< evaluation stack for eval()
 };

@@ -30,9 +30,9 @@ Interpreter::Interpreter(sim::CoreGroup& cg, sim::ExecMode mode)
     : cg_(cg), mode_(mode), db_(isa::kernel_cost_db(cg.config())) {}
 
 std::int64_t Interpreter::spm_base(const std::string& buf) const {
-  auto it = spm_off_.find(buf);
-  SWATOP_CHECK(it != spm_off_.end()) << "unknown SPM buffer '" << buf << "'";
-  return it->second;
+  for (const auto& [name, off] : spm_off_)
+    if (name == buf) return off;
+  SWATOP_UNREACHABLE("unknown SPM buffer '" + buf + "'");
 }
 
 std::string Interpreter::loop_context() const {
@@ -53,7 +53,7 @@ void Interpreter::sanitizer_trip(std::int64_t obs::SanitizerCounters::*ctr,
 }
 
 void Interpreter::check_overlap(std::int64_t lo, std::int64_t hi, bool writes,
-                                const std::string& who) {
+                                const char* who, const std::string& buf) {
   if (!cg_.config().sanitize.overlap_on()) return;
   for (std::int64_t slot = 0; slot < ir::kMaxReplySlots; ++slot) {
     if (reply_done_[static_cast<std::size_t>(slot)] < 0.0) continue;
@@ -61,7 +61,8 @@ void Interpreter::check_overlap(std::int64_t lo, std::int64_t hi, bool writes,
     if (lo >= si.spm_hi || si.spm_lo >= hi) continue;
     if (!writes && !si.writes_spm) continue;  // two readers may share
     std::ostringstream os;
-    os << who << " touches SPM floats [" << lo << ", " << hi
+    os << who << " buffer '" << buf << "' touches SPM floats [" << lo
+       << ", " << hi
        << ") while a DMA " << (si.writes_spm ? "get into" : "put from")
        << " buffer '" << si.buf << "' (reply slot " << slot
        << ", SPM [" << si.spm_lo << ", " << si.spm_hi
@@ -206,7 +207,13 @@ void Interpreter::exec(const ir::StmtPtr& s) {
           << "SPM allocation '" << s->buf_name << "' at " << base
           << " breaks the 8-float alignment the double-buffer offsets "
              "assume";
-      spm_off_[s->buf_name] = base;
+      const auto named = std::find_if(
+          spm_off_.begin(), spm_off_.end(),
+          [&](const auto& e) { return e.first == s->buf_name; });
+      if (named != spm_off_.end())
+        named->second = base;
+      else
+        spm_off_.emplace_back(s->buf_name, base);
       if (cg_.config().sanitize.poison_on()) {
         const sim::SimConfig& cfg = cg_.config();
         for (int r = 0; r < cfg.mesh_rows; ++r)
@@ -223,7 +230,7 @@ void Interpreter::exec(const ir::StmtPtr& s) {
         ev.arg_name[0] = "floats";
         ev.arg[0] = total;
         ev.arg_name[1] = "offset";
-        ev.arg[1] = spm_off_[s->buf_name];
+        ev.arg[1] = base;
         obs_->trace_event(std::move(ev));
       }
       return;
@@ -283,8 +290,7 @@ void Interpreter::exec_zero(const ir::Stmt& s) {
   const std::int64_t off = spm_base(s.buf_name) + eval_.eval(s.zero_off);
   const std::int64_t n = eval_.eval(s.zero_floats);
   if (n <= 0) return;
-  check_overlap(off, off + n,
-                /*writes=*/true, "spm_zero of buffer '" + s.buf_name + "'");
+  check_overlap(off, off + n, /*writes=*/true, "spm_zero of", s.buf_name);
   const double zero_cycles =
       static_cast<double>(n) / cg_.config().vector_width;
   if (obs_ != nullptr && obs_->tracing()) {
@@ -335,8 +341,7 @@ void Interpreter::exec_dma(const ir::Stmt& s) {
   check_dma_bounds(s, geo);
   const std::int64_t spm_hi = spm_at + geo.tr * geo.tc;
   check_overlap(spm_at, spm_hi, is_get,
-                std::string("DMA ") + (is_get ? "get into" : "put from") +
-                    " buffer '" + d.spm_buf + "'");
+                is_get ? "DMA get into" : "DMA put from", d.spm_buf);
   if (!is_get && d.epi.any()) apply_epilogue(s, geo, spm_at);
   const sim::DmaCost& cost = dma_cost_cache_.get(d, geo, cg_.dma(), cfg);
   const bool resident =
@@ -558,11 +563,11 @@ void Interpreter::exec_gemm(const ir::Stmt& s) {
     const prim::SpmGemmFootprint fp =
         prim::spm_gemm_footprint(args.M, args.N, args.K, cg_.config());
     check_overlap(args.a_spm, args.a_spm + fp.a_floats, false,
-                  "gemm read of buffer '" + g.a_buf + "'");
+                  "gemm read of", g.a_buf);
     check_overlap(args.b_spm, args.b_spm + fp.b_floats, false,
-                  "gemm read of buffer '" + g.b_buf + "'");
+                  "gemm read of", g.b_buf);
     check_overlap(args.c_spm, args.c_spm + fp.c_floats, true,
-                  "gemm accumulation into buffer '" + g.c_buf + "'");
+                  "gemm accumulation into", g.c_buf);
     if (mode_ == sim::ExecMode::Functional &&
         cg_.config().sanitize.poison_on()) {
       // The GEMM reads its whole A/B tiles (broadcast across the mesh) and

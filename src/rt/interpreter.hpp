@@ -92,9 +92,10 @@ class Interpreter {
                                    const std::string& what);
 
   /// Overlap sanitizer: trap if [lo, hi) intersects an in-flight transfer's
-  /// SPM range and either side writes.
+  /// SPM range and either side writes. The access is named "<who> buffer
+  /// '<buf>'" in the message, formatted only when it trips.
   void check_overlap(std::int64_t lo, std::int64_t hi, bool writes,
-                     const std::string& who);
+                     const char* who, const std::string& buf);
 
   /// Bounds sanitizer: the DMA's memory footprint must stay inside the
   /// owning tensor's arena allocation.
@@ -113,7 +114,9 @@ class Interpreter {
   // Observability recorder of the core group, cached per run (nullptr when
   // observability is off -- every instrumentation site is one pointer test).
   obs::Recorder* obs_ = nullptr;
-  std::unordered_map<std::string, std::int64_t> spm_off_;
+  // SPM buffer bases by name. A program allocates a handful of buffers, so
+  // a linear scan is cheaper than hashing the name on every access.
+  std::vector<std::pair<std::string, std::int64_t>> spm_off_;
   // Reply slots are small integers; completion times indexed directly.
   // A negative entry means "empty".
   std::vector<double> reply_done_;
