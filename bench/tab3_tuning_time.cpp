@@ -35,8 +35,10 @@ int main() {
       // the simulator (that is Table 3's point); the quick sweep sticks to
       // the deeper layers.
       if (!bench::full_scale() && l.out_hw > 28) continue;
+      // The paper's implicit-CONV layer set excludes each network's first
+      // layer (Ni = 3 cannot fill K; its Fig. 5 footnote).
+      if (l.ni < 32) continue;
       const ops::ConvShape s = nets::to_shape(l, batch);
-      if (!ops::ImplicitConvOp::applicable(s)) continue;
       const ops::ImplicitConvOp op(s);
       const tune::BlackBoxTuner bb(cfg);
       const auto bb_res = bb.tune(op);

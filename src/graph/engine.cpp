@@ -58,7 +58,7 @@ ConvMethod resolve_method(ConvMethod req, const ops::ConvShape& s) {
   if (req == ConvMethod::Implicit) {
     SWATOP_CHECK(ops::ImplicitConvOp::applicable(s))
         << "implicit CONV forced but not applicable to " << s.to_string()
-        << " (needs ni >= 32)";
+        << " (needs stride 1 or ni >= 32)";
     return ConvMethod::Implicit;
   }
   if (req == ConvMethod::Explicit) return ConvMethod::Explicit;

@@ -91,8 +91,17 @@ void ConvOp::fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
 double ConvOp::check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                             const dsl::Strategy&) const {
   dsl::BoundTensors all = bt;
-  if (!all.count("out"))
-    all["out"] = cg.mem().alloc(shape_.out_floats(), "out");
+  if (!all.count("out")) {
+    // The core binds no canonical "out" (explicit GEMM, Winograd): the
+    // first check of a core group allocates it and later checks reuse it.
+    const auto& allocs = cg.mem().allocations();
+    const auto it = std::find_if(allocs.begin(), allocs.end(), [&](auto& a) {
+      return a.name == "out" && a.size == shape_.out_floats();
+    });
+    all["out"] = it != allocs.end()
+                     ? it->base
+                     : cg.mem().alloc(shape_.out_floats(), "out");
+  }
   post_pass(cg, all);
   const std::vector<float> ref = reference_output();
   auto got = cg.mem().view(all.at("out"), shape_.out_floats());

@@ -86,7 +86,9 @@ class ConvOp : public dsl::OperatorDef {
   /// tensors the core does not bind get scratch allocations.
   void fill_inputs(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                    const dsl::Strategy& s) const override;
-  /// post_pass, then max |out - reference_conv| on the seeded tensors.
+  /// post_pass, then max |out - reference_conv| on the seeded tensors. A
+  /// core that binds no canonical "out" gets one allocation per core group,
+  /// reused by every later check.
   double check_output(sim::CoreGroup& cg, const dsl::BoundTensors& bt,
                       const dsl::Strategy& s) const override;
 

@@ -31,8 +31,11 @@ dsl::ScheduleSpace ImplicitConvOp::space() const {
   dsl::ScheduleSpace sp;
   sp.add(dsl::FactorVar{
       "Tno", MatmulOp::tile_candidates(shape_.no, 32, {32, 64, 128, 256})});
+  // Fewer than 32 input channels: one K tile of all of them.
   sp.add(dsl::FactorVar{
-      "Tni", MatmulOp::tile_candidates(shape_.ni, 32, {32, 64, 128})});
+      "Tni", shape_.ni < 32
+                 ? std::vector<std::int64_t>{align_up(shape_.ni, 8)}
+                 : MatmulOp::tile_candidates(shape_.ni, 32, {32, 64, 128})});
   // Output-column fusion factor: the GEMM N dim is Tco * B; keep candidates
   // whose padded N satisfies the mesh constraint. A strided convolution
   // cannot fuse output columns (consecutive co values are `stride * B`

@@ -30,9 +30,16 @@ class ImplicitConvOp : public ConvOp {
   explicit ImplicitConvOp(const ConvShape& shape,
                           dsl::EpilogueSpec epi = {});
 
-  /// Implicit CONV needs enough input channels to feed the K dimension
-  /// (the paper excludes each network's first layer for this reason).
-  static bool applicable(const ConvShape& s) { return s.ni >= 32; }
+  /// The paper runs implicit CONV only where the input channels fill a
+  /// 32-deep K tile, and so excludes each network's first layer (Ni = 3,
+  /// Fig. 5). Here a layer with fewer channels takes one K tile of its
+  /// channel count rounded up to 8, the primitive's smallest K step, so
+  /// every stride-1 layer runs implicit and fuses its epilogue. A strided
+  /// layer cannot fuse output columns (Tco = 1), so with few channels its
+  /// GEMMs would be starved on both K and N: it stays explicit.
+  static bool applicable(const ConvShape& s) {
+    return s.stride == 1 || s.ni >= 32;
+  }
 
   std::string name() const override;
   dsl::ScheduleSpace space() const override;

@@ -73,7 +73,9 @@ class ScheduleCache {
   /// must never be replayed against fused operators. v3: DMA inference
   /// caches re-fetched operands, so a banked strategy lowers to another
   /// program and the pick (and its banked predicted cycles) may differ.
-  static constexpr int kVersion = 3;
+  /// v4: implicit convolutions with fewer than 32 input channels search a
+  /// K tile of their channel count rounded up to 8 instead of 32.
+  static constexpr int kVersion = 4;
 
   /// Loads `cfg.path` when set; a missing, unreadable or version-mismatched
   /// file yields an empty cache, never an error.

@@ -316,9 +316,13 @@ TEST(FuzzSpec, RoundTrips) {
   EXPECT_NE(check::make_op(*spec), nullptr);
   EXPECT_FALSE(check::OpSpec::parse("matmul").has_value());
   EXPECT_FALSE(check::OpSpec::parse("matmul:1,x").has_value());
-  // Applicability: implicit conv needs ni >= 32.
-  EXPECT_EQ(check::make_op(
+  // Applicability: implicit conv takes any stride-1 shape, and a strided
+  // one needs ni >= 32.
+  EXPECT_NE(check::make_op(
                 *check::OpSpec::parse("implicit_conv:1,8,32,6,6,3,3,1")),
+            nullptr);
+  EXPECT_EQ(check::make_op(
+                *check::OpSpec::parse("implicit_conv:1,8,32,7,7,3,3,2")),
             nullptr);
 }
 

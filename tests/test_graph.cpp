@@ -14,6 +14,7 @@
 #include "graph/graph.hpp"
 #include "graph/memory_plan.hpp"
 #include "graph/reference.hpp"
+#include "ops/explicit_conv.hpp"
 #include "ops/reference.hpp"
 
 namespace swatop::graph {
@@ -593,9 +594,13 @@ TEST(Engine, GroupsClampToBatch) {
 
 TEST(Engine, RepeatedShapesTuneOnce) {
   // Three convs, two distinct (method, shape, sub-batch) keys: the two
-  // identical 16->16 blocks share one tuned schedule.
+  // identical 16->16 blocks share one tuned schedule. Explicit GEMM fuses
+  // nothing, so their different epilogues (only the first absorbs a pad)
+  // do not split the key.
   GraphEngine engine(fast_cfg());
-  const NetRunResult r = engine.run(make_tiny(2), 1, NetOptions{});
+  NetOptions opts;
+  opts.method = ConvMethod::Explicit;
+  const NetRunResult r = engine.run(make_tiny(2), 1, opts);
   EXPECT_EQ(r.layers.size(), make_tiny(2).nodes().size());
   EXPECT_EQ(r.shapes_tuned, 2);
   EXPECT_LT(r.shapes_tuned, build_net("vgg16").conv_count());  // vgg dedups too
@@ -624,8 +629,8 @@ TEST(Engine, SecondRunHitsTheScheduleCache) {
   std::remove(path);
 }
 
-/// Every convolution design the tiny net admits: its convs have too few
-/// input channels for implicit GEMM, so Auto runs them as explicit GEMM.
+/// Every convolution design the tiny net admits: Auto runs its stride-1
+/// convs (8 and 16 input channels) as implicit GEMM.
 const ConvMethod kTinyMethods[] = {ConvMethod::Auto, ConvMethod::Explicit,
                                    ConvMethod::Winograd};
 
@@ -668,13 +673,49 @@ TEST(Engine, WinogradRunsFunctionally) {
     const NetRunResult r = engine.run(make_tiny(1), 1, opts);
     for (const LayerReport& l : r.layers) {
       if (!l.conv) continue;
-      EXPECT_EQ(l.kind, method == ConvMethod::Winograd ? "winograd"
-                                                        : "explicit")
+      EXPECT_EQ(l.kind, method == ConvMethod::Auto
+                            ? "implicit"
+                            : conv_method_name(method))
           << l.name;
     }
     EXPECT_TRUE(r.checked);
     EXPECT_LT(r.max_rel_err, 1e-4);
   }
+}
+
+TEST(Engine, AutoRunsTheFirstLayerAsFusedImplicitGemm) {
+  // VGG16's conv1_1 has 3 input channels. Auto runs it as implicit GEMM
+  // with its bias, relu and conv1_2's pad fused, and the memory plan holds
+  // no explicit-GEMM transients (`dcol`, `outmat`) for any layer. Forcing
+  // explicit GEMM still runs the explicit design with its transients.
+  const Graph g = build_net("vgg16");
+  auto first = [](const NetRunResult& r) {
+    for (const LayerReport& l : r.layers)
+      if (l.name == "conv1_1") return l;
+    ADD_FAILURE() << "no conv1_1 row";
+    return LayerReport{};
+  };
+  GraphEngine engine{SwatopConfig{}};
+  NetOptions opts;
+  opts.mode = sim::ExecMode::TimingOnly;
+  const NetRunResult a = engine.run(g, 1, opts);
+  EXPECT_EQ(first(a).kind, "implicit");
+  EXPECT_TRUE(first(a).fused);
+  // Every VGG16 conv is stride 1, so the engine fuses them all.
+  EXPECT_EQ(a.naive_floats, plan_memory(fuse_epilogues(g), 1).naive_floats);
+
+  opts.method = ConvMethod::Explicit;
+  const NetRunResult e = engine.run(g, 1, opts);
+  EXPECT_EQ(first(e).kind, "explicit");
+  EXPECT_FALSE(first(e).fused);
+  std::int64_t transients = 0;
+  for (const Node& n : g.nodes())
+    if (n.kind == NodeKind::Conv)
+      for (const dsl::TensorSpec& t :
+           ops::ExplicitConvOp(g.conv_shape(n, 1)).scratch())
+        transients += t.floats;
+  EXPECT_GT(transients, 0);
+  EXPECT_EQ(e.naive_floats, plan_memory(g, 1).naive_floats + transients);
 }
 
 TEST(Engine, RejectsBadOptions) {

@@ -41,10 +41,17 @@ TEST(Nets, DistinctDeduplicates) {
 }
 
 TEST(Nets, FirstLayersExcludedFromImplicit) {
-  // Each network's first layer has Ni = 3: implicit CONV cannot handle it
-  // (the paper's Fig. 5 footnote).
-  EXPECT_FALSE(ops::ImplicitConvOp::applicable(to_shape(vgg16()[0], 32)));
-  EXPECT_FALSE(ops::ImplicitConvOp::applicable(to_shape(yolo()[0], 32)));
+  // The paper's implicit-CONV results exclude each network's first layer
+  // (Ni = 3, its Fig. 5 footnote). The paper benches keep that set by
+  // skipping ni < 32, which in these tables is exactly the first layers.
+  for (const auto& layers : {vgg16(), resnet(), yolo()})
+    for (std::size_t i = 1; i < layers.size(); ++i)
+      EXPECT_GE(layers[i].ni, 32) << layers[i].name;
+  EXPECT_LT(vgg16()[0].ni, 32);
+  EXPECT_LT(yolo()[0].ni, 32);
+  // The library's rule admits them: they are stride 1.
+  EXPECT_TRUE(ops::ImplicitConvOp::applicable(to_shape(vgg16()[0], 32)));
+  EXPECT_TRUE(ops::ImplicitConvOp::applicable(to_shape(yolo()[0], 32)));
   EXPECT_TRUE(ops::ImplicitConvOp::applicable(to_shape(vgg16()[1], 32)));
 }
 

@@ -155,8 +155,32 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{3, 5, 8, 4, 3, 1, 1}));
 
 TEST(ImplicitConv, Applicability) {
+  // Every stride-1 layer, however few its input channels: the paper's
+  // Ni = 3 first layers take one zero-padded K tile.
   EXPECT_TRUE(ImplicitConvOp::applicable(small_shape(1, 32, 32, 8)));
-  EXPECT_FALSE(ImplicitConvOp::applicable(small_shape(1, 3, 64, 8)));
+  EXPECT_TRUE(ImplicitConvOp::applicable(small_shape(1, 3, 64, 8)));
+  // A strided layer (no output-column fusion) still needs ni >= 32.
+  ConvShape strided = small_shape(1, 3, 64, 8);
+  strided.stride = 2;
+  EXPECT_FALSE(ImplicitConvOp::applicable(strided));
+  strided.ni = 32;
+  EXPECT_TRUE(ImplicitConvOp::applicable(strided));
+}
+
+TEST(ImplicitConv, SmallNiSearchesOneKTileOfItsChannels) {
+  // Fewer than 32 input channels: one K tile, the channel count rounded up
+  // to 8. From 32 channels on, the menu is the 32-aligned one.
+  const std::pair<std::int64_t, std::vector<std::int64_t>> cases[] = {
+      {3, {8}}, {8, {8}}, {20, {24}}, {32, {32}}, {48, {32, 64}}};
+  for (const auto& [ni, menu] : cases) {
+    const dsl::ScheduleSpace space =
+        ImplicitConvOp(small_shape(1, ni, 32, 8)).space();
+    for (const dsl::FactorVar& f : space.factors()) {
+      if (f.name == "Tni") {
+        EXPECT_EQ(f.candidates, menu) << "ni " << ni;
+      }
+    }
+  }
 }
 
 class ImplicitConvOrders : public ::testing::TestWithParam<const char*> {};
@@ -351,6 +375,35 @@ TEST(CachedOperand, CachedBOperandMatchesReference) {
     EXPECT_FALSE(caches(op, s, "spm_A")) << variant;
     EXPECT_TRUE(caches(op, s, "spm_B")) << variant;
     EXPECT_LE(run_sanitized(op, s), 2e-3) << variant;
+  }
+}
+
+TEST(FusedImplicitConv, SmallNiBiasReluPadMatchesReference) {
+  // A first layer's fused epilogue (bias, relu, the next layer's pad) on
+  // first-layer channel counts: 3 channels zero-padded to an 8-deep K tile,
+  // and 8 that fill it. No = 96 in tiles of 64 leaves a 32-channel tail,
+  // which parameter switching runs on a vec-M kernel; a zero-padded K tile
+  // has no legal switch.
+  dsl::EpilogueSpec epi;
+  epi.bias = true;
+  epi.relu = true;
+  epi.out_pad = 1;
+  for (const std::int64_t ni : {3, 8}) {
+    for (const std::int64_t batch : {1, 2}) {
+      const ImplicitConvOp op(small_shape(batch, ni, 96, 8), epi);
+      for (const char* boundary : {"pad", "switch"}) {
+        SCOPED_TRACE("ni " + std::to_string(ni) + ", batch " +
+                     std::to_string(batch) + ", " + boundary);
+        dsl::Strategy s =
+            implicit_strategy(64, 8, 8 / batch, "no_major", "rcouvi", "0");
+        s.set_choice("boundary", boundary);
+        if (ni == 3 && std::string(boundary) == "switch") {
+          EXPECT_EQ(op.lower(s), nullptr);
+          continue;
+        }
+        EXPECT_LE(run_sanitized(op, s), 2e-3);
+      }
+    }
   }
 }
 
@@ -750,6 +803,35 @@ TEST(WinogradF4, TunedEndToEndMatchesReference) {
   st.set_choice("variant", "0");
   st.set_choice("boundary", "pad");
   EXPECT_LE(run_and_check(op, st), 1e-2);
+}
+
+TEST(ConvOp, RepeatedChecksReuseTheCanonicalOutput) {
+  // Explicit GEMM and Winograd bind no canonical "out": the first check of
+  // a core group allocates it, and a second check must not grow the arena.
+  const ConvShape s = small_shape(2, 16, 32, 8);
+  const ExplicitConvOp explicit_op(s);
+  const WinogradGemmOp winograd_op(s);
+  dsl::Strategy st;
+  st.set_factor("Tm", 32);
+  st.set_factor("Tn", 32);
+  st.set_factor("Tk", 16);
+  st.set_choice("order", "mnk");
+  st.set_choice("variant", "0");
+  st.set_choice("boundary", "pad");
+  for (const ConvOp* op : {static_cast<const ConvOp*>(&explicit_op),
+                           static_cast<const ConvOp*>(&winograd_op)}) {
+    SCOPED_TRACE(op->name());
+    const auto cand = tune::build_candidate(*op, st, cfg);
+    sim::CoreGroup cg(cfg);
+    const auto bt = rt::bind_tensors(cg, *op);
+    op->fill_inputs(cg, bt, st);
+    rt::Interpreter(cg, sim::ExecMode::Functional).run(cand.program, bt);
+    const double first = op->check_output(cg, bt, st);
+    const std::int64_t size = cg.mem().size();
+    EXPECT_EQ(op->check_output(cg, bt, st), first);
+    EXPECT_EQ(cg.mem().size(), size);
+    EXPECT_LE(first, 1e-2);
+  }
 }
 
 TEST(WinogradF4, FewerGemmCallsThanDirectWork) {
