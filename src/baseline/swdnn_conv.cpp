@@ -29,7 +29,6 @@ const dsl::Strategy& reference_training_strategy(const sim::SimConfig& cfg) {
 }  // namespace
 
 dsl::Strategy SwDnnConv::fixed_strategy(const ops::ImplicitConvOp& op) {
-  (void)op;
   const sim::SimConfig cfg;
   const dsl::Strategy& ref = reference_training_strategy(cfg);
   // The frozen blocking is applied *as is* -- a hand-optimized library does
@@ -44,6 +43,10 @@ dsl::Strategy SwDnnConv::fixed_strategy(const ops::ImplicitConvOp& op) {
   s.set_choice("order", ref.choice("order"));
   s.set_choice("variant", ref.choice("variant"));
   s.set_choice("boundary", "pad");
+  // On a layer with one input-channel tile (or a 1x1 kernel) a frozen
+  // rcoiuv is rcouvi's program, which the space builds under rcouvi only.
+  if (s.choice("order") == "rcoiuv" && op.lower(s) == nullptr)
+    s.set_choice("order", "rcouvi");
   return s;
 }
 

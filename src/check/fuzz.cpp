@@ -211,12 +211,16 @@ OpSpec draw_spec(std::mt19937_64& rng, const FuzzOptions& opts) {
   }
   // Convolution: modest spatial dims (the functional GEMM is simulated in
   // software), channel counts around the 32/64 sweet spots with ragged
-  // variants, occasional stride 2.
+  // variants, occasional stride 2, and now and then an output row of 17-40
+  // columns, whose whole-row implicit-GEMM tile is not a power of two.
   const std::int64_t k = pick(rng, {1, 3, 3, 5});
   const std::int64_t stride =
       k == 1 ? 1 : pick(rng, {1, 1, 1, 2});
   const std::int64_t ro = std::uniform_int_distribution<std::int64_t>(2, 8)(rng);
-  const std::int64_t co = std::uniform_int_distribution<std::int64_t>(2, 8)(rng);
+  const bool wide = std::uniform_int_distribution<int>(0, 3)(rng) == 0;
+  const std::int64_t co =
+      std::uniform_int_distribution<std::int64_t>(wide ? 17 : 2,
+                                                  wide ? 40 : 8)(rng);
   const std::int64_t b = std::uniform_int_distribution<std::int64_t>(1, 4)(rng);
   const std::int64_t ni = pick(rng, {8, 16, 32, 32, 33, 40, 64});
   const std::int64_t no = pick(rng, {32, 32, 33, 40, 48, 64});
@@ -393,9 +397,15 @@ FuzzReport fuzz_schedules(const FuzzOptions& opts) {
                               repro_line(spec, strategy)});
       if (opts.log) opts.log("FAIL [bound] " + rep.failures.back().repro);
     }
+    // Functional runs on a strided sample of at most an eighth of the
+    // budget, so that one large space cannot spend it all on one shape.
+    const std::size_t per_shape =
+        static_cast<std::size_t>(std::max<std::int64_t>(1, opts.cases / 8));
+    const std::size_t stride = (cands.size() + per_shape - 1) / per_shape;
     sim::CoreGroup cg(cfg);
     const dsl::BoundTensors bt = rt::bind_tensors(cg, *op);
-    for (const sched::Candidate& cand : cands) {
+    for (std::size_t i = 0; i < cands.size(); i += stride) {
+      const sched::Candidate& cand = cands[i];
       if (rep.cases_run >= opts.cases) break;
       ++rep.cases_run;
       if (has_cached_operand(cand.program)) ++rep.cached_cases;

@@ -1,10 +1,10 @@
 // Schedule fuzzer: draws seeded-random GEMM / convolution shapes,
 // enumerates every candidate strategy the scheduler produces, checks the
-// cost model's lower bound against each one's estimate, runs each one
-// functionally through the interpreter with the simulator sanitizers armed,
-// and diffs the output against the naive reference. Any mismatch is
-// minimized (dimensions shrunk while the same strategy keeps failing) and
-// reported with a repro one-liner for tools/fuzz_schedules.
+// cost model's lower bound against each one's estimate, runs a strided
+// sample of them functionally through the interpreter with the simulator
+// sanitizers armed, and diffs the output against the naive reference. Any
+// mismatch is minimized (dimensions shrunk while the same strategy keeps
+// failing) and reported with a repro one-liner for tools/fuzz_schedules.
 #pragma once
 
 #include <cstdint>
@@ -44,8 +44,9 @@ std::unique_ptr<dsl::OperatorDef> make_op(const OpSpec& spec);
 struct FuzzOptions {
   std::uint64_t seed = 1;
   /// Budget in *cases*: one case = one candidate executed functionally. The
-  /// fuzzer keeps drawing shapes (enumerating every candidate of each)
-  /// until the budget is spent.
+  /// fuzzer keeps drawing shapes until the budget is spent; it bound-checks
+  /// every candidate of a shape and runs a strided sample of at most
+  /// cases / 8 of them.
   std::int64_t cases = 200;
   std::int64_t max_dim = 96;  ///< cap on random matmul dimensions
   double tolerance = 2e-3;    ///< max |computed - reference| allowed

@@ -327,6 +327,9 @@ NetRunResult GraphEngine::run(const Graph& g, std::int64_t batch,
           lr.shape = op.shape();
           lr.predicted_cycles = tc.handle.predicted_cycles;
           lr.measured_cycles = tc.handle.measured_cycles;
+          dsl::Strategy pick = tc.handle.candidate.strategy;
+          pick.set_epilogue({});
+          lr.pick = pick.to_string();
         }
         step_flops += op.flops();
         // The layer tensors in the arena, the resident parameters and this

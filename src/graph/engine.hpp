@@ -93,6 +93,9 @@ struct LayerReport {
   /// design's priced passes or the NoC barrier that `cycles` holds.
   double predicted_cycles = 0.0;
   double measured_cycles = 0.0;
+  /// Conv only: group 0's tuned strategy (tiles, order, variant...), as
+  /// dsl::Strategy::to_string without the epilogue that `fused` marks.
+  std::string pick;
   std::int64_t flops = 0;   ///< whole-batch useful flops
   double gflops = 0.0;      ///< chip-level, for this step
 

@@ -107,9 +107,10 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
 
   if (o.layers) {
     std::snprintf(buf, sizeof buf,
-                  "\n  %-14s %-9s %12s %12s %12s %6s %7s %6s %6s %6s  %s\n",
+                  "\n  %-14s %-9s %12s %12s %12s %6s %7s %6s %6s %6s  %-20s "
+                  "%s\n",
                   "layer", "kind", "cycles", "predicted", "measured", "%net",
-                  "GFLOPS", "kern%", "dma%", "idle%", "bound by");
+                  "GFLOPS", "kern%", "dma%", "idle%", "bound by", "pick");
     os << buf;
     // A conv row's model estimate and top-k measurement of its program
     // (group 0's sub-batch), next to the simulated step; "-" when absent.
@@ -135,17 +136,19 @@ std::string net_report(const NetRunResult& r, const sim::SimConfig& machine,
       const char* bound = kern >= dma && kern >= idle ? "kernel"
                           : dma >= idle               ? "dma"
                                                       : "idle";
+      const std::string bound_by = std::string(bound) +
+                                   (lr.fused ? " (fused)" : "") +
+                                   (lr.from_cache ? " (cached)" : "");
       std::snprintf(buf, sizeof buf,
                     "  %-14s %-9s %12.0f %s %s %5.1f%% %7.1f %5.1f%% "
-                    "%5.1f%% %5.1f%%  %s%s%s\n",
+                    "%5.1f%% %5.1f%%  %-20s ",
                     lr.name.c_str(), lr.kind.c_str(), lr.cycles,
                     program_cycles(lr.predicted_cycles).c_str(),
                     program_cycles(lr.measured_cycles).c_str(),
                     r.cycles > 0.0 ? 100.0 * lr.cycles / r.cycles : 0.0,
                     lr.gflops, 100.0 * kern, 100.0 * dma, 100.0 * idle,
-                    bound, lr.fused ? " (fused)" : "",
-                    lr.from_cache ? " (cached)" : "");
-      os << buf;
+                    bound_by.c_str());
+      os << buf << (lr.conv ? lr.pick : "-") << '\n';
     }
   }
 
@@ -196,6 +199,7 @@ std::string net_report_json(const NetRunResult& r,
          << ", \"cycles\": " << lr.cycles
          << ", \"predicted_cycles\": " << lr.predicted_cycles
          << ", \"measured_cycles\": " << lr.measured_cycles
+         << ", \"pick\": \"" << lr.pick << "\""
          << ", \"flops\": " << lr.flops
          << ", \"gflops\": " << lr.gflops << ", \"attribution\": "
          << obs::attribution_json(layer_attribution(lr)) << "}";

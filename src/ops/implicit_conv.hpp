@@ -13,7 +13,25 @@
 //   w   [kr][kc][ni][no]  ("no_major") or [kr][kc][no][ni] ("ni_major"),
 //                                       a layout-transformation choice
 //   out [ro][no][co][b]
+//
+// The space sizes its tiles to the layer: Tno runs over the powers of two
+// from 32 to No (rounded up to 32, at most 2048), and at stride 1 Tco
+// offers the whole output row next to its power-of-two menu. The loop
+// orders keep the output row outermost, except that a 1x1 kernel -- whose
+// u and v loops have one trip, so that rcoiuv is rcouvi -- offers orcuvi,
+// the output-channel tile outermost, in that slot: operand caching then
+// holds one output-channel tile's weights across every row.
+//
+// Two orders whose nests differ only in where their one-trip loops sit
+// lower to one program (a loop-order twin); lower() gives the later order
+// of the space no program, as it gives a switch boundary none on a tile
+// that is not ragged.
 #pragma once
+
+#include <array>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "ops/conv_op.hpp"
 
@@ -65,7 +83,24 @@ class ImplicitConvOp : public ConvOp {
 
   const dsl::EpilogueSpec& epilogue() const { return epi_; }
 
+ protected:
+  /// lower() without the twin check: the program of any order, including
+  /// one that lower() refuses as the twin of an earlier one.
+  ir::StmtPtr lower_any_order(const dsl::Strategy& s) const;
+
  private:
+  /// The loop orders space() offers, in space order.
+  const std::vector<std::string>& orders() const;
+  /// Per loop of "rcouvi": more than one trip, with these tile counts.
+  std::array<bool, 6> multi_trip(std::int64_t co_tiles,
+                                 std::int64_t no_tiles,
+                                 std::int64_t ni_tiles) const;
+  /// True when `order`, with these tile counts, lowers to the program of
+  /// an order listed before it in orders() (see the file comment).
+  bool is_twin(const std::string& order, std::int64_t co_tiles,
+               std::int64_t no_tiles, std::int64_t ni_tiles) const;
+  ir::StmtPtr build(const dsl::Strategy& s, bool refuse_twins) const;
+
   /// Padded output spatial dims (identical to the raw dims without pad).
   std::int64_t ro_p() const { return shape_.ro() + 2 * epi_.out_pad; }
   std::int64_t co_p() const { return shape_.co() + 2 * epi_.out_pad; }
@@ -74,6 +109,9 @@ class ImplicitConvOp : public ConvOp {
   }
 
   dsl::EpilogueSpec epi_;
+  /// Bit m of twins_[k]: orders()[k] is a twin when the c, o and i loops
+  /// have more than one trip as bits 0, 1 and 2 of m say.
+  std::array<std::uint8_t, 4> twins_{};
 };
 
 }  // namespace swatop::ops

@@ -12,10 +12,11 @@
 //
 // Why the structural key rather than the schedule cache's cheaper
 // (operator, Strategy::serialize, machine) fingerprint: distinct
-// strategies can lower to the same program. On ResNet's top-32 shortlists
-// 270 of 640 measurements are loop-order twins -- the order=rcouvi and
-// order=rcoiuv builds of one fused 1x1 conv strategy -- and only a key over
-// the program itself sees that they are the same measurement.
+// strategies can lower to the same program -- the order=mnk and order=nmk
+// builds of a matmul whose m tile covers M, say -- and only a key over the
+// program itself sees that they are the same measurement. (An implicit
+// convolution's space refuses such loop-order twins, so its shortlists
+// hold distinct programs: ResNet's top-32 shortlists measure 640 of them.)
 #pragma once
 
 #include <cstdint>

@@ -74,8 +74,11 @@ class ScheduleCache {
   /// caches re-fetched operands, so a banked strategy lowers to another
   /// program and the pick (and its banked predicted cycles) may differ.
   /// v4: implicit convolutions with fewer than 32 input channels search a
-  /// K tile of their channel count rounded up to 8 instead of 32.
-  static constexpr int kVersion = 4;
+  /// K tile of their channel count rounded up to 8 instead of 32. v5:
+  /// implicit convolutions size Tco and Tno to the layer, offer orcuvi for
+  /// 1x1 kernels and refuse loop-order twins, so a banked order may have
+  /// no program and a banked pick may no longer be the best.
+  static constexpr int kVersion = 5;
 
   /// Loads `cfg.path` when set; a missing, unreadable or version-mismatched
   /// file yields an empty cache, never an error.

@@ -118,6 +118,19 @@ TEST(SwDnn, FixedScheduleRunsAndCosts) {
   EXPECT_THROW(conv.cycles(shape(1, 64, 64, 14)), CheckError);
 }
 
+TEST(SwDnn, FrozenOrderAlwaysHasAProgram) {
+  // The frozen schedule runs on layers where its loop order is a twin of
+  // an earlier one (one input-channel tile, a 1x1 kernel); it then runs
+  // as the order the space keeps, the same program.
+  for (const ops::ConvShape& s :
+       {shape(32, 64, 64, 14), shape(32, 64, 64, 14, 1),
+        shape(32, 512, 256, 7, 1)}) {
+    const ops::ImplicitConvOp op(s);
+    EXPECT_NE(op.lower(SwDnnConv::fixed_strategy(op)), nullptr)
+        << s.to_string();
+  }
+}
+
 TEST(SwDnn, CostGrowsWithWork) {
   SwDnnConv conv(cfg);
   EXPECT_GT(conv.cycles(shape(32, 128, 128, 14)),

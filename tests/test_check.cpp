@@ -4,9 +4,11 @@
 // fixed-seed fuzz smoke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "check/fuzz.hpp"
 #include "check/validate_ir.hpp"
@@ -375,6 +377,25 @@ TEST(FuzzSmoke, FixedSeedHasNoFailures) {
   check::FuzzReport rep = check::fuzz_schedules(opts);
   EXPECT_GE(rep.cases_run, 30);
   EXPECT_GT(rep.cached_cases, 0);
+  for (const auto& f : rep.failures)
+    ADD_FAILURE() << "[" << f.kind << "] " << f.detail << "\n  " << f.repro;
+}
+
+TEST(FuzzSmoke, ConvOnlySeedReachesAnImplicitConv) {
+  // CI's conv-only seed: each shape runs at most an eighth of the budget,
+  // so 200 cases spread over several operators instead of one big space.
+  check::FuzzOptions opts;
+  opts.seed = 2;
+  opts.cases = 200;
+  opts.matmul = false;
+  std::vector<std::string> shapes;
+  opts.log = [&](const std::string& line) { shapes.push_back(line); };
+  const check::FuzzReport rep = check::fuzz_schedules(opts);
+  EXPECT_GE(rep.shapes, 8);
+  EXPECT_TRUE(std::any_of(shapes.begin(), shapes.end(),
+                          [](const std::string& l) {
+                            return l.rfind("implicit_conv", 0) == 0;
+                          }));
   for (const auto& f : rep.failures)
     ADD_FAILURE() << "[" << f.kind << "] " << f.detail << "\n  " << f.repro;
 }

@@ -828,8 +828,21 @@ TEST(NetAttribution, Vgg16PerLayerAttributionsSumToNetBasis) {
   const std::string text = graph::net_report(r, cfg.machine);
   EXPECT_NE(text.find("attribution"), std::string::npos);
   EXPECT_NE(text.find("roofline"), std::string::npos);
-  JsonValidator v(graph::net_report_json(r, cfg.machine));
+  const std::string json = graph::net_report_json(r, cfg.machine);
+  JsonValidator v(json);
   EXPECT_TRUE(v.valid());
+
+  // Every conv row names its pick -- tiles, loop order and kernel variant
+  // -- in both forms, without the epilogue the row already marks.
+  for (const graph::LayerReport& lr : r.layers) {
+    if (!lr.conv) continue;
+    EXPECT_NE(lr.pick.find("order="), std::string::npos) << lr.name;
+    EXPECT_NE(lr.pick.find("variant="), std::string::npos) << lr.name;
+    EXPECT_EQ(lr.pick.find("epi="), std::string::npos) << lr.name;
+    EXPECT_NE(text.find(lr.pick), std::string::npos) << lr.name;
+    EXPECT_NE(json.find("\"pick\": \"" + lr.pick + "\""), std::string::npos)
+        << lr.name;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <cstring>
 #include <limits>
+#include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,8 @@
 #include "ops/winograd.hpp"
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
+#include "sched/scheduler.hpp"
+#include "tune/replay.hpp"
 #include "tune/tuner.hpp"
 
 namespace swatop::ops {
@@ -186,7 +190,9 @@ TEST(ImplicitConv, SmallNiSearchesOneKTileOfItsChannels) {
 class ImplicitConvOrders : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(ImplicitConvOrders, AllOrdersCorrect) {
-  ImplicitConvOp op(small_shape());
+  // Two input- and two output-channel tiles, so that no order is
+  // another's twin.
+  ImplicitConvOp op(small_shape(4, 64, 64));
   EXPECT_LE(run_and_check(op, implicit_strategy(32, 32, 8, "no_major",
                                                 GetParam(), "6")),
             2e-3);
@@ -194,7 +200,7 @@ TEST_P(ImplicitConvOrders, AllOrdersCorrect) {
 
 INSTANTIATE_TEST_SUITE_P(Orders, ImplicitConvOrders,
                          ::testing::Values("rcouvi", "rcoiuv", "rcuvio",
-                                           "rouvci"));
+                                           "rouvci", "orcuvi"));
 
 TEST(ImplicitConv, BothWeightLayoutsCorrect) {
   ImplicitConvOp op(small_shape());
@@ -461,6 +467,225 @@ TEST(FusedImplicitConv, ComputeEpilogueSpaceOffersOnlyInnerReductionOrders) {
           op, implicit_strategy(32, 32, 8, "no_major", order, "6"), cfg))
           << order << " with epilogue '" << epi.tag() << "'";
   }
+}
+
+/// The candidates of factor `name` in `op`'s space.
+std::vector<std::int64_t> factor_menu(const ImplicitConvOp& op,
+                                      const std::string& name) {
+  const dsl::ScheduleSpace space = op.space();
+  for (const dsl::FactorVar& f : space.factors())
+    if (f.name == name) return f.candidates;
+  return {};
+}
+
+TEST(ImplicitConv, TcoMenuEndsWithTheWholeOutputRow) {
+  // The power-of-two menu below the row (Tco * B a multiple of 8), then
+  // the row itself rounded up to 8.
+  struct Case {
+    std::int64_t batch, co;
+    std::vector<std::int64_t> menu;
+  };
+  const Case cases[] = {{8, 56, {1, 2, 4, 8, 16, 32, 56}},
+                        {8, 224, {1, 2, 4, 8, 16, 32, 64, 224}},
+                        {2, 20, {4, 8, 16, 24}}};
+  for (const Case& c : cases)
+    EXPECT_EQ(factor_menu(ImplicitConvOp(small_shape(c.batch, 32, 32, c.co)),
+                          "Tco"),
+              c.menu)
+        << "co " << c.co;
+  // A strided conv cannot fuse output columns.
+  ConvShape strided = small_shape(8, 32, 32, 56);
+  strided.stride = 2;
+  EXPECT_EQ(factor_menu(ImplicitConvOp(strided), "Tco"),
+            (std::vector<std::int64_t>{1}));
+}
+
+TEST(ImplicitConv, TnoMenuRunsToTheOutputChannels) {
+  EXPECT_EQ(factor_menu(ImplicitConvOp(small_shape(1, 32, 2048, 4)), "Tno"),
+            (std::vector<std::int64_t>{32, 64, 128, 256, 512, 1024, 2048}));
+  EXPECT_EQ(factor_menu(ImplicitConvOp(small_shape(1, 32, 4096, 4)), "Tno"),
+            (std::vector<std::int64_t>{32, 64, 128, 256, 512, 1024, 2048}));
+  EXPECT_EQ(factor_menu(ImplicitConvOp(small_shape(1, 32, 48, 4)), "Tno"),
+            (std::vector<std::int64_t>{32, 64}));
+  EXPECT_EQ(factor_menu(ImplicitConvOp(small_shape(1, 32, 20, 4)), "Tno"),
+            (std::vector<std::int64_t>{32}));
+}
+
+TEST(ImplicitConv, PointwiseOrderSlotOffersOutputChannelsOutermost) {
+  // A 1x1 kernel's u and v loops have one trip each, so rcoiuv would be
+  // rcouvi; the slot offers orcuvi instead. k x k kernels keep rcoiuv.
+  dsl::EpilogueSpec bias;
+  bias.bias = true;
+  const ImplicitConvOp fused(small_shape(8, 64, 64, 8, 1), bias);
+  const ImplicitConvOp plain(small_shape(8, 64, 64, 8, 1));
+  EXPECT_EQ(offered_orders(fused),
+            (std::vector<std::string>{"rcouvi", "orcuvi"}));
+  EXPECT_EQ(offered_orders(plain),
+            (std::vector<std::string>{"rcouvi", "orcuvi", "rcuvio", "rouvci"}));
+  EXPECT_EQ(offered_orders(ImplicitConvOp(small_shape(8, 64, 64, 8), bias)),
+            (std::vector<std::string>{"rcouvi", "rcoiuv"}));
+}
+
+TEST(ImplicitConv, LoopOrderTwinsGetNoProgram) {
+  // One input-channel tile: rcoiuv is rcouvi, and the later order of the
+  // space gets no program; with two tiles the orders differ.
+  const ImplicitConvOp one_ni_tile(small_shape(8, 32, 64, 8));
+  EXPECT_EQ(one_ni_tile.lower(
+                implicit_strategy(32, 32, 8, "no_major", "rcoiuv", "6")),
+            nullptr);
+  EXPECT_NE(one_ni_tile.lower(
+                implicit_strategy(32, 32, 8, "no_major", "rcouvi", "6")),
+            nullptr);
+  const ImplicitConvOp two_ni_tiles(small_shape(8, 64, 64, 8));
+  EXPECT_NE(two_ni_tiles.lower(
+                implicit_strategy(32, 32, 8, "no_major", "rcoiuv", "6")),
+            nullptr);
+  // 1x1 kernel: orcuvi with one output-channel tile is rcouvi, and rcoiuv
+  // (not offered) is rcouvi whatever its tiles.
+  const ImplicitConvOp pointwise(small_shape(8, 64, 64, 8, 1));
+  EXPECT_EQ(pointwise.lower(
+                implicit_strategy(64, 32, 8, "no_major", "orcuvi", "6")),
+            nullptr);
+  EXPECT_NE(pointwise.lower(
+                implicit_strategy(32, 32, 8, "no_major", "orcuvi", "6")),
+            nullptr);
+  EXPECT_EQ(pointwise.lower(
+                implicit_strategy(32, 32, 8, "no_major", "rcoiuv", "6")),
+            nullptr);
+  // A one-trip loop still places a transfer: with one output-channel tile
+  // rcuvio puts the C tile inside u and v (re-fetched), rcouvi outside
+  // them, so rcuvio keeps its program.
+  EXPECT_NE(one_ni_tile.lower(
+                implicit_strategy(64, 32, 8, "no_major", "rcuvio", "6")),
+            nullptr);
+}
+
+/// lower() without the twin check: builds the programs lower() refuses.
+class AnyOrderImplicitConv : public ImplicitConvOp {
+ public:
+  using ImplicitConvOp::ImplicitConvOp;
+  ir::StmtPtr lower(const dsl::Strategy& s) const override {
+    return lower_any_order(s);
+  }
+};
+
+/// The replay key of `s`'s optimized program ("" when it is pruned).
+std::string program_key(const dsl::OperatorDef& op, const dsl::Strategy& s) {
+  const std::optional<sched::Candidate> c =
+      sched::try_build_candidate(op, s, cfg, {});
+  if (!c) return "";
+  sim::MainMemory mem;
+  mem.set_materialize(false);
+  return tune::replay_key(c->program, rt::bind_tensors(mem, op), cfg);
+}
+
+/// Small spaces whose loops take one trip in the combinations the nets
+/// meet: one input- or output-channel tile, a 1x1 or 1x3 kernel, a whole
+/// output row, one output row, a stride; fused, pad-only and plain.
+std::vector<ImplicitConvOp> twin_prone_convs() {
+  dsl::EpilogueSpec bias_relu;
+  bias_relu.bias = true;
+  bias_relu.relu = true;
+  dsl::EpilogueSpec bar_p1 = full_epilogue();
+  bar_p1.out_pad = 1;
+  dsl::EpilogueSpec pad;
+  pad.out_pad = 1;
+  ConvShape one_row = small_shape(2, 64, 32, 1, 1);
+  one_row.ci = 8;
+  ConvShape one_by_three = small_shape(2, 32, 32, 4);
+  one_by_three.kr = 1;
+  one_by_three.ri = 4;
+  ConvShape strided = small_shape(8, 32, 32, 4);
+  strided.stride = 2;
+  strided.ri = strided.ci = 9;
+  return {ImplicitConvOp(small_shape(2, 64, 64, 6, 1), bias_relu),
+          ImplicitConvOp(small_shape(2, 32, 64, 6, 1), bar_p1),
+          ImplicitConvOp(small_shape(2, 32, 32, 6), bias_relu),
+          ImplicitConvOp(small_shape(2, 32, 64, 4, 1), pad),
+          ImplicitConvOp(one_row),
+          ImplicitConvOp(one_by_three),
+          ImplicitConvOp(strided)};
+}
+
+TEST(ImplicitConv, RefusedTwinsLowerToAnEarlierOrdersProgram) {
+  for (const ImplicitConvOp& op : twin_prone_convs()) {
+    SCOPED_TRACE(op.name());
+    const AnyOrderImplicitConv any(op.shape(), op.epilogue());
+    const dsl::ScheduleSpace space = op.space();
+    const std::vector<std::string> orders = offered_orders(op);
+    std::int64_t refused = 0;
+    for (std::int64_t i = 0; i < space.size(); ++i) {
+      const dsl::Strategy s = space.at(i);
+      if (op.lower(s) != nullptr || any.lower(s) == nullptr) continue;
+      ++refused;
+      const std::string key = program_key(any, s);
+      bool matched = false;
+      for (const std::string& earlier : orders) {
+        if (earlier == s.choice("order")) break;
+        dsl::Strategy t = s;
+        t.set_choice("order", earlier);
+        matched = matched || program_key(any, t) == key;
+      }
+      EXPECT_TRUE(matched) << s.to_string();
+    }
+    EXPECT_GT(refused, 0);
+  }
+}
+
+TEST(ImplicitConv, NoTwoCandidatesOfAFusedSpaceShareAProgram) {
+  // The fused spaces are the ones the nets tune. (An unfused space can
+  // keep a pair: with all loops but one at one trip, rcuvio and rouvci
+  // differ only in the order of two transfers at one point, which the
+  // optimizer may still turn into one program.)
+  std::int64_t spaces = 0;
+  for (const ImplicitConvOp& op : twin_prone_convs()) {
+    if (!op.epilogue().compute()) continue;
+    ++spaces;
+    SCOPED_TRACE(op.name());
+    sim::MainMemory mem;
+    mem.set_materialize(false);
+    const dsl::BoundTensors bt = rt::bind_tensors(mem, op);
+    std::set<std::string> keys;
+    const std::vector<sched::Candidate> cands =
+        sched::Scheduler(cfg).candidates(op);
+    ASSERT_FALSE(cands.empty());
+    for (const sched::Candidate& c : cands)
+      EXPECT_TRUE(keys.insert(tune::replay_key(c.program, bt, cfg)).second)
+          << c.strategy.to_string();
+  }
+  EXPECT_EQ(spaces, 3);
+}
+
+TEST(ImplicitConv, WholeRowTcoThatIsNotAPowerOfTwoMatchesReference) {
+  // Co 20 at batch 2: the row tile is 24 columns (N = 48), four of them
+  // padding; switching shrinks the last (only) tile to the 20 real ones.
+  const ImplicitConvOp op(small_shape(2, 32, 32, 20));
+  for (const char* boundary : {"pad", "switch"}) {
+    SCOPED_TRACE(boundary);
+    dsl::Strategy s = implicit_strategy(32, 32, 24, "no_major", "rcouvi", "0");
+    s.set_choice("boundary", boundary);
+    EXPECT_LE(run_sanitized(op, s), 2e-3);
+  }
+}
+
+TEST(ImplicitConv, TnoOfAllOutputChannelsMatchesReference) {
+  const ImplicitConvOp op(small_shape(2, 64, 512, 4));
+  EXPECT_LE(run_sanitized(
+                op, implicit_strategy(512, 32, 8, "no_major", "rcouvi", "0")),
+            2e-3);
+}
+
+TEST(CachedOperand, OutputChannelsOutermostBarP1MatchesReference) {
+  // orcuvi on a 1x1 kernel: the weights of one output-channel tile are
+  // fetched once and serve every row; bias, residual, relu and the next
+  // layer's pad are applied on the store.
+  dsl::EpilogueSpec epi = full_epilogue();
+  epi.out_pad = 1;
+  const ImplicitConvOp op(small_shape(8, 64, 64, 8, 1), epi);
+  const dsl::Strategy s =
+      implicit_strategy(32, 32, 4, "no_major", "orcuvi", "6");
+  EXPECT_TRUE(caches(op, s, "spm_A"));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
 }
 
 TEST(FusedImplicitConv, SpaceCarriesEpilogue) {

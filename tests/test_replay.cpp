@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
 #include "sched/scheduler.hpp"
@@ -44,22 +43,9 @@ ReplayExecutor enabled_memo() {
   return ReplayExecutor(ro);
 }
 
-/// A fused 1x1 implicit conv: its space offers only the two
-/// inner-reduction loop orders, which lower to the same program.
-ops::ImplicitConvOp fused_pointwise_conv() {
-  ops::ConvShape s;
-  s.batch = 2;
-  s.ni = 64;
-  s.no = 64;
-  s.ri = 8;
-  s.ci = 8;
-  s.kr = 1;
-  s.kc = 1;
-  dsl::EpilogueSpec epi;
-  epi.bias = true;
-  epi.relu = true;
-  return ops::ImplicitConvOp(s, epi);
-}
+/// A matmul whose m tile covers M: its m loop has one trip, so the loop
+/// orders mnk and nmk (and mkn and kmn) lower to one program.
+ops::MatmulOp one_m_tile_matmul() { return ops::MatmulOp(32, 256, 128); }
 
 TEST(ReplayKey, SensitiveToProgramBindingAndMachine) {
   ops::MatmulOp op(96, 72, 40);
@@ -85,20 +71,17 @@ TEST(ReplayKey, SensitiveToProgramBindingAndMachine) {
 }
 
 TEST(ReplayKey, LoopOrderTwinsShareAKeyAndCycles) {
-  const ops::ImplicitConvOp op = fused_pointwise_conv();
-  const std::vector<sched::Candidate> cands =
-      sched::Scheduler(cfg).candidates(op);
-  const sched::Candidate* first = nullptr;
-  for (const sched::Candidate& c : cands) {
-    if (c.strategy.choice("order") == "rcouvi") {
-      first = &c;
-      break;
-    }
-  }
-  ASSERT_NE(first, nullptr);
-  dsl::Strategy twin_strategy = first->strategy;
-  twin_strategy.set_choice("order", "rcoiuv");
-  const sched::Candidate a = build_candidate(op, first->strategy, cfg);
+  const ops::MatmulOp op = one_m_tile_matmul();
+  dsl::Strategy first;
+  first.set_factor("Tm", 32);
+  first.set_factor("Tn", 64);
+  first.set_factor("Tk", 32);
+  first.set_choice("order", "mnk");
+  first.set_choice("variant", "0");
+  first.set_choice("boundary", "pad");
+  dsl::Strategy twin_strategy = first;
+  twin_strategy.set_choice("order", "nmk");
+  const sched::Candidate a = build_candidate(op, first, cfg);
   const sched::Candidate b = build_candidate(op, twin_strategy, cfg);
   ASSERT_FALSE(a.strategy == b.strategy);
   const dsl::BoundTensors bt = binding(op);
@@ -159,7 +142,7 @@ TEST(BlackBoxTuner, ReplayPreservesArgminBitExactly) {
 }
 
 TEST(ModelTuner, TopKWithMemoMatchesInterpreterAndHitsEachTwin) {
-  const ops::ImplicitConvOp op = fused_pointwise_conv();
+  const ops::MatmulOp op = one_m_tile_matmul();
   constexpr int kTopK = 16;
   Journal plain_journal, memo_journal;
   const Tuned plain =
