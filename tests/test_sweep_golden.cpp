@@ -3,11 +3,13 @@
 // For each operator below, every kept candidate's structural key
 // (tune::replay_key: the whole lowered and optimized IR, the bound tensor
 // addresses and the machine) is hashed in candidate-index order, and so,
-// separately, is the bit pattern of its cost-model estimate. A change to
-// lowering, to an optimizer pass or to expression folding that alters a
-// single program changes the program hash; a change to the cost model
-// that alters a single estimate changes the estimate hash; a change that
-// only makes building or pricing them cheaper changes neither. (Both were
+// separately, are the bit pattern of its cost-model estimate and the C
+// source codegen::emit_c writes for it. A change to lowering, to an
+// optimizer pass or to expression folding that alters a single program
+// changes the program hash (and usually the C hash); a change to the cost
+// model that alters a single estimate changes the estimate hash; a change
+// to the emitter alone changes only the C hash; a change that only makes
+// building or pricing them cheaper changes none. (The first two were
 // re-taken when DMA inference began caching re-fetched operands: the
 // programs, and so their estimates, changed; the candidate counts did not.
 // The two implicit-conv pins below with one-trip loops were last re-taken
@@ -23,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "codegen/c_emitter.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
@@ -42,6 +45,7 @@ struct SweepDigest {
   std::size_t switched = 0;  ///< candidates with a parameter-switch boundary
   std::uint64_t program_hash = 0;   ///< over every replay key
   std::uint64_t estimate_hash = 0;  ///< over every estimate's bits
+  std::uint64_t c_hash = 0;         ///< over every emitted C source
 };
 
 /// FNV-1a, one running hash per pinned quantity.
@@ -60,7 +64,7 @@ class Fnv1a {
   std::uint64_t h_ = 1469598103934665603ull;
 };
 
-/// Every kept candidate's replay key and estimate, hashed apart.
+/// Every kept candidate's replay key, estimate and C source, hashed apart.
 SweepDigest digest(const dsl::OperatorDef& op) {
   sched::SchedulerOptions opts;
   opts.num_threads = 1;
@@ -70,7 +74,7 @@ SweepDigest digest(const dsl::OperatorDef& op) {
   layout.set_materialize(false);
   const dsl::BoundTensors bt = rt::bind_tensors(layout, op);
   const tune::CostModel model(cfg, tune::gemm_cost_model(cfg));
-  Fnv1a programs, estimates;
+  Fnv1a programs, estimates, sources;
   SweepDigest d;
   d.candidates = cands.size();
   for (const sched::Candidate& c : cands) {
@@ -81,9 +85,12 @@ SweepDigest digest(const dsl::OperatorDef& op) {
     const auto bits =
         std::bit_cast<std::uint64_t>(model.estimate(c.program).total());
     estimates.mix(&bits, sizeof bits);
+    const std::string c_src = codegen::emit_c(c.program);
+    sources.mix(c_src.data(), c_src.size());
   }
   d.program_hash = programs.value();
   d.estimate_hash = estimates.value();
+  d.c_hash = sources.value();
   return d;
 }
 
@@ -112,6 +119,7 @@ TEST(SweepGolden, FusedPointwiseConvWithOutputPad) {
   EXPECT_EQ(d.candidates, 288u);
   EXPECT_EQ(d.program_hash, 9956653901536862219ull);
   EXPECT_EQ(d.estimate_hash, 3009481327408909897ull);
+  EXPECT_EQ(d.c_hash, 489692575771089167ull);
 }
 
 TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
@@ -123,6 +131,7 @@ TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
   EXPECT_GT(d.switched, 0u);
   EXPECT_EQ(d.program_hash, 3473341932184726691ull);
   EXPECT_EQ(d.estimate_hash, 4418188504351690943ull);
+  EXPECT_EQ(d.c_hash, 5185921951603780107ull);
 }
 
 TEST(SweepGolden, StrideTwoConv) {
@@ -131,6 +140,7 @@ TEST(SweepGolden, StrideTwoConv) {
   EXPECT_EQ(d.candidates, 24u);
   EXPECT_EQ(d.program_hash, 809414313711492011ull);
   EXPECT_EQ(d.estimate_hash, 14464033641947360617ull);
+  EXPECT_EQ(d.c_hash, 2574111293286110087ull);
 }
 
 TEST(SweepGolden, RaggedMatmul) {
@@ -138,6 +148,7 @@ TEST(SweepGolden, RaggedMatmul) {
   EXPECT_EQ(d.candidates, 384u);
   EXPECT_EQ(d.program_hash, 14636792009861132907ull);
   EXPECT_EQ(d.estimate_hash, 12557827256414464197ull);
+  EXPECT_EQ(d.c_hash, 17244435904466397807ull);
 }
 
 TEST(SweepGolden, ExplicitConv) {
@@ -146,6 +157,7 @@ TEST(SweepGolden, ExplicitConv) {
   EXPECT_EQ(d.candidates, 720u);
   EXPECT_EQ(d.program_hash, 9002208137486987595ull);
   EXPECT_EQ(d.estimate_hash, 13789732220125987047ull);
+  EXPECT_EQ(d.c_hash, 6210966492558329499ull);
 }
 
 }  // namespace
