@@ -25,7 +25,8 @@
 // Two orders whose nests differ only in where their one-trip loops sit
 // lower to one program (a loop-order twin); lower() gives the later order
 // of the space no program, as it gives a switch boundary none on a tile
-// that is not ragged.
+// that is not ragged, nor on a whole-row Tco that switches down to a row
+// of Co columns when the menu offers Tco = Co itself.
 #pragma once
 
 #include <array>
