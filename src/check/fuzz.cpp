@@ -112,8 +112,8 @@ Outcome check_bound(const dsl::OperatorDef& op, const sched::Candidate& cand,
 
 /// True when DMA inference cached one of the program's input operands.
 bool has_cached_operand(const ir::StmtPtr& prog) {
-  for (const ir::Stmt* d : ir::find_dmas(prog))
-    if (d->dma.cache_fill) return true;
+  for (const ir::Dma* d : ir::find_dmas(prog))
+    if (d->attrs.cache_fill) return true;
   return false;
 }
 

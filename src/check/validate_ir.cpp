@@ -66,77 +66,81 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
   if (s == nullptr) return;
   switch (s->kind) {
     case ir::StmtKind::Seq:
-      for (const ir::StmtPtr& ch : s->body) walk(ch, c);
+      for (const ir::StmtPtr& ch : s->as<ir::Seq>().body) walk(ch, c);
       return;
     case ir::StmtKind::For: {
+      const ir::For& f = s->as<ir::For>();
       ir::Env env0;
       for (const ir::VarId v : c.loops) env0[v] = 0;
       try {
-        const std::int64_t n = ir::eval(s->extent, env0);
+        const std::int64_t n = ir::eval(f.extent, env0);
         if (n <= 0) {
           std::ostringstream os;
-          os << "For " << s->var.name() << " extent "
-             << ir::to_string(s->extent) << " evaluates to " << n
+          os << "For " << f.var.name() << " extent "
+             << ir::to_string(f.extent) << " evaluates to " << n
              << " <= 0 (outer variables at 0)";
           c.error(os.str());
         }
       } catch (const CheckError&) {
-        c.error("For " + s->var.name() + " extent " +
-                ir::to_string(s->extent) +
+        c.error("For " + f.var.name() + " extent " +
+                ir::to_string(f.extent) +
                 " references a variable not bound by an enclosing loop");
       }
-      c.loops.push_back(s->var);
-      walk(s->for_body, c);
+      c.loops.push_back(f.var);
+      walk(f.body, c);
       c.loops.pop_back();
       return;
     }
     case ir::StmtKind::If:
-      walk(s->then_s, c);
-      walk(s->else_s, c);
+      walk(s->as<ir::If>().then_s, c);
+      walk(s->as<ir::If>().else_s, c);
       return;
-    case ir::StmtKind::SpmAlloc:
-      if (s->buf_floats <= 0)
-        c.error("SpmAlloc '" + s->buf_name + "' of " +
-                std::to_string(s->buf_floats) + " floats");
-      if (!c.allocated.insert(s->buf_name).second)
-        c.error("duplicate SpmAlloc for buffer '" + s->buf_name + "'");
+    case ir::StmtKind::SpmAlloc: {
+      const ir::SpmAlloc& a = s->as<ir::SpmAlloc>();
+      if (a.buf_floats <= 0)
+        c.error("SpmAlloc '" + a.buf_name + "' of " +
+                std::to_string(a.buf_floats) + " floats");
+      if (!c.allocated.insert(a.buf_name).second)
+        c.error("duplicate SpmAlloc for buffer '" + a.buf_name + "'");
       return;
+    }
     case ir::StmtKind::SpmZero:
-      check_buffer(c, s->buf_name, "SpmZero");
+      check_buffer(c, s->as<ir::SpmZero>().buf_name, "SpmZero");
       return;
     case ir::StmtKind::DmaGet:
     case ir::StmtKind::DmaPut: {
+      const ir::DmaAttrs& d = s->as<ir::Dma>().attrs;
       const char* who =
           s->kind == ir::StmtKind::DmaGet ? "DmaGet" : "DmaPut";
-      check_buffer(c, s->dma.spm_buf, who);
-      if (s->dma.view.tensor.empty())
-        c.error(std::string(who) + " of buffer '" + s->dma.spm_buf +
+      check_buffer(c, d.spm_buf, who);
+      if (d.view.tensor.empty())
+        c.error(std::string(who) + " of buffer '" + d.spm_buf +
                 "' has no main-memory tensor");
-      if (s->dma.epi.any()) {
+      if (d.epi.any()) {
         if (s->kind == ir::StmtKind::DmaGet)
-          c.error("DmaGet of buffer '" + s->dma.spm_buf +
+          c.error("DmaGet of buffer '" + d.spm_buf +
                   "' carries a fused epilogue (only a GEMM output put may)");
-        if (s->dma.epi.bias && s->dma.epi.channel0 == nullptr)
-          c.error("epilogue bias on buffer '" + s->dma.spm_buf +
+        if (d.epi.bias && d.epi.channel0 == nullptr)
+          c.error("epilogue bias on buffer '" + d.spm_buf +
                   "' without a channel0 expression");
-        if (s->dma.epi.residual && s->dma.epi.res.tensor.empty())
-          c.error("epilogue residual on buffer '" + s->dma.spm_buf +
+        if (d.epi.residual && d.epi.res.tensor.empty())
+          c.error("epilogue residual on buffer '" + d.spm_buf +
                   "' without a residual tensor view");
       }
-      if (s->dma.reply == nullptr) {
-        c.error(std::string(who) + " of buffer '" + s->dma.spm_buf +
+      if (d.reply == nullptr) {
+        c.error(std::string(who) + " of buffer '" + d.spm_buf +
                 "' has no reply slot expression");
         return;
       }
-      const std::vector<std::int64_t> slots = parity_values(s->dma.reply, c);
+      const std::vector<std::int64_t> slots = parity_values(d.reply, c);
       if (slots.empty())
         c.error(std::string(who) + " reply expression " +
-                ir::to_string(s->dma.reply) + " is not evaluable");
+                ir::to_string(d.reply) + " is not evaluable");
       for (std::int64_t v : slots) {
         if (v < 0 || v >= ir::kMaxReplySlots) {
           std::ostringstream os;
-          os << who << " of buffer '" << s->dma.spm_buf << "' reply slot "
-             << v << " outside the " << ir::kMaxReplySlots
+          os << who << " of buffer '" << d.spm_buf << "' reply slot " << v
+             << " outside the " << ir::kMaxReplySlots
              << "-entry reply table";
           c.error(os.str());
         }
@@ -145,20 +149,20 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
       return;
     }
     case ir::StmtKind::DmaWait: {
-      if (s->wait_reply == nullptr) {
+      const ir::Expr& reply = s->as<ir::DmaWait>().reply;
+      if (reply == nullptr) {
         c.error("DmaWait with no reply slot expression");
         return;
       }
-      const std::vector<std::int64_t> slots =
-          parity_values(s->wait_reply, c);
+      const std::vector<std::int64_t> slots = parity_values(reply, c);
       if (slots.empty())
-        c.error("DmaWait reply expression " + ir::to_string(s->wait_reply) +
+        c.error("DmaWait reply expression " + ir::to_string(reply) +
                 " is not evaluable");
-      for (std::int64_t v : slots) c.waited.emplace_back(v, s->wait_reply);
+      for (std::int64_t v : slots) c.waited.emplace_back(v, reply);
       return;
     }
     case ir::StmtKind::Gemm: {
-      const ir::GemmAttrs& g = s->gemm;
+      const ir::GemmAttrs& g = s->as<ir::Gemm>().attrs;
       if (g.a_buf.empty() && g.b_buf.empty() && g.c_buf.empty()) {
         c.error("gemm without SPM bindings -- DMA inference never ran");
         return;
@@ -168,8 +172,6 @@ void walk(const ir::StmtPtr& s, Ctx& c) {
       check_buffer(c, g.c_buf, "gemm operand C");
       return;
     }
-    case ir::StmtKind::Comment:
-      return;
   }
   c.error("unknown statement kind");
 }

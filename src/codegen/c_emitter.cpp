@@ -69,39 +69,43 @@ class Emitter {
     const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
     switch (s->kind) {
       case ir::StmtKind::Seq:
-        for (const ir::StmtPtr& c : s->body) stmt(c, depth);
+        for (const ir::StmtPtr& c : s->as<ir::Seq>().body) stmt(c, depth);
         return;
       case ir::StmtKind::For: {
-        const std::string& v = s->var.name();
+        const ir::For& f = s->as<ir::For>();
+        const std::string& v = f.var.name();
         os_ << pad << "for (long " << v << " = 0; " << v << " < "
-            << emit_expr(s->extent) << "; ++" << v << ") {"
-            << (s->prefetched ? "  /* double buffered */" : "") << "\n";
-        stmt(s->for_body, depth + 1);
+            << emit_expr(f.extent) << "; ++" << v << ") {"
+            << (f.prefetched ? "  /* double buffered */" : "") << "\n";
+        stmt(f.body, depth + 1);
         os_ << pad << "}\n";
         return;
       }
-      case ir::StmtKind::If:
-        os_ << pad << "if (" << emit_expr(s->cond) << ") {\n";
-        stmt(s->then_s, depth + 1);
-        if (s->else_s != nullptr &&
-            !(s->else_s->kind == ir::StmtKind::Seq &&
-              s->else_s->body.empty())) {
+      case ir::StmtKind::If: {
+        const ir::If& i = s->as<ir::If>();
+        os_ << pad << "if (" << emit_expr(i.cond) << ") {\n";
+        stmt(i.then_s, depth + 1);
+        if (i.else_s != nullptr &&
+            !(i.else_s->is<ir::Seq>() &&
+              i.else_s->as<ir::Seq>().body.empty())) {
           os_ << pad << "} else {\n";
-          stmt(s->else_s, depth + 1);
+          stmt(i.else_s, depth + 1);
         }
         os_ << pad << "}\n";
         return;
+      }
       case ir::StmtKind::SpmAlloc:
         // Allocations were coalesced; emitted in the prologue.
         return;
-      case ir::StmtKind::SpmZero:
-        os_ << pad << "spm_zero(" << s->buf_name << " + "
-            << emit_expr(s->zero_off) << ", " << emit_expr(s->zero_floats)
-            << ");\n";
+      case ir::StmtKind::SpmZero: {
+        const ir::SpmZero& z = s->as<ir::SpmZero>();
+        os_ << pad << "spm_zero(" << z.buf_name << " + " << emit_expr(z.off)
+            << ", " << emit_expr(z.floats) << ");\n";
         return;
+      }
       case ir::StmtKind::DmaGet:
       case ir::StmtKind::DmaPut: {
-        const ir::DmaAttrs& d = s->dma;
+        const ir::DmaAttrs& d = s->as<ir::Dma>().attrs;
         if (s->kind == ir::StmtKind::DmaPut && d.epi.any()) {
           // Fused elementwise tail on the SPM tile before it drains.
           os_ << pad << "spm_epilogue(" << d.spm_buf << " + "
@@ -136,11 +140,11 @@ class Emitter {
         return;
       }
       case ir::StmtKind::DmaWait:
-        os_ << pad << "swDMAWait(&reply[" << emit_expr(s->wait_reply)
-            << "], 1);\n";
+        os_ << pad << "swDMAWait(&reply["
+            << emit_expr(s->as<ir::DmaWait>().reply) << "], 1);\n";
         return;
       case ir::StmtKind::Gemm: {
-        const ir::GemmAttrs& g = s->gemm;
+        const ir::GemmAttrs& g = s->as<ir::Gemm>().attrs;
         os_ << pad << "spm_gemm(/*M=*/" << emit_expr(g.M) << ", /*N=*/"
             << emit_expr(g.N) << ", /*K=*/" << emit_expr(g.K) << ", "
             << g.alpha << "f,\n"
@@ -151,9 +155,6 @@ class Emitter {
             << ");\n";
         return;
       }
-      case ir::StmtKind::Comment:
-        os_ << pad << "/* " << s->text << " */\n";
-        return;
     }
     SWATOP_UNREACHABLE("bad stmt kind in emitter");
   }
@@ -172,12 +173,12 @@ std::string emit_c(const ir::StmtPtr& root, const EmitOptions& opts) {
      << "#define SWATOP_MAX(a, b) ((a) > (b) ? (a) : (b))\n\n";
 
   // Coalesced SPM region: one static buffer per allocation, 32-byte aligned.
-  std::vector<const ir::Stmt*> allocs;
+  std::vector<const ir::SpmAlloc*> allocs;
   ir::visit(root, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::SpmAlloc) allocs.push_back(n.get());
+    if (n->is<ir::SpmAlloc>()) allocs.push_back(&n->as<ir::SpmAlloc>());
   });
   std::int64_t total = 0;
-  for (const ir::Stmt* a : allocs) {
+  for (const ir::SpmAlloc* a : allocs) {
     const std::int64_t one = align_up(a->buf_floats, 8);
     const std::int64_t sz = a->double_buffered ? 2 * one : one;
     os << "static __thread_local float " << a->buf_name << "[" << sz
@@ -199,11 +200,11 @@ std::string emit_c(const ir::StmtPtr& root, const EmitOptions& opts) {
     tensors.push_back(t);
   };
   ir::visit(root, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::DmaGet || n->kind == ir::StmtKind::DmaPut) {
-      add_tensor(n->dma.view.tensor);
-      if (n->dma.epi.bias) add_tensor("bias");
-      if (n->dma.epi.residual) add_tensor(n->dma.epi.res.tensor);
-    }
+    if (!n->is<ir::Dma>()) return;
+    const ir::DmaAttrs& d = n->as<ir::Dma>().attrs;
+    add_tensor(d.view.tensor);
+    if (d.epi.bias) add_tensor("bias");
+    if (d.epi.residual) add_tensor(d.epi.res.tensor);
   });
   for (const std::string& t : tensors)
     os << "  float *" << t << " = args->" << t << ";\n";

@@ -8,10 +8,10 @@ namespace swatop::ir {
 std::int64_t spm_footprint(const StmtPtr& s) {
   std::int64_t total = 0;
   visit(s, [&](const StmtPtr& n) {
-    if (n->kind == StmtKind::SpmAlloc) {
-      const std::int64_t one = align_up(n->buf_floats, 8);
-      total += n->double_buffered ? 2 * one : one;
-    }
+    if (!n->is<SpmAlloc>()) return;
+    const SpmAlloc& a = n->as<SpmAlloc>();
+    const std::int64_t one = align_up(a.buf_floats, 8);
+    total += a.double_buffered ? 2 * one : one;
   });
   return total;
 }
@@ -19,24 +19,23 @@ std::int64_t spm_footprint(const StmtPtr& s) {
 std::vector<VarId> loop_vars(const StmtPtr& s) {
   std::vector<VarId> vars;
   visit(s, [&](const StmtPtr& n) {
-    if (n->kind == StmtKind::For) vars.push_back(n->var);
+    if (n->is<For>()) vars.push_back(n->as<For>().var);
   });
   return vars;
 }
 
-std::vector<Stmt*> find_gemms(const StmtPtr& s) {
-  std::vector<Stmt*> out;
+std::vector<Gemm*> find_gemms(const StmtPtr& s) {
+  std::vector<Gemm*> out;
   visit(s, [&](const StmtPtr& n) {
-    if (n->kind == StmtKind::Gemm) out.push_back(n.get());
+    if (n->is<Gemm>()) out.push_back(&n->as<Gemm>());
   });
   return out;
 }
 
-std::vector<Stmt*> find_dmas(const StmtPtr& s) {
-  std::vector<Stmt*> out;
+std::vector<Dma*> find_dmas(const StmtPtr& s) {
+  std::vector<Dma*> out;
   visit(s, [&](const StmtPtr& n) {
-    if (n->kind == StmtKind::DmaGet || n->kind == StmtKind::DmaPut)
-      out.push_back(n.get());
+    if (n->is<Dma>()) out.push_back(&n->as<Dma>());
   });
   return out;
 }
@@ -48,20 +47,21 @@ std::int64_t count_rec(const StmtPtr& s, Env& env) {
   switch (s->kind) {
     case StmtKind::Seq: {
       std::int64_t c = 0;
-      for (const StmtPtr& b : s->body) c += count_rec(b, env);
+      for (const StmtPtr& b : s->as<Seq>().body) c += count_rec(b, env);
       return c;
     }
     case StmtKind::For: {
-      const std::int64_t n = eval(s->extent, env);
-      env[s->var] = 0;
-      const std::int64_t inner = count_rec(s->for_body, env);
-      env.erase(s->var);
+      const For& f = s->as<For>();
+      const std::int64_t n = eval(f.extent, env);
+      env[f.var] = 0;
+      const std::int64_t inner = count_rec(f.body, env);
+      env.erase(f.var);
       return n * inner;
     }
     case StmtKind::If: {
       // Static approximation: assume the then-branch (boundary ifs guard
       // rare alternates; the optimizer keeps the common case in `then`).
-      return count_rec(s->then_s, env);
+      return count_rec(s->as<If>().then_s, env);
     }
     case StmtKind::Gemm:
       return 1;

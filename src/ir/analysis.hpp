@@ -17,10 +17,10 @@ std::int64_t spm_footprint(const StmtPtr& s);
 std::vector<VarId> loop_vars(const StmtPtr& s);
 
 /// Pointers to every Gemm node (pre- or post-inference).
-std::vector<Stmt*> find_gemms(const StmtPtr& s);
+std::vector<Gemm*> find_gemms(const StmtPtr& s);
 
 /// Pointers to every DMA get/put node.
-std::vector<Stmt*> find_dmas(const StmtPtr& s);
+std::vector<Dma*> find_dmas(const StmtPtr& s);
 
 /// Number of Gemm executions when all loop extents evaluate under `env`
 /// extended with each loop var bound over its range; loop extents that

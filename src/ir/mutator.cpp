@@ -7,27 +7,55 @@ namespace swatop::ir {
 void visit(const StmtPtr& s, const std::function<void(const StmtPtr&)>& fn) {
   if (s == nullptr) return;
   fn(s);
-  for (const StmtPtr& c : s->body) visit(c, fn);
-  visit(s->for_body, fn);
-  visit(s->then_s, fn);
-  visit(s->else_s, fn);
+  switch (s->kind) {
+    case StmtKind::Seq:
+      for (const StmtPtr& c : s->as<Seq>().body) visit(c, fn);
+      return;
+    case StmtKind::For:
+      visit(s->as<For>().body, fn);
+      return;
+    case StmtKind::If: {
+      const If& i = s->as<If>();
+      visit(i.then_s, fn);
+      visit(i.else_s, fn);
+      return;
+    }
+    default:
+      return;
+  }
 }
 
 StmtPtr transform(StmtPtr s, const std::function<StmtPtr(StmtPtr)>& fn) {
   if (s == nullptr) return nullptr;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < s->body.size(); ++i) {
-    StmtPtr t = transform(std::move(s->body[i]), fn);
-    if (t != nullptr) s->body[kept++] = std::move(t);
+  switch (s->kind) {
+    case StmtKind::Seq: {
+      std::vector<StmtPtr>& body = s->as<Seq>().body;
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < body.size(); ++i) {
+        StmtPtr t = transform(std::move(body[i]), fn);
+        if (t != nullptr) body[kept++] = std::move(t);
+      }
+      body.resize(kept);
+      break;
+    }
+    case StmtKind::For: {
+      For& f = s->as<For>();
+      if (f.body != nullptr) {
+        StmtPtr t = transform(std::move(f.body), fn);
+        SWATOP_CHECK(t != nullptr) << "cannot delete the body of a For";
+        f.body = std::move(t);
+      }
+      break;
+    }
+    case StmtKind::If: {
+      If& i = s->as<If>();
+      if (i.then_s != nullptr) i.then_s = transform(std::move(i.then_s), fn);
+      if (i.else_s != nullptr) i.else_s = transform(std::move(i.else_s), fn);
+      break;
+    }
+    default:
+      break;
   }
-  s->body.resize(kept);
-  if (s->for_body != nullptr) {
-    StmtPtr t = transform(std::move(s->for_body), fn);
-    SWATOP_CHECK(t != nullptr) << "cannot delete the body of a For";
-    s->for_body = std::move(t);
-  }
-  if (s->then_s != nullptr) s->then_s = transform(std::move(s->then_s), fn);
-  if (s->else_s != nullptr) s->else_s = transform(std::move(s->else_s), fn);
   return fn(std::move(s));
 }
 

@@ -18,8 +18,9 @@ void visit(const StmtPtr& s, const std::function<void(const StmtPtr&)>& fn);
 StmtPtr transform(StmtPtr s, const std::function<StmtPtr(StmtPtr)>& fn);
 
 /// Apply `fn(Expr&)` to every non-null expression field of one node (not
-/// its children): loop extent, guard, zero-fill range, DMA view, tile,
-/// offset and reply, wait slot, GEMM dims, views, offsets and epilogues.
+/// its children): a loop's extent, a guard, a zero-fill range, a DMA's
+/// view, tile, offset, reply and epilogue, a wait's slot, a GEMM's dims,
+/// views, offsets and epilogue.
 template <class Fn>
 void for_each_expr(Stmt& n, Fn&& fn) {
   auto at = [&](Expr& e) {
@@ -34,27 +35,51 @@ void for_each_expr(Stmt& n, Fn&& fn) {
     at(e.channel0);
     view(e.res);
   };
-  at(n.extent);
-  at(n.cond);
-  at(n.zero_off);
-  at(n.zero_floats);
-  view(n.dma.view);
-  at(n.dma.rows_p);
-  at(n.dma.cols_p);
-  at(n.dma.spm_off);
-  at(n.dma.reply);
-  epi(n.dma.epi);
-  at(n.wait_reply);
-  at(n.gemm.M);
-  at(n.gemm.N);
-  at(n.gemm.K);
-  view(n.gemm.a);
-  view(n.gemm.b);
-  view(n.gemm.c);
-  at(n.gemm.a_off);
-  at(n.gemm.b_off);
-  at(n.gemm.c_off);
-  epi(n.gemm.epi);
+  switch (n.kind) {
+    case StmtKind::Seq:
+    case StmtKind::SpmAlloc:
+      return;
+    case StmtKind::For:
+      at(n.as<For>().extent);
+      return;
+    case StmtKind::If:
+      at(n.as<If>().cond);
+      return;
+    case StmtKind::SpmZero: {
+      SpmZero& z = n.as<SpmZero>();
+      at(z.off);
+      at(z.floats);
+      return;
+    }
+    case StmtKind::DmaGet:
+    case StmtKind::DmaPut: {
+      DmaAttrs& d = n.as<Dma>().attrs;
+      view(d.view);
+      at(d.rows_p);
+      at(d.cols_p);
+      at(d.spm_off);
+      at(d.reply);
+      epi(d.epi);
+      return;
+    }
+    case StmtKind::DmaWait:
+      at(n.as<DmaWait>().reply);
+      return;
+    case StmtKind::Gemm: {
+      GemmAttrs& g = n.as<Gemm>().attrs;
+      at(g.M);
+      at(g.N);
+      at(g.K);
+      view(g.a);
+      view(g.b);
+      view(g.c);
+      at(g.a_off);
+      at(g.b_off);
+      at(g.c_off);
+      epi(g.epi);
+      return;
+    }
+  }
 }
 
 }  // namespace swatop::ir

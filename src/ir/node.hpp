@@ -1,7 +1,12 @@
 // Statement IR: the abstract syntax tree the scheduler lowers schedule
-// strategies into (Sec. 4.4). Nodes are For / If / Seq / SPM allocation /
-// DMA get-put-wait / GEMM, each carrying attribute expressions; schedule
-// transformations and the IR optimizer work by mutating this tree.
+// strategies into (Sec. 4.4). There is one node type per statement kind --
+// Seq, For, If, SpmAlloc, SpmZero, Dma (get and put), DmaWait and Gemm --
+// each allocated at its own size and carrying only its own fields. Code
+// holds a node as a StmtPtr, switches on its kind and reaches its fields
+// through Stmt::as<T>(), which throws CheckError when the node is of
+// another kind, so a field and the kind it belongs to cannot disagree.
+// Schedule transformations and the IR optimizer work by mutating this
+// tree.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +42,22 @@ enum class StmtKind {
   DmaPut,
   DmaWait,
   Gemm,
-  Comment,
 };
+
+constexpr const char* kind_name(StmtKind k) {
+  switch (k) {
+    case StmtKind::Seq: return "Seq";
+    case StmtKind::For: return "For";
+    case StmtKind::If: return "If";
+    case StmtKind::SpmAlloc: return "SpmAlloc";
+    case StmtKind::SpmZero: return "SpmZero";
+    case StmtKind::DmaGet: return "DmaGet";
+    case StmtKind::DmaPut: return "DmaPut";
+    case StmtKind::DmaWait: return "DmaWait";
+    case StmtKind::Gemm: return "Gemm";
+  }
+  return "?";
+}
 
 enum class Direction { MemToSpm, SpmToMem };
 
@@ -132,42 +151,104 @@ struct DmaAttrs {
   bool cache_fill = false;
 };
 
+namespace detail {
+[[noreturn]] void wrong_kind(StmtKind kind, const char* wanted);
+}  // namespace detail
+
+/// The head every statement node starts with: its kind, fixed when the
+/// node is made. Only the node types below derive from it.
 struct Stmt {
-  StmtKind kind = StmtKind::Seq;
+  const StmtKind kind;
 
-  // Seq
+  /// True when this node is a T.
+  template <class T>
+  bool is() const {
+    return T::holds(kind);
+  }
+  /// This node as a T; throws CheckError when it is of another kind.
+  template <class T>
+  T& as() {
+    if (!T::holds(kind)) detail::wrong_kind(kind, T::kName);
+    return static_cast<T&>(*this);
+  }
+  template <class T>
+  const T& as() const {
+    if (!T::holds(kind)) detail::wrong_kind(kind, T::kName);
+    return static_cast<const T&>(*this);
+  }
+
+ protected:
+  explicit Stmt(StmtKind k) : kind(k) {}
+  Stmt(const Stmt&) = default;
+  /// Not virtual: a node is made by make_shared of its own type, whose
+  /// control block destroys it as that type.
+  ~Stmt() = default;
+};
+
+/// A node type of the single kind K.
+template <StmtKind K>
+struct KindStmt : Stmt {
+  static constexpr const char* kName = kind_name(K);
+  static constexpr bool holds(StmtKind k) { return k == K; }
+
+ protected:
+  KindStmt() : Stmt(K) {}
+};
+
+/// Statements run in order.
+struct Seq final : KindStmt<StmtKind::Seq> {
   std::vector<StmtPtr> body;
+};
 
-  // For: for (var = 0; var < extent; ++var) for_body
+/// for (var = 0; var < extent; ++var) body
+struct For final : KindStmt<StmtKind::For> {
   VarId var;
   Expr extent;
-  StmtPtr for_body;
+  StmtPtr body;
   bool prefetched = false;  ///< marker: double-buffering applied here
   bool reduction = false;   ///< iterations accumulate into the gemm output
+};
 
-  // If
+/// if (cond != 0) then_s else else_s (else_s may be null).
+struct If final : KindStmt<StmtKind::If> {
   Expr cond;
   StmtPtr then_s;
   StmtPtr else_s;
+};
 
-  // SpmAlloc / SpmZero
+struct SpmAlloc final : KindStmt<StmtKind::SpmAlloc> {
   std::string buf_name;
   std::int64_t buf_floats = 0;   ///< per-CPE floats (before doubling)
-  bool double_buffered = false;  ///< SpmAlloc: two halves
-  Expr zero_off;                 ///< SpmZero: offset
-  Expr zero_floats;              ///< SpmZero: count
+  bool double_buffered = false;  ///< two halves
+};
 
-  // DmaGet / DmaPut
-  DmaAttrs dma;
+/// Zero `floats` floats of `buf_name` from offset `off`, on every CPE.
+struct SpmZero final : KindStmt<StmtKind::SpmZero> {
+  std::string buf_name;
+  Expr off;
+  Expr floats;
+};
 
-  // DmaWait
-  Expr wait_reply;
+/// A DMA get (kind DmaGet) or put (kind DmaPut).
+struct Dma final : Stmt {
+  static constexpr const char* kName = "Dma";
+  static constexpr bool holds(StmtKind k) {
+    return k == StmtKind::DmaGet || k == StmtKind::DmaPut;
+  }
+  explicit Dma(StmtKind get_or_put) : Stmt(get_or_put) {
+    if (!holds(get_or_put)) detail::wrong_kind(get_or_put, kName);
+  }
 
-  // Gemm
-  GemmAttrs gemm;
+  DmaAttrs attrs;
+};
 
-  // Comment
-  std::string text;
+/// Wait until the DMA on reply slot `reply` has completed.
+struct DmaWait final : KindStmt<StmtKind::DmaWait> {
+  Expr reply;
+};
+
+struct Gemm final : KindStmt<StmtKind::Gemm> {
+  GemmAttrs attrs;
 };
 
 // -- constructors ------------------------------------------------------------
@@ -181,12 +262,11 @@ StmtPtr make_spm_zero(std::string buf, Expr off, Expr floats);
 StmtPtr make_dma(StmtKind get_or_put, DmaAttrs attrs);
 StmtPtr make_dma_wait(Expr reply);
 StmtPtr make_gemm(GemmAttrs attrs);
-StmtPtr make_comment(std::string text);
 
 /// Deep structural copy (expressions are shared; they are immutable).
 StmtPtr deep_copy(const StmtPtr& s);
 
-/// Append a child to a Seq (creating the body vector as needed).
+/// Append a child to a Seq.
 void seq_push(StmtPtr& seq, StmtPtr child);
 
 }  // namespace swatop::ir

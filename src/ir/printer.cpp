@@ -17,58 +17,66 @@ void print_rec(std::ostringstream& os, const StmtPtr& s, int depth) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   switch (s->kind) {
     case StmtKind::Seq:
-      for (const StmtPtr& c : s->body) print_rec(os, c, depth);
+      for (const StmtPtr& c : s->as<Seq>().body) print_rec(os, c, depth);
       break;
-    case StmtKind::For:
-      os << pad << "for " << s->var.name() << " in [0, " << to_string(s->extent)
-         << ")" << (s->prefetched ? "  // prefetched" : "") << " {\n";
-      print_rec(os, s->for_body, depth + 1);
+    case StmtKind::For: {
+      const For& f = s->as<For>();
+      os << pad << "for " << f.var.name() << " in [0, " << to_string(f.extent)
+         << ")" << (f.prefetched ? "  // prefetched" : "") << " {\n";
+      print_rec(os, f.body, depth + 1);
       os << pad << "}\n";
       break;
-    case StmtKind::If:
-      os << pad << "if (" << to_string(s->cond) << ") {\n";
-      print_rec(os, s->then_s, depth + 1);
-      if (s->else_s != nullptr) {
+    }
+    case StmtKind::If: {
+      const If& i = s->as<If>();
+      os << pad << "if (" << to_string(i.cond) << ") {\n";
+      print_rec(os, i.then_s, depth + 1);
+      if (i.else_s != nullptr) {
         os << pad << "} else {\n";
-        print_rec(os, s->else_s, depth + 1);
+        print_rec(os, i.else_s, depth + 1);
       }
       os << pad << "}\n";
       break;
-    case StmtKind::SpmAlloc:
-      os << pad << "spm_alloc " << s->buf_name << "[" << s->buf_floats << "]"
-         << (s->double_buffered ? " x2 (double buffered)" : "") << "\n";
+    }
+    case StmtKind::SpmAlloc: {
+      const SpmAlloc& a = s->as<SpmAlloc>();
+      os << pad << "spm_alloc " << a.buf_name << "[" << a.buf_floats << "]"
+         << (a.double_buffered ? " x2 (double buffered)" : "") << "\n";
       break;
-    case StmtKind::SpmZero:
-      os << pad << "spm_zero " << s->buf_name << " + "
-         << to_string(s->zero_off) << ", " << to_string(s->zero_floats)
-         << "\n";
+    }
+    case StmtKind::SpmZero: {
+      const SpmZero& z = s->as<SpmZero>();
+      os << pad << "spm_zero " << z.buf_name << " + " << to_string(z.off)
+         << ", " << to_string(z.floats) << "\n";
       break;
+    }
     case StmtKind::DmaGet:
-    case StmtKind::DmaPut:
-      os << pad << (s->kind == StmtKind::DmaGet ? "dma_get " : "dma_put ");
-      print_view(os, s->dma.view);
-      os << (s->kind == StmtKind::DmaGet ? " -> " : " <- ") << s->dma.spm_buf
-         << " + " << to_string(s->dma.spm_off) << " (tile "
-         << to_string(s->dma.rows_p) << "x" << to_string(s->dma.cols_p)
-         << ", reply " << to_string(s->dma.reply)
-         << (s->dma.cache_fill ? ", cache fill" : "") << ")";
-      if (s->dma.epi.any()) {
+    case StmtKind::DmaPut: {
+      const bool get = s->kind == StmtKind::DmaGet;
+      const DmaAttrs& d = s->as<Dma>().attrs;
+      os << pad << (get ? "dma_get " : "dma_put ");
+      print_view(os, d.view);
+      os << (get ? " -> " : " <- ") << d.spm_buf << " + "
+         << to_string(d.spm_off) << " (tile " << to_string(d.rows_p) << "x"
+         << to_string(d.cols_p) << ", reply " << to_string(d.reply)
+         << (d.cache_fill ? ", cache fill" : "") << ")";
+      if (d.epi.any()) {
         os << "  // epilogue:";
-        if (s->dma.epi.bias)
-          os << " bias@" << to_string(s->dma.epi.channel0);
-        if (s->dma.epi.residual) {
+        if (d.epi.bias) os << " bias@" << to_string(d.epi.channel0);
+        if (d.epi.residual) {
           os << " add ";
-          print_view(os, s->dma.epi.res);
+          print_view(os, d.epi.res);
         }
-        if (s->dma.epi.relu) os << " relu";
+        if (d.epi.relu) os << " relu";
       }
       os << "\n";
       break;
+    }
     case StmtKind::DmaWait:
-      os << pad << "dma_wait " << to_string(s->wait_reply) << "\n";
+      os << pad << "dma_wait " << to_string(s->as<DmaWait>().reply) << "\n";
       break;
     case StmtKind::Gemm: {
-      const GemmAttrs& g = s->gemm;
+      const GemmAttrs& g = s->as<Gemm>().attrs;
       os << pad << "gemm_op M=" << to_string(g.M) << " N=" << to_string(g.N)
          << " K=" << to_string(g.K) << " variant=" << g.variant;
       if (!g.a_buf.empty()) {
@@ -86,9 +94,6 @@ void print_rec(std::ostringstream& os, const StmtPtr& s, int depth) {
       os << "\n";
       break;
     }
-    case StmtKind::Comment:
-      os << pad << "// " << s->text << "\n";
-      break;
   }
 }
 

@@ -12,21 +12,22 @@ namespace swatop::opt {
 namespace ir = swatop::ir;
 
 std::int64_t coalesce_spm(ir::StmtPtr& root) {
-  SWATOP_CHECK(root != nullptr && root->kind == ir::StmtKind::Seq)
+  SWATOP_CHECK(root != nullptr && root->is<ir::Seq>())
       << "coalesce_spm expects a Seq root";
   std::vector<ir::StmtPtr> allocs;
   std::unordered_set<std::string> names;
   root = ir::transform(root, [&](ir::StmtPtr s) -> ir::StmtPtr {
-    if (s->kind == ir::StmtKind::SpmAlloc) {
-      SWATOP_CHECK(names.insert(s->buf_name).second)
-          << "duplicate SPM buffer '" << s->buf_name << "'";
+    if (s->is<ir::SpmAlloc>()) {
+      const std::string& name = s->as<ir::SpmAlloc>().buf_name;
+      SWATOP_CHECK(names.insert(name).second)
+          << "duplicate SPM buffer '" << name << "'";
       allocs.push_back(s);
       return nullptr;  // removed; re-inserted at the top below
     }
     return s;
   });
-  SWATOP_CHECK(root != nullptr && root->kind == ir::StmtKind::Seq);
-  root->body.insert(root->body.begin(), allocs.begin(), allocs.end());
+  std::vector<ir::StmtPtr>& body = root->as<ir::Seq>().body;
+  body.insert(body.begin(), allocs.begin(), allocs.end());
   return ir::spm_footprint(root);
 }
 

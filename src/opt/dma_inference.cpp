@@ -18,9 +18,9 @@ namespace {
 /// of the child leading deeper, and the loop whose body this Seq is (null at
 /// the root).
 struct PathEntry {
-  ir::Stmt* seq;
+  ir::Seq* seq;
   std::size_t child_idx;
-  const ir::Stmt* loop;
+  const ir::For* loop;
 };
 
 bool contains_gemm(const ir::StmtPtr& s) {
@@ -28,33 +28,34 @@ bool contains_gemm(const ir::StmtPtr& s) {
 }
 
 /// Build the Seq/For chain leading to the unique gemm node. The lowering
-/// emits a strict chain (Seq of [comments..., For [Seq ... ]] ... [gemm]).
+/// emits a strict chain (Seq of [..., For [Seq ... ]] ... [gemm]).
 bool build_path(const ir::StmtPtr& root, std::vector<PathEntry>& path,
-                ir::Stmt** gemm_out) {
+                ir::Gemm** gemm_out) {
   ir::StmtPtr cur = root;
-  const ir::Stmt* scope = nullptr;
+  const ir::For* scope = nullptr;
   while (true) {
-    if (cur->kind != ir::StmtKind::Seq) return false;
+    if (!cur->is<ir::Seq>()) return false;
+    ir::Seq& seq = cur->as<ir::Seq>();
     std::optional<std::size_t> hit;
-    for (std::size_t i = 0; i < cur->body.size(); ++i) {
-      if (contains_gemm(cur->body[i])) {
+    for (std::size_t i = 0; i < seq.body.size(); ++i) {
+      if (contains_gemm(seq.body[i])) {
         if (hit.has_value()) return false;  // more than one gemm path
         hit = i;
       }
     }
     if (!hit.has_value()) return false;
-    path.push_back({cur.get(), *hit, scope});
-    const ir::StmtPtr child = cur->body[*hit];
-    if (child->kind == ir::StmtKind::Gemm) {
-      *gemm_out = child.get();
+    path.push_back({&seq, *hit, scope});
+    const ir::StmtPtr child = seq.body[*hit];
+    if (child->is<ir::Gemm>()) {
+      *gemm_out = &child->as<ir::Gemm>();
       return true;
     }
-    if (child->kind != ir::StmtKind::For) return false;
-    scope = child.get();
+    if (!child->is<ir::For>()) return false;
+    ir::For& loop = child->as<ir::For>();
+    scope = &loop;
     // Normalize: For bodies are always Seq after lowering.
-    if (child->for_body->kind != ir::StmtKind::Seq)
-      child->for_body = ir::make_seq({child->for_body});
-    cur = child->for_body;
+    if (!loop.body->is<ir::Seq>()) loop.body = ir::make_seq({loop.body});
+    cur = loop.body;
   }
 }
 
@@ -116,7 +117,7 @@ OperandPlan plan_operand(const ir::ViewAttrs& natural, bool col_major,
 /// Cache input operand `p` (see OperandPlan) when the loops it does not
 /// read multiply its fetches, every extent from R down to its get is
 /// constant, and the slab fits `room` per-CPE floats.
-void plan_cache(OperandPlan& p, const std::vector<const ir::Stmt*>& loops,
+void plan_cache(OperandPlan& p, const std::vector<const ir::For*>& loops,
                 std::int64_t room) {
   auto read = [&](std::size_t i) { return (p.reads >> i & 1) != 0; };
   std::size_t r = 0;
@@ -137,7 +138,7 @@ void plan_cache(OperandPlan& p, const std::vector<const ir::Stmt*>& loops,
 /// The slab offset of a cached operand's tile: its index over the fill
 /// loops (row-major, outermost first) times the tile stride.
 ir::Expr slab_offset(const OperandPlan& p,
-                     const std::vector<const ir::Stmt*>& loops) {
+                     const std::vector<const ir::For*>& loops) {
   ir::Expr tile = ir::cst(0);
   for (const std::size_t i : p.fill)
     tile = ir::add(ir::mul(tile, loops[i]->extent), ir::var(loops[i]->var));
@@ -146,10 +147,10 @@ ir::Expr slab_offset(const OperandPlan& p,
 
 /// Plan the operand transfers of the gemm at the end of `path`.
 std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
-                                 const ir::Stmt& gemm,
+                                 const ir::Gemm& gemm,
                                  const sim::SimConfig& cfg,
                                  std::int64_t spm_reserve_floats) {
-  const ir::GemmAttrs& g = gemm.gemm;
+  const ir::GemmAttrs& g = gemm.attrs;
   SWATOP_CHECK(g.a_buf.empty()) << "DMA inference ran twice";
 
   const auto variant = isa::KernelVariant::from_index(g.variant);
@@ -256,7 +257,7 @@ std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
                                 const sim::SimConfig& cfg,
                                 std::int64_t spm_reserve_floats) {
   std::vector<PathEntry> path;
-  ir::Stmt* gemm = nullptr;
+  ir::Gemm* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
   return plan_path(path, *gemm, cfg, spm_reserve_floats);
@@ -265,7 +266,7 @@ std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
 bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
                std::int64_t spm_reserve_floats) {
   std::vector<PathEntry> path;
-  ir::Stmt* gemm = nullptr;
+  ir::Gemm* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
   std::optional<DmaPlan> plan =
@@ -282,7 +283,7 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
 
   // Bind the gemm to the SPM buffers (a cached operand's tile sits at its
   // slab offset); the epilogue moves to the C put.
-  ir::GemmAttrs& g = gemm->gemm;
+  ir::GemmAttrs& g = gemm->attrs;
   g.a_buf = pa.dma.spm_buf;
   g.b_buf = pb.dma.spm_buf;
   g.c_buf = pc.dma.spm_buf;
@@ -294,14 +295,14 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
   // Inject; each insert touches one level's Seq, and inserts before
   // child_idx shift it, so the recorded indices stay valid in any order.
   auto insert_before = [&](std::size_t level, std::vector<ir::StmtPtr> ns) {
-    ir::Stmt* seq = path[level].seq;
+    ir::Seq* seq = path[level].seq;
     seq->body.insert(
         seq->body.begin() + static_cast<std::ptrdiff_t>(path[level].child_idx),
         ns.begin(), ns.end());
     path[level].child_idx += ns.size();
   };
   auto insert_after = [&](std::size_t level, std::vector<ir::StmtPtr> ns) {
-    ir::Stmt* seq = path[level].seq;
+    ir::Seq* seq = path[level].seq;
     seq->body.insert(seq->body.begin() + static_cast<std::ptrdiff_t>(
                                              path[level].child_idx + 1),
                      ns.begin(), ns.end());
@@ -325,10 +326,10 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
     }
     ir::StmtPtr nest = ir::make_seq(std::move(ns));
     for (auto it = p->fill.rbegin(); it != p->fill.rend(); ++it) {
-      const ir::Stmt& loop = *plan->loops[*it];
+      const ir::For& loop = *plan->loops[*it];
       nest = ir::make_seq({ir::make_for(loop.var, loop.extent, nest)});
     }
-    insert_before(p->cache_at, std::move(nest->body));
+    insert_before(p->cache_at, std::move(nest->as<ir::Seq>().body));
   }
 
   // Output operand: zero the accumulator before its scope and write it back

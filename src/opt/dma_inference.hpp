@@ -62,8 +62,8 @@ struct OperandPlan {
 
 /// What DMA inference will do to a lowered single-gemm loop chain.
 struct DmaPlan {
-  std::vector<const ir::Stmt*> loops;  ///< the chain's For nodes, outermost first
-  const ir::Stmt* gemm = nullptr;
+  std::vector<const ir::For*> loops;  ///< the chain's loops, outermost first
+  const ir::Gemm* gemm = nullptr;
   OperandPlan a, b, c;  ///< c.dma is the put; its re-fetch is a get
   /// Reduction loops enclosing the C transfer: the output tile is
   /// re-fetched from memory on every pass but the first (all zero).

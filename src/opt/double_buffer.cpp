@@ -23,40 +23,50 @@ struct GetGroup {
   std::size_t wait_idx = 0;
 };
 
+/// The zero-fill an If guards: its then-branch, alone or as the only
+/// statement of a Seq; null when it guards something else.
+ir::SpmZero* guarded_zero(const ir::If& guard) {
+  ir::StmtPtr t = guard.then_s;
+  if (t != nullptr && t->is<ir::Seq>() && t->as<ir::Seq>().body.size() == 1)
+    t = t->as<ir::Seq>().body[0];
+  return t != nullptr && t->is<ir::SpmZero>() ? &t->as<ir::SpmZero>()
+                                              : nullptr;
+}
+
 /// True if `s` is an If whose then-branch zero-fills `buf`.
 bool is_zero_guard_for(const ir::StmtPtr& s, const std::string& buf) {
-  if (s == nullptr || s->kind != ir::StmtKind::If || s->then_s == nullptr)
-    return false;
-  const ir::StmtPtr& t = s->then_s;
-  if (t->kind == ir::StmtKind::SpmZero) return t->buf_name == buf;
-  if (t->kind == ir::StmtKind::Seq && t->body.size() == 1 &&
-      t->body[0]->kind == ir::StmtKind::SpmZero)
-    return t->body[0]->buf_name == buf;
-  return false;
+  if (s == nullptr || !s->is<ir::If>()) return false;
+  const ir::SpmZero* z = guarded_zero(s->as<ir::If>());
+  return z != nullptr && z->buf_name == buf;
 }
 
 /// Gets the pass leaves alone: a cached operand's fills (DMA inference
 /// stages them once, ahead of the loops that reuse the tiles), and gets a
 /// previous double-buffering round already rewrote (their reply slot was
 /// remapped into the prefetch range).
-bool leave_alone(const ir::StmtPtr& get) {
-  return get->dma.cache_fill || !ir::is_const(get->dma.reply) ||
-         ir::as_cst(get->dma.reply) >= kPrefetchReplyBase;
+bool leave_alone(const ir::DmaAttrs& get) {
+  return get.cache_fill || !ir::is_const(get.reply) ||
+         ir::as_cst(get.reply) >= kPrefetchReplyBase;
 }
 
-std::vector<GetGroup> collect_gets(const ir::StmtPtr& body) {
+/// A get the pass transforms.
+bool moves(const ir::StmtPtr& s) {
+  return s->kind == ir::StmtKind::DmaGet &&
+         !leave_alone(s->as<ir::Dma>().attrs);
+}
+
+std::vector<GetGroup> collect_gets(const ir::Seq& body) {
+  const std::vector<ir::StmtPtr>& b = body.body;
   std::vector<GetGroup> out;
-  for (std::size_t i = 0; i < body->body.size(); ++i) {
-    if (body->body[i]->kind != ir::StmtKind::DmaGet) continue;
-    if (leave_alone(body->body[i])) continue;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    if (!moves(b[i])) continue;
     GetGroup g;
     g.get_idx = i;
-    SWATOP_CHECK(i + 1 < body->body.size() &&
-                 body->body[i + 1]->kind == ir::StmtKind::DmaWait)
+    SWATOP_CHECK(i + 1 < b.size() && b[i + 1]->kind == ir::StmtKind::DmaWait)
         << "DMA get without trailing wait";
     g.wait_idx = i + 1;
     if (i > 0 &&
-        is_zero_guard_for(body->body[i - 1], body->body[i]->dma.spm_buf))
+        is_zero_guard_for(b[i - 1], b[i]->as<ir::Dma>().attrs.spm_buf))
       g.zero_idx = i - 1;
     out.push_back(g);
   }
@@ -72,16 +82,15 @@ void subst_stmt(const ir::StmtPtr& s, ir::VarId v, const ir::Expr& repl) {
 
 /// A loop to double-buffer: the Seq holding it and its index there.
 struct Target {
-  ir::Stmt* parent;
+  ir::Seq* parent;
   std::size_t idx;
 };
 
 /// True if the loop's body directly issues a get the pass transforms.
-bool has_direct_get(const ir::Stmt& loop) {
-  const ir::StmtPtr& b = loop.for_body;
-  if (b->kind != ir::StmtKind::Seq) return false;
-  for (const ir::StmtPtr& c : b->body)
-    if (c->kind == ir::StmtKind::DmaGet && !leave_alone(c)) return true;
+bool has_direct_get(const ir::For& loop) {
+  if (!loop.body->is<ir::Seq>()) return false;
+  for (const ir::StmtPtr& c : loop.body->as<ir::Seq>().body)
+    if (moves(c)) return true;
   return false;
 }
 
@@ -89,45 +98,49 @@ bool has_direct_get(const ir::Stmt& loop) {
 /// (so an inner loop comes after the loops enclosing it).
 void collect_targets(const ir::StmtPtr& n, std::vector<Target>& out) {
   if (n == nullptr) return;
-  if (n->kind != ir::StmtKind::Seq) {
-    collect_targets(n->for_body, out);
-    collect_targets(n->then_s, out);
-    collect_targets(n->else_s, out);
-    return;
-  }
-  for (std::size_t i = 0; i < n->body.size(); ++i) {
-    const ir::StmtPtr& c = n->body[i];
-    if (c->kind == ir::StmtKind::For) {
-      if (has_direct_get(*c)) out.push_back({n.get(), i});
-      collect_targets(c->for_body, out);
-    } else {
-      collect_targets(c, out);
+  switch (n->kind) {
+    case ir::StmtKind::Seq: {
+      ir::Seq& seq = n->as<ir::Seq>();
+      for (std::size_t i = 0; i < seq.body.size(); ++i) {
+        const ir::StmtPtr& c = seq.body[i];
+        if (c->is<ir::For>() && has_direct_get(c->as<ir::For>()))
+          out.push_back({&seq, i});
+        collect_targets(c, out);
+      }
+      return;
     }
+    case ir::StmtKind::For:
+      collect_targets(n->as<ir::For>().body, out);
+      return;
+    case ir::StmtKind::If:
+      collect_targets(n->as<ir::If>().then_s, out);
+      collect_targets(n->as<ir::If>().else_s, out);
+      return;
+    default:
+      return;
   }
 }
 
 /// The allocation of `buf` in the root allocation list DMA inference
 /// writes.
-ir::Stmt* root_alloc(const ir::StmtPtr& root, const std::string& buf) {
-  SWATOP_CHECK(root->kind == ir::StmtKind::Seq)
-      << "double buffering expects a Seq root";
-  for (const ir::StmtPtr& n : root->body)
-    if (n->kind == ir::StmtKind::SpmAlloc && n->buf_name == buf)
-      return n.get();
+ir::SpmAlloc* root_alloc(const ir::StmtPtr& root, const std::string& buf) {
+  for (const ir::StmtPtr& n : root->as<ir::Seq>().body) {
+    if (!n->is<ir::SpmAlloc>()) continue;
+    ir::SpmAlloc& a = n->as<ir::SpmAlloc>();
+    if (a.buf_name == buf) return &a;
+  }
   return nullptr;
 }
 
 /// Double-buffer one target loop: prefetch its gets one iteration ahead
 /// into the other half of their (now doubled) buffers.
 void apply_one(const ir::StmtPtr& root, const Target& t) {
-  ir::Stmt* parent = t.parent;
+  ir::Seq* parent = t.parent;
   const std::size_t loop_idx = t.idx;
-  const ir::StmtPtr loop = parent->body[loop_idx];
-  SWATOP_CHECK(loop->kind == ir::StmtKind::For);
-  const ir::VarId v = loop->var;
-  const ir::Expr extent = loop->extent;
-  ir::StmtPtr body = loop->for_body;
-  SWATOP_CHECK(body->kind == ir::StmtKind::Seq);
+  ir::For& loop = parent->body[loop_idx]->as<ir::For>();
+  const ir::VarId v = loop.var;
+  const ir::Expr extent = loop.extent;
+  ir::Seq& body = loop.body->as<ir::Seq>();
 
   const std::vector<GetGroup> groups = collect_gets(body);
   SWATOP_CHECK(!groups.empty());
@@ -138,17 +151,18 @@ void apply_one(const ir::StmtPtr& root, const Target& t) {
 
   std::vector<ir::StmtPtr> prologue;      // before the loop
   std::vector<ir::StmtPtr> new_head;      // start of the new body
-  std::vector<bool> remove(body->body.size(), false);
+  std::vector<bool> remove(body.body.size(), false);
   std::vector<std::string> db_bufs;
 
   for (const GetGroup& g : groups) {
-    const ir::StmtPtr get = body->body[g.get_idx];
-    const std::string buf = get->dma.spm_buf;
-    ir::Stmt* alloc = root_alloc(root, buf);
+    const ir::StmtPtr get = body.body[g.get_idx];
+    const ir::DmaAttrs& got = get->as<ir::Dma>().attrs;
+    const std::string buf = got.spm_buf;
+    ir::SpmAlloc* alloc = root_alloc(root, buf);
     SWATOP_CHECK(alloc != nullptr) << "no SPM alloc for '" << buf << "'";
     alloc->double_buffered = true;
     const std::int64_t half = align_up(alloc->buf_floats, 8);
-    const std::int64_t slot = ir::as_cst(get->dma.reply);
+    const std::int64_t slot = ir::as_cst(got.reply);
     SWATOP_CHECK(kPrefetchReplyBase + 2 * slot + 1 < ir::kMaxReplySlots)
         << "prefetch reply slot for stream " << slot
         << " exceeds the reply table (" << ir::kMaxReplySlots << " slots)";
@@ -161,11 +175,12 @@ void apply_one(const ir::StmtPtr& root, const Target& t) {
     // Prologue: the iteration-0 transfer into half 0.
     {
       ir::StmtPtr pg = ir::deep_copy(get);
-      pg->dma.spm_off = ir::cst(0);
-      pg->dma.reply = ir::cst(kPrefetchReplyBase + 2 * slot);
+      ir::DmaAttrs& d = pg->as<ir::Dma>().attrs;
+      d.spm_off = ir::cst(0);
+      d.reply = ir::cst(kPrefetchReplyBase + 2 * slot);
       subst_stmt(pg, v, ir::cst(0));
       if (g.zero_idx != SIZE_MAX) {
-        ir::StmtPtr z = ir::deep_copy(body->body[g.zero_idx]);
+        ir::StmtPtr z = ir::deep_copy(body.body[g.zero_idx]);
         subst_stmt(z, v, ir::cst(0));
         prologue.push_back(std::move(z));
       }
@@ -178,17 +193,16 @@ void apply_one(const ir::StmtPtr& root, const Target& t) {
     {
       ir::StmtPtr pf = ir::deep_copy(get);
       subst_stmt(pf, v, vnext);
-      pf->dma.spm_off = ir::mul(parity_next, ir::cst(half));
-      pf->dma.reply = reply_next;
+      ir::DmaAttrs& d = pf->as<ir::Dma>().attrs;
+      d.spm_off = ir::mul(parity_next, ir::cst(half));
+      d.reply = reply_next;
       std::vector<ir::StmtPtr> guarded;
       if (g.zero_idx != SIZE_MAX) {
-        ir::StmtPtr z = ir::deep_copy(body->body[g.zero_idx]);
+        ir::StmtPtr z = ir::deep_copy(body.body[g.zero_idx]);
         subst_stmt(z, v, vnext);
         // Zero the half being fetched into.
-        ir::StmtPtr zz = z->then_s->kind == ir::StmtKind::Seq
-                             ? z->then_s->body[0]
-                             : z->then_s;
-        zz->zero_off = ir::mul(parity_next, ir::cst(half));
+        guarded_zero(z->as<ir::If>())->off =
+            ir::mul(parity_next, ir::cst(half));
         guarded.push_back(std::move(z));
       }
       guarded.push_back(std::move(pf));
@@ -206,27 +220,28 @@ void apply_one(const ir::StmtPtr& root, const Target& t) {
   }
 
   // Consumers of double-buffered data select the current half.
-  ir::visit(body, [&](const ir::StmtPtr& n) {
-    if (n->kind != ir::StmtKind::Gemm) return;
+  ir::visit(loop.body, [&](const ir::StmtPtr& n) {
+    if (!n->is<ir::Gemm>()) return;
     auto fix = [&](const std::string& buf, ir::Expr& off) {
       for (const std::string& b : db_bufs) {
         if (b == buf) {
-          ir::Stmt* alloc = root_alloc(root, buf);
+          const ir::SpmAlloc* alloc = root_alloc(root, buf);
           off = ir::mul(parity_cur, ir::cst(align_up(alloc->buf_floats, 8)));
         }
       }
     };
-    fix(n->gemm.a_buf, n->gemm.a_off);
-    fix(n->gemm.b_buf, n->gemm.b_off);
-    fix(n->gemm.c_buf, n->gemm.c_off);
+    ir::GemmAttrs& gm = n->as<ir::Gemm>().attrs;
+    fix(gm.a_buf, gm.a_off);
+    fix(gm.b_buf, gm.b_off);
+    fix(gm.c_buf, gm.c_off);
   });
 
   // Rebuild the body: prefetches + waits first, then the untouched rest.
   std::vector<ir::StmtPtr> rebuilt = std::move(new_head);
-  for (std::size_t i = 0; i < body->body.size(); ++i)
-    if (!remove[i]) rebuilt.push_back(body->body[i]);
-  body->body = std::move(rebuilt);
-  loop->prefetched = true;
+  for (std::size_t i = 0; i < body.body.size(); ++i)
+    if (!remove[i]) rebuilt.push_back(body.body[i]);
+  body.body = std::move(rebuilt);
+  loop.prefetched = true;
 
   // Insert the prologue right before the loop.
   parent->body.insert(parent->body.begin() +

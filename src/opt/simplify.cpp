@@ -12,8 +12,9 @@ namespace ir = swatop::ir;
 namespace {
 
 bool is_unit_loop(const ir::Stmt& s) {
-  return s.kind == ir::StmtKind::For && ir::is_const(s.extent) &&
-         ir::as_cst(s.extent) == 1;
+  if (!s.is<ir::For>()) return false;
+  const ir::Expr& n = s.as<ir::For>().extent;
+  return ir::is_const(n) && ir::as_cst(n) == 1;
 }
 
 /// One post-order pass. `zeroed` holds the ids of the unit loops enclosing
@@ -32,40 +33,52 @@ ir::StmtPtr rewrite(ir::StmtPtr s, std::vector<ir::VarId>& zeroed,
     ir::for_each_expr(
         *s, [&](ir::Expr& e) { e = ir::substitute(e, zeroed, zero); });
   }
-  if (s->kind == ir::StmtKind::Seq) {
-    std::size_t kept = 0;
-    bool nested = false;
-    for (std::size_t i = 0; i < s->body.size(); ++i) {
-      ir::StmtPtr t = rewrite(std::move(s->body[i]), zeroed, zero);
-      if (t == nullptr) continue;
-      nested = nested || t->kind == ir::StmtKind::Seq;
-      s->body[kept++] = std::move(t);
-    }
-    s->body.resize(kept);
-    if (nested) {
-      std::vector<ir::StmtPtr> flat;
-      for (ir::StmtPtr& c : s->body) {
-        if (c->kind == ir::StmtKind::Seq)
-          flat.insert(flat.end(), c->body.begin(), c->body.end());
-        else
-          flat.push_back(std::move(c));
+  switch (s->kind) {
+    case ir::StmtKind::Seq: {
+      std::vector<ir::StmtPtr>& body = s->as<ir::Seq>().body;
+      std::size_t kept = 0;
+      bool nested = false;
+      for (std::size_t i = 0; i < body.size(); ++i) {
+        ir::StmtPtr t = rewrite(std::move(body[i]), zeroed, zero);
+        if (t == nullptr) continue;
+        nested = nested || t->is<ir::Seq>();
+        body[kept++] = std::move(t);
       }
-      s->body = std::move(flat);
+      body.resize(kept);
+      if (nested) {
+        std::vector<ir::StmtPtr> flat;
+        for (ir::StmtPtr& c : body) {
+          if (c->is<ir::Seq>()) {
+            const std::vector<ir::StmtPtr>& inner = c->as<ir::Seq>().body;
+            flat.insert(flat.end(), inner.begin(), inner.end());
+          } else {
+            flat.push_back(std::move(c));
+          }
+        }
+        body = std::move(flat);
+      }
+      return s;
     }
-    return s;
+    case ir::StmtKind::For: {
+      ir::For& f = s->as<ir::For>();
+      if (unit) zeroed.push_back(f.var);
+      if (f.body != nullptr) {
+        f.body = rewrite(std::move(f.body), zeroed, zero);
+        SWATOP_CHECK(f.body != nullptr) << "cannot delete the body of a For";
+      }
+      if (!unit) return s;
+      zeroed.pop_back();
+      return std::move(f.body);
+    }
+    case ir::StmtKind::If: {
+      ir::If& i = s->as<ir::If>();
+      i.then_s = rewrite(std::move(i.then_s), zeroed, zero);
+      i.else_s = rewrite(std::move(i.else_s), zeroed, zero);
+      return s;
+    }
+    default:
+      return s;
   }
-  if (unit) zeroed.push_back(s->var);
-  if (s->for_body != nullptr) {
-    s->for_body = rewrite(std::move(s->for_body), zeroed, zero);
-    SWATOP_CHECK(s->for_body != nullptr) << "cannot delete the body of a For";
-  }
-  if (unit) {
-    zeroed.pop_back();
-    return std::move(s->for_body);
-  }
-  s->then_s = rewrite(std::move(s->then_s), zeroed, zero);
-  s->else_s = rewrite(std::move(s->else_s), zeroed, zero);
-  return s;
 }
 
 }  // namespace

@@ -71,14 +71,15 @@ void Interpreter::check_overlap(std::int64_t lo, std::int64_t hi, bool writes,
   }
 }
 
-void Interpreter::check_dma_bounds(const ir::Stmt& s, const DmaGeometry& geo) {
+void Interpreter::check_dma_bounds(const ir::Dma& s, const DmaGeometry& geo) {
   if (!cg_.config().sanitize.bounds_on()) return;
   if (geo.rows <= 0 || geo.cols <= 0) return;
-  const auto t = tensors_->find(s.dma.view.tensor);
+  const ir::ViewAttrs& view = s.attrs.view;
+  const auto t = tensors_->find(view.tensor);
   const auto it = alloc_floats_.find(t->second);
   if (it == alloc_floats_.end()) return;  // not a named arena allocation
-  const std::int64_t r_span = (geo.rows - 1) * s.dma.view.stride_r;
-  const std::int64_t c_span = (geo.cols - 1) * s.dma.view.stride_c;
+  const std::int64_t r_span = (geo.rows - 1) * view.stride_r;
+  const std::int64_t c_span = (geo.cols - 1) * view.stride_c;
   const std::int64_t lo =
       geo.base + std::min<std::int64_t>(r_span, 0) +
       std::min<std::int64_t>(c_span, 0);
@@ -89,10 +90,10 @@ void Interpreter::check_dma_bounds(const ir::Stmt& s, const DmaGeometry& geo) {
   std::ostringstream os;
   os << "DMA " << (s.kind == ir::StmtKind::DmaGet ? "get" : "put")
      << " touches floats [" << lo << ", " << hi + 1 << ") of tensor '"
-     << s.dma.view.tensor << "' which owns [" << t->second << ", "
+     << view.tensor << "' which owns [" << t->second << ", "
      << t->second + it->second << ") -- region " << geo.rows << "x"
-     << geo.cols << " strides (" << s.dma.view.stride_r << ", "
-     << s.dma.view.stride_c << ") " << loop_context();
+     << geo.cols << " strides (" << view.stride_r << ", " << view.stride_c
+     << ") " << loop_context();
   sanitizer_trip(&obs::SanitizerCounters::dma_bounds_trips, os.str());
 }
 
@@ -171,49 +172,50 @@ void Interpreter::exec(const ir::StmtPtr& s) {
   if (s == nullptr) return;
   switch (s->kind) {
     case ir::StmtKind::Seq:
-      for (const ir::StmtPtr& c : s->body) exec(c);
+      for (const ir::StmtPtr& c : s->as<ir::Seq>().body) exec(c);
       return;
     case ir::StmtKind::For: {
-      const std::int64_t n = eval_.eval(s->extent);
-      const int slot = eval_.slot_of(s->var);
-      loop_stack_.emplace_back(s->var, 0);
+      const ir::For& f = s->as<ir::For>();
+      const std::int64_t n = eval_.eval(f.extent);
+      const int slot = eval_.slot_of(f.var);
+      loop_stack_.emplace_back(f.var, 0);
       for (std::int64_t i = 0; i < n; ++i) {
         loop_stack_.back().second = i;
         eval_.set(slot, i);
-        exec(s->for_body);
+        exec(f.body);
       }
       loop_stack_.pop_back();
       return;
     }
-    case ir::StmtKind::If:
-      if (eval_.eval(s->cond) != 0)
-        exec(s->then_s);
-      else
-        exec(s->else_s);
+    case ir::StmtKind::If: {
+      const ir::If& i = s->as<ir::If>();
+      exec(eval_.eval(i.cond) != 0 ? i.then_s : i.else_s);
       return;
+    }
     case ir::StmtKind::SpmAlloc: {
+      const ir::SpmAlloc& a = s->as<ir::SpmAlloc>();
       // One alignment rule for single- and double-buffered allocations:
       // each buffer (and each half) spans align_up(buf_floats, 8) floats.
       // ir::spm_footprint, the C emitter and the double-buffering pass all
       // size with the same formula, so the interpreter's layout is the
       // layout every other layer assumes.
-      const std::int64_t half = align_up(s->buf_floats, 8);
-      const std::int64_t total = s->double_buffered ? 2 * half : half;
-      const std::int64_t base = cg_.cluster().spm_alloc(total, s->buf_name);
+      const std::int64_t half = align_up(a.buf_floats, 8);
+      const std::int64_t total = a.double_buffered ? 2 * half : half;
+      const std::int64_t base = cg_.cluster().spm_alloc(total, a.buf_name);
       // The second half's base must be what dma_expand and the kernels
       // compute from the parity expression: base + parity * half, with
       // both halves vector-aligned.
       SWATOP_CHECK(base % 8 == 0 && (base + half) % 8 == 0)
-          << "SPM allocation '" << s->buf_name << "' at " << base
+          << "SPM allocation '" << a.buf_name << "' at " << base
           << " breaks the 8-float alignment the double-buffer offsets "
              "assume";
       const auto named = std::find_if(
           spm_off_.begin(), spm_off_.end(),
-          [&](const auto& e) { return e.first == s->buf_name; });
+          [&](const auto& e) { return e.first == a.buf_name; });
       if (named != spm_off_.end())
         named->second = base;
       else
-        spm_off_.emplace_back(s->buf_name, base);
+        spm_off_.emplace_back(a.buf_name, base);
       if (cg_.config().sanitize.poison_on()) {
         const sim::SimConfig& cfg = cg_.config();
         for (int r = 0; r < cfg.mesh_rows; ++r)
@@ -222,7 +224,7 @@ void Interpreter::exec(const ir::StmtPtr& s) {
       }
       if (obs_ != nullptr && obs_->tracing()) {
         obs::TraceEvent ev;
-        ev.name = "spm_alloc " + s->buf_name;
+        ev.name = "spm_alloc " + a.buf_name;
         ev.cat = obs::Category::Spm;
         ev.tid = obs::Track::kCluster;
         ev.ts = cg_.now();
@@ -236,14 +238,14 @@ void Interpreter::exec(const ir::StmtPtr& s) {
       return;
     }
     case ir::StmtKind::SpmZero:
-      exec_zero(*s);
+      exec_zero(s->as<ir::SpmZero>());
       return;
     case ir::StmtKind::DmaGet:
     case ir::StmtKind::DmaPut:
-      exec_dma(*s);
+      exec_dma(s->as<ir::Dma>());
       return;
     case ir::StmtKind::DmaWait: {
-      const std::int64_t slot = eval_.eval(s->wait_reply);
+      const std::int64_t slot = eval_.eval(s->as<ir::DmaWait>().reply);
       if (slot < 0 || slot >= ir::kMaxReplySlots) {
         std::ostringstream os;
         os << "dma_wait on reply slot " << slot << " outside the "
@@ -278,17 +280,15 @@ void Interpreter::exec(const ir::StmtPtr& s) {
       return;
     }
     case ir::StmtKind::Gemm:
-      exec_gemm(*s);
-      return;
-    case ir::StmtKind::Comment:
+      exec_gemm(s->as<ir::Gemm>());
       return;
   }
   SWATOP_UNREACHABLE("bad stmt kind");
 }
 
-void Interpreter::exec_zero(const ir::Stmt& s) {
-  const std::int64_t off = spm_base(s.buf_name) + eval_.eval(s.zero_off);
-  const std::int64_t n = eval_.eval(s.zero_floats);
+void Interpreter::exec_zero(const ir::SpmZero& s) {
+  const std::int64_t off = spm_base(s.buf_name) + eval_.eval(s.off);
+  const std::int64_t n = eval_.eval(s.floats);
   if (n <= 0) return;
   check_overlap(off, off + n, /*writes=*/true, "spm_zero of", s.buf_name);
   const double zero_cycles =
@@ -313,8 +313,8 @@ void Interpreter::exec_zero(const ir::Stmt& s) {
       cg_.cluster().at(r, c).spm().fill(off, n, 0.0f);
 }
 
-void Interpreter::exec_dma(const ir::Stmt& s) {
-  const ir::DmaAttrs& d = s.dma;
+void Interpreter::exec_dma(const ir::Dma& s) {
+  const ir::DmaAttrs& d = s.attrs;
   const sim::SimConfig& cfg = cg_.config();
   auto t = tensors_->find(d.view.tensor);
   SWATOP_CHECK(t != tensors_->end())
@@ -342,7 +342,7 @@ void Interpreter::exec_dma(const ir::Stmt& s) {
   const std::int64_t spm_hi = spm_at + geo.tr * geo.tc;
   check_overlap(spm_at, spm_hi, is_get,
                 is_get ? "DMA get into" : "DMA put from", d.spm_buf);
-  if (!is_get && d.epi.any()) apply_epilogue(s, geo, spm_at);
+  if (!is_get && d.epi.any()) apply_epilogue(d, geo, spm_at);
   const sim::DmaCost& cost = dma_cost_cache_.get(d, geo, cg_.dma(), cfg);
   const bool resident =
       resident_ != nullptr && resident_->tensors.count(d.view.tensor) > 0;
@@ -443,9 +443,8 @@ void Interpreter::exec_dma(const ir::Stmt& s) {
   }
 }
 
-void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
-                                 std::int64_t spm_at) {
-  const ir::DmaAttrs& d = s.dma;
+void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
+                                 const DmaGeometry& geo, std::int64_t spm_at) {
   const ir::EpilogueAttrs& e = d.epi;
   const sim::SimConfig& cfg = cg_.config();
 
@@ -543,8 +542,8 @@ void Interpreter::apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
   }
 }
 
-void Interpreter::exec_gemm(const ir::Stmt& s) {
-  const ir::GemmAttrs& g = s.gemm;
+void Interpreter::exec_gemm(const ir::Gemm& s) {
+  const ir::GemmAttrs& g = s.attrs;
   SWATOP_CHECK(!g.a_buf.empty())
       << "gemm without SPM bindings -- run DMA inference first";
   prim::SpmGemmArgs args;

@@ -63,13 +63,13 @@ class Interpreter {
 
  private:
   void exec(const ir::StmtPtr& s);
-  void exec_dma(const ir::Stmt& s);
-  void exec_gemm(const ir::Stmt& s);
-  void exec_zero(const ir::Stmt& s);
+  void exec_dma(const ir::Dma& s);
+  void exec_gemm(const ir::Gemm& s);
+  void exec_zero(const ir::SpmZero& s);
   /// Apply a fused epilogue to the C tile in SPM right before its put:
   /// prices the residual re-read, the (once per channel range) bias fetch
   /// and the vector ops, and in Functional mode rewrites the tile in place.
-  void apply_epilogue(const ir::Stmt& s, const DmaGeometry& geo,
+  void apply_epilogue(const ir::DmaAttrs& d, const DmaGeometry& geo,
                       std::int64_t spm_at);
   std::int64_t spm_base(const std::string& buf) const;
 
@@ -99,7 +99,7 @@ class Interpreter {
 
   /// Bounds sanitizer: the DMA's memory footprint must stay inside the
   /// owning tensor's arena allocation.
-  void check_dma_bounds(const ir::Stmt& s, const DmaGeometry& geo);
+  void check_dma_bounds(const ir::Dma& s, const DmaGeometry& geo);
 
   /// Poison sanitizer: trap if any float of [a, a+n) (uniform across CPEs)
   /// was never defined by a DMA, zero-fill or GEMM store.

@@ -54,7 +54,7 @@ class LoopWeights {
   enum class Split { Prefetch, Last };
 
   /// `vars` holds the variables of `loops`.
-  LoopWeights(const std::vector<const ir::Stmt*>& loops,
+  LoopWeights(const std::vector<const ir::For*>& loops,
               std::span<const ir::VarId> vars, std::uint64_t members,
               std::size_t split_at, Split how,
               std::initializer_list<ir::Expr> reads,
@@ -81,7 +81,7 @@ class LoopWeights {
   Parts sum_from(std::size_t i, ir::Env& env, const Leaf& leaf) const {
     while (i < loops_.size() && (members_ >> i & 1) == 0) ++i;
     if (i == loops_.size()) return {leaf(env), 0.0};
-    const ir::Stmt& loop = *loops_[i];
+    const ir::For& loop = *loops_[i];
     const std::int64_t n = ir::eval(loop.extent, env);
     if (n <= 0) return {};
     const bool split = i == split_at_;
@@ -106,7 +106,7 @@ class LoopWeights {
     return p;
   }
 
-  const std::vector<const ir::Stmt*>& loops_;
+  const std::vector<const ir::For*>& loops_;
   std::uint64_t members_;
   std::size_t split_at_;
   Split how_;
@@ -158,9 +158,9 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
   const std::optional<opt::DmaPlan> plan =
       opt::plan_dma(lowered, cfg_, o.spm_reserve_floats);
   if (!plan) return {};
-  const std::vector<const ir::Stmt*>& loops = plan->loops;
+  const std::vector<const ir::For*>& loops = plan->loops;
   std::vector<ir::VarId> vars;
-  for (const ir::Stmt* l : loops) vars.push_back(l->var);
+  for (const ir::For* l : loops) vars.push_back(l->var);
   using Split = LoopWeights::Split;
 
   // The gets: a cached operand's fills at its fill loops (sync); any other
@@ -218,7 +218,7 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
       pa == LoopWeights::kNone || pb == LoopWeights::kNone || pa == pb
           ? std::min(pa, pb)
           : LoopWeights::kNone;
-  const ir::GemmAttrs& g = plan->gemm->gemm;
+  const ir::GemmAttrs& g = plan->gemm->attrs;
   const Parts compute =
       LoopWeights(loops, vars, first_loops(loops.size()), last_at,
                   Split::Last, {g.M, g.N, g.K})
@@ -241,18 +241,19 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
   if (s == nullptr) return c;
   switch (s->kind) {
     case ir::StmtKind::Seq:
-      for (const ir::StmtPtr& b : s->body) c += walk(b, env);
+      for (const ir::StmtPtr& b : s->as<ir::Seq>().body) c += walk(b, env);
       return c;
     case ir::StmtKind::For: {
-      const std::int64_t n = ir::eval(s->extent, env);
+      const ir::For& f = s->as<ir::For>();
+      const std::int64_t n = ir::eval(f.extent, env);
       if (n <= 0) return c;
       // An iteration of a double-buffered loop lasts as long as the longer
       // of its cluster time and its transfers, which the DMA engine
       // serializes while the cluster works.
       auto iteration = [&](std::int64_t i) {
-        env[s->var] = i;
-        StaticCost it = walk(s->for_body, env);
-        if (s->prefetched)
+        env[f.var] = i;
+        StaticCost it = walk(f.body, env);
+        if (f.prefetched)
           it.elapsed_cycles = std::max(it.elapsed_cycles, it.transfer_cycles);
         return it;
       };
@@ -267,39 +268,43 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
         c.elapsed_cycles *= w;
         c += iteration(n - 1);
       }
-      env.erase(s->var);
+      env.erase(f.var);
       return c;
     }
-    case ir::StmtKind::If:
+    case ir::StmtKind::If: {
       // Static approximation: follow the branch taken at the current
       // (first-iteration) environment.
-      return walk(ir::eval(s->cond, env) != 0 ? s->then_s : s->else_s, env);
+      const ir::If& i = s->as<ir::If>();
+      return walk(ir::eval(i.cond, env) != 0 ? i.then_s : i.else_s, env);
+    }
     case ir::StmtKind::SpmZero:
-      c.compute_cycles = static_cast<double>(ir::eval(s->zero_floats, env)) /
-                         cfg_.vector_width;
+      c.compute_cycles =
+          static_cast<double>(ir::eval(s->as<ir::SpmZero>().floats, env)) /
+          cfg_.vector_width;
       c.elapsed_cycles = c.compute_cycles;
       return c;
     case ir::StmtKind::DmaGet:
     case ir::StmtKind::DmaPut: {
+      const ir::DmaAttrs& d = s->as<ir::Dma>().attrs;
       // Tensor bases are transaction-aligned; 0 is representative.
-      const rt::DmaGeometry g = rt::evaluate_dma(s->dma, env, 0, cfg_);
+      const rt::DmaGeometry g = rt::evaluate_dma(d, env, 0, cfg_);
       c.transfer_cycles =
-          dma_cost_cache_.get(s->dma, g, engine_, cfg_).total_cycles();
+          dma_cost_cache_.get(d, g, engine_, cfg_).total_cycles();
       // The cluster waits on a transfer on a constant reply slot before it
       // goes on: a get;wait / put;wait pair, or a prologue get the first
       // iteration waits on at once. Double buffering gives its in-loop
       // prefetches parity slots; their enclosing loop prices them.
-      if (ir::is_const(s->dma.reply)) c.elapsed_cycles = c.transfer_cycles;
-      if (s->kind == ir::StmtKind::DmaPut && s->dma.epi.any()) {
+      if (ir::is_const(d.reply)) c.elapsed_cycles = c.transfer_cycles;
+      if (s->kind == ir::StmtKind::DmaPut && d.epi.any()) {
         // Mirror the runtime's epilogue pricing: a synchronous residual
         // re-read of the same tile, plus the vector ops on the tile. The
         // once-per-run bias fetch is noise at this granularity and skipped.
-        const ir::EpilogueAttrs& e = s->dma.epi;
+        const ir::EpilogueAttrs& e = d.epi;
         if (e.residual) {
           ir::DmaAttrs rd;
           rd.view = e.res;
           rd.dir = ir::Direction::MemToSpm;
-          rd.rows_to_rid = s->dma.rows_to_rid;
+          rd.rows_to_rid = d.rows_to_rid;
           rt::DmaGeometry rg = g;
           rg.base = ir::eval(e.res.base, env);
           const double t =
@@ -317,7 +322,7 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
       return c;
     }
     case ir::StmtKind::Gemm: {
-      const ir::GemmAttrs& gm = s->gemm;
+      const ir::GemmAttrs& gm = s->as<ir::Gemm>().attrs;
       const std::int64_t M = ir::eval(gm.M, env);
       const std::int64_t N = ir::eval(gm.N, env);
       const std::int64_t K = ir::eval(gm.K, env);
@@ -329,7 +334,6 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
     }
     case ir::StmtKind::SpmAlloc:
     case ir::StmtKind::DmaWait:
-    case ir::StmtKind::Comment:
       return c;
   }
   SWATOP_UNREACHABLE("bad stmt kind in cost model");

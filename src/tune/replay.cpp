@@ -65,42 +65,50 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
   switch (s->kind) {
     case ir::StmtKind::Seq:
       out += "S(";
-      for (const ir::StmtPtr& c : s->body) key_stmt(out, c);
+      for (const ir::StmtPtr& c : s->as<ir::Seq>().body) key_stmt(out, c);
       out += ')';
       return;
-    case ir::StmtKind::For:
+    case ir::StmtKind::For: {
+      const ir::For& f = s->as<ir::For>();
       out += "F(";
-      key_str(out, s->var.name());
-      key_expr(out, s->extent);
-      key_int(out, (s->prefetched ? 1 : 0) | (s->reduction ? 2 : 0));
-      key_stmt(out, s->for_body);
+      key_str(out, f.var.name());
+      key_expr(out, f.extent);
+      key_int(out, (f.prefetched ? 1 : 0) | (f.reduction ? 2 : 0));
+      key_stmt(out, f.body);
       out += ')';
       return;
-    case ir::StmtKind::If:
+    }
+    case ir::StmtKind::If: {
+      const ir::If& i = s->as<ir::If>();
       out += "I(";
-      key_expr(out, s->cond);
-      key_stmt(out, s->then_s);
-      key_stmt(out, s->else_s);
+      key_expr(out, i.cond);
+      key_stmt(out, i.then_s);
+      key_stmt(out, i.else_s);
       out += ')';
       return;
-    case ir::StmtKind::SpmAlloc:
+    }
+    case ir::StmtKind::SpmAlloc: {
+      const ir::SpmAlloc& a = s->as<ir::SpmAlloc>();
       out += "A(";
-      key_str(out, s->buf_name);
-      key_int(out, s->buf_floats);
-      key_int(out, s->double_buffered ? 1 : 0);
+      key_str(out, a.buf_name);
+      key_int(out, a.buf_floats);
+      key_int(out, a.double_buffered ? 1 : 0);
       out += ')';
       return;
-    case ir::StmtKind::SpmZero:
+    }
+    case ir::StmtKind::SpmZero: {
+      const ir::SpmZero& z = s->as<ir::SpmZero>();
       out += "Z(";
-      key_str(out, s->buf_name);
-      key_expr(out, s->zero_off);
-      key_expr(out, s->zero_floats);
+      key_str(out, z.buf_name);
+      key_expr(out, z.off);
+      key_expr(out, z.floats);
       out += ')';
       return;
+    }
     case ir::StmtKind::DmaGet:
     case ir::StmtKind::DmaPut: {
       out += s->kind == ir::StmtKind::DmaGet ? "Dg(" : "Dp(";
-      const ir::DmaAttrs& d = s->dma;
+      const ir::DmaAttrs& d = s->as<ir::Dma>().attrs;
       key_view(out, d.view);
       key_expr(out, d.rows_p);
       key_expr(out, d.cols_p);
@@ -117,12 +125,12 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
     }
     case ir::StmtKind::DmaWait:
       out += "W(";
-      key_expr(out, s->wait_reply);
+      key_expr(out, s->as<ir::DmaWait>().reply);
       out += ')';
       return;
     case ir::StmtKind::Gemm: {
       out += "G(";
-      const ir::GemmAttrs& g = s->gemm;
+      const ir::GemmAttrs& g = s->as<ir::Gemm>().attrs;
       key_expr(out, g.M);
       key_expr(out, g.N);
       key_expr(out, g.K);
@@ -141,10 +149,6 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
       out += ')';
       return;
     }
-    case ir::StmtKind::Comment:
-      // No booking -- keep comments out of the key so annotation-only
-      // differences still hit.
-      return;
   }
 }
 

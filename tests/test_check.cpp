@@ -57,7 +57,7 @@ TEST(ValidateIr, DuplicateAndNonPositiveAlloc) {
   // make_spm_alloc itself rejects non-positive sizes, so corrupt the node
   // after construction -- the validator must still catch hand-built IR.
   auto bad = ir::make_spm_alloc("a", 64);
-  bad->buf_floats = 0;
+  bad->as<ir::SpmAlloc>().buf_floats = 0;
   ir::seq_push(prog, bad);
   ir::seq_push(prog, ir::make_spm_alloc("a", 64));
   const auto errors = check::validate_ir(prog, base_cfg);
@@ -120,14 +120,26 @@ TEST(ValidateIr, TunedProgramsAreClean) {
 // Sanitizer self-tests: corrupt a real lowered program and require the
 // *sanitizers* to catch it (SanitizerError), not the output diff.
 
-ir::StmtPtr find_first(const ir::StmtPtr& s, ir::StmtKind kind) {
+/// The slot (a Seq entry, a loop body or an If branch) holding the first
+/// node of `kind` in pre-order, or null.
+ir::StmtPtr* find_first(ir::StmtPtr& s, ir::StmtKind kind) {
   if (s == nullptr) return nullptr;
-  if (s->kind == kind) return s;
-  for (const auto& c : s->body)
-    if (auto r = find_first(c, kind)) return r;
-  if (auto r = find_first(s->for_body, kind)) return r;
-  if (auto r = find_first(s->then_s, kind)) return r;
-  return find_first(s->else_s, kind);
+  if (s->kind == kind) return &s;
+  switch (s->kind) {
+    case ir::StmtKind::Seq:
+      for (ir::StmtPtr& c : s->as<ir::Seq>().body)
+        if (ir::StmtPtr* r = find_first(c, kind)) return r;
+      return nullptr;
+    case ir::StmtKind::For:
+      return find_first(s->as<ir::For>().body, kind);
+    case ir::StmtKind::If: {
+      ir::If& i = s->as<ir::If>();
+      if (ir::StmtPtr* r = find_first(i.then_s, kind)) return r;
+      return find_first(i.else_s, kind);
+    }
+    default:
+      return nullptr;
+  }
 }
 
 struct CorruptionResult {
@@ -138,7 +150,7 @@ struct CorruptionResult {
 };
 
 CorruptionResult run_corrupted(
-    const std::function<void(const ir::StmtPtr&)>& corrupt) {
+    const std::function<void(ir::StmtPtr&)>& corrupt) {
   const sim::SimConfig cfg = sanitizing_cfg();
   ops::MatmulOp op(32, 32, 16);
   dsl::Strategy strat =
@@ -163,11 +175,10 @@ CorruptionResult run_corrupted(
 }
 
 TEST(SanitizerSelfTest, SkippedDmaWaitIsCaughtBySanitizer) {
-  const CorruptionResult r = run_corrupted([](const ir::StmtPtr& prog) {
-    ir::StmtPtr wait = find_first(prog, ir::StmtKind::DmaWait);
+  const CorruptionResult r = run_corrupted([](ir::StmtPtr& prog) {
+    ir::StmtPtr* wait = find_first(prog, ir::StmtKind::DmaWait);
     ASSERT_NE(wait, nullptr);
-    wait->kind = ir::StmtKind::Comment;
-    wait->text = "corrupted: wait removed";
+    *wait = ir::make_seq();  // the wait removed
   });
   EXPECT_TRUE(r.sanitizer) << "skipped DmaWait escaped the sanitizers";
   EXPECT_FALSE(r.mismatch);
@@ -177,10 +188,11 @@ TEST(SanitizerSelfTest, SkippedDmaWaitIsCaughtBySanitizer) {
 TEST(SanitizerSelfTest, OffByEightSpmOffsetIsCaughtBySanitizer) {
   // Shift the first DmaGet's SPM offset: the gemm then reads 8 floats that
   // the transfer no longer defines.
-  const CorruptionResult r = run_corrupted([](const ir::StmtPtr& prog) {
-    ir::StmtPtr get = find_first(prog, ir::StmtKind::DmaGet);
+  const CorruptionResult r = run_corrupted([](ir::StmtPtr& prog) {
+    ir::StmtPtr* get = find_first(prog, ir::StmtKind::DmaGet);
     ASSERT_NE(get, nullptr);
-    get->dma.spm_off = ir::add(get->dma.spm_off, ir::cst(8));
+    ir::Expr& off = (*get)->as<ir::Dma>().attrs.spm_off;
+    off = ir::add(off, ir::cst(8));
   });
   EXPECT_TRUE(r.sanitizer) << "corrupted SPM offset escaped the sanitizers";
   EXPECT_FALSE(r.mismatch);

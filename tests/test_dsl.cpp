@@ -152,7 +152,7 @@ TEST(GemmOpBuilder, BuildsAWorkingOperator) {
                 .factor({"T", {16, 32}})
                 .flops(42)
                 .lower_with([](const Strategy&) {
-                  return ir::make_seq({ir::make_comment("body")});
+                  return ir::make_seq();
                 })
                 .build();
   EXPECT_EQ(op->name(), "built");

@@ -81,9 +81,9 @@ TEST(DmaInference, InjectsAllocsGetsAndPuts) {
   EXPECT_TRUE(ir::contains_kind(prog, ir::StmtKind::SpmAlloc));
   EXPECT_TRUE(ir::contains_kind(prog, ir::StmtKind::DmaWait));
   // Gemm is now bound to SPM buffers.
-  const auto* g = ir::find_gemms(prog)[0];
-  EXPECT_EQ(g->gemm.a_buf, "spm_A");
-  EXPECT_EQ(g->gemm.c_buf, "spm_C");
+  const ir::GemmAttrs& g = ir::find_gemms(prog)[0]->attrs;
+  EXPECT_EQ(g.a_buf, "spm_A");
+  EXPECT_EQ(g.c_buf, "spm_C");
 }
 
 TEST(DmaInference, HoistsInvariantTransfers) {
@@ -142,26 +142,35 @@ TEST(DmaInference, RowMajorOperandSwapsDistribution) {
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk", "1"));
   ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   bool saw_swapped = false;
-  ir::visit(prog, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::DmaGet && n->dma.spm_buf == "spm_A")
-      saw_swapped = !n->dma.rows_to_rid;
-  });
+  for (const ir::Dma* d : ir::find_dmas(prog))
+    if (d->kind == ir::StmtKind::DmaGet && d->attrs.spm_buf == "spm_A")
+      saw_swapped = !d->attrs.rows_to_rid;
   EXPECT_TRUE(saw_swapped);
+}
+
+/// The statements of a Seq.
+const std::vector<ir::StmtPtr>& stmts(const ir::StmtPtr& seq) {
+  return seq->as<ir::Seq>().body;
+}
+
+/// The body of a For.
+const ir::StmtPtr& loop_body(const ir::StmtPtr& loop) {
+  return loop->as<ir::For>().body;
 }
 
 /// The loop variables of a Seq's For children, in order.
 std::vector<std::string> loops_in(const ir::StmtPtr& seq) {
   std::vector<std::string> out;
-  for (const ir::StmtPtr& s : seq->body)
-    if (s->kind == ir::StmtKind::For) out.push_back(s->var.name());
+  for (const ir::StmtPtr& s : stmts(seq))
+    if (s->is<ir::For>()) out.push_back(s->as<ir::For>().var.name());
   return out;
 }
 
 /// The SPM buffers of the cache-fill gets in a subtree.
 std::vector<std::string> fill_bufs(const ir::StmtPtr& s) {
   std::vector<std::string> out;
-  for (const ir::Stmt* d : ir::find_dmas(s))
-    if (d->dma.cache_fill) out.push_back(d->dma.spm_buf);
+  for (const ir::Dma* d : ir::find_dmas(s))
+    if (d->attrs.cache_fill) out.push_back(d->attrs.spm_buf);
   return out;
 }
 
@@ -186,16 +195,17 @@ TEST(DmaInference, CachesMatmulOperandsAheadOfTheirReuseLoops) {
   ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
   // Root: B's fill nest, then the m loop; in m: A's, then the n loop.
   EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"n_o", "m_o"}));
-  const ir::StmtPtr& m = prog->body.back();
-  EXPECT_EQ(loops_in(m->for_body), (std::vector<std::string>{"k_o", "n_o"}));
-  EXPECT_EQ(fill_bufs(prog->body[prog->body.size() - 2]),
+  const std::vector<ir::StmtPtr>& root = stmts(prog);
+  const ir::StmtPtr& m = root.back();
+  EXPECT_EQ(loops_in(loop_body(m)), (std::vector<std::string>{"k_o", "n_o"}));
+  EXPECT_EQ(fill_bufs(root[root.size() - 2]),
             std::vector<std::string>{"spm_B"});
-  EXPECT_EQ(fill_bufs(m->for_body->body[0]),
+  EXPECT_EQ(fill_bufs(stmts(loop_body(m))[0]),
             std::vector<std::string>{"spm_A"});
   // Slabs of 4 and 8 tiles of 32 floats per CPE; the gemm reads its tile.
-  const ir::Stmt* g = ir::find_gemms(prog)[0];
-  EXPECT_EQ(ir::eval(g->gemm.a_off, {{"k_o", 3}}), 3 * 32);
-  EXPECT_EQ(ir::eval(g->gemm.b_off, {{"n_o", 1}, {"k_o", 2}}), 6 * 32);
+  const ir::GemmAttrs& g = ir::find_gemms(prog)[0]->attrs;
+  EXPECT_EQ(ir::eval(g.a_off, {{"k_o", 3}}), 3 * 32);
+  EXPECT_EQ(ir::eval(g.b_off, {{"n_o", 1}, {"k_o", 2}}), 6 * 32);
   EXPECT_EQ(ir::spm_footprint(prog), 4 * 32 + 8 * 32 + 64);
 
   // One get per tile: B's 8 once, A's 4 once per m tile, plus 4 C puts.
@@ -241,19 +251,20 @@ TEST(DmaInference, CachesImplicitConvWeightsAndInput) {
   // Root: the weights' fill nest, then the r loop; in c_o: the input's,
   // then the o_o loop.
   EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"o_o", "r"}));
-  EXPECT_EQ(fill_bufs(prog->body[prog->body.size() - 2]),
+  const std::vector<ir::StmtPtr>& root = stmts(prog);
+  EXPECT_EQ(fill_bufs(root[root.size() - 2]),
             std::vector<std::string>{"spm_A"});
-  const ir::StmtPtr& c = prog->body.back()->for_body->body[0];
-  ASSERT_EQ(c->var.name(), "c_o");
-  EXPECT_EQ(loops_in(c->for_body), (std::vector<std::string>{"u", "o_o"}));
-  EXPECT_EQ(fill_bufs(c->for_body->body[0]),
+  const ir::StmtPtr& c = stmts(loop_body(root.back()))[0];
+  ASSERT_EQ(c->as<ir::For>().var.name(), "c_o");
+  EXPECT_EQ(loops_in(loop_body(c)), (std::vector<std::string>{"u", "o_o"}));
+  EXPECT_EQ(fill_bufs(stmts(loop_body(c))[0]),
             std::vector<std::string>{"spm_B"});
   // 16 floats per CPE per tile; the tile index runs over (o, u, v, i) and
   // (u, v, i).
-  const ir::Stmt* g = ir::find_gemms(prog)[0];
+  const ir::GemmAttrs& g = ir::find_gemms(prog)[0]->attrs;
   const ir::Env at = {{"o_o", 1}, {"u", 2}, {"v", 1}, {"i_o", 1}};
-  EXPECT_EQ(ir::eval(g->gemm.a_off, at), (((1 * 3 + 2) * 3 + 1) * 2 + 1) * 16);
-  EXPECT_EQ(ir::eval(g->gemm.b_off, at), ((2 * 3 + 1) * 2 + 1) * 16);
+  EXPECT_EQ(ir::eval(g.a_off, at), (((1 * 3 + 2) * 3 + 1) * 2 + 1) * 16);
+  EXPECT_EQ(ir::eval(g.b_off, at), ((2 * 3 + 1) * 2 + 1) * 16);
 }
 
 TEST(DmaInference, NoCacheWhenNoLoopRefetches) {
@@ -301,7 +312,8 @@ TEST(DoubleBuffer, TransformsInnermostGetLoop) {
   // A and B allocations doubled; C not.
   int doubled = 0;
   ir::visit(prog, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::SpmAlloc && n->double_buffered) ++doubled;
+    if (n->is<ir::SpmAlloc>() && n->as<ir::SpmAlloc>().double_buffered)
+      ++doubled;
   });
   EXPECT_EQ(doubled, 2);
   // Prefetch guard on the next iteration.
@@ -311,22 +323,22 @@ TEST(DoubleBuffer, TransformsInnermostGetLoop) {
 }
 
 TEST(DoubleBuffer, NoGetsNoTransform) {
-  auto prog = ir::make_seq({ir::make_for(
-      "i", ir::cst(4), ir::make_seq({ir::make_comment("empty")}))});
+  auto prog =
+      ir::make_seq({ir::make_for("i", ir::cst(4), ir::make_seq())});
   EXPECT_FALSE(apply_double_buffer(prog));
 }
 
 TEST(Coalesce, MovesAllocsToTopAndSumsFootprint) {
   auto inner = ir::make_seq({ir::make_spm_alloc("b1", 100),
-                             ir::make_comment("x")});
+                             ir::make_spm_zero("b1", ir::cst(0), ir::cst(8))});
   auto prog = ir::make_seq(
       {ir::make_for("i", ir::cst(2), inner), ir::make_spm_alloc("b2", 50)});
   const auto total = coalesce_spm(prog);
   EXPECT_EQ(total, ir::spm_footprint(prog));
-  EXPECT_EQ(prog->body[0]->kind, ir::StmtKind::SpmAlloc);
-  EXPECT_EQ(prog->body[1]->kind, ir::StmtKind::SpmAlloc);
+  EXPECT_EQ(stmts(prog)[0]->kind, ir::StmtKind::SpmAlloc);
+  EXPECT_EQ(stmts(prog)[1]->kind, ir::StmtKind::SpmAlloc);
   // The loop body no longer allocates.
-  EXPECT_FALSE(ir::contains_kind(prog->body[2], ir::StmtKind::SpmAlloc));
+  EXPECT_FALSE(ir::contains_kind(stmts(prog)[2], ir::StmtKind::SpmAlloc));
 }
 
 TEST(Coalesce, RejectsDuplicateBuffers) {
@@ -358,7 +370,8 @@ TEST(PassManager, PrefetchCanBeDisabled) {
   ASSERT_TRUE(optimize(prog, cfg, o));
   bool prefetched = false;
   ir::visit(prog, [&](const ir::StmtPtr& n) {
-    prefetched = prefetched || n->prefetched;
+    prefetched =
+        prefetched || (n->is<ir::For>() && n->as<ir::For>().prefetched);
   });
   EXPECT_FALSE(prefetched);
 }
@@ -386,31 +399,37 @@ TEST(Simplify, RemovesUnitLoopsAndSubstitutes) {
   EXPECT_EQ(vars[0], "j");
   bool found = false;
   ir::visit(root, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::SpmZero) {
+    if (n->is<ir::SpmZero>()) {
       found = true;
-      EXPECT_FALSE(ir::uses_var(n->zero_off, "i"));
-      EXPECT_EQ(ir::eval(n->zero_off, {{"j", 3}}), 3);
+      const ir::Expr& off = n->as<ir::SpmZero>().off;
+      EXPECT_FALSE(ir::uses_var(off, "i"));
+      EXPECT_EQ(ir::eval(off, {{"j", 3}}), 3);
     }
   });
   EXPECT_TRUE(found);
 }
 
+/// A leaf statement: zero 8 floats of `buf`.
+ir::StmtPtr zero_leaf(const char* buf) {
+  return ir::make_spm_zero(buf, ir::cst(0), ir::cst(8));
+}
+
 TEST(Simplify, FlattensNestedSeqs) {
   auto root = ir::make_seq(
       {ir::make_for("u", ir::cst(1),
-                    ir::make_seq({ir::make_comment("a"),
-                                  ir::make_comment("b")})),
-       ir::make_comment("c")});
+                    ir::make_seq({zero_leaf("a"), zero_leaf("b")})),
+       zero_leaf("c")});
   eliminate_unit_loops(root);
   ASSERT_EQ(root->kind, ir::StmtKind::Seq);
-  EXPECT_EQ(root->body.size(), 3u);
-  for (const auto& c : root->body)
-    EXPECT_EQ(c->kind, ir::StmtKind::Comment);
+  std::string bufs;
+  for (const auto& c : root->as<ir::Seq>().body)
+    bufs += c->as<ir::SpmZero>().buf_name;
+  EXPECT_EQ(bufs, "abc");
 }
 
 TEST(Simplify, KeepsMultiIterationLoops) {
   auto root = ir::make_seq({ir::make_for(
-      "i", ir::cst(2), ir::make_seq({ir::make_comment("x")}))});
+      "i", ir::cst(2), ir::make_seq({zero_leaf("x")}))});
   eliminate_unit_loops(root);
   EXPECT_EQ(ir::loop_vars(root).size(), 1u);
 }
@@ -434,7 +453,7 @@ TEST(DoubleBuffer, MultiLevelPrefetch) {
   ASSERT_TRUE(apply_double_buffer(prog));
   int prefetched_loops = 0;
   ir::visit(prog, [&](const ir::StmtPtr& n) {
-    if (n->kind == ir::StmtKind::For && n->prefetched) ++prefetched_loops;
+    if (n->is<ir::For>() && n->as<ir::For>().prefetched) ++prefetched_loops;
   });
   EXPECT_GE(prefetched_loops, 2);
 }

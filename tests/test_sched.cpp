@@ -17,14 +17,14 @@ sim::SimConfig cfg;
 TEST(Lower, BuildNestOrdersLoops) {
   std::vector<LoopSpec> loops = {{"a", ir::cst(2), false},
                                  {"b", ir::cst(3), true}};
-  auto prog = build_nest(loops, ir::make_comment("body"));
+  auto prog = build_nest(loops, ir::make_seq());
   ASSERT_EQ(prog->kind, ir::StmtKind::Seq);
-  const auto& outer = prog->body[0];
-  EXPECT_EQ(outer->var, "a");
-  EXPECT_FALSE(outer->reduction);
-  const auto& inner = outer->for_body->body[0];
-  EXPECT_EQ(inner->var, "b");
-  EXPECT_TRUE(inner->reduction);
+  const auto& outer = prog->as<ir::Seq>().body[0]->as<ir::For>();
+  EXPECT_EQ(outer.var, "a");
+  EXPECT_FALSE(outer.reduction);
+  const auto& inner = outer.body->as<ir::Seq>().body[0]->as<ir::For>();
+  EXPECT_EQ(inner.var, "b");
+  EXPECT_TRUE(inner.reduction);
 }
 
 TEST(Lower, OrderLoopsPermutes) {

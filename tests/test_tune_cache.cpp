@@ -543,7 +543,7 @@ class UnallocatedZeroMatmul : public ops::MatmulOp {
   ir::StmtPtr lower(const dsl::Strategy& s) const override {
     ir::StmtPtr prog = ops::MatmulOp::lower(s);
     if (prog == nullptr) return prog;
-    prog->body.push_back(ir::make_spm_zero("ghost", ir::cst(0), ir::cst(8)));
+    ir::seq_push(prog, ir::make_spm_zero("ghost", ir::cst(0), ir::cst(8)));
     return prog;
   }
 };
