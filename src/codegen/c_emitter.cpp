@@ -95,7 +95,8 @@ class Emitter {
         return;
       }
       case ir::StmtKind::SpmAlloc:
-        // Allocations were coalesced; emitted in the prologue.
+        // Every allocation is a static buffer of the prologue's coalesced
+        // SPM region, wherever it sits (DMA inference puts them first).
         return;
       case ir::StmtKind::SpmZero: {
         const ir::SpmZero& z = s->as<ir::SpmZero>();

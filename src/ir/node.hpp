@@ -4,7 +4,9 @@
 // each allocated at its own size and carrying only its own fields. Code
 // holds a node as a StmtPtr, switches on its kind and reaches its fields
 // through Stmt::as<T>(), which throws CheckError when the node is of
-// another kind, so a field and the kind it belongs to cannot disagree.
+// another kind, so a field and the kind it belongs to cannot disagree. A
+// Dma node's kind is also its direction: a DmaGet moves main memory into
+// the SPM tile grid and a DmaPut moves the grid back.
 // Schedule transformations and the IR optimizer work by mutating this
 // tree.
 #pragma once
@@ -58,8 +60,6 @@ constexpr const char* kind_name(StmtKind k) {
   }
   return "?";
 }
-
-enum class Direction { MemToSpm, SpmToMem };
 
 struct Stmt;
 using StmtPtr = std::shared_ptr<Stmt>;
@@ -125,9 +125,10 @@ struct GemmAttrs {
 };
 
 /// DMA node (the paper's DMA_CPE after inference): move the view's valid
-/// rows x cols region between main memory and the SPM tile grid. The SPM
-/// tile is (rows_p x cols_p) split 8x8 across CPEs, each local tile stored
-/// column-major with leading dimension rows_p/8.
+/// rows x cols region between main memory and the SPM tile grid, in the
+/// direction the node's kind gives. The SPM tile is (rows_p x cols_p) split
+/// 8x8 across CPEs, each local tile stored column-major with leading
+/// dimension rows_p/8.
 struct DmaAttrs {
   ViewAttrs view;
   /// Tile grid dims (divisible by the mesh). Constants under lightweight
@@ -138,7 +139,6 @@ struct DmaAttrs {
   std::string spm_buf;
   Expr spm_off;  ///< offset within the buffer (double-buffer parity)
   Expr reply;    ///< reply-word slot id
-  Direction dir = Direction::MemToSpm;
   /// True when view-row blocks map to mesh row ids (the natural
   /// orientation); false when the view was transposed to feed a row-major
   /// kernel operand, in which case view-row blocks map to column ids.

@@ -26,7 +26,7 @@ enum class AttrCat : int {
   RegComm,           ///< inter-panel register-communication switches
   OtherCompute,      ///< zero-fills, packing, transforms, MPE passes
   DmaQueueWait,      ///< blocking attributable to a busy DMA engine queue
-  DmaWait,           ///< blocking on in-flight DMA transfers (dma_wait)
+  DmaWait,           ///< blocking in DmaWait on in-flight DMA transfers
   Barrier,           ///< NoC synchronization between core groups
   Imbalance,         ///< core groups idle while the slowest finishes a step
   Residual,          ///< elapsed cycles no counter explains (should be ~0)

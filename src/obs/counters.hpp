@@ -23,7 +23,7 @@ struct DmaCounters {
   std::int64_t transactions = 0;     ///< 128 B DRAM transactions touched
   std::int64_t transfers = 0;        ///< CG-level DMA operations issued
   double queue_wait_cycles = 0.0;    ///< issue delayed by a busy engine
-  double stall_cycles = 0.0;         ///< cluster blocked in dma_wait
+  double stall_cycles = 0.0;         ///< cluster blocked in DmaWait
   double busy_cycles = 0.0;          ///< engine occupied (latency + transfer)
 };
 

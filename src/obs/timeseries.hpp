@@ -54,8 +54,6 @@ class TimeSeries {
              GaugeSampler sampler = nullptr);
 
   double window_us() const { return window_us_; }
-  const std::vector<std::string>& counter_names() const { return cnames_; }
-  const std::vector<std::string>& gauge_names() const { return gnames_; }
 
   /// Add `delta` to counter `channel` at time `t_us`. `t_us` must not
   /// precede the current (open) window; later times are buffered until

@@ -185,9 +185,6 @@ std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
   plan.a.dma.reply = ir::cst(0);
   plan.b.dma.reply = ir::cst(1);
   plan.c.dma.reply = ir::cst(2);
-  plan.a.dma.dir = ir::Direction::MemToSpm;
-  plan.b.dma.dir = ir::Direction::MemToSpm;
-  plan.c.dma.dir = ir::Direction::SpmToMem;
 
   // Usually every reduction loop sits inside the C tile's scope. When the
   // schedule places one *outside* it, the tile is revisited once per outer
@@ -344,7 +341,6 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
     for (const ir::VarId v : plan->outer_reductions)
       pass_sum = ir::add(pass_sum, ir::var(v));
     ir::DmaAttrs cget = pc.dma;
-    cget.dir = ir::Direction::MemToSpm;
     cget.reply = ir::cst(3);
     insert_before(
         pc.level,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "common/math_util.hpp"
 
 namespace swatop::prim {
 
@@ -11,15 +10,12 @@ namespace {
 
 /// Price one strided pass over a column-major (rows x cols) block.
 void charge_pass(sim::CoreGroup& cg, sim::MainMemory::Addr base,
-                 std::int64_t rows, std::int64_t cols, std::int64_t ld,
-                 sim::DmaDir dir) {
+                 std::int64_t rows, std::int64_t cols, std::int64_t ld) {
   sim::DmaCpeDesc d;
   d.mem_base = base;
-  d.spm_addr = 0;
   d.block = rows;
   d.stride = ld - rows;
   d.total = rows * cols;
-  d.dir = dir;
   cg.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&d, 1));
 }
 
@@ -33,8 +29,8 @@ void copy_block(sim::CoreGroup& cg, sim::MainMemory::Addr src,
   if (rows == 0 || cols == 0) return;
   SWATOP_CHECK(src_ld >= rows && dst_ld >= rows)
       << "copy_block leading dims too small";
-  charge_pass(cg, src, rows, cols, src_ld, sim::DmaDir::MemToSpm);
-  charge_pass(cg, dst, rows, cols, dst_ld, sim::DmaDir::SpmToMem);
+  charge_pass(cg, src, rows, cols, src_ld);
+  charge_pass(cg, dst, rows, cols, dst_ld);
   if (mode != sim::ExecMode::Functional) return;
   for (std::int64_t j = 0; j < cols; ++j) {
     auto s = cg.mem().view(src + j * src_ld, rows);
@@ -59,76 +55,10 @@ sim::MainMemory::Addr pad_full(sim::CoreGroup& cg, sim::MainMemory::Addr src,
   if (fringe > 0) {
     sim::DmaCpeDesc d;
     d.mem_base = dst;
-    d.spm_addr = 0;
     d.block = std::min<std::int64_t>(fringe, new_rows);
     d.stride = 0;
     d.total = fringe;
-    d.dir = sim::DmaDir::SpmToMem;
     cg.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&d, 1));
-  }
-  return dst;
-}
-
-LightweightPad pad_lightweight(sim::CoreGroup& cg, sim::MainMemory::Addr src,
-                               std::int64_t rows, std::int64_t cols,
-                               std::int64_t src_ld, std::int64_t tile_rows,
-                               std::int64_t tile_cols, sim::ExecMode mode) {
-  SWATOP_CHECK(tile_rows > 0 && tile_cols > 0);
-  LightweightPad out;
-  const std::int64_t ragged_rows = rows % tile_rows;
-  const std::int64_t ragged_cols = cols % tile_cols;
-  const std::int64_t rows_padded = align_up(rows, tile_rows);
-  const std::int64_t cols_padded = align_up(cols, tile_cols);
-
-  if (ragged_cols != 0) {
-    // Right sliver: the last ragged column block, all rows, padded to a
-    // whole tile_cols width and to rows_padded height so bottom-right is
-    // covered too.
-    out.right = cg.mem().alloc(rows_padded * tile_cols, "lw_pad_right");
-    out.right_ld = rows_padded;
-    const std::int64_t col0 = cols - ragged_cols;
-    copy_block(cg, src + col0 * src_ld, src_ld, out.right, rows_padded, rows,
-               ragged_cols, mode);
-    out.copied_floats += rows * ragged_cols;
-  }
-  if (ragged_rows != 0) {
-    // Bottom sliver: the last ragged row block across all *full* column
-    // tiles (the bottom-right corner lives in the right sliver when both
-    // are ragged).
-    const std::int64_t covered_cols =
-        ragged_cols != 0 ? cols - ragged_cols : cols;
-    if (covered_cols > 0) {
-      out.bottom = cg.mem().alloc(
-          tile_rows * align_up(covered_cols, tile_cols), "lw_pad_bottom");
-      out.bottom_ld = tile_rows;
-      const std::int64_t row0 = rows - ragged_rows;
-      copy_block(cg, src + row0, src_ld, out.bottom, tile_rows, ragged_rows,
-                 covered_cols, mode);
-      out.copied_floats += ragged_rows * covered_cols;
-    }
-  }
-  (void)cols_padded;
-  return out;
-}
-
-sim::MainMemory::Addr transpose(sim::CoreGroup& cg, sim::MainMemory::Addr src,
-                                std::int64_t rows, std::int64_t cols,
-                                sim::ExecMode mode) {
-  const sim::MainMemory::Addr dst = cg.mem().alloc(rows * cols, "transpose");
-  charge_pass(cg, src, rows, cols, rows, sim::DmaDir::MemToSpm);
-  // The write side is the expensive pass: element stride = cols.
-  sim::DmaCpeDesc d;
-  d.mem_base = dst;
-  d.spm_addr = 0;
-  d.block = cols;  // one output row at a time is contiguous
-  d.stride = 0;
-  d.total = rows * cols;
-  d.dir = sim::DmaDir::SpmToMem;
-  cg.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&d, 1));
-  if (mode == sim::ExecMode::Functional) {
-    for (std::int64_t j = 0; j < cols; ++j)
-      for (std::int64_t i = 0; i < rows; ++i)
-        cg.mem().write(dst + j + i * cols, cg.mem().read(src + i + j * rows));
   }
   return dst;
 }

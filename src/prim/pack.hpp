@@ -1,10 +1,8 @@
-// Packing primitives: layout transformation and zero-padding performed by
-// the CPE cluster (data staged through SPM, priced as DMA traffic).
-//
-// These implement the two padding strategies of Sec. 4.5.3: traditional
-// padding re-materializes the whole matrix into a padded buffer, while
-// lightweight padding copies only the boundary slivers into small auxiliary
-// buffers and lets the generated code switch buffers at the boundary.
+// Packing primitives: layout copies and traditional zero-padding of
+// main-memory matrices, staged through the CPE cluster's SPM and priced as
+// synchronous DMA traffic (the xMath GEMM baseline packs its operands with
+// them). The pipeline's own lightweight padding is not here: DMA inference
+// zero-fills a partial tile's SPM buffer before its get (Sec. 4.5.3).
 #pragma once
 
 #include <cstdint>
@@ -28,31 +26,5 @@ sim::MainMemory::Addr pad_full(sim::CoreGroup& cg, sim::MainMemory::Addr src,
                                std::int64_t rows, std::int64_t cols,
                                std::int64_t src_ld, std::int64_t new_rows,
                                std::int64_t new_cols, sim::ExecMode mode);
-
-/// Lightweight zero-padding of a column-major matrix tiled by (tile_rows x
-/// tile_cols): only the ragged right/bottom tile slivers are copied into
-/// zero-filled auxiliary buffers sized to whole tiles.
-struct LightweightPad {
-  /// Aux buffer covering the ragged bottom rows, (tile_rows x full_cols_padded),
-  /// column-major with ld = tile_rows. 0 if no ragged rows.
-  sim::MainMemory::Addr bottom = -1;
-  /// Aux buffer covering the ragged right columns, (rows_padded x tile_cols),
-  /// column-major with ld = rows_padded. -1 if no ragged cols.
-  sim::MainMemory::Addr right = -1;
-  std::int64_t bottom_ld = 0;
-  std::int64_t right_ld = 0;
-  std::int64_t copied_floats = 0;  ///< how much data the padding touched
-};
-LightweightPad pad_lightweight(sim::CoreGroup& cg, sim::MainMemory::Addr src,
-                               std::int64_t rows, std::int64_t cols,
-                               std::int64_t src_ld, std::int64_t tile_rows,
-                               std::int64_t tile_cols, sim::ExecMode mode);
-
-/// Out-of-place transpose (rows x cols, column-major, ld = rows) into a new
-/// (cols x rows) column-major allocation; the layout transformation of
-/// Sec. 4.3.2 when a schedule strategy wants the other orientation.
-sim::MainMemory::Addr transpose(sim::CoreGroup& cg, sim::MainMemory::Addr src,
-                                std::int64_t rows, std::int64_t cols,
-                                sim::ExecMode mode);
 
 }  // namespace swatop::prim

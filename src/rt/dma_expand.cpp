@@ -50,10 +50,26 @@ DmaGeometry evaluate_dma(const ir::DmaAttrs& d, ExprEvaluator& ev,
   return finish_geometry(g, cfg);
 }
 
-void block_of(const ir::DmaAttrs& d, int rid, int cid, std::int64_t* br,
-              std::int64_t* bc) {
-  *br = d.rows_to_rid ? rid : cid;
-  *bc = d.rows_to_rid ? cid : rid;
+CpeBlock cpe_block(const ir::DmaAttrs& d, const DmaGeometry& g, int rid,
+                   int cid) {
+  CpeBlock b;
+  b.br = d.rows_to_rid ? rid : cid;
+  b.bc = d.rows_to_rid ? cid : rid;
+  b.rows = std::clamp<std::int64_t>(g.rows - b.br * g.tr, 0, g.tr);
+  b.cols = std::clamp<std::int64_t>(g.cols - b.bc * g.tc, 0, g.tc);
+  b.mem_base = g.base + b.br * g.tr * d.view.stride_r +
+               b.bc * g.tc * d.view.stride_c;
+  return b;
+}
+
+ResidualRead residual_read(const ir::DmaAttrs& put, const DmaGeometry& g,
+                           sim::MainMemory::Addr res_base) {
+  ResidualRead r;
+  r.attrs.view = put.epi.res;
+  r.attrs.rows_to_rid = put.rows_to_rid;
+  r.geo = g;
+  r.geo.base = res_base;
+  return r;
 }
 
 const sim::DmaCost& DmaCostCache::get(const ir::DmaAttrs& d,
@@ -62,7 +78,7 @@ const sim::DmaCost& DmaCostCache::get(const ir::DmaAttrs& d,
                                       const sim::SimConfig& cfg) {
   const std::int64_t align_floats =
       static_cast<std::int64_t>(cfg.dram_transaction_bytes / sizeof(float));
-  const std::array<std::int64_t, 9> key = {
+  const std::array<std::int64_t, 8> key = {
       g.base % align_floats,
       g.rows,
       g.cols,
@@ -70,47 +86,34 @@ const sim::DmaCost& DmaCostCache::get(const ir::DmaAttrs& d,
       g.cols_p,
       d.view.stride_r,
       d.view.stride_c,
-      d.rows_to_rid ? 1 : 0,
-      d.dir == ir::Direction::MemToSpm ? 0 : 1};
+      d.rows_to_rid ? 1 : 0};
   auto it = memo_.find(key);
   if (it != memo_.end()) return it->second;
-  const auto descs = expand_dma(d, g, 0, cfg);
+  const auto descs = expand_dma(d, g, cfg);
   return memo_.emplace(key, engine.cost(descs)).first->second;
 }
 
 std::vector<sim::DmaCpeDesc> expand_dma(const ir::DmaAttrs& d,
                                         const DmaGeometry& g,
-                                        std::int64_t spm_at,
                                         const sim::SimConfig& cfg) {
   std::vector<sim::DmaCpeDesc> descs;
   descs.reserve(static_cast<std::size_t>(cfg.num_cpes()));
-  const sim::DmaDir dir = d.dir == ir::Direction::MemToSpm
-                              ? sim::DmaDir::MemToSpm
-                              : sim::DmaDir::SpmToMem;
   for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
     for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
-      std::int64_t br, bc;
-      block_of(d, rid, cid, &br, &bc);
-      const std::int64_t vr =
-          std::clamp<std::int64_t>(g.rows - br * g.tr, 0, g.tr);
-      const std::int64_t vc =
-          std::clamp<std::int64_t>(g.cols - bc * g.tc, 0, g.tc);
+      const CpeBlock b = cpe_block(d, g, rid, cid);
       sim::DmaCpeDesc desc;
-      desc.dir = dir;
-      desc.spm_addr = spm_at;
-      if (vr > 0 && vc > 0) {
-        desc.mem_base =
-            g.base + br * g.tr * d.view.stride_r + bc * g.tc * d.view.stride_c;
+      if (!b.empty()) {
+        desc.mem_base = b.mem_base;
         if (d.view.stride_r == 1) {
-          desc.block = vr;
-          desc.stride = d.view.stride_c - vr;
+          desc.block = b.rows;
+          desc.stride = d.view.stride_c - b.rows;
         } else {
           // Element-granular gather/scatter: every element opens its own
           // transaction window.
           desc.block = 1;
           desc.stride = d.view.stride_r - 1;
         }
-        desc.total = vr * vc;
+        desc.total = b.rows * b.cols;
       }
       descs.push_back(desc);
     }

@@ -1,6 +1,10 @@
-// Expansion of an IR DMA node into per-CPE descriptors (the DMA_CG ->
-// DMA_CPE derivation of Sec. 4.5.1), shared by the runtime (pricing +
-// functional copy) and the static cost model (pricing only).
+// Expansion of an IR DMA node into per-CPE work (the DMA_CG -> DMA_CPE
+// derivation of Sec. 4.5.1), shared by the runtime (pricing, per-CPE
+// attribution and the functional copy) and the static cost model (pricing
+// only). One rule, cpe_block, says which block of the tile grid each CPE
+// holds and where it starts in memory; the descriptors the DMA engine
+// prices are built from it, and so is the interpreter's copy. The direction
+// is the node's kind and never changes a price, so nothing here reads it.
 #pragma once
 
 #include <array>
@@ -32,19 +36,42 @@ DmaGeometry evaluate_dma(const ir::DmaAttrs& d, ExprEvaluator& ev,
                          sim::MainMemory::Addr tensor_base,
                          const sim::SimConfig& cfg);
 
-/// Per-CPE block indices for mesh position (rid, cid).
-void block_of(const ir::DmaAttrs& d, int rid, int cid, std::int64_t* br,
-              std::int64_t* bc);
+/// CPE (rid, cid)'s share of a transfer: the block of the tile grid it
+/// holds, that block's valid rows and columns (none when the view ends
+/// before it) and the memory address of its first element. View-row blocks
+/// follow the mesh row id, or the column id when the view was transposed to
+/// feed a row-major kernel operand (DmaAttrs::rows_to_rid).
+struct CpeBlock {
+  std::int64_t br = 0, bc = 0;      ///< block indices in the tile grid
+  std::int64_t rows = 0, cols = 0;  ///< valid region of the block
+  sim::MainMemory::Addr mem_base = 0;
 
-/// Build the per-CPE descriptor list used for pricing.
+  bool empty() const { return rows <= 0 || cols <= 0; }
+};
+CpeBlock cpe_block(const ir::DmaAttrs& d, const DmaGeometry& g, int rid,
+                   int cid);
+
+/// Build the per-CPE descriptor list used for pricing, in mesh order.
 std::vector<sim::DmaCpeDesc> expand_dma(const ir::DmaAttrs& d,
                                         const DmaGeometry& g,
-                                        std::int64_t spm_at,
                                         const sim::SimConfig& cfg);
 
+/// The re-read of a fused residual operand that a C put with a residual
+/// epilogue makes: a get of the residual view over the put's tile grid and
+/// distribution, at `res_base` (the residual tensor's address plus its
+/// evaluated view base). The cost model prices it; the interpreter books it
+/// and reads the residual through its blocks.
+struct ResidualRead {
+  ir::DmaAttrs attrs;
+  DmaGeometry geo;
+};
+ResidualRead residual_read(const ir::DmaAttrs& put, const DmaGeometry& g,
+                           sim::MainMemory::Addr res_base);
+
 /// Memoized DMA pricing: the cost of a transfer only depends on its
-/// geometry and the base address's alignment within a DRAM transaction, so
-/// hot loops (the timing interpreter, the static cost model) reuse it.
+/// geometry, its distribution and the base address's alignment within a
+/// DRAM transaction, so hot loops (the timing interpreter, the static cost
+/// model) reuse it.
 class DmaCostCache {
  public:
   const sim::DmaCost& get(const ir::DmaAttrs& d, const DmaGeometry& g,
@@ -53,7 +80,7 @@ class DmaCostCache {
 
  private:
   struct KeyHash {
-    std::size_t operator()(const std::array<std::int64_t, 9>& k) const {
+    std::size_t operator()(const std::array<std::int64_t, 8>& k) const {
       std::uint64_t h = 1469598103934665603ull;  // FNV-1a
       for (std::int64_t v : k) {
         h ^= static_cast<std::uint64_t>(v);
@@ -62,7 +89,7 @@ class DmaCostCache {
       return static_cast<std::size_t>(h);
     }
   };
-  std::unordered_map<std::array<std::int64_t, 9>, sim::DmaCost, KeyHash>
+  std::unordered_map<std::array<std::int64_t, 8>, sim::DmaCost, KeyHash>
       memo_;
 };
 

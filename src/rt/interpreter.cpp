@@ -322,7 +322,7 @@ void Interpreter::exec_dma(const ir::Dma& s) {
   const DmaGeometry geo = evaluate_dma(d, eval_, t->second, cfg);
   const std::int64_t spm_at = spm_base(d.spm_buf) + eval_.eval(d.spm_off);
   const std::int64_t slot = eval_.eval(d.reply);
-  const bool is_get = d.dir == ir::Direction::MemToSpm;
+  const bool is_get = s.kind == ir::StmtKind::DmaGet;
   if (slot < 0 || slot >= ir::kMaxReplySlots) {
     std::ostringstream os;
     os << "DMA " << (is_get ? "get" : "put") << " of buffer '" << d.spm_buf
@@ -365,8 +365,7 @@ void Interpreter::exec_dma(const ir::Dma& s) {
   if (obs_ != nullptr && !resident) {
     if (obs_->tracing()) {
       obs::TraceEvent ev;
-      ev.name = (d.dir == ir::Direction::MemToSpm ? "get " : "put ") +
-                d.spm_buf;
+      ev.name = (is_get ? "get " : "put ") + d.spm_buf;
       ev.cat = obs::Category::Dma;
       ev.tid = obs::Track::kCluster;
       ev.ts = cg_.now();
@@ -377,19 +376,15 @@ void Interpreter::exec_dma(const ir::Dma& s) {
       ev.arg[1] = slot;
       obs_->trace_event(std::move(ev));
     }
-    // Per-CPE attribution with the same tile-clamp arithmetic the
-    // functional copy below walks.
+    // Per-CPE attribution over the same blocks the functional copy below
+    // walks.
     for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
       for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
-        std::int64_t br, bc;
-        block_of(d, rid, cid, &br, &bc);
-        const std::int64_t vr =
-            std::clamp<std::int64_t>(geo.rows - br * geo.tr, 0, geo.tr);
-        const std::int64_t vc =
-            std::clamp<std::int64_t>(geo.cols - bc * geo.tc, 0, geo.tc);
-        if (vr <= 0 || vc <= 0) continue;
+        const CpeBlock b = cpe_block(d, geo, rid, cid);
+        if (b.empty()) continue;
         obs::CpeCounters& pc = obs_->cpe(rid * cfg.mesh_cols + cid);
-        pc.dma_bytes += vr * vc * static_cast<std::int64_t>(sizeof(float));
+        pc.dma_bytes +=
+            b.rows * b.cols * static_cast<std::int64_t>(sizeof(float));
         pc.dma_transfers += 1;
       }
     }
@@ -399,15 +394,11 @@ void Interpreter::exec_dma(const ir::Dma& s) {
 
   for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
     for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
-      std::int64_t br, bc;
-      block_of(d, rid, cid, &br, &bc);
-      const std::int64_t vr =
-          std::clamp<std::int64_t>(geo.rows - br * geo.tr, 0, geo.tr);
-      const std::int64_t vc =
-          std::clamp<std::int64_t>(geo.cols - bc * geo.tc, 0, geo.tc);
-      if (vr <= 0 || vc <= 0) continue;
+      const CpeBlock b = cpe_block(d, geo, rid, cid);
+      if (b.empty()) continue;
+      const std::int64_t vr = b.rows, vc = b.cols;
       sim::Spm& spm = cg_.cluster().at(rid, cid).spm();
-      if (d.dir == ir::Direction::SpmToMem && spm.poison_tracking()) {
+      if (!is_get && spm.poison_tracking()) {
         // A put drains exactly the valid columns of this CPE's tile; every
         // float it reads must have been defined by a get, zero or GEMM.
         for (std::int64_t j = 0; j < vc; ++j) {
@@ -424,12 +415,9 @@ void Interpreter::exec_dma(const ir::Dma& s) {
                          os.str());
         }
       }
-      const sim::MainMemory::Addr tile_base =
-          geo.base + br * geo.tr * d.view.stride_r +
-          bc * geo.tc * d.view.stride_c;
       const std::int64_t sr = d.view.stride_r;
       for (std::int64_t j = 0; j < vc; ++j) {
-        float* mem = mem_column(cg_.mem(), tile_base + j * d.view.stride_c,
+        float* mem = mem_column(cg_.mem(), b.mem_base + j * d.view.stride_c,
                                 vr, sr);
         if (is_get) {
           float* dst = spm.write_block(spm_at + j * geo.tr, vr).data();
@@ -451,19 +439,14 @@ void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
   // Residual operand: re-read of the same tile geometry from the res view,
   // priced like the get it replaces (the unfused Add pass paid it too, plus
   // a full extra read+write of the main operand).
-  sim::MainMemory::Addr res_base = 0;
+  ResidualRead res;
   if (e.residual) {
     const auto rt = tensors_->find(e.res.tensor);
     SWATOP_CHECK(rt != tensors_->end())
         << "unbound epilogue tensor '" << e.res.tensor << "'";
-    ir::DmaAttrs rd;
-    rd.view = e.res;
-    rd.dir = ir::Direction::MemToSpm;
-    rd.rows_to_rid = d.rows_to_rid;
-    DmaGeometry rg = geo;
-    rg.base = rt->second + eval_.eval(e.res.base);
-    res_base = rg.base;
-    const sim::DmaCost& rc = dma_cost_cache_.get(rd, rg, cg_.dma(), cfg);
+    res = residual_read(d, geo, rt->second + eval_.eval(e.res.base));
+    const sim::DmaCost& rc =
+        dma_cost_cache_.get(res.attrs, res.geo, cg_.dma(), cfg);
     if (resident_ != nullptr && resident_->tensors.count(e.res.tensor) > 0)
       bytes_elided_ += rc.bytes_requested;
     else
@@ -486,7 +469,6 @@ void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
       bd.block = nch;
       bd.stride = 0;
       bd.total = nch;
-      bd.dir = sim::DmaDir::MemToSpm;
       cg_.charge_dma_sync(std::span<const sim::DmaCpeDesc>(&bd, 1));
     }
   }
@@ -503,37 +485,32 @@ void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
   const std::int64_t bias_step = e.channels_on_rows ? 1 : 0;
   for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
     for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
-      std::int64_t br, bc;
-      block_of(d, rid, cid, &br, &bc);
-      const std::int64_t vr =
-          std::clamp<std::int64_t>(geo.rows - br * geo.tr, 0, geo.tr);
-      const std::int64_t vc =
-          std::clamp<std::int64_t>(geo.cols - bc * geo.tc, 0, geo.tc);
-      if (vr <= 0 || vc <= 0) continue;
+      const CpeBlock b = cpe_block(d, geo, rid, cid);
+      if (b.empty()) continue;
+      const std::int64_t vr = b.rows;
+      const sim::MainMemory::Addr res_col =
+          e.residual ? cpe_block(res.attrs, res.geo, rid, cid).mem_base : 0;
       sim::Spm& spm = cg_.cluster().at(rid, cid).spm();
-      const std::int64_t gi = br * geo.tr;  // global row of tile row 0
-      for (std::int64_t j = 0; j < vc; ++j) {
-        const std::int64_t gj = bc * geo.tc + j;
+      const std::int64_t gi = b.br * geo.tr;  // global row of tile row 0
+      for (std::int64_t j = 0; j < b.cols; ++j) {
+        const std::int64_t gj = b.bc * geo.tc + j;
         const float* bias =
             e.bias ? mem_column(cg_.mem(),
                                 bias_base + ch0 +
                                     (e.channels_on_rows ? gi : gj),
                                 vr, bias_step)
                    : nullptr;
-        const float* res =
-            e.residual
-                ? mem_column(cg_.mem(),
-                             res_base + gi * e.res.stride_r +
-                                 gj * e.res.stride_c,
-                             vr, e.res.stride_r)
-                : nullptr;
+        const float* resid =
+            e.residual ? mem_column(cg_.mem(), res_col + j * e.res.stride_c,
+                                    vr, e.res.stride_r)
+                       : nullptr;
         const std::int64_t idx = spm_at + j * geo.tr;
         const float* in = spm.read_block(idx, vr).data();
         float* out = spm.write_block(idx, vr).data();
         for (std::int64_t i = 0; i < vr; ++i) {
           float v = in[i];
           if (bias != nullptr) v += bias[i * bias_step];
-          if (res != nullptr) v += res[i * e.res.stride_r];
+          if (resid != nullptr) v += resid[i * e.res.stride_r];
           if (e.relu) v = std::max(v, 0.0f);
           out[i] = v;
         }

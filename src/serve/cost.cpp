@@ -56,19 +56,16 @@ CostProviderStats EngineCostProvider::stats() const {
   return stats_;
 }
 
-ChipCost SyntheticCostProvider::cost(const std::string& net,
+ChipCost SyntheticCostProvider::cost(const std::string& /*net*/,
                                      std::int64_t images) {
   SWATOP_CHECK(images >= 1) << "cost for " << images << " images";
-  NetCost nc;
-  if (const auto it = nets_.find(net); it != nets_.end()) nc = it->second;
   const int groups = static_cast<int>(
       std::min<std::int64_t>(groups_per_chip_, images));
   ChipCost c;
   c.groups = groups;
   // Contiguous batch slices over the groups: the slowest group carries
   // ceil(images / groups) of them, same as the engine's split.
-  c.us = nc.launch_us +
-         nc.image_us * static_cast<double>(ceil_div(images, groups));
+  c.us = kLaunchUs + kImageUs * static_cast<double>(ceil_div(images, groups));
   c.cycles = c.us * 1.45e3;  // nominal SW26010 clock, for symmetry only
   return c;
 }

@@ -87,25 +87,21 @@ class EngineCostProvider : public CostProvider {
 
 /// Analytic costs for tests and engine-free demos: a fixed per-launch
 /// overhead plus a per-image term that data-parallelizes over the chip's
-/// core groups, mirroring the engine's min(groups, batch) rule. Strictly
-/// deterministic and monotone in the sub-batch size.
+/// core groups, mirroring the engine's min(groups, batch) rule. The same
+/// for every net, strictly deterministic and monotone in the sub-batch
+/// size.
 class SyntheticCostProvider : public CostProvider {
  public:
-  struct NetCost {
-    double launch_us = 300.0;    ///< fixed per-sub-batch overhead
-    double image_us = 1000.0;    ///< one image on one core group
-  };
+  static constexpr double kLaunchUs = 300.0;  ///< per-sub-batch overhead
+  static constexpr double kImageUs = 1000.0;  ///< one image on one group
 
   explicit SyntheticCostProvider(int groups_per_chip = 4)
       : groups_per_chip_(groups_per_chip) {}
-
-  void set_net(const std::string& net, NetCost c) { nets_[net] = c; }
 
   ChipCost cost(const std::string& net, std::int64_t images) override;
 
  private:
   int groups_per_chip_;
-  std::map<std::string, NetCost> nets_;  ///< missing nets use defaults
 };
 
 }  // namespace swatop::serve

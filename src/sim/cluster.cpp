@@ -24,7 +24,8 @@ const Cpe& CpeCluster::at(int rid, int cid) const {
   return const_cast<CpeCluster*>(this)->at(rid, cid);
 }
 
-std::int64_t CpeCluster::spm_alloc(std::int64_t nfloats, std::string name) {
+std::int64_t CpeCluster::spm_alloc(std::int64_t nfloats,
+                                   std::string_view name) {
   SWATOP_CHECK(nfloats > 0) << "SPM alloc of " << nfloats;
   // Keep buffers 32-byte aligned so vector loads are aligned.
   const std::int64_t offset = align_up(spm_top_, 8);
@@ -33,13 +34,9 @@ std::int64_t CpeCluster::spm_alloc(std::int64_t nfloats, std::string name) {
       << spm_capacity() << " (allocating '" << name << "')";
   spm_top_ = offset + nfloats;
   spm_high_water_ = std::max(spm_high_water_, spm_top_);
-  spm_allocs_.push_back({offset, nfloats, std::move(name)});
   return offset;
 }
 
-void CpeCluster::spm_reset() {
-  spm_top_ = 0;
-  spm_allocs_.clear();
-}
+void CpeCluster::spm_reset() { spm_top_ = 0; }
 
 }  // namespace swatop::sim

@@ -8,7 +8,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -32,7 +32,7 @@ class CpeCluster {
 
   /// Allocate `nfloats` floats of SPM on every CPE (same offset everywhere).
   /// Throws CheckError if the cluster SPM budget is exceeded.
-  std::int64_t spm_alloc(std::int64_t nfloats, std::string name = "");
+  std::int64_t spm_alloc(std::int64_t nfloats, std::string_view name = {});
 
   /// Release all SPM allocations (the storage itself is zeroed lazily by the
   /// runtime between operator executions).
@@ -42,22 +42,12 @@ class CpeCluster {
   std::int64_t spm_capacity() const { return cfg_.spm_floats(); }
   std::int64_t spm_high_water() const { return spm_high_water_; }
 
-  struct SpmAllocation {
-    std::int64_t offset;
-    std::int64_t size;
-    std::string name;
-  };
-  const std::vector<SpmAllocation>& spm_allocations() const {
-    return spm_allocs_;
-  }
-
  private:
   SimConfig cfg_;
   std::vector<Cpe> cpes_;
   RegCommBus bus_;
   std::int64_t spm_top_ = 0;
   std::int64_t spm_high_water_ = 0;
-  std::vector<SpmAllocation> spm_allocs_;
 };
 
 }  // namespace swatop::sim

@@ -1,7 +1,5 @@
 #include "sim/core_group.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace swatop::sim {
@@ -15,7 +13,7 @@ void CoreGroup::advance_compute(double cycles) {
   stats_.compute_cycles += cycles;
 }
 
-double CoreGroup::book_dma(const DmaCost& c) {
+double CoreGroup::dma_issue_cost_at(const DmaCost& c) {
   stats_.dma_queue_wait_cycles += dma_.queue_wait(now_);
   const double done = dma_.issue(now_, c);
   stats_.dma_bytes_requested += c.bytes_requested;
@@ -40,60 +38,6 @@ double CoreGroup::book_dma(const DmaCost& c) {
   return done;
 }
 
-CoreGroup::ReplyId CoreGroup::dma_issue(std::span<const DmaCpeDesc> descs,
-                                        ExecMode mode) {
-  const DmaCost c = dma_.cost(descs);
-  const double done = book_dma(c);
-  const ReplyId id = next_reply_++;
-  inflight_[id] = done;
-  if (obs_ != nullptr) {
-    // Per-CPE attribution: descriptors are in mesh order (or a single
-    // descriptor for CPE (0,0)-only transfers).
-    for (std::size_t i = 0; i < descs.size(); ++i) {
-      if (descs[i].total == 0) continue;
-      obs::CpeCounters& pc = obs_->cpe(static_cast<int>(i));
-      pc.dma_bytes +=
-          descs[i].total * static_cast<std::int64_t>(sizeof(float));
-      pc.dma_transfers += 1;
-    }
-  }
-
-  if (mode == ExecMode::Functional) {
-    // Descriptors are expected in mesh order: one per CPE (or a single
-    // descriptor when only CPE (0,0) participates, e.g. scalars).
-    const int n = static_cast<int>(descs.size());
-    SWATOP_CHECK(n == cfg_.num_cpes() || n == 1)
-        << "functional DMA expects 1 or " << cfg_.num_cpes()
-        << " descriptors, got " << n;
-    for (int i = 0; i < n; ++i) {
-      const DmaCpeDesc& d = descs[static_cast<std::size_t>(i)];
-      if (d.total == 0) continue;
-      Spm& spm = cluster_.at(i / cfg_.mesh_cols, i % cfg_.mesh_cols).spm();
-      std::int64_t remaining = d.total;
-      MainMemory::Addr mem = d.mem_base;
-      std::int64_t spm_at = d.spm_addr;
-      while (remaining > 0) {
-        const std::int64_t blk = std::min(remaining, d.block);
-        if (d.dir == DmaDir::MemToSpm) {
-          auto src = mem_.view(mem, blk);
-          auto dst = spm.view(spm_at, blk);
-          std::copy(src.begin(), src.end(), dst.begin());
-        } else {
-          auto src = spm.view(spm_at, blk);
-          auto dst = mem_.view(mem, blk);
-          std::copy(src.begin(), src.end(), dst.begin());
-        }
-        remaining -= blk;
-        mem += d.block + d.stride;
-        spm_at += blk;
-      }
-    }
-  }
-  return id;
-}
-
-double CoreGroup::dma_issue_cost_at(const DmaCost& c) { return book_dma(c); }
-
 void CoreGroup::wait_until(double t) {
   if (t > now_) {
     stats_.dma_stall_cycles += t - now_;
@@ -101,44 +45,24 @@ void CoreGroup::wait_until(double t) {
   }
 }
 
-CoreGroup::ReplyId CoreGroup::dma_issue_cost(const DmaCost& c) {
-  const double done = book_dma(c);
-  const ReplyId id = next_reply_++;
-  inflight_[id] = done;
-  return id;
-}
-
-void CoreGroup::dma_wait(ReplyId id) {
-  auto it = inflight_.find(id);
-  SWATOP_CHECK(it != inflight_.end()) << "dma_wait on unknown reply " << id;
-  if (it->second > now_) {
-    stats_.dma_stall_cycles += it->second - now_;
-    now_ = it->second;
-  }
-  inflight_.erase(it);
-}
-
-bool CoreGroup::dma_pending(ReplyId id) const {
-  return inflight_.count(id) > 0;
-}
-
 void CoreGroup::charge_dma_sync(std::span<const DmaCpeDesc> descs) {
-  const ReplyId id = dma_issue(descs, ExecMode::TimingOnly);
-  dma_wait(id);
+  charge_dma_cost_sync(dma_.cost(descs));
+  if (obs_ == nullptr) return;
+  for (std::size_t i = 0; i < descs.size(); ++i) {
+    if (descs[i].total == 0) continue;
+    obs::CpeCounters& pc = obs_->cpe(static_cast<int>(i));
+    pc.dma_bytes += descs[i].total * static_cast<std::int64_t>(sizeof(float));
+    pc.dma_transfers += 1;
+  }
 }
 
 void CoreGroup::charge_dma_cost_sync(const DmaCost& c) {
-  const double done = book_dma(c);
-  if (done > now_) {
-    stats_.dma_stall_cycles += done - now_;
-    now_ = done;
-  }
+  wait_until(dma_issue_cost_at(c));
 }
 
 void CoreGroup::reset_execution() {
   now_ = 0.0;
   dma_.reset();
-  inflight_.clear();
   stats_ = CgStats{};
   cluster_.spm_reset();
   cluster_.bus().reset();
@@ -187,11 +111,6 @@ obs::Counters CoreGroup::counters_snapshot() const {
     }
   }
   return c;
-}
-
-void CoreGroup::reset_all() {
-  reset_execution();
-  mem_.reset();
 }
 
 }  // namespace swatop::sim

@@ -3,13 +3,15 @@
 //
 // Time model: execution is SPMD at primitive granularity, so the CG keeps a
 // single `now` cycle counter that compute primitives advance. DMA transfers
-// are asynchronous: issuing one books it on the engine and records its
-// completion time under a reply id; waiting advances `now` to the completion
-// time (the stall the paper's double buffering removes).
+// are asynchronous: issuing one books its price on the engine and returns
+// its completion time, which the caller keeps (rt::Interpreter, in its
+// reply-slot table) until it waits; waiting advances `now` to that time (the
+// stall the paper's double buffering removes). The core group only prices
+// and books transfers; the data itself is moved by rt::Interpreter.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 
 #include "obs/counters.hpp"
 #include "obs/recorder.hpp"
@@ -83,8 +85,6 @@ struct CgStats {
 
 class CoreGroup {
  public:
-  using ReplyId = std::int64_t;
-
   explicit CoreGroup(const SimConfig& cfg = SimConfig{});
 
   const SimConfig& config() const { return cfg_; }
@@ -99,32 +99,21 @@ class CoreGroup {
   /// Advance the cluster clock by `cycles` of computation.
   void advance_compute(double cycles);
 
-  /// Issue a CG-level DMA (per-CPE descriptors). In Functional mode the data
-  /// moves immediately (legal because SPMD code always waits before use and
-  /// double buffering never reuses an in-flight buffer). Returns a reply id.
-  ReplyId dma_issue(std::span<const DmaCpeDesc> descs, ExecMode mode);
-
-  /// Issue an asynchronous transfer whose cost was computed (and possibly
-  /// memoized) by the caller; books timing and statistics only.
-  ReplyId dma_issue_cost(const DmaCost& c);
-
-  /// Hot-path variant: books the transfer and returns its completion time
-  /// directly; pair with wait_until (no reply bookkeeping).
+  /// Book an asynchronous transfer whose cost the caller computed (and
+  /// possibly memoized) and return its completion time; pair with
+  /// wait_until. Every DMA booking goes through here: queue-wait
+  /// accounting, statistics, and (when an observer is attached) the
+  /// engine-track trace event.
   double dma_issue_cost_at(const DmaCost& c);
 
   /// Stall until the given completion time (no-op if already past).
   void wait_until(double t);
 
-  /// Block until the transfer behind `id` completes (advances the clock).
-  void dma_wait(ReplyId id);
-
-  /// True if the reply id has an in-flight transfer.
-  bool dma_pending(ReplyId id) const;
-
-  /// Price and book a synchronous CG-level transfer without functional data
-  /// movement. Used by packing helpers that stage arena-to-arena copies
-  /// through SPM: the data is moved directly by the caller, the time and
-  /// transaction statistics are accounted here.
+  /// Price and book a synchronous CG-level transfer of per-CPE descriptors
+  /// (in mesh order, or a single one for CPE (0,0)): descriptor i's bytes
+  /// are attributed to CPE i when a recorder is attached. Moves no data;
+  /// packing helpers that stage arena-to-arena copies through SPM move it
+  /// themselves.
   void charge_dma_sync(std::span<const DmaCpeDesc> descs);
 
   /// Book a synchronous transfer whose cost the caller computed analytically
@@ -150,21 +139,12 @@ class CoreGroup {
   /// and allocations are preserved (so one can re-run on the same buffers).
   void reset_execution();
 
-  /// Full reset including main memory.
-  void reset_all();
-
  private:
-  /// Shared DMA booking: queue-wait accounting, statistics, and (when an
-  /// observer is attached) the engine-track trace event.
-  double book_dma(const DmaCost& c);
-
   SimConfig cfg_;
   MainMemory mem_;
   CpeCluster cluster_;
   DmaEngine dma_;
   double now_ = 0.0;
-  ReplyId next_reply_ = 1;
-  std::unordered_map<ReplyId, double> inflight_;
   CgStats stats_;
   obs::Recorder* obs_ = nullptr;
 };

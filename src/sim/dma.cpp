@@ -20,8 +20,7 @@ std::int64_t DmaEngine::transactions_for_block(MainMemory::Addr mem_base,
 }
 
 DmaCost DmaEngine::cost(const DmaCpeDesc& d) const {
-  DmaCpeDesc one = d;
-  return cost(std::span<const DmaCpeDesc>(&one, 1));
+  return cost(std::span<const DmaCpeDesc>(&d, 1));
 }
 
 DmaCost DmaEngine::cost(std::span<const DmaCpeDesc> descs) const {

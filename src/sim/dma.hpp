@@ -1,11 +1,14 @@
-// DMA engine model of one core group.
+// DMA engine model of one core group: it prices transfers and books them on
+// the engine's timeline, and moves no data (rt::Interpreter does).
 //
 // Pricing follows Eq. (1) of the paper: a start-up latency plus a transfer
 // term at transaction granularity -- CPEs access DRAM in 128-byte
 // transactions, so a strided access pattern pays for the *transactions it
-// touches*, not the bytes it requests. The engine is a shared resource:
-// concurrent transfers serialize, which is what bounds the benefit of
-// double buffering at the bandwidth limit.
+// touches*, not the bytes it requests. Pricing depends only on the memory
+// side of a transfer, so a descriptor carries neither its direction nor its
+// SPM address. The engine is a shared resource: concurrent transfers
+// serialize, which is what bounds the benefit of double buffering at the
+// bandwidth limit.
 #pragma once
 
 #include <cstdint>
@@ -17,19 +20,14 @@
 
 namespace swatop::sim {
 
-enum class DmaDir { MemToSpm, SpmToMem };
-
 /// One CPE's DMA descriptor (the paper's DMA_CPE node, Sec. 4.5.1): starting
 /// at main-memory float offset `mem_base`, move `total` floats in contiguous
-/// blocks of `block` floats, skipping `stride` floats between blocks, to/from
-/// SPM float offset `spm_addr` (SPM side is contiguous).
+/// blocks of `block` floats, skipping `stride` floats between blocks.
 struct DmaCpeDesc {
   MainMemory::Addr mem_base = 0;
-  std::int64_t spm_addr = 0;
   std::int64_t block = 0;
   std::int64_t stride = 0;
   std::int64_t total = 0;
-  DmaDir dir = DmaDir::MemToSpm;
 };
 
 /// Cost breakdown of one CG-level DMA (all participating CPEs together).
@@ -56,9 +54,6 @@ class DmaEngine {
   /// Book an asynchronous transfer issued at `now`; returns its completion
   /// time. Transfers serialize on the engine.
   double issue(double now, const DmaCost& c);
-
-  /// Time at which the engine becomes idle.
-  double free_at() const { return free_at_; }
 
   /// Cycles a transfer issued at `now` waits for the engine to drain
   /// earlier transfers before its own latency+transfer time starts.

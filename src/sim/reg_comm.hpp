@@ -26,7 +26,6 @@ class RegCommBus {
 
   std::int64_t row_bytes() const { return row_bytes_; }
   std::int64_t col_bytes() const { return col_bytes_; }
-  std::int64_t total_bytes() const { return row_bytes_ + col_bytes_; }
 
   /// Broadcast operations recorded, by bus direction.
   std::int64_t row_messages() const { return row_msgs_; }

@@ -296,19 +296,15 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
       // prefetches parity slots; their enclosing loop prices them.
       if (ir::is_const(d.reply)) c.elapsed_cycles = c.transfer_cycles;
       if (s->kind == ir::StmtKind::DmaPut && d.epi.any()) {
-        // Mirror the runtime's epilogue pricing: a synchronous residual
-        // re-read of the same tile, plus the vector ops on the tile. The
-        // once-per-run bias fetch is noise at this granularity and skipped.
+        // The runtime's epilogue pricing: the synchronous residual re-read
+        // it books, plus the vector ops on the tile. The once-per-run bias
+        // fetch is noise at this granularity and skipped.
         const ir::EpilogueAttrs& e = d.epi;
         if (e.residual) {
-          ir::DmaAttrs rd;
-          rd.view = e.res;
-          rd.dir = ir::Direction::MemToSpm;
-          rd.rows_to_rid = d.rows_to_rid;
-          rt::DmaGeometry rg = g;
-          rg.base = ir::eval(e.res.base, env);
-          const double t =
-              dma_cost_cache_.get(rd, rg, engine_, cfg_).total_cycles();
+          const rt::ResidualRead r =
+              rt::residual_read(d, g, ir::eval(e.res.base, env));
+          const double t = dma_cost_cache_.get(r.attrs, r.geo, engine_, cfg_)
+                               .total_cycles();
           c.transfer_cycles += t;
           c.elapsed_cycles += t;
         }

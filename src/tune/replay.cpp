@@ -115,9 +115,10 @@ void key_stmt(std::string& out, const ir::StmtPtr& s) {
       key_str(out, d.spm_buf);
       key_expr(out, d.spm_off);
       key_expr(out, d.reply);
-      // The 2 is the removed scatter-vs-replicate flag, which was always
-      // set: keys stay byte-identical to those recorded with it.
-      key_int(out, (d.dir == ir::Direction::MemToSpm ? 1 : 0) | 2 |
+      // The 1 (a get) repeats the kind and the 2 is always set, so keys
+      // stay byte-identical to those recorded when the direction and the
+      // scatter-vs-replicate choice were fields.
+      key_int(out, (s->kind == ir::StmtKind::DmaGet ? 1 : 0) | 2 |
                        (d.rows_to_rid ? 4 : 0));
       key_epi(out, d.epi);
       out += ')';

@@ -231,7 +231,6 @@ TEST(SanitizerSelfTest, PutOfNeverWrittenSpmFloatTripsPoison) {
   get.reply = ir::cst(0);
   ir::DmaAttrs put = get;
   put.view.rows = ir::cst(16);
-  put.dir = ir::Direction::SpmToMem;
   auto prog = ir::make_seq({ir::make_spm_alloc("buf", 4),
                             ir::make_dma(ir::StmtKind::DmaGet, get),
                             ir::make_dma_wait(ir::cst(0)),

@@ -5,7 +5,6 @@
 #include "ir/mutator.hpp"
 #include "ir/printer.hpp"
 #include "opt/boundary.hpp"
-#include "opt/coalesce.hpp"
 #include "opt/dma_inference.hpp"
 #include "opt/double_buffer.hpp"
 #include "opt/pass_manager.hpp"
@@ -326,25 +325,6 @@ TEST(DoubleBuffer, NoGetsNoTransform) {
   auto prog =
       ir::make_seq({ir::make_for("i", ir::cst(4), ir::make_seq())});
   EXPECT_FALSE(apply_double_buffer(prog));
-}
-
-TEST(Coalesce, MovesAllocsToTopAndSumsFootprint) {
-  auto inner = ir::make_seq({ir::make_spm_alloc("b1", 100),
-                             ir::make_spm_zero("b1", ir::cst(0), ir::cst(8))});
-  auto prog = ir::make_seq(
-      {ir::make_for("i", ir::cst(2), inner), ir::make_spm_alloc("b2", 50)});
-  const auto total = coalesce_spm(prog);
-  EXPECT_EQ(total, ir::spm_footprint(prog));
-  EXPECT_EQ(stmts(prog)[0]->kind, ir::StmtKind::SpmAlloc);
-  EXPECT_EQ(stmts(prog)[1]->kind, ir::StmtKind::SpmAlloc);
-  // The loop body no longer allocates.
-  EXPECT_FALSE(ir::contains_kind(stmts(prog)[2], ir::StmtKind::SpmAlloc));
-}
-
-TEST(Coalesce, RejectsDuplicateBuffers) {
-  auto prog = ir::make_seq(
-      {ir::make_spm_alloc("b", 10), ir::make_spm_alloc("b", 20)});
-  EXPECT_THROW(coalesce_spm(prog), CheckError);
 }
 
 TEST(Coalesce, FitsSpmBudget) {

@@ -12,13 +12,13 @@
 namespace swatop::prim {
 namespace {
 
-/// Scatter a host column-major matrix into the cluster SPMs at `spm_addr`
+/// Scatter a host column-major matrix into the cluster SPMs at `spm_at`
 /// with the distribution spm_gemm expects for a col-major operand: CPE
 /// (r, c) holds row-block r x col-block c, stored col-major. When
 /// `transposed`, store the tile row-major and swap the block mapping (what
 /// DMA inference does for row-major kernel operands).
 void scatter_host(sim::CoreGroup& cg, const std::vector<float>& m,
-                  std::int64_t rows, std::int64_t cols, std::int64_t spm_addr,
+                  std::int64_t rows, std::int64_t cols, std::int64_t spm_at,
                   bool transposed) {
   const auto& cfg = cg.config();
   const std::int64_t tr = rows / cfg.mesh_rows;
@@ -31,7 +31,7 @@ void scatter_host(sim::CoreGroup& cg, const std::vector<float>& m,
           const float v = m[static_cast<std::size_t>(
               (r * tr + i) + (c * tc + j) * rows)];
           const std::int64_t at =
-              transposed ? spm_addr + j + i * tc : spm_addr + i + j * tr;
+              transposed ? spm_at + j + i * tc : spm_at + i + j * tr;
           spm.write(at, v);
         }
       }
@@ -41,7 +41,7 @@ void scatter_host(sim::CoreGroup& cg, const std::vector<float>& m,
 
 /// Gather the C tile grid back into a host column-major matrix.
 std::vector<float> gather_c(sim::CoreGroup& cg, std::int64_t rows,
-                            std::int64_t cols, std::int64_t spm_addr,
+                            std::int64_t cols, std::int64_t spm_at,
                             bool row_major_tiles) {
   const auto& cfg = cg.config();
   const std::int64_t tr = rows / cfg.mesh_rows;
@@ -52,8 +52,8 @@ std::vector<float> gather_c(sim::CoreGroup& cg, std::int64_t rows,
       sim::Spm& spm = cg.cluster().at(r, c).spm();
       for (std::int64_t i = 0; i < tr; ++i) {
         for (std::int64_t j = 0; j < tc; ++j) {
-          const std::int64_t at = row_major_tiles ? spm_addr + j + i * tc
-                                                  : spm_addr + i + j * tr;
+          const std::int64_t at = row_major_tiles ? spm_at + j + i * tc
+                                                  : spm_at + i + j * tr;
           out[static_cast<std::size_t>((r * tr + i) + (c * tc + j) * rows)] =
               spm.read(at);
         }
@@ -286,36 +286,6 @@ TEST(Pack, PadFullZeroExtends) {
   EXPECT_FLOAT_EQ(cg.mem().read(dst + 5), 4.0f);   // col 1 starts at ld=5
   EXPECT_FLOAT_EQ(cg.mem().read(dst + 10), 0.0f);  // padded col
   EXPECT_GT(cg.now(), 0.0);
-}
-
-TEST(Pack, LightweightPadCopiesOnlyBoundary) {
-  sim::CoreGroup cg;
-  const std::int64_t rows = 10, cols = 6, tile_r = 4, tile_c = 4;
-  const auto src = cg.mem().alloc(rows * cols);
-  for (std::int64_t i = 0; i < rows * cols; ++i)
-    cg.mem().write(src + i, 1.0f);
-  const auto pad = pad_lightweight(cg, src, rows, cols, rows, tile_r, tile_c,
-                                   sim::ExecMode::Functional);
-  // Ragged: 2 rows at the bottom, 2 cols at the right.
-  EXPECT_NE(pad.right, -1);
-  EXPECT_NE(pad.bottom, -1);
-  // Far less data copied than the full matrix.
-  EXPECT_LT(pad.copied_floats, rows * cols);
-  EXPECT_EQ(pad.copied_floats, rows * 2 + 2 * 4);
-}
-
-TEST(Pack, TransposeFunctional) {
-  sim::CoreGroup cg;
-  const std::int64_t M = 3, N = 4;
-  const auto src = cg.mem().alloc(M * N);
-  for (std::int64_t j = 0; j < N; ++j)
-    for (std::int64_t i = 0; i < M; ++i)
-      cg.mem().write(src + i + j * M, static_cast<float>(i * 10 + j));
-  const auto dst = transpose(cg, src, M, N, sim::ExecMode::Functional);
-  for (std::int64_t j = 0; j < N; ++j)
-    for (std::int64_t i = 0; i < M; ++i)
-      EXPECT_FLOAT_EQ(cg.mem().read(dst + j + i * N),
-                      static_cast<float>(i * 10 + j));
 }
 
 TEST(Pack, CopyBlockRespectsLeadingDims) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "obs/recorder.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
 #include "rt/dma_expand.hpp"
@@ -67,7 +68,7 @@ TEST(DmaExpand, ColumnMajorViewMatchesPaperExample) {
   d.view = {"A", ir::cst(0), 1, M, ir::cst(M), ir::cst(N)};
   d.rows_p = ir::cst(M);
   d.cols_p = ir::cst(N);
-  const auto descs = expand_dma(d, evaluate_dma(d, {}, 0, cfg), 0, cfg);
+  const auto descs = expand_dma(d, evaluate_dma(d, {}, 0, cfg), cfg);
   ASSERT_EQ(descs.size(), 64u);
   for (int rid = 0; rid < 8; ++rid) {
     for (int cid = 0; cid < 8; ++cid) {
@@ -86,7 +87,7 @@ TEST(DmaExpand, PartialTilesClampPerCpe) {
   d.rows_p = ir::cst(64);
   d.cols_p = ir::cst(16);
   const DmaGeometry g = evaluate_dma(d, {}, 0, cfg);
-  const auto descs = expand_dma(d, g, 0, cfg);
+  const auto descs = expand_dma(d, g, cfg);
   ASSERT_EQ(descs.size(), 64u);
   // Mesh row 0 holds rows [0, 8): full. Mesh row 5 holds rows [40, 48):
   // empty (only 40 valid rows).
@@ -100,10 +101,79 @@ TEST(DmaExpand, TransposedDistributionSwapsBlocks) {
   d.rows_p = ir::cst(32);
   d.cols_p = ir::cst(64);
   d.rows_to_rid = false;
-  std::int64_t br, bc;
-  block_of(d, 2, 5, &br, &bc);
-  EXPECT_EQ(br, 5);  // view rows follow the column id
-  EXPECT_EQ(bc, 2);
+  const DmaGeometry g = evaluate_dma(d, {}, 1000, cfg);
+  const CpeBlock b = cpe_block(d, g, 2, 5);
+  EXPECT_EQ(b.br, 5);  // view rows follow the column id
+  EXPECT_EQ(b.bc, 2);
+  EXPECT_EQ(b.rows, 4);
+  EXPECT_EQ(b.cols, 8);
+  EXPECT_EQ(b.mem_base, 1000 + 5 * 4 + 2 * 8 * 64);
+  // The descriptor the engine prices starts at the same block.
+  const auto descs = expand_dma(d, g, cfg);
+  EXPECT_EQ(descs[2 * 8 + 5].mem_base, b.mem_base);
+  EXPECT_EQ(descs[2 * 8 + 5].total, b.rows * b.cols);
+}
+
+TEST(Interpreter, RaggedTransposedGetAndPutRoundTrip) {
+  // A 37x13 region of a 64x16 tile grid, transposed onto the mesh (view
+  // rows follow the column id): some CPEs get whole blocks, some partial
+  // ones and some none. Get it from A into SPM and put it back into B.
+  const std::int64_t ld = 40;
+  ir::DmaAttrs get;
+  get.view = {"A", ir::cst(0), 1, ld, ir::cst(37), ir::cst(13)};
+  get.rows_p = ir::cst(64);
+  get.cols_p = ir::cst(16);
+  get.spm_buf = "buf";
+  get.spm_off = ir::cst(0);
+  get.reply = ir::cst(0);
+  get.rows_to_rid = false;
+  ir::DmaAttrs put = get;
+  put.view.tensor = "B";
+  put.reply = ir::cst(1);
+  auto prog = ir::make_seq({ir::make_spm_alloc("buf", 8 * 2),
+                            ir::make_dma(ir::StmtKind::DmaGet, get),
+                            ir::make_dma_wait(ir::cst(0)),
+                            ir::make_dma(ir::StmtKind::DmaPut, put),
+                            ir::make_dma_wait(ir::cst(1))});
+
+  sim::CoreGroup cg(cfg);
+  const auto a = cg.mem().alloc(ld * 16, "A");
+  const auto b = cg.mem().alloc(ld * 16, "B");
+  for (std::int64_t i = 0; i < ld * 16; ++i)
+    cg.mem().write(a + i, static_cast<float>(i + 1));
+  obs::Options oo;
+  oo.enabled = true;
+  obs::Recorder rec(oo);
+  cg.attach_observer(&rec);
+  Interpreter interp(cg, sim::ExecMode::Functional);
+  const dsl::BoundTensors bt{{"A", a}, {"B", b}};
+  interp.run(prog, bt);
+
+  for (std::int64_t j = 0; j < 16; ++j) {
+    for (std::int64_t i = 0; i < ld; ++i) {
+      const bool in_view = i < 37 && j < 13;
+      EXPECT_EQ(cg.mem().read(b + i + j * ld),
+                in_view ? cg.mem().read(a + i + j * ld) : 0.0f)
+          << "(" << i << ", " << j << ")";
+    }
+  }
+
+  // Per-CPE attribution follows the descriptors the engine priced.
+  const auto gd = expand_dma(get, evaluate_dma(get, {}, a, cfg), cfg);
+  const auto pd = expand_dma(put, evaluate_dma(put, {}, b, cfg), cfg);
+  // The registry grows only to the last CPE that moved any data.
+  const auto& per_cpe = rec.counters().per_cpe;
+  ASSERT_LE(per_cpe.size(), 64u);
+  int empty = 0, partial = 0;
+  for (std::size_t i = 0; i < 64; ++i) {
+    const std::int64_t bytes =
+        i < per_cpe.size() ? per_cpe[i].dma_bytes : 0;
+    EXPECT_EQ(bytes, 4 * (gd[i].total + pd[i].total)) << "CPE " << i;
+    if (gd[i].total == 0) ++empty;
+    if (gd[i].total > 0 && gd[i].total < 8 * 2) ++partial;
+  }
+  EXPECT_GT(empty, 0);
+  EXPECT_GT(partial, 0);
 }
 
 TEST(Interpreter, FunctionalAndTimingAgreeOnCycles) {

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/check.hpp"
+#include "obs/recorder.hpp"
 #include "sim/core_group.hpp"
 
 namespace swatop::sim {
@@ -158,14 +161,17 @@ TEST(CoreGroup, DmaWaitAdvancesClockAndRecordsStall) {
   d.mem_base = cg.mem().alloc(4096);
   d.block = 4096;
   d.total = 4096;
-  const auto id =
-      cg.dma_issue(std::span<const DmaCpeDesc>(&d, 1), ExecMode::TimingOnly);
-  EXPECT_TRUE(cg.dma_pending(id));
-  cg.dma_wait(id);
-  EXPECT_FALSE(cg.dma_pending(id));
-  EXPECT_GT(cg.now(), 0.0);
-  EXPECT_GT(cg.stats().dma_stall_cycles, 0.0);
-  EXPECT_THROW(cg.dma_wait(id), CheckError);
+  const DmaCost c = cg.dma().cost(d);
+  const double done = cg.dma_issue_cost_at(c);
+  EXPECT_DOUBLE_EQ(done, c.total_cycles());
+  EXPECT_DOUBLE_EQ(cg.now(), 0.0);  // issuing does not block
+  cg.wait_until(done);
+  EXPECT_DOUBLE_EQ(cg.now(), done);
+  EXPECT_DOUBLE_EQ(cg.stats().dma_stall_cycles, done);
+  // Waiting again for a completion already past stalls no further.
+  cg.wait_until(done);
+  EXPECT_DOUBLE_EQ(cg.now(), done);
+  EXPECT_DOUBLE_EQ(cg.stats().dma_stall_cycles, done);
 }
 
 TEST(CoreGroup, ComputeOverlapsWithAsyncDma) {
@@ -174,37 +180,52 @@ TEST(CoreGroup, ComputeOverlapsWithAsyncDma) {
   d.mem_base = cg.mem().alloc(4096);
   d.block = 4096;
   d.total = 4096;
-  const auto id =
-      cg.dma_issue(std::span<const DmaCpeDesc>(&d, 1), ExecMode::TimingOnly);
-  const double transfer = cg.dma().cost(d).total_cycles();
+  const DmaCost c = cg.dma().cost(d);
+  const double done = cg.dma_issue_cost_at(c);
+  const double transfer = c.total_cycles();
   cg.advance_compute(transfer + 100.0);  // compute longer than the transfer
-  cg.dma_wait(id);
+  cg.wait_until(done);
   // Fully hidden: no stall beyond the compute time.
   EXPECT_DOUBLE_EQ(cg.now(), transfer + 100.0);
   EXPECT_DOUBLE_EQ(cg.stats().dma_stall_cycles, 0.0);
 }
 
-TEST(CoreGroup, FunctionalScatterMovesData) {
+TEST(CoreGroup, SyncChargeAttributesEachDescriptorToItsCpe) {
+  // One descriptor per CPE in mesh order, each of a different size: the
+  // recorder must see descriptor i's bytes on CPE i, and the cluster must
+  // stall for exactly the priced transfer.
   CoreGroup cg;
-  const SimConfig& cfg = cg.config();
-  const auto base = cg.mem().alloc(64);
-  for (int i = 0; i < 64; ++i)
-    cg.mem().write(base + i, static_cast<float>(i));
-  // One float per CPE.
-  std::vector<DmaCpeDesc> descs;
-  for (int i = 0; i < cfg.num_cpes(); ++i) {
-    DmaCpeDesc d;
-    d.mem_base = base + i;
-    d.spm_addr = 5;
-    d.block = 1;
-    d.total = 1;
-    descs.push_back(d);
+  obs::Options oo;
+  oo.enabled = true;
+  obs::Recorder rec(oo);
+  cg.attach_observer(&rec);
+  const int n = cg.config().num_cpes();
+  ASSERT_EQ(n, 64);
+  const auto base = cg.mem().alloc(64 * 64);
+  std::vector<DmaCpeDesc> descs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    DmaCpeDesc& d = descs[static_cast<std::size_t>(i)];
+    d.mem_base = base + 64 * i;
+    d.block = i + 1;
+    d.total = i + 1;
   }
-  const auto id = cg.dma_issue(descs, ExecMode::Functional);
-  cg.dma_wait(id);
-  EXPECT_FLOAT_EQ(cg.cluster().at(0, 0).spm().read(5), 0.0f);
-  EXPECT_FLOAT_EQ(cg.cluster().at(1, 0).spm().read(5), 8.0f);
-  EXPECT_FLOAT_EQ(cg.cluster().at(7, 7).spm().read(5), 63.0f);
+  cg.advance_compute(10.0);
+  const DmaCost c = cg.dma().cost(descs);
+  cg.charge_dma_sync(descs);
+  EXPECT_DOUBLE_EQ(cg.now(), 10.0 + c.total_cycles());
+  EXPECT_DOUBLE_EQ(cg.stats().dma_stall_cycles, c.total_cycles());
+  EXPECT_EQ(cg.stats().dma_transfers, 1);
+  EXPECT_EQ(cg.stats().dma_bytes_requested, c.bytes_requested);
+  ASSERT_EQ(rec.counters().per_cpe.size(), static_cast<std::size_t>(n));
+  std::int64_t sum = 0;
+  for (int i = 0; i < n; ++i) {
+    const obs::CpeCounters& pc =
+        rec.counters().per_cpe[static_cast<std::size_t>(i)];
+    EXPECT_EQ(pc.dma_bytes, 4 * (i + 1)) << "CPE " << i;
+    EXPECT_EQ(pc.dma_transfers, 1) << "CPE " << i;
+    sum += pc.dma_bytes;
+  }
+  EXPECT_EQ(sum, c.bytes_requested);
 }
 
 TEST(CoreGroup, ResetExecutionPreservesMemory) {

@@ -138,13 +138,15 @@ int main(int argc, char** argv) {
     std::printf("%-14s %-9s %22s %12.0f\n", "(mpe passes)", "-", "-",
                 mpe_cycles);
 
-    std::printf("\ntuning: %lld distinct shapes (%lld cache hits), %.1fs: "
+    // Wall-clock seconds go to stderr, so that stdout is byte-stable.
+    std::printf("\ntuning: %lld distinct shapes (%lld cache hits): "
                 "%lld strategies enumerated, %lld bounded, %lld ranked\n",
                 static_cast<long long>(r.shapes_tuned),
-                static_cast<long long>(r.cache_hits), r.tune_seconds,
+                static_cast<long long>(r.cache_hits),
                 static_cast<long long>(r.tune_enumerated),
                 static_cast<long long>(r.tune_bounded),
                 static_cast<long long>(r.tune_ranked));
+    std::fprintf(stderr, "tuning took %.1fs\n", r.tune_seconds);
     std::printf(
         "memory: planned peak %.1f MB vs no-reuse %.1f MB (%.0f%%)\n",
         static_cast<double>(r.planned_peak_floats) * 4.0 / 1e6,
