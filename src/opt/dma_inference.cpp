@@ -145,11 +145,36 @@ ir::Expr slab_offset(const OperandPlan& p,
   return ir::mul(tile, ir::cst(p.tile_stride()));
 }
 
+/// The innermost of loops[0, level) that unit-loop elimination keeps (its
+/// extent is not the constant 1), or kSync when there is none.
+std::size_t innermost_kept(const std::vector<const ir::For*>& loops,
+                           std::size_t level) {
+  std::size_t at = OperandPlan::kSync;
+  for (std::size_t i = 0; i < level; ++i) {
+    const ir::Expr& n = loops[i]->extent;
+    if (!(ir::is_const(n) && ir::as_cst(n) == 1)) at = i;
+  }
+  return at;
+}
+
+/// True when every loop enclosing the C tile has a constant extent of at
+/// least 1 and one of them more than 1: the program writes several tiles,
+/// and their count is known when the write-back is rewritten.
+bool several_c_tiles(const DmaPlan& plan) {
+  bool several = false;
+  for (std::size_t i = 0; i < plan.c.level; ++i) {
+    const ir::Expr& n = plan.loops[i]->extent;
+    if (!ir::is_const(n) || ir::as_cst(n) < 1) return false;
+    several = several || ir::as_cst(n) > 1;
+  }
+  return several;
+}
+
 /// Plan the operand transfers of the gemm at the end of `path`.
 std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
                                  const ir::Gemm& gemm,
                                  const sim::SimConfig& cfg,
-                                 std::int64_t spm_reserve_floats) {
+                                 const OptOptions& o) {
   const ir::GemmAttrs& g = gemm.attrs;
   SWATOP_CHECK(g.a_buf.empty()) << "DMA inference ran twice";
 
@@ -215,11 +240,43 @@ std::optional<DmaPlan> plan_path(const std::vector<PathEntry>& path,
   auto input_floats = [](const OperandPlan& p) {
     return p.cached() ? p.alloc_floats() : 2 * p.tile_stride();
   };
-  const std::int64_t share = cfg.kernel_spm_floats() - spm_reserve_floats -
-                             plan.c.tile_stride();
+  const std::int64_t room = cfg.kernel_spm_floats() - o.spm_reserve_floats;
+  const std::int64_t share = room - plan.c.tile_stride();
   plan_cache(plan.a, plan.loops, share - input_floats(plan.b));
   plan_cache(plan.b, plan.loops, share - input_floats(plan.a));
 
+  // Where double buffering overlaps each transfer: an uncached input's get
+  // in its innermost kept loop; the C write-back in the innermost kept loop
+  // around the put, when the program writes several tiles, never re-fetches
+  // one and still fits with both halves -- the SPM, and the kernel share
+  // too when an input is cached (the caches come first).
+  if (!o.prefetch) return plan;
+  std::int64_t footprint = 2 * plan.c.tile_stride();
+  for (OperandPlan* p : {&plan.a, &plan.b}) {
+    if (!p->cached()) p->overlap_loop = innermost_kept(plan.loops, p->level);
+    footprint += p->cached()       ? p->alloc_floats()
+                 : p->overlapped() ? 2 * p->tile_stride()
+                                   : p->tile_stride();
+  }
+  if (!plan.outer_reductions.empty() || !several_c_tiles(plan) ||
+      footprint > cfg.spm_floats() - o.spm_reserve_floats)
+    return plan;
+  const bool cached = plan.a.cached() || plan.b.cached();
+  if (cached && input_floats(plan.a) + input_floats(plan.b) +
+                        2 * plan.c.tile_stride() >
+                    room)
+    return plan;
+  // A put overlaps the next tile only up to that tile's first synchronous
+  // transfer, which the engine serves after it: so no get's prologue or
+  // cache fill may run inside the loop around the put.
+  const std::size_t at = innermost_kept(plan.loops, plan.c.level);
+  for (const OperandPlan* p : {&plan.a, &plan.b}) {
+    const std::size_t sync_at = p->cached()       ? p->cache_at
+                                : p->overlapped() ? p->overlap_loop
+                                                  : 0;
+    if (sync_at > at) return plan;
+  }
+  plan.c.overlap_loop = at;
   return plan;
 }
 
@@ -252,22 +309,21 @@ std::int64_t OperandPlan::tile_stride() const {
 
 std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
                                 const sim::SimConfig& cfg,
-                                std::int64_t spm_reserve_floats) {
+                                const OptOptions& o) {
   std::vector<PathEntry> path;
   ir::Gemm* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
-  return plan_path(path, *gemm, cfg, spm_reserve_floats);
+  return plan_path(path, *gemm, cfg, o);
 }
 
 bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
-               std::int64_t spm_reserve_floats) {
+               const OptOptions& o) {
   std::vector<PathEntry> path;
   ir::Gemm* gemm = nullptr;
   SWATOP_CHECK(build_path(root, path, &gemm))
       << "DMA inference expects a single-gemm loop chain";
-  std::optional<DmaPlan> plan =
-      plan_path(path, *gemm, cfg, spm_reserve_floats);
+  std::optional<DmaPlan> plan = plan_path(path, *gemm, cfg, o);
   if (!plan) return false;
   OperandPlan& pa = plan->a;
   OperandPlan& pb = plan->b;
@@ -354,11 +410,12 @@ bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
   insert_after(pc.level, {ir::make_dma(ir::StmtKind::DmaPut, pc.dma),
                           ir::make_dma_wait(pc.dma.reply)});
 
-  // Allocations at the root, ahead of everything else.
+  // Allocations at the root, ahead of everything else; a C tile written
+  // back double-buffered gets its two halves here.
   std::vector<ir::StmtPtr> allocs = {
       ir::make_spm_alloc(pa.dma.spm_buf, pa.alloc_floats()),
       ir::make_spm_alloc(pb.dma.spm_buf, pb.alloc_floats()),
-      ir::make_spm_alloc(cbuf, pc.buf_floats),
+      ir::make_spm_alloc(cbuf, pc.buf_floats, pc.overlapped()),
   };
   path[0].seq->body.insert(path[0].seq->body.begin(), allocs.begin(),
                            allocs.end());

@@ -15,6 +15,18 @@
 // minus the SPM reserve -- the share the graph engine's residency planner
 // leaves to kernels. The decision is plan_dma's alone: infer_dma emits it
 // and tune::CostModel::lower_bound prices it.
+//
+// The plan also says where double buffering (opt/double_buffer.hpp, run
+// when OptOptions::prefetch is set) will overlap each transfer with
+// compute. An input's get moves to its innermost enclosing loop of more
+// than one trip. The C tile is written back from alternating halves when
+// the program writes more than one tile, never re-fetches it (no outer
+// reductions), still fits the SPM with both halves -- and, next to a
+// cached operand, the kernel share above, counting both halves -- and runs
+// no get prologue or cache fill inside the loop around the put (the engine
+// would serve that transfer after the previous put, so the cluster would
+// wait for the put anyway). infer_dma then allocates spm_C with two halves
+// for the pass to use.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +34,7 @@
 #include <vector>
 
 #include "ir/node.hpp"
+#include "opt/pass_manager.hpp"
 #include "sim/config.hpp"
 
 namespace swatop::opt {
@@ -50,7 +63,15 @@ struct OperandPlan {
   std::size_t cache_at = 0;
   std::int64_t slab_tiles = 1;  ///< product of the fill extents
 
+  /// Double buffering: the index in the plan's loops of the loop that
+  /// overlaps this operand's transfers with compute -- an input's get is
+  /// prefetched one iteration ahead there, and the C put is waited on two
+  /// tiles later -- or kSync when the transfers stay synchronous.
+  static constexpr std::size_t kSync = SIZE_MAX;
+  std::size_t overlap_loop = kSync;
+
   bool cached() const { return !fill.empty(); }
+  bool overlapped() const { return overlap_loop != kSync; }
   /// Floats between consecutive tiles of a slab (the runtime's alignment).
   std::int64_t tile_stride() const;
   /// Per-CPE floats of the operand's SPM allocation: the slab when cached,
@@ -71,8 +92,9 @@ struct DmaPlan {
 };
 
 /// Plan the operand transfers of a lowered program without injecting them.
-/// `spm_reserve_floats` is held back from the kernel share when admitting a
-/// cache (opt::OptOptions::spm_reserve_floats). Returns nullopt when
+/// `o.spm_reserve_floats` is held back from the kernel share when admitting
+/// a cache and from the SPM when doubling the C tile; `o.prefetch` says
+/// whether double buffering will run. Returns nullopt when
 /// infer_dma() would reject the program (the padded tile breaks the
 /// primitive's divisibility rules, or a fused epilogue sits under an outer
 /// reduction); throws CheckError when it is not a single-gemm loop chain.
@@ -80,13 +102,13 @@ struct DmaPlan {
 /// it is safe to call from several threads on different programs.
 std::optional<DmaPlan> plan_dma(const ir::StmtPtr& root,
                                 const sim::SimConfig& cfg,
-                                std::int64_t spm_reserve_floats);
+                                const OptOptions& o);
 
 /// Run DMA inference in place, following plan_dma. Returns false (leaving
 /// the IR unusable) when the gemm's padded tile dims violate the
 /// primitive's divisibility constraints -- the scheduler drops such
 /// candidates.
 bool infer_dma(ir::StmtPtr& root, const sim::SimConfig& cfg,
-               std::int64_t spm_reserve_floats);
+               const OptOptions& o);
 
 }  // namespace swatop::opt

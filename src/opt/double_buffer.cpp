@@ -249,6 +249,116 @@ void apply_one(const ir::StmtPtr& root, const Target& t) {
                       prologue.begin(), prologue.end());
 }
 
+/// Where the write-back of a two-half C buffer happens: the Seq holding
+/// its put and the put's index there, and the loops enclosing the put,
+/// outermost first.
+struct PutSite {
+  ir::Seq* seq = nullptr;
+  std::size_t idx = 0;
+  std::vector<Target> loops;
+};
+
+/// A put not rewritten yet (on a stream's constant reply slot) from a
+/// buffer DMA inference allocated with two halves.
+bool doubled_put(const ir::StmtPtr& root, const ir::StmtPtr& s) {
+  if (s->kind != ir::StmtKind::DmaPut) return false;
+  const ir::DmaAttrs& d = s->as<ir::Dma>().attrs;
+  if (!ir::is_const(d.reply) || ir::as_cst(d.reply) >= kPrefetchReplyBase)
+    return false;
+  const ir::SpmAlloc* alloc = root_alloc(root, d.spm_buf);
+  return alloc != nullptr && alloc->double_buffered;
+}
+
+/// Find the put doubled_put() selects under `n`, following Seqs and Fors.
+bool find_put(const ir::StmtPtr& root, const ir::StmtPtr& n,
+              std::vector<Target>& loops, PutSite& out) {
+  if (!n->is<ir::Seq>()) return false;
+  ir::Seq& seq = n->as<ir::Seq>();
+  for (std::size_t i = 0; i < seq.body.size(); ++i) {
+    const ir::StmtPtr& c = seq.body[i];
+    if (doubled_put(root, c)) {
+      out = {&seq, i, loops};
+      return true;
+    }
+    if (!c->is<ir::For>()) continue;
+    loops.push_back({&seq, i});
+    if (find_put(root, c->as<ir::For>().body, loops, out)) return true;
+    loops.pop_back();
+  }
+  return false;
+}
+
+/// Double-buffer the C write-back: tile t (numbered across every loop
+/// around the put) zeroes, accumulates into and puts half t % 2 on that
+/// half's reply slot and goes on without waiting; it waits for tile t-2's
+/// put, the last one from the same half, just before zeroing it, and the
+/// last two puts are waited for once, after the outermost loop.
+bool double_buffer_write_back(const ir::StmtPtr& root) {
+  std::vector<Target> enclosing;
+  PutSite site;
+  if (!find_put(root, root, enclosing, site)) return false;
+  SWATOP_CHECK(!site.loops.empty()) << "double-buffered C put outside loops";
+  std::vector<ir::StmtPtr>& body = site.seq->body;
+  ir::DmaAttrs& put = body[site.idx]->as<ir::Dma>().attrs;
+  const std::string buf = put.spm_buf;
+  const std::int64_t half = align_up(root_alloc(root, buf)->buf_floats, 8);
+  const std::int64_t slot = ir::as_cst(put.reply);
+  SWATOP_CHECK(kPrefetchReplyBase + 2 * slot + 1 < ir::kMaxReplySlots)
+      << "write-back reply slot for stream " << slot
+      << " exceeds the reply table (" << ir::kMaxReplySlots << " slots)";
+
+  // t = sum of v_k * stride_k, stride_k the product of the inner extents;
+  // its parity only sums the variables of odd stride.
+  ir::Expr tile = ir::cst(0), odd = ir::cst(0);
+  std::int64_t stride = 1;
+  for (auto it = site.loops.rbegin(); it != site.loops.rend(); ++it) {
+    const ir::For& f = it->parent->body[it->idx]->as<ir::For>();
+    tile = ir::add(tile, ir::mul(ir::var(f.var), ir::cst(stride)));
+    if (stride % 2 != 0) odd = ir::add(odd, ir::var(f.var));
+    stride *= ir::as_cst(f.extent);
+  }
+  const ir::Expr parity = ir::mod(odd, ir::cst(2));
+  const ir::Expr half_off = ir::mul(parity, ir::cst(half));
+  const ir::Expr reply = ir::add(ir::cst(kPrefetchReplyBase + 2 * slot), parity);
+
+  // The put: from this tile's half, no wait after it.
+  SWATOP_CHECK(site.idx + 1 < body.size() &&
+               body[site.idx + 1]->kind == ir::StmtKind::DmaWait)
+      << "C put without trailing wait";
+  put.spm_off = half_off;
+  put.reply = reply;
+  body.erase(body.begin() + static_cast<std::ptrdiff_t>(site.idx) + 1);
+
+  // The accumulator's zero-fill, after waiting for tile t-2's put.
+  std::size_t zero = 0;
+  while (zero < site.idx && !(body[zero]->is<ir::SpmZero>() &&
+                              body[zero]->as<ir::SpmZero>().buf_name == buf))
+    ++zero;
+  SWATOP_CHECK(zero < site.idx) << "no zero-fill of '" << buf << "'";
+  body[zero]->as<ir::SpmZero>().off = half_off;
+  body.insert(body.begin() + static_cast<std::ptrdiff_t>(zero),
+              ir::make_if(ir::ge(tile, ir::cst(2)),
+                          ir::make_seq({ir::make_dma_wait(reply)})));
+
+  // The gemm accumulates into this tile's half.
+  for (const ir::StmtPtr& s : body) {
+    ir::visit(s, [&](const ir::StmtPtr& n) {
+      if (n->is<ir::Gemm>() && n->as<ir::Gemm>().attrs.c_buf == buf)
+        n->as<ir::Gemm>().attrs.c_off = half_off;
+    });
+  }
+
+  // Drain the last two puts after the outermost loop.
+  const Target& outer = site.loops.front();
+  outer.parent->body.insert(
+      outer.parent->body.begin() + static_cast<std::ptrdiff_t>(outer.idx) + 1,
+      {ir::make_dma_wait(ir::cst(kPrefetchReplyBase + 2 * slot)),
+       ir::make_dma_wait(ir::cst(kPrefetchReplyBase + 2 * slot + 1))});
+  const Target& inner = site.loops.back();
+  inner.parent->body[inner.idx]->as<ir::For>().prefetched = true;
+  return true;
+}
+
 }  // namespace
 
 bool apply_double_buffer(ir::StmtPtr& root) {
@@ -257,12 +367,14 @@ bool apply_double_buffer(ir::StmtPtr& root) {
   // latency is hidden at every level of the nest. Rewriting a loop adds
   // only prefetched gets, so no loop becomes a target later, and a
   // prologue lands before its own loop, after every target still pending
-  // in the same Seq: the indices collected up front stay valid.
+  // in the same Seq: the indices collected up front stay valid. The C
+  // write-back is rewritten last, on the finished nest.
   std::vector<Target> targets;
   collect_targets(root, targets);
   for (auto it = targets.rbegin(); it != targets.rend(); ++it)
     apply_one(root, *it);
-  return !targets.empty();
+  const bool write_back = double_buffer_write_back(root);
+  return !targets.empty() || write_back;
 }
 
 }  // namespace swatop::opt

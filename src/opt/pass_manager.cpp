@@ -14,7 +14,7 @@ bool fits_spm(const ir::StmtPtr& root, const sim::SimConfig& cfg,
 
 bool optimize(ir::StmtPtr& root, const sim::SimConfig& cfg,
               const OptOptions& opts) {
-  if (!infer_dma(root, cfg, opts.spm_reserve_floats)) return false;
+  if (!infer_dma(root, cfg, opts)) return false;
   eliminate_unit_loops(root);
   if (opts.prefetch) apply_double_buffer(root);
   return fits_spm(root, cfg, opts.spm_reserve_floats);

@@ -1,7 +1,5 @@
 #include "rt/dma_expand.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace swatop::rt {
@@ -53,10 +51,11 @@ DmaGeometry evaluate_dma(const ir::DmaAttrs& d, ExprEvaluator& ev,
 CpeBlock cpe_block(const ir::DmaAttrs& d, const DmaGeometry& g, int rid,
                    int cid) {
   CpeBlock b;
-  b.br = d.rows_to_rid ? rid : cid;
-  b.bc = d.rows_to_rid ? cid : rid;
-  b.rows = std::clamp<std::int64_t>(g.rows - b.br * g.tr, 0, g.tr);
-  b.cols = std::clamp<std::int64_t>(g.cols - b.bc * g.tc, 0, g.tc);
+  const ViewBlock vb = view_block(d, rid, cid);
+  b.br = vb.r;
+  b.bc = vb.c;
+  b.rows = block_extent(g.rows, b.br, g.tr);
+  b.cols = block_extent(g.cols, b.bc, g.tc);
   b.mem_base = g.base + b.br * g.tr * d.view.stride_r +
                b.bc * g.tc * d.view.stride_c;
   return b;

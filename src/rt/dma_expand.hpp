@@ -7,6 +7,7 @@
 // is the node's kind and never changes a price, so nothing here reads it.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <unordered_map>
 #include <vector>
@@ -36,11 +37,31 @@ DmaGeometry evaluate_dma(const ir::DmaAttrs& d, ExprEvaluator& ev,
                          sim::MainMemory::Addr tensor_base,
                          const sim::SimConfig& cfg);
 
+/// A transfer's tile-grid block in view orientation: view-row blocks follow
+/// the mesh row id, or the column id when the view was transposed to feed a
+/// row-major kernel operand (DmaAttrs::rows_to_rid). Given mesh coordinates
+/// (rid, cid) it is the block CPE (rid, cid) holds; given the mesh's dims it
+/// is the number of view-row and view-column blocks.
+struct ViewBlock {
+  std::int64_t r = 0, c = 0;
+};
+inline ViewBlock view_block(const ir::DmaAttrs& d, std::int64_t rid,
+                            std::int64_t cid) {
+  return d.rows_to_rid ? ViewBlock{rid, cid} : ViewBlock{cid, rid};
+}
+
+/// Valid elements of block `b` of a dimension of `valid` elements cut into
+/// blocks of `tile`: `tile` before the view's end, the remainder in the
+/// block it ends in, none after.
+inline std::int64_t block_extent(std::int64_t valid, std::int64_t b,
+                                 std::int64_t tile) {
+  return std::clamp<std::int64_t>(valid - b * tile, 0, tile);
+}
+
 /// CPE (rid, cid)'s share of a transfer: the block of the tile grid it
-/// holds, that block's valid rows and columns (none when the view ends
-/// before it) and the memory address of its first element. View-row blocks
-/// follow the mesh row id, or the column id when the view was transposed to
-/// feed a row-major kernel operand (DmaAttrs::rows_to_rid).
+/// holds (view_block), that block's valid rows and columns (block_extent;
+/// none when the view ends before it) and the memory address of its first
+/// element.
 struct CpeBlock {
   std::int64_t br = 0, bc = 0;      ///< block indices in the tile grid
   std::int64_t rows = 0, cols = 0;  ///< valid region of the block

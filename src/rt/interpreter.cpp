@@ -376,18 +376,7 @@ void Interpreter::exec_dma(const ir::Dma& s) {
       ev.arg[1] = slot;
       obs_->trace_event(std::move(ev));
     }
-    // Per-CPE attribution over the same blocks the functional copy below
-    // walks.
-    for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
-      for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
-        const CpeBlock b = cpe_block(d, geo, rid, cid);
-        if (b.empty()) continue;
-        obs::CpeCounters& pc = obs_->cpe(rid * cfg.mesh_cols + cid);
-        pc.dma_bytes +=
-            b.rows * b.cols * static_cast<std::int64_t>(sizeof(float));
-        pc.dma_transfers += 1;
-      }
-    }
+    attribute_per_cpe(d, geo);
   }
 
   if (mode_ != sim::ExecMode::Functional) return;
@@ -431,6 +420,21 @@ void Interpreter::exec_dma(const ir::Dma& s) {
   }
 }
 
+void Interpreter::attribute_per_cpe(const ir::DmaAttrs& d,
+                                    const DmaGeometry& geo) {
+  const sim::SimConfig& cfg = cg_.config();
+  for (int rid = 0; rid < cfg.mesh_rows; ++rid) {
+    for (int cid = 0; cid < cfg.mesh_cols; ++cid) {
+      const CpeBlock b = cpe_block(d, geo, rid, cid);
+      if (b.empty()) continue;
+      obs::CpeCounters& pc = obs_->cpe(rid * cfg.mesh_cols + cid);
+      pc.dma_bytes +=
+          b.rows * b.cols * static_cast<std::int64_t>(sizeof(float));
+      pc.dma_transfers += 1;
+    }
+  }
+}
+
 void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
                                  const DmaGeometry& geo, std::int64_t spm_at) {
   const ir::EpilogueAttrs& e = d.epi;
@@ -447,10 +451,12 @@ void Interpreter::apply_epilogue(const ir::DmaAttrs& d,
     res = residual_read(d, geo, rt->second + eval_.eval(e.res.base));
     const sim::DmaCost& rc =
         dma_cost_cache_.get(res.attrs, res.geo, cg_.dma(), cfg);
-    if (resident_ != nullptr && resident_->tensors.count(e.res.tensor) > 0)
+    if (resident_ != nullptr && resident_->tensors.count(e.res.tensor) > 0) {
       bytes_elided_ += rc.bytes_requested;
-    else
+    } else {
       cg_.charge_dma_cost_sync(rc);
+      if (obs_ != nullptr) attribute_per_cpe(res.attrs, res.geo);
+    }
   }
 
   // Bias vector: a tiny get charged once per channel range and run; the

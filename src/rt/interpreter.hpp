@@ -66,6 +66,9 @@ class Interpreter {
   void exec_dma(const ir::Dma& s);
   void exec_gemm(const ir::Gemm& s);
   void exec_zero(const ir::SpmZero& s);
+  /// Attribute a priced transfer's bytes to the CPEs whose blocks it moves
+  /// (recorder attached only): the blocks the functional copy walks.
+  void attribute_per_cpe(const ir::DmaAttrs& d, const DmaGeometry& geo);
   /// Apply a fused epilogue to the C tile in SPM right before its put:
   /// prices the residual re-read, the (once per channel range) bias fetch
   /// and the vector ops, and in Functional mode rewrites the tile in place.

@@ -50,7 +50,7 @@ std::uint64_t first_loops(std::size_t n) {
 ///  - Last: the usual visits, iteration n-1's in the second part.
 class LoopWeights {
  public:
-  static constexpr std::size_t kNone = SIZE_MAX;
+  static constexpr std::size_t kNone = opt::OperandPlan::kSync;
   enum class Split { Prefetch, Last };
 
   /// `vars` holds the variables of `loops`.
@@ -115,9 +115,11 @@ class LoopWeights {
 
 /// The fewest DMA cycles a transfer of view `v` on the tile grid and mesh
 /// distribution of `d` can cost at `env`: Eq. (1)'s latency plus whole
-/// transactions at peak bandwidth, per CPE block (rt::expand_dma)
+/// transactions at peak bandwidth, per CPE block (rt::cpe_block)
 /// ceil(bytes / transaction) for each contiguous column, or one
-/// transaction per element when the row stride is not 1.
+/// transaction per element when the row stride is not 1. A block's valid
+/// rows depend only on its block row and its valid columns only on its
+/// block column, so the sum over blocks factors into the two.
 double min_transfer_cycles(const ir::ViewAttrs& v, const ir::DmaAttrs& d,
                            const ir::Env& env, const sim::SimConfig& cfg) {
   const std::int64_t rows = ir::eval(v.rows, env);
@@ -127,20 +129,17 @@ double min_transfer_cycles(const ir::ViewAttrs& v, const ir::DmaAttrs& d,
   const auto txn = static_cast<std::int64_t>(cfg.dram_transaction_bytes);
   // Transactions of block-row br's valid rows, per valid column.
   auto col_txns = [&](std::int64_t br) {
-    const std::int64_t vr = std::clamp<std::int64_t>(rows - br * tr, 0, tr);
+    const std::int64_t vr = rt::block_extent(rows, br, tr);
     return v.stride_r == 1
                ? ceil_div(vr * static_cast<std::int64_t>(sizeof(float)), txn)
                : vr;
   };
-  auto valid_cols = [&](std::int64_t bc) {
-    return std::clamp<std::int64_t>(cols - bc * tc, 0, tc);
-  };
   // Each (block-row, block-col) pair of the mesh goes to one CPE.
-  const int nbr = d.rows_to_rid ? cfg.mesh_rows : cfg.mesh_cols;
-  const int nbc = d.rows_to_rid ? cfg.mesh_cols : cfg.mesh_rows;
+  const rt::ViewBlock n = rt::view_block(d, cfg.mesh_rows, cfg.mesh_cols);
   std::int64_t per_col = 0, ncols = 0;
-  for (int br = 0; br < nbr; ++br) per_col += col_txns(br);
-  for (int bc = 0; bc < nbc; ++bc) ncols += valid_cols(bc);
+  for (std::int64_t br = 0; br < n.r; ++br) per_col += col_txns(br);
+  for (std::int64_t bc = 0; bc < n.c; ++bc)
+    ncols += rt::block_extent(cols, bc, tc);
   const std::int64_t txns = per_col * ncols;
   return cfg.dma_latency_cycles +
          static_cast<double>(txns * txn) / cfg.dma_bytes_per_cycle();
@@ -155,8 +154,7 @@ StaticCost CostModel::estimate(const ir::StmtPtr& root) const {
 
 CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
                                  const opt::OptOptions& o) const {
-  const std::optional<opt::DmaPlan> plan =
-      opt::plan_dma(lowered, cfg_, o.spm_reserve_floats);
+  const std::optional<opt::DmaPlan> plan = opt::plan_dma(lowered, cfg_, o);
   if (!plan) return {};
   const std::vector<const ir::For*>& loops = plan->loops;
   std::vector<ir::VarId> vars;
@@ -168,52 +166,57 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
   // enclosing loop that unit-loop elimination keeps (its prologue sync,
   // its prefetches async).
   Parts dma;
-  std::size_t prefetch_loops[2] = {LoopWeights::kNone, LoopWeights::kNone};
-  for (int k = 0; k < 2; ++k) {
-    const opt::OperandPlan& p = k == 0 ? plan->a : plan->b;
-    const ir::DmaAttrs& d = p.dma;
-    std::uint64_t members = first_loops(p.level);
-    std::size_t& at = prefetch_loops[k];
-    if (p.cached()) {
-      members = first_loops(p.cache_at);
-      for (const std::size_t i : p.fill) members |= std::uint64_t{1} << i;
-    } else {
-      for (std::size_t i = 0; o.prefetch && i < p.level; ++i) {
-        const ir::Expr& n = loops[i]->extent;
-        if (!(ir::is_const(n) && ir::as_cst(n) == 1)) at = i;
-      }
+  for (const opt::OperandPlan* p : {&plan->a, &plan->b}) {
+    const ir::DmaAttrs& d = p->dma;
+    std::uint64_t members = first_loops(p->level);
+    if (p->cached()) {
+      members = first_loops(p->cache_at);
+      for (const std::size_t i : p->fill) members |= std::uint64_t{1} << i;
     }
-    dma += LoopWeights(loops, vars, members, at, Split::Prefetch,
+    dma += LoopWeights(loops, vars, members, p->overlap_loop, Split::Prefetch,
                        {d.view.rows, d.view.cols, d.rows_p, d.cols_p})
                .sum([&](const ir::Env& env) {
                  return min_transfer_cycles(d.view, d, env, cfg_);
                });
   }
   // The C put with its fused residual re-read, plus its re-fetch on every
-  // pass but the first when a reduction loop encloses it (sync).
+  // pass but the first when a reduction loop encloses it (sync). A
+  // double-buffered write-back's puts are async; the re-read stays sync.
   const ir::DmaAttrs& c = plan->c.dma;
   const ir::ViewAttrs& res = c.epi.res;
   const std::vector<ir::VarId>& outer = plan->outer_reductions;
-  dma.first += LoopWeights(loops, vars, first_loops(plan->c.level),
-                           LoopWeights::kNone, Split::Last,
-                           {c.view.rows, c.view.cols, c.rows_p, c.cols_p,
-                            res.rows, res.cols},
-                           outer)
-                   .sum([&](const ir::Env& env) {
-                     const double t = min_transfer_cycles(c.view, c, env, cfg_);
-                     const bool refetch = std::any_of(
-                         outer.begin(), outer.end(),
-                         [&](ir::VarId v) { return *env.find(v) > 0; });
-                     return (refetch ? 2.0 * t : t) +
-                            (c.epi.residual
-                                 ? min_transfer_cycles(res, c, env, cfg_)
-                                 : 0.0);
-                   })
-                   .total();
+  const LoopWeights c_weights(loops, vars, first_loops(plan->c.level),
+                              LoopWeights::kNone, Split::Last,
+                              {c.view.rows, c.view.cols, c.rows_p, c.cols_p,
+                               res.rows, res.cols},
+                              outer);
+  auto reread = [&](const ir::Env& env) {
+    return c.epi.residual ? min_transfer_cycles(res, c, env, cfg_) : 0.0;
+  };
+  double async_puts = 0.0;
+  if (plan->c.overlapped()) {
+    async_puts = c_weights
+                     .sum([&](const ir::Env& env) {
+                       return min_transfer_cycles(c.view, c, env, cfg_);
+                     })
+                     .total();
+    if (c.epi.residual) dma.first += c_weights.sum(reread).total();
+  } else {
+    dma.first += c_weights
+                     .sum([&](const ir::Env& env) {
+                       const double t =
+                           min_transfer_cycles(c.view, c, env, cfg_);
+                       const bool refetch = std::any_of(
+                           outer.begin(), outer.end(),
+                           [&](ir::VarId v) { return *env.find(v) > 0; });
+                       return (refetch ? 2.0 * t : t) + reread(env);
+                     })
+                     .total();
+  }
 
   // The gemm calls. When one loop double-buffers every moved get, the
   // compute of its last iteration has no prefetch to hide behind.
-  const auto [pa, pb] = prefetch_loops;
+  const std::size_t pa = plan->a.overlap_loop, pb = plan->b.overlap_loop;
   const std::size_t last_at =
       pa == LoopWeights::kNone || pb == LoopWeights::kNone || pa == pb
           ? std::min(pa, pb)
@@ -233,7 +236,8 @@ CostBound CostModel::lower_bound(const ir::StmtPtr& lowered,
   // The bound sums the walk's terms in another order.
   constexpr double kRounding = 1.0 - 1e-9;
   return {kRounding * dma.first, kRounding * dma.second,
-          kRounding * compute.total(), kRounding * compute.second};
+          kRounding * async_puts, kRounding * compute.total(),
+          kRounding * compute.second};
 }
 
 StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
@@ -241,13 +245,22 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
   if (s == nullptr) return c;
   switch (s->kind) {
     case ir::StmtKind::Seq:
-      for (const ir::StmtPtr& b : s->as<ir::Seq>().body) c += walk(b, env);
+      for (const ir::StmtPtr& b : s->as<ir::Seq>().body) {
+        // A put in flight here is the program's last (the write-back's
+        // drain): nothing is left to overlap it with.
+        if (b->kind == ir::StmtKind::DmaWait && c.drain_cycles > 0.0) {
+          c.elapsed_cycles += c.drain_cycles;
+          c.drain_cycles = 0.0;
+        }
+        c += walk(b, env);
+      }
       return c;
     case ir::StmtKind::For: {
       const ir::For& f = s->as<ir::For>();
       const std::int64_t n = ir::eval(f.extent, env);
       if (n <= 0) return c;
-      // An iteration of a double-buffered loop lasts as long as the longer
+      // An iteration of a double-buffered loop (prefetched gets, or the C
+      // puts of a double-buffered write-back) lasts as long as the longer
       // of its cluster time and its transfers, which the DMA engine
       // serializes while the cluster works.
       auto iteration = [&](std::int64_t i) {
@@ -293,8 +306,12 @@ StaticCost CostModel::walk(const ir::StmtPtr& s, ir::Env& env) const {
       // The cluster waits on a transfer on a constant reply slot before it
       // goes on: a get;wait / put;wait pair, or a prologue get the first
       // iteration waits on at once. Double buffering gives its in-loop
-      // prefetches parity slots; their enclosing loop prices them.
-      if (ir::is_const(d.reply)) c.elapsed_cycles = c.transfer_cycles;
+      // prefetches and write-back puts parity slots; their enclosing loop
+      // prices them, and the last put is drained.
+      if (ir::is_const(d.reply))
+        c.elapsed_cycles = c.transfer_cycles;
+      else if (s->kind == ir::StmtKind::DmaPut)
+        c.drain_cycles = c.transfer_cycles;
       if (s->kind == ir::StmtKind::DmaPut && d.epi.any()) {
         // The runtime's epilogue pricing: the synchronous residual re-read
         // it books, plus the vector ops on the tile. The once-per-run bias

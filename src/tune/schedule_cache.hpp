@@ -78,7 +78,7 @@ class ScheduleCache {
   /// implicit convolutions size Tco and Tno to the layer, offer orcuvi for
   /// 1x1 kernels and refuse loop-order twins, so a banked order may have
   /// no program and a banked pick may no longer be the best.
-  static constexpr int kVersion = 5;
+  static constexpr int kVersion = 6;
 
   /// Loads `cfg.path` when set; a missing, unreadable or version-mismatched
   /// file yields an empty cache, never an error.

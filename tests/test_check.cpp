@@ -13,6 +13,7 @@
 #include "check/fuzz.hpp"
 #include "check/validate_ir.hpp"
 #include "common/check.hpp"
+#include "ir/mutator.hpp"
 #include "ops/matmul.hpp"
 #include "rt/bind.hpp"
 #include "rt/interpreter.hpp"
@@ -252,6 +253,44 @@ TEST(SanitizerSelfTest, PutOfNeverWrittenSpmFloatTripsPoison) {
   }
   EXPECT_EQ(cg.stats().sanitizer.spm_poison_trips, 1);
   EXPECT_EQ(cg.stats().sanitizer.total(), 1);
+}
+
+TEST(SanitizerSelfTest, ZeroingTheHalfStillBeingPutTripsOverlap) {
+  // A double-buffered write-back over four C tiles; tile 1 zeroes half 0,
+  // whose put (tile 0's) is still in flight.
+  const sim::SimConfig cfg = sanitizing_cfg();
+  ops::MatmulOp op(128, 128, 64);
+  dsl::Strategy strat;
+  strat.set_factor("Tm", 64);
+  strat.set_factor("Tn", 64);
+  strat.set_factor("Tk", 32);
+  strat.set_choice("order", "mnk");
+  strat.set_choice("variant", "0");
+  strat.set_choice("boundary", "pad");
+  ir::StmtPtr prog =
+      ir::deep_copy(tune::build_candidate(op, strat, cfg).program);
+  bool corrupted = false;
+  ir::visit(prog, [&](const ir::StmtPtr& n) {
+    if (!n->is<ir::SpmZero>() || n->as<ir::SpmZero>().buf_name != "spm_C")
+      return;
+    n->as<ir::SpmZero>().off = ir::cst(0);
+    corrupted = true;
+  });
+  ASSERT_TRUE(corrupted);
+  sim::CoreGroup cg(cfg);
+  const auto bt = rt::bind_tensors(cg, op);
+  op.fill_inputs(cg, bt, strat);
+  rt::Interpreter interp(cg, sim::ExecMode::Functional);
+  try {
+    interp.run(prog, bt);
+    FAIL() << "zeroing a half with its put in flight did not trip";
+  } catch (const SanitizerError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("spm_zero of buffer 'spm_C'"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("put from buffer 'spm_C'"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(cg.stats().sanitizer.dma_overlap_trips, 1);
 }
 
 TEST(SanitizerSelfTest, CleanRunTripsNothing) {

@@ -230,16 +230,53 @@ TEST(Obs, TracedDmaBytesEqualPricedBytes) {
   EXPECT_DOUBLE_EQ(p.counters.total_cycles, r.cycles);
 }
 
+/// A batch-8, 48 -> 48 channel 9x9 conv with bias + residual + relu fused
+/// into its C put, on a fixed strategy whose tiles are ragged in channels
+/// and columns.
+ops::ImplicitConvOp fused_conv() {
+  ops::ConvShape s;
+  s.batch = 8;
+  s.ni = 48;
+  s.no = 48;
+  s.ri = 9;
+  s.ci = 9;
+  dsl::EpilogueSpec epi;
+  epi.bias = true;
+  epi.residual = true;
+  epi.relu = true;
+  return ops::ImplicitConvOp(s, epi);
+}
+
+dsl::Strategy fused_conv_strategy() {
+  dsl::Strategy st;
+  st.set_factor("Tno", 32);
+  st.set_factor("Tni", 32);
+  st.set_factor("Tco", 4);
+  st.set_choice("wlayout", "no_major");
+  st.set_choice("order", "rcouvi");
+  st.set_choice("variant", "6");
+  st.set_choice("boundary", "pad");
+  return st;
+}
+
 TEST(Obs, PerCpeDmaSumsToAggregate) {
+  // An unfused matmul, and the fused conv, whose residual re-read the put
+  // books through its own blocks.
   const sim::SimConfig cfg;
   ops::MatmulOp op(128, 128, 64);
-  const sched::Candidate cand = fixed_matmul_candidate(op, cfg);
-  const obs::Profile p =
-      observed_run(op, cand, cfg, sim::ExecMode::TimingOnly);
-  std::int64_t per_cpe = 0;
-  for (const obs::CpeCounters& c : p.counters.per_cpe) per_cpe += c.dma_bytes;
-  EXPECT_GT(per_cpe, 0);
-  EXPECT_EQ(per_cpe, p.counters.dma.bytes_requested);
+  const ops::ImplicitConvOp conv = fused_conv();
+  const std::pair<const dsl::OperatorDef*, sched::Candidate> runs[] = {
+      {&op, fixed_matmul_candidate(op, cfg)},
+      {&conv, tune::build_candidate(conv, fused_conv_strategy(), cfg)}};
+  for (const auto& [o, cand] : runs) {
+    const obs::Profile p =
+        observed_run(*o, cand, cfg, sim::ExecMode::TimingOnly);
+    std::int64_t per_cpe = 0;
+    for (const obs::CpeCounters& c : p.counters.per_cpe)
+      per_cpe += c.dma_bytes;
+    EXPECT_GT(per_cpe, 0) << o->name();
+    EXPECT_EQ(per_cpe, p.counters.dma.bytes_requested) << o->name();
+  }
 }
 
 TEST(Obs, CountersAreDeterministic) {
@@ -306,26 +343,9 @@ TEST(Obs, FunctionalImplicitConvSpmAccessCountsArePinned) {
   // loops; the bulk copies must keep them exactly. Ragged channels and
   // columns exercise the clamped edge tiles.
   const sim::SimConfig cfg;
-  ops::ConvShape s;
-  s.batch = 8;
-  s.ni = 48;
-  s.no = 48;
-  s.ri = 9;
-  s.ci = 9;
-  dsl::EpilogueSpec epi;
-  epi.bias = true;
-  epi.residual = true;
-  epi.relu = true;
-  const ops::ImplicitConvOp op(s, epi);
-  dsl::Strategy st;
-  st.set_factor("Tno", 32);
-  st.set_factor("Tni", 32);
-  st.set_factor("Tco", 4);
-  st.set_choice("wlayout", "no_major");
-  st.set_choice("order", "rcouvi");
-  st.set_choice("variant", "6");
-  st.set_choice("boundary", "pad");
-  const sched::Candidate cand = tune::build_candidate(op, st, cfg);
+  const ops::ImplicitConvOp op = fused_conv();
+  const sched::Candidate cand =
+      tune::build_candidate(op, fused_conv_strategy(), cfg);
   const obs::Profile p =
       observed_run(op, cand, cfg, sim::ExecMode::Functional);
   // Reads: the put and the epilogue each read the 18,816 outputs once.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "ir/mutator.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ir/analysis.hpp"
 #include "ops/implicit_conv.hpp"
@@ -331,6 +332,41 @@ double run_sanitized(const dsl::OperatorDef& op, const dsl::Strategy& s) {
   sim::SimConfig c = cfg;
   c.sanitize.enabled = true;
   return run_and_check(op, s, c);
+}
+
+/// True when the candidate writes its C tiles back from two halves.
+bool doubles_c(const dsl::OperatorDef& op, const dsl::Strategy& s) {
+  const sched::Candidate cand = tune::build_candidate(op, s, cfg);
+  bool doubled = false;
+  ir::visit(cand.program, [&](const ir::StmtPtr& n) {
+    if (n->is<ir::SpmAlloc>() && n->as<ir::SpmAlloc>().buf_name == "spm_C")
+      doubled = n->as<ir::SpmAlloc>().double_buffered;
+  });
+  return doubled;
+}
+
+TEST(DoubleBufferedWriteBack, FusedConvWithSeveralTilesPerRowMatches) {
+  // Two column and two output-channel tiles per output row, ragged in
+  // both, with bias + residual + relu applied on each put.
+  ImplicitConvOp op(small_shape(8, 48, 48, 7), full_epilogue());
+  const dsl::Strategy s =
+      implicit_strategy(32, 32, 4, "no_major", "rcouvi", "6");
+  EXPECT_TRUE(doubles_c(op, s));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
+}
+
+TEST(DoubleBufferedWriteBack, RaggedMatmulMatchesReference) {
+  // Two m and two n tiles, the second of each ragged (36 of 64).
+  MatmulOp op(100, 100, 40);
+  dsl::Strategy s;
+  s.set_factor("Tm", 64);
+  s.set_factor("Tn", 64);
+  s.set_factor("Tk", 32);
+  s.set_choice("order", "mnk");
+  s.set_choice("variant", "0");
+  s.set_choice("boundary", "pad");
+  EXPECT_TRUE(doubles_c(op, s));
+  EXPECT_LE(run_sanitized(op, s), 2e-3);
 }
 
 TEST(CachedOperand, PadBoundaryMatchesReference) {

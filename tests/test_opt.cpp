@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/check.hpp"
+#include "common/math_util.hpp"
 #include "ir/analysis.hpp"
 #include "ir/mutator.hpp"
 #include "ir/printer.hpp"
@@ -17,7 +18,8 @@ namespace swatop::opt {
 namespace {
 
 sim::SimConfig cfg;
-const std::int64_t kReserve = OptOptions{}.spm_reserve_floats;
+const OptOptions kOpts;
+const std::int64_t kReserve = kOpts.spm_reserve_floats;
 
 dsl::Strategy matmul_strategy(std::int64_t tm, std::int64_t tn,
                               std::int64_t tk, const std::string& order,
@@ -67,7 +69,7 @@ TEST(DmaInference, InjectsAllocsGetsAndPuts) {
   ops::MatmulOp op(128, 128, 64);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
   ASSERT_NE(prog, nullptr);
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   const auto dmas = ir::find_dmas(prog);
   // A get, B get, C put.
   int gets = 0, puts = 0;
@@ -91,7 +93,7 @@ TEST(DmaInference, HoistsInvariantTransfers) {
   // one n tile: no loop re-fetches an operand, so neither is cached.
   ops::MatmulOp op(64, 64, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   const std::string text = ir::print(prog);
   // C put appears after the k loop closes: find positions.
   const auto kpos = text.find("for k_o");
@@ -108,7 +110,7 @@ TEST(DmaInference, OuterReductionRefetchesC) {
   // accumulated on every pass after the first.
   ops::MatmulOp op(128, 128, 64);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "kmn"));
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   const std::string text = ir::print(prog);
   EXPECT_NE(text.find("dma_get C"), std::string::npos);
   EXPECT_NE(text.find("if ((k_o < 1))"), std::string::npos);
@@ -117,12 +119,12 @@ TEST(DmaInference, OuterReductionRefetchesC) {
 TEST(DmaInference, BoundaryZeroGuardsOnlyWhenRagged) {
   ops::MatmulOp aligned(128, 128, 64);
   auto p1 = aligned.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(p1, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(p1, cfg, kOpts));
   EXPECT_FALSE(ir::contains_kind(p1, ir::StmtKind::If));
 
   ops::MatmulOp ragged(100, 128, 64);
   auto p2 = ragged.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(p2, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(p2, cfg, kOpts));
   EXPECT_TRUE(ir::contains_kind(p2, ir::StmtKind::If));
 }
 
@@ -131,7 +133,7 @@ TEST(DmaInference, RejectsInvalidPaddedDims) {
   ops::MatmulOp op(64, 16, 32);
   auto prog = op.lower(matmul_strategy(64, 16, 32, "mnk", "4"));
   ASSERT_NE(prog, nullptr);
-  EXPECT_FALSE(infer_dma(prog, cfg, kReserve));
+  EXPECT_FALSE(infer_dma(prog, cfg, kOpts));
 }
 
 TEST(DmaInference, RowMajorOperandSwapsDistribution) {
@@ -139,7 +141,7 @@ TEST(DmaInference, RowMajorOperandSwapsDistribution) {
   // with view rows mapped to column ids.
   ops::MatmulOp op(64, 64, 32);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk", "1"));
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   bool saw_swapped = false;
   for (const ir::Dma* d : ir::find_dmas(prog))
     if (d->kind == ir::StmtKind::DmaGet && d->attrs.spm_buf == "spm_A")
@@ -179,7 +181,7 @@ TEST(DmaInference, CachesMatmulOperandsAheadOfTheirReuseLoops) {
   // loop that reuses it, one tile per fill iteration.
   ops::MatmulOp op(128, 128, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kOpts);
   ASSERT_TRUE(plan.has_value());
   // A reads (m_o, k_o): R = n_o, filled over k_o (4 tiles of 64x32).
   EXPECT_EQ(plan->a.cache_at, 1u);
@@ -191,7 +193,7 @@ TEST(DmaInference, CachesMatmulOperandsAheadOfTheirReuseLoops) {
   EXPECT_EQ(plan->b.slab_tiles, 8);
   EXPECT_FALSE(plan->c.cached());
 
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   // Root: B's fill nest, then the m loop; in m: A's, then the n loop.
   EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"n_o", "m_o"}));
   const std::vector<ir::StmtPtr>& root = stmts(prog);
@@ -205,7 +207,9 @@ TEST(DmaInference, CachesMatmulOperandsAheadOfTheirReuseLoops) {
   const ir::GemmAttrs& g = ir::find_gemms(prog)[0]->attrs;
   EXPECT_EQ(ir::eval(g.a_off, {{"k_o", 3}}), 3 * 32);
   EXPECT_EQ(ir::eval(g.b_off, {{"n_o", 1}, {"k_o", 2}}), 6 * 32);
-  EXPECT_EQ(ir::spm_footprint(prog), 4 * 32 + 8 * 32 + 64);
+  // C, written back from two halves over its four tiles, takes 2 x 64.
+  EXPECT_TRUE(plan->c.overlapped());
+  EXPECT_EQ(ir::spm_footprint(prog), 4 * 32 + 8 * 32 + 2 * 64);
 
   // One get per tile: B's 8 once, A's 4 once per m tile, plus 4 C puts.
   auto built = op.lower(matmul_strategy(64, 64, 32, "mnk"));
@@ -237,7 +241,7 @@ TEST(DmaInference, CachesImplicitConvWeightsAndInput) {
   st.set_choice("variant", "6");
   st.set_choice("boundary", "pad");
   auto prog = op.lower(st);
-  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kOpts);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ(plan->a.cache_at, 0u);
   EXPECT_EQ(plan->a.fill, (std::vector<std::size_t>{2, 3, 4, 5}));
@@ -246,7 +250,7 @@ TEST(DmaInference, CachesImplicitConvWeightsAndInput) {
   EXPECT_EQ(plan->b.fill, (std::vector<std::size_t>{3, 4, 5}));
   EXPECT_EQ(plan->b.slab_tiles, 3 * 3 * 2);
 
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   // Root: the weights' fill nest, then the r loop; in c_o: the input's,
   // then the o_o loop.
   EXPECT_EQ(loops_in(prog), (std::vector<std::string>{"o_o", "r"}));
@@ -270,11 +274,11 @@ TEST(DmaInference, NoCacheWhenNoLoopRefetches) {
   // One m and one n tile: the loops A and B do not read run once.
   ops::MatmulOp op(64, 64, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kReserve);
+  const std::optional<DmaPlan> plan = plan_dma(prog, cfg, kOpts);
   ASSERT_TRUE(plan.has_value());
   EXPECT_FALSE(plan->a.cached());
   EXPECT_FALSE(plan->b.cached());
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   EXPECT_TRUE(fill_bufs(prog).empty());
 }
 
@@ -284,18 +288,18 @@ TEST(DmaInference, NoCacheWhenTheSlabExceedsTheKernelShare) {
   // exceeds it, so A is fetched per n tile as before.
   ops::MatmulOp fits(64, 128, 1024);
   auto p1 = fits.lower(matmul_strategy(64, 64, 64, "mnk"));
-  const std::optional<DmaPlan> plan1 = plan_dma(p1, cfg, kReserve);
+  const std::optional<DmaPlan> plan1 = plan_dma(p1, cfg, kOpts);
   ASSERT_TRUE(plan1.has_value());
   EXPECT_TRUE(plan1->a.cached());
   EXPECT_EQ(plan1->a.alloc_floats(), 1024);
 
   ops::MatmulOp big(64, 128, 8192);
   auto p2 = big.lower(matmul_strategy(64, 64, 64, "mnk"));
-  const std::optional<DmaPlan> plan2 = plan_dma(p2, cfg, kReserve);
+  const std::optional<DmaPlan> plan2 = plan_dma(p2, cfg, kOpts);
   ASSERT_TRUE(plan2.has_value());
   EXPECT_GT(8192, cfg.kernel_spm_floats() - kReserve);
   EXPECT_FALSE(plan2->a.cached());
-  ASSERT_TRUE(infer_dma(p2, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(p2, cfg, kOpts));
   EXPECT_TRUE(fill_bufs(p2).empty());
 }
 
@@ -304,7 +308,7 @@ TEST(DoubleBuffer, TransformsInnermostGetLoop) {
   // gets stay in the k loop.
   ops::MatmulOp op(64, 64, 128);
   auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   ASSERT_TRUE(apply_double_buffer(prog));
   const std::string text = ir::print(prog);
   EXPECT_NE(text.find("// prefetched"), std::string::npos);
@@ -319,6 +323,110 @@ TEST(DoubleBuffer, TransformsInnermostGetLoop) {
   EXPECT_NE(text.find("((k_o + 1) < 4)"), std::string::npos);
   // Gemm reads the current parity.
   EXPECT_NE(text.find("A=spm_A+((k_o%2)*"), std::string::npos);
+}
+
+/// The Seq holding the program's C put and the put's index there.
+std::pair<const ir::Seq*, std::size_t> put_site(const ir::StmtPtr& s) {
+  if (s->is<ir::For>()) return put_site(s->as<ir::For>().body);
+  if (!s->is<ir::Seq>()) return {nullptr, 0};
+  const ir::Seq& seq = s->as<ir::Seq>();
+  for (std::size_t i = 0; i < seq.body.size(); ++i) {
+    if (seq.body[i]->kind == ir::StmtKind::DmaPut) return {&seq, i};
+    const auto r = put_site(seq.body[i]);
+    if (r.first != nullptr) return r;
+  }
+  return {nullptr, 0};
+}
+
+/// The C buffer's allocation.
+const ir::SpmAlloc& c_alloc(const ir::StmtPtr& prog) {
+  for (const ir::StmtPtr& n : stmts(prog))
+    if (n->is<ir::SpmAlloc>() && n->as<ir::SpmAlloc>().buf_name == "spm_C")
+      return n->as<ir::SpmAlloc>();
+  throw CheckError("no spm_C allocation");
+}
+
+/// True when the C put is followed by a wait on its own constant slot and
+/// spm_C has one half: today's synchronous write-back.
+bool put_then_wait(const ir::StmtPtr& prog) {
+  const auto [seq, i] = put_site(prog);
+  if (seq == nullptr || i + 1 >= seq->body.size()) return false;
+  const ir::Expr& reply = seq->body[i]->as<ir::Dma>().attrs.reply;
+  const ir::StmtPtr& next = seq->body[i + 1];
+  return !c_alloc(prog).double_buffered && ir::is_const(reply) &&
+         next->kind == ir::StmtKind::DmaWait &&
+         ir::as_cst(next->as<ir::DmaWait>().reply) == ir::as_cst(reply);
+}
+
+TEST(DoubleBuffer, WritesBackSeveralCTilesFromTwoHalves) {
+  // Two m and two n tiles: four C tiles, numbered t = 2 m_o + n_o across
+  // both loops. Both inputs are cached ahead of the n loop, so no
+  // synchronous transfer runs between two tiles.
+  ops::MatmulOp op(128, 128, 64);
+  auto prog = op.lower(matmul_strategy(64, 64, 32, "mnk"));
+  ASSERT_TRUE(optimize(prog, cfg));
+  EXPECT_TRUE(c_alloc(prog).double_buffered);
+  const std::int64_t half = align_up(c_alloc(prog).buf_floats, 8);
+  const std::int64_t slot0 = ir::kPrefetchReplyBase + 2 * 2;
+
+  // Tile t puts half t % 2 on that half's slot and does not wait.
+  const auto [seq, put_idx] = put_site(prog);
+  ASSERT_NE(seq, nullptr);
+  EXPECT_EQ(put_idx + 1, seq->body.size());
+  const ir::DmaAttrs& put = seq->body[put_idx]->as<ir::Dma>().attrs;
+  // Just before zeroing its half, tile t waits for tile t - 2's put.
+  std::size_t zero = 0;
+  while (!seq->body[zero]->is<ir::SpmZero>()) ++zero;
+  ASSERT_GT(zero, 0u);
+  const ir::If& guard = seq->body[zero - 1]->as<ir::If>();
+  const ir::Expr& waited =
+      stmts(guard.then_s)[0]->as<ir::DmaWait>().reply;
+  const ir::GemmAttrs& g = ir::find_gemms(prog)[0]->attrs;
+  for (std::int64_t t = 0; t < 4; ++t) {
+    const ir::Env at = {{"m_o", t / 2}, {"n_o", t % 2}, {"k_o", 0}};
+    EXPECT_EQ(ir::eval(put.reply, at), slot0 + t % 2) << t;
+    EXPECT_EQ(ir::eval(put.spm_off, at), t % 2 * half) << t;
+    EXPECT_EQ(ir::eval(g.c_off, at), t % 2 * half) << t;
+    EXPECT_EQ(
+        ir::eval(seq->body[zero]->as<ir::SpmZero>().off, at), t % 2 * half)
+        << t;
+    EXPECT_EQ(ir::eval(guard.cond, at) != 0, t >= 2) << t;
+    EXPECT_EQ(ir::eval(waited, at), slot0 + t % 2) << t;
+  }
+
+  // One drain of both halves after the outermost loop.
+  const std::vector<ir::StmtPtr>& root = stmts(prog);
+  std::size_t m = 0;
+  while (!root[m]->is<ir::For>() ||
+         root[m]->as<ir::For>().var.name() != "m_o")
+    ++m;
+  ASSERT_EQ(m + 3, root.size());
+  EXPECT_EQ(ir::as_cst(root[m + 1]->as<ir::DmaWait>().reply), slot0);
+  EXPECT_EQ(ir::as_cst(root[m + 2]->as<ir::DmaWait>().reply), slot0 + 1);
+  // The loop around the put is priced as a double-buffered loop.
+  EXPECT_TRUE(stmts(loop_body(root[m]))
+                  .back()
+                  ->as<ir::For>()
+                  .prefetched);
+}
+
+TEST(DoubleBuffer, KeepsPutWaitForOneTileARefetchOrNoPrefetch) {
+  // One C tile: nothing to overlap the put with.
+  ops::MatmulOp one(64, 64, 128);
+  auto p1 = one.lower(matmul_strategy(64, 64, 32, "mnk"));
+  ASSERT_TRUE(optimize(p1, cfg));
+  EXPECT_TRUE(put_then_wait(p1));
+  // Order kmn: the k loop encloses C's scope, which re-fetches the tile.
+  ops::MatmulOp op(128, 128, 64);
+  auto p2 = op.lower(matmul_strategy(64, 64, 32, "kmn"));
+  ASSERT_TRUE(optimize(p2, cfg));
+  EXPECT_TRUE(put_then_wait(p2));
+  // Prefetch off: today's program.
+  auto p3 = op.lower(matmul_strategy(64, 64, 32, "mnk"));
+  OptOptions o;
+  o.prefetch = false;
+  ASSERT_TRUE(optimize(p3, cfg, o));
+  EXPECT_TRUE(put_then_wait(p3));
 }
 
 TEST(DoubleBuffer, NoGetsNoTransform) {
@@ -428,7 +536,7 @@ TEST(DoubleBuffer, MultiLevelPrefetch) {
   s.set_choice("variant", "0");
   s.set_choice("boundary", "pad");
   auto prog = op.lower(s);
-  ASSERT_TRUE(infer_dma(prog, cfg, kReserve));
+  ASSERT_TRUE(infer_dma(prog, cfg, kOpts));
   eliminate_unit_loops(prog);
   ASSERT_TRUE(apply_double_buffer(prog));
   int prefetched_loops = 0;

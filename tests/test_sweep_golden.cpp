@@ -117,9 +117,9 @@ TEST(SweepGolden, FusedPointwiseConvWithOutputPad) {
   const SweepDigest d =
       digest(ops::ImplicitConvOp(conv_shape(8, 64, 64, 8, 1), epi));
   EXPECT_EQ(d.candidates, 288u);
-  EXPECT_EQ(d.program_hash, 9956653901536862219ull);
-  EXPECT_EQ(d.estimate_hash, 3009481327408909897ull);
-  EXPECT_EQ(d.c_hash, 489692575771089167ull);
+  EXPECT_EQ(d.program_hash, 4823882635801539815ull);
+  EXPECT_EQ(d.estimate_hash, 8738025039085160541ull);
+  EXPECT_EQ(d.c_hash, 15892434145348612215ull);
 }
 
 TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
@@ -129,9 +129,9 @@ TEST(SweepGolden, RaggedImplicitConvIncludesSwitchBoundaries) {
       digest(ops::ImplicitConvOp(conv_shape(8, 96, 96, 7, 3)));
   EXPECT_EQ(d.candidates, 1248u);
   EXPECT_GT(d.switched, 0u);
-  EXPECT_EQ(d.program_hash, 3473341932184726691ull);
-  EXPECT_EQ(d.estimate_hash, 4418188504351690943ull);
-  EXPECT_EQ(d.c_hash, 5185921951603780107ull);
+  EXPECT_EQ(d.program_hash, 2526904578703179811ull);
+  EXPECT_EQ(d.estimate_hash, 10735883877121620866ull);
+  EXPECT_EQ(d.c_hash, 7234392588256305131ull);
 }
 
 TEST(SweepGolden, StrideTwoConv) {
@@ -146,9 +146,9 @@ TEST(SweepGolden, StrideTwoConv) {
 TEST(SweepGolden, RaggedMatmul) {
   const SweepDigest d = digest(ops::MatmulOp(72, 56, 40));
   EXPECT_EQ(d.candidates, 384u);
-  EXPECT_EQ(d.program_hash, 14636792009861132907ull);
-  EXPECT_EQ(d.estimate_hash, 12557827256414464197ull);
-  EXPECT_EQ(d.c_hash, 17244435904466397807ull);
+  EXPECT_EQ(d.program_hash, 6624973657457990139ull);
+  EXPECT_EQ(d.estimate_hash, 8853928634143436387ull);
+  EXPECT_EQ(d.c_hash, 8444866200676083239ull);
 }
 
 TEST(SweepGolden, ExplicitConv) {

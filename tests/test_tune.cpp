@@ -362,8 +362,10 @@ TEST(ModelTuner, ParallelPicksSameWinnerAsSerial) {
 }
 
 /// Every candidate of `op`, checked against the lower bound of its
-/// lowered nest; returns how many there were.
-std::size_t check_lower_bounds(const dsl::OperatorDef& op, bool prefetch) {
+/// lowered nest; returns how many there were, and adds those whose C
+/// write-back is double-buffered to `write_backs`.
+std::size_t check_lower_bounds(const dsl::OperatorDef& op, bool prefetch,
+                               std::size_t& write_backs) {
   const CostModel model(cfg, gemm_cost_model(cfg));
   sched::SchedulerOptions serial;
   serial.num_threads = 1;
@@ -381,6 +383,7 @@ std::size_t check_lower_bounds(const dsl::OperatorDef& op, bool prefetch) {
     EXPECT_LE(b.total(), e.total()) << what;
     EXPECT_LE(b.dma_cycles(), e.dma_cycles()) << what;
     EXPECT_LE(b.compute_cycles, e.compute_cycles) << what;
+    if (b.async_put_cycles > 0.0) ++write_backs;
   }
   return cands.size();
 }
@@ -422,10 +425,15 @@ TEST(CostModel, LowerBoundNeverExceedsEitherEstimateTerm) {
                                               &matmul, &explicit_conv};
   for (const dsl::OperatorDef* op : pick_ops.all()) all.push_back(op);
   for (const bool prefetch : {true, false}) {
-    std::size_t checked = 0;
+    std::size_t checked = 0, write_backs = 0;
     for (const dsl::OperatorDef* op : all)
-      checked += check_lower_bounds(*op, prefetch);
+      checked += check_lower_bounds(*op, prefetch, write_backs);
     EXPECT_GT(checked, 3000u);
+    // With double buffering, some write-backs are double-buffered too.
+    if (prefetch)
+      EXPECT_GT(write_backs, 100u);
+    else
+      EXPECT_EQ(write_backs, 0u);
   }
 }
 
