@@ -8,7 +8,6 @@
 #include "check/validate_ir.hpp"
 #include "common/check.hpp"
 #include "ir/analysis.hpp"
-#include "ops/conv_backward.hpp"
 #include "ops/explicit_conv.hpp"
 #include "ops/implicit_conv.hpp"
 #include "ops/matmul.hpp"
@@ -167,7 +166,7 @@ void minimize(OpSpec& spec, const dsl::Strategy& strat,
         if (v % 8 == 0) smaller = (smaller / 8) * 8;
         if (smaller < 8) continue;
       } else {
-        if (i >= 5) continue;  // never touch kr/kc/stride (or winograd m)
+        if (i >= 5) continue;  // never touch kr/kc/stride
         if (smaller < 1) continue;
       }
       if (smaller >= v) continue;
@@ -230,16 +229,11 @@ OpSpec draw_spec(std::mt19937_64& rng, const FuzzOptions& opts) {
   std::vector<std::string> kinds = {"explicit_conv"};
   if (ops::ImplicitConvOp::applicable(s)) kinds.push_back("implicit_conv");
   if (ops::WinogradPlan::applicable(s)) kinds.push_back("winograd");
-  if (s.stride == 1 && ops::ConvBwdDataOp::applicable(s))
-    kinds.push_back("bwd_data");
-  if (s.stride == 1 && ops::ConvBwdFilterOp::applicable(s))
-    kinds.push_back("bwd_filter");
   OpSpec spec;
   spec.kind =
       kinds[std::uniform_int_distribution<std::size_t>(0, kinds.size() - 1)(
           rng)];
   spec.d = std::move(d);
-  if (spec.kind == "winograd") spec.d.push_back(2);  // F(2x2) tile
   if (opts.fused && spec.kind == "implicit_conv") {
     // A non-empty random epilogue: any of the 15 bias/residual/relu/pad
     // combinations, so every fused store-path variant gets swept.
@@ -332,9 +326,7 @@ std::unique_ptr<dsl::OperatorDef> make_op(const OpSpec& spec) {
       return nullptr;
     return std::make_unique<ops::MatmulOp>(spec.d[0], spec.d[1], spec.d[2]);
   }
-  const bool winograd = spec.kind == "winograd";
-  if (spec.d.size() != (winograd ? std::size_t{9} : std::size_t{8}))
-    return nullptr;
+  if (spec.d.size() != 8) return nullptr;
   const ops::ConvShape s = shape_of(spec.d);
   if (!conv_dims_sane(s)) return nullptr;
   if (spec.kind == "explicit_conv") {
@@ -345,19 +337,9 @@ std::unique_ptr<dsl::OperatorDef> make_op(const OpSpec& spec) {
     if (!ops::ImplicitConvOp::applicable(s)) return nullptr;
     return std::make_unique<ops::ImplicitConvOp>(s, spec.epi);
   }
-  if (winograd) {
+  if (spec.kind == "winograd") {
     if (!ops::WinogradPlan::applicable(s)) return nullptr;
-    const std::int64_t m = spec.d[8];
-    if (m != 2 && m != 4) return nullptr;
-    return std::make_unique<ops::WinogradGemmOp>(s, m);
-  }
-  if (spec.kind == "bwd_data") {
-    if (s.stride != 1 || !ops::ConvBwdDataOp::applicable(s)) return nullptr;
-    return std::make_unique<ops::ConvBwdDataOp>(s);
-  }
-  if (spec.kind == "bwd_filter") {
-    if (s.stride != 1 || !ops::ConvBwdFilterOp::applicable(s)) return nullptr;
-    return std::make_unique<ops::ConvBwdFilterOp>(s);
+    return std::make_unique<ops::WinogradGemmOp>(s);
   }
   return nullptr;
 }

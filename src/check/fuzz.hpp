@@ -21,9 +21,8 @@ namespace swatop::check {
 
 /// A fuzzable operator instance: a family tag plus its integer dimensions.
 ///   matmul        d = {M, N, K}
-///   implicit_conv, explicit_conv, bwd_data, bwd_filter
+///   implicit_conv, explicit_conv, winograd (F(2x2, 3x3))
 ///                 d = {batch, ni, no, ri, ci, kr, kc, stride}
-///   winograd      d = {batch, ni, no, ri, ci, kr, kc, stride, m}
 /// An implicit conv may additionally carry a fused epilogue, written as a
 /// `+tag` suffix on the kind ("implicit_conv+bar,p1" = bias + residual +
 /// relu with output pad 1 -- dsl::EpilogueSpec::tag()).

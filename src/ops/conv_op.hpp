@@ -38,15 +38,13 @@ sim::DmaCost pass_cost(const sim::SimConfig& cfg, std::int64_t read_floats,
                        std::int64_t write_floats, std::int64_t read_run = 0,
                        std::int64_t write_run = 0);
 
-/// The seeded test tensors every convolution operator's fill_inputs /
-/// check_output draw from (forward designs and ops/conv_backward alike):
-/// one Prng stream per tensor, seeded by its kind.
+/// The seeded test tensors every convolution design's fill_inputs /
+/// check_output draw from: one Prng stream per tensor, seeded by its kind.
 enum class TestTensor : std::uint64_t {
   In = 7,     ///< canonical input
   W = 13,     ///< canonical weights
   Bias = 17,  ///< a fused epilogue's bias
   Res = 19,   ///< a fused epilogue's residual
-  Dout = 23,  ///< the backward operators' output gradient
 };
 std::vector<float> test_tensor(TestTensor t, std::int64_t floats);
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/check.hpp"
-
 namespace swatop::ops {
 
 float Prng::next() {
@@ -16,46 +14,6 @@ float Prng::next() {
   const double u =
       static_cast<double>(r >> 40) / static_cast<double>(1ull << 24);
   return static_cast<float>(2.0 * u - 1.0);
-}
-
-HostTensor::HostTensor(std::vector<std::int64_t> dims)
-    : dims_(std::move(dims)) {
-  std::int64_t n = 1;
-  for (std::int64_t d : dims_) {
-    SWATOP_CHECK(d > 0) << "non-positive tensor dim " << d;
-    n *= d;
-  }
-  data_.assign(static_cast<std::size_t>(n), 0.0f);
-}
-
-std::int64_t HostTensor::offset(
-    std::initializer_list<std::int64_t> idx) const {
-  SWATOP_CHECK(idx.size() == dims_.size()) << "tensor rank mismatch";
-  std::int64_t off = 0;
-  std::size_t i = 0;
-  for (std::int64_t v : idx) {
-    SWATOP_CHECK(v >= 0 && v < dims_[i])
-        << "index " << v << " out of dim " << dims_[i];
-    off = off * dims_[i] + v;
-    ++i;
-  }
-  return off;
-}
-
-float& HostTensor::at(std::initializer_list<std::int64_t> idx) {
-  return data_[static_cast<std::size_t>(offset(idx))];
-}
-
-float HostTensor::at(std::initializer_list<std::int64_t> idx) const {
-  return data_[static_cast<std::size_t>(offset(idx))];
-}
-
-void HostTensor::fill_random(Prng& rng) {
-  for (float& v : data_) v = rng.next();
-}
-
-void HostTensor::fill(float v) {
-  for (float& x : data_) x = v;
 }
 
 double max_abs_diff(const float* a, const float* b, std::int64_t n) {

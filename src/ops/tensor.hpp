@@ -1,8 +1,7 @@
-// Host-side tensors used by references, input generation and output checks.
+// Host-side helpers for seeded test inputs and output checks.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace swatop::ops {
 
@@ -15,31 +14,6 @@ class Prng {
 
  private:
   std::uint64_t s_;
-};
-
-/// Dense row-major-on-dims host tensor; dims[0] is the slowest dimension.
-class HostTensor {
- public:
-  explicit HostTensor(std::vector<std::int64_t> dims);
-
-  std::int64_t size() const {
-    return static_cast<std::int64_t>(data_.size());
-  }
-  const std::vector<std::int64_t>& dims() const { return dims_; }
-
-  float* data() { return data_.data(); }
-  const float* data() const { return data_.data(); }
-
-  float& at(std::initializer_list<std::int64_t> idx);
-  float at(std::initializer_list<std::int64_t> idx) const;
-
-  void fill_random(Prng& rng);
-  void fill(float v);
-
- private:
-  std::int64_t offset(std::initializer_list<std::int64_t> idx) const;
-  std::vector<std::int64_t> dims_;
-  std::vector<float> data_;
 };
 
 /// max |a - b| over two equally sized buffers.

@@ -15,42 +15,13 @@ namespace ir = swatop::ir;
 
 namespace {
 
-// Winograd minimal-filtering matrices [Lavin & Gray, CVPR'16].
-// F(2x2, 3x3): 4x4 input tiles, 16 products.
-constexpr double kBT2[4][4] = {
+// F(2x2, 3x3) minimal-filtering matrices [Lavin & Gray, CVPR'16]: B^T
+// (input), G (filter) and A^T (inverse), row-major.
+constexpr double kBT[4][4] = {
     {1, 0, -1, 0}, {0, 1, 1, 0}, {0, -1, 1, 0}, {0, 1, 0, -1}};
-constexpr double kG2[4][3] = {
+constexpr double kG[4][3] = {
     {1, 0, 0}, {0.5, 0.5, 0.5}, {0.5, -0.5, 0.5}, {0, 0, 1}};
-constexpr double kAT2[2][4] = {{1, 1, 1, 0}, {0, 1, -1, -1}};
-
-// F(4x4, 3x3): 6x6 input tiles, 36 products.
-constexpr double kBT4[6][6] = {
-    {4, 0, -5, 0, 1, 0},  {0, -4, -4, 1, 1, 0}, {0, 4, -4, -1, 1, 0},
-    {0, -2, -1, 2, 1, 0}, {0, 2, -1, -2, 1, 0}, {0, 4, 0, -5, 0, 1}};
-constexpr double kG4[6][3] = {
-    {1.0 / 4, 0, 0},
-    {-1.0 / 6, -1.0 / 6, -1.0 / 6},
-    {-1.0 / 6, 1.0 / 6, -1.0 / 6},
-    {1.0 / 24, 1.0 / 12, 1.0 / 6},
-    {1.0 / 24, -1.0 / 12, 1.0 / 6},
-    {0, 0, 1}};
-constexpr double kAT4[4][6] = {{1, 1, 1, 1, 1, 0},
-                               {0, 1, -1, 2, -2, 0},
-                               {0, 1, 1, 4, 4, 0},
-                               {0, 1, -1, 8, -8, 1}};
-
-/// Row-major view of the transform matrices for a plan.
-struct Matrices {
-  const double* bt;  ///< tile x tile
-  const double* g;   ///< tile x 3
-  const double* at;  ///< m x tile
-};
-
-Matrices matrices_for(std::int64_t m) {
-  if (m == 2) return {&kBT2[0][0], &kG2[0][0], &kAT2[0][0]};
-  SWATOP_CHECK(m == 4) << "Winograd output tile must be 2 or 4, got " << m;
-  return {&kBT4[0][0], &kG4[0][0], &kAT4[0][0]};
-}
+constexpr double kAT[2][4] = {{1, 1, 1, 0}, {0, 1, -1, -1}};
 
 /// out(rows_a x cols_b) = A(rows_a x inner) * B(inner x cols_b), row-major.
 void matmul_rm(const double* A, const double* B, double* out,
@@ -84,23 +55,19 @@ void sandwich(const double* A, const double* D, double* out,
 
 }  // namespace
 
-WinogradPlan::WinogradPlan(const ConvShape& s, std::int64_t m_) : shape(s) {
+WinogradPlan::WinogradPlan(const ConvShape& s) : shape(s) {
   SWATOP_CHECK(applicable(s))
-      << "Winograd F(mxm,3x3) not applicable to " << s.to_string();
-  SWATOP_CHECK(m_ == 2 || m_ == 4)
-      << "Winograd output tile must be 2 or 4, got " << m_;
-  m = m_;
-  tiles_r = ceil_div(s.ro(), m);
-  tiles_c = ceil_div(s.co(), m);
+      << "Winograd F(2x2,3x3) not applicable to " << s.to_string();
+  tiles_r = ceil_div(s.ro(), kM);
+  tiles_c = ceil_div(s.co(), kM);
   P = s.batch * tiles_r * tiles_c;
 }
 
-WinogradGemmOp::WinogradGemmOp(const ConvShape& shape, std::int64_t m)
-    : ConvOp(shape), plan_(shape, m) {}
+WinogradGemmOp::WinogradGemmOp(const ConvShape& shape)
+    : ConvOp(shape), plan_(shape) {}
 
 std::string WinogradGemmOp::name() const {
-  return "winograd" + std::to_string(plan_.m) + "_conv[" +
-         plan_.shape.to_string() + "]";
+  return "winograd2_conv[" + plan_.shape.to_string() + "]";
 }
 
 dsl::ScheduleSpace WinogradGemmOp::space() const {
@@ -166,7 +133,8 @@ ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
       {'n', {"n_o", ir::cst(dn.count), false}},
       {'k', {"k_o", ir::cst(dk.count), true}},
   };
-  std::vector<sched::LoopSpec> loops = {{"t", ir::cst(plan_.T()), false}};
+  std::vector<sched::LoopSpec> loops = {
+      {"t", ir::cst(WinogradPlan::kT), false}};
   for (const auto& l : sched::order_loops(s.choice("order"), dims))
     loops.push_back(l);
   return sched::build_nest(loops, ir::make_gemm(g));
@@ -174,7 +142,7 @@ ir::StmtPtr WinogradGemmOp::lower(const dsl::Strategy& s) const {
 
 std::vector<dsl::TensorSpec> WinogradGemmOp::tensors() const {
   const std::int64_t No = plan_.shape.no, Ni = plan_.shape.ni, P = plan_.P;
-  const std::int64_t T = plan_.T();
+  const std::int64_t T = WinogradPlan::kT;
   return {{"U", T * No * Ni, false},
           {"V", T * Ni * P, false},
           {"Mt", T * No * P, true}};
@@ -195,7 +163,7 @@ void WinogradGemmOp::load_weights(sim::CoreGroup& cg,
 void WinogradGemmOp::pre_pass(sim::CoreGroup& cg,
                               const dsl::BoundTensors& bt) const {
   transform_input(cg, bt.at("in"), bt.at("V"), plan_);
-  cg.mem().fill(bt.at("Mt"), plan_.T() * shape_.no * plan_.P, 0.0f);
+  cg.mem().fill(bt.at("Mt"), WinogradPlan::kT * shape_.no * plan_.P, 0.0f);
 }
 
 void WinogradGemmOp::post_pass(sim::CoreGroup& cg,
@@ -210,17 +178,17 @@ void WinogradGemmOp::charge_passes(sim::CoreGroup& cg) const {
   // resident like any parameter (as explicit GEMM's wmat re-layout does).
   const WinogradPlan& p = plan_;
   const ConvShape& s = shape_;
-  const double T = static_cast<double>(p.T());
+  constexpr std::int64_t T = WinogradPlan::kT;
   auto charge = [&](std::int64_t read, std::int64_t write, double flops) {
     cg.charge_dma_cost_sync(pass_cost(cg.config(), read, write));
     cg.advance_compute(flops / cg.config().peak_flops_per_cycle());
   };
   // Input transform: the overlapping tiles read ~T/(m^2)x the input volume,
   // write T * Ni * P; two tile x tile sandwiches per channel tile.
-  charge(p.T() * s.ni * p.P, p.T() * s.ni * p.P,
+  charge(T * s.ni * p.P, T * s.ni * p.P,
          static_cast<double>(p.P) * static_cast<double>(s.ni) * 8.0 * T);
   // Inverse transform: read T * No * P, write the output tensor.
-  charge(p.T() * s.no * p.P, s.out_floats(),
+  charge(T * s.no * p.P, s.out_floats(),
          static_cast<double>(p.P) * static_cast<double>(s.no) * 3.0 * T);
 }
 
@@ -230,10 +198,9 @@ void WinogradGemmOp::transform_input(sim::CoreGroup& cg,
                                      const WinogradPlan& p) {
   const ConvShape& s = p.shape;
   const std::int64_t B = s.batch, Ni = s.ni, Ci = s.ci, Ri = s.ri;
-  const std::int64_t tile = p.tile(), T = p.T();
-  const Matrices mats = matrices_for(p.m);
-  std::vector<double> d(static_cast<std::size_t>(tile * tile));
-  std::vector<double> v(static_cast<std::size_t>(tile * tile));
+  constexpr std::int64_t tile = WinogradPlan::kTile, T = WinogradPlan::kT;
+  std::vector<double> d(static_cast<std::size_t>(T));
+  std::vector<double> v(static_cast<std::size_t>(T));
   for (std::int64_t b = 0; b < B; ++b) {
     for (std::int64_t tr = 0; tr < p.tiles_r; ++tr) {
       for (std::int64_t tc = 0; tc < p.tiles_c; ++tc) {
@@ -241,14 +208,15 @@ void WinogradGemmOp::transform_input(sim::CoreGroup& cg,
         for (std::int64_t ni = 0; ni < Ni; ++ni) {
           for (std::int64_t i = 0; i < tile; ++i) {
             for (std::int64_t j = 0; j < tile; ++j) {
-              const std::int64_t ri = p.m * tr + i, ci = p.m * tc + j;
+              const std::int64_t ri = WinogradPlan::kM * tr + i;
+              const std::int64_t ci = WinogradPlan::kM * tc + j;
               d[static_cast<std::size_t>(i * tile + j)] =
                   (ri < Ri && ci < Ci)
                       ? cg.mem().read(in + ((ri * Ni + ni) * Ci + ci) * B + b)
                       : 0.0;
             }
           }
-          sandwich(mats.bt, d.data(), v.data(), tile, tile);
+          sandwich(&kBT[0][0], d.data(), v.data(), tile, tile);
           for (std::int64_t t = 0; t < T; ++t)
             cg.mem().write(V + t * Ni * p.P + ni + pid * Ni,
                            static_cast<float>(
@@ -265,24 +233,22 @@ void WinogradGemmOp::transform_filter(sim::CoreGroup& cg,
                                       const WinogradPlan& p) {
   const ConvShape& s = p.shape;
   const std::int64_t Ni = s.ni, No = s.no;
-  const std::int64_t tile = p.tile(), T = p.T();
-  const Matrices mats = matrices_for(p.m);
+  constexpr std::int64_t tile = WinogradPlan::kTile, T = WinogradPlan::kT;
   std::vector<double> g(9), tmp(static_cast<std::size_t>(tile * 3)),
-      u(static_cast<std::size_t>(tile * tile));
+      u(static_cast<std::size_t>(T));
   for (std::int64_t no = 0; no < No; ++no) {
     for (std::int64_t ni = 0; ni < Ni; ++ni) {
       for (int kr = 0; kr < 3; ++kr)
         for (int kc = 0; kc < 3; ++kc)
           g[static_cast<std::size_t>(kr * 3 + kc)] =
               cg.mem().read(w + ((kr * 3 + kc) * Ni + ni) * No + no);
-      matmul_rm(mats.g, g.data(), tmp.data(), tile, 3, 3);  // G * g
+      matmul_rm(&kG[0][0], g.data(), tmp.data(), tile, 3, 3);  // G * g
       // u = tmp * G^T.
       for (std::int64_t i = 0; i < tile; ++i) {
         for (std::int64_t j = 0; j < tile; ++j) {
           double acc = 0.0;
           for (int k = 0; k < 3; ++k)
-            acc += tmp[static_cast<std::size_t>(i * 3 + k)] *
-                   mats.g[j * 3 + k];
+            acc += tmp[static_cast<std::size_t>(i * 3 + k)] * kG[j][k];
           u[static_cast<std::size_t>(i * tile + j)] = acc;
         }
       }
@@ -300,8 +266,8 @@ void WinogradGemmOp::inverse_transform(sim::CoreGroup& cg,
   const ConvShape& s = p.shape;
   const std::int64_t B = s.batch, No = s.no;
   const std::int64_t Ro = s.ro(), Co = s.co();
-  const std::int64_t tile = p.tile(), T = p.T(), m = p.m;
-  const Matrices mats = matrices_for(p.m);
+  constexpr std::int64_t tile = WinogradPlan::kTile, T = WinogradPlan::kT,
+                         m = WinogradPlan::kM;
   std::vector<double> mm(static_cast<std::size_t>(T));
   std::vector<double> tmp(static_cast<std::size_t>(m * tile));
   std::vector<double> y(static_cast<std::size_t>(m * m));
@@ -313,14 +279,13 @@ void WinogradGemmOp::inverse_transform(sim::CoreGroup& cg,
           for (std::int64_t t = 0; t < T; ++t)
             mm[static_cast<std::size_t>(t)] =
                 cg.mem().read(Mt + t * No * p.P + no + pid * No);
-          matmul_rm(mats.at, mm.data(), tmp.data(), m, tile, tile);
+          matmul_rm(&kAT[0][0], mm.data(), tmp.data(), m, tile, tile);
           // y = tmp * AT^T.
           for (std::int64_t i = 0; i < m; ++i) {
             for (std::int64_t j = 0; j < m; ++j) {
               double acc = 0.0;
               for (std::int64_t k = 0; k < tile; ++k)
-                acc += tmp[static_cast<std::size_t>(i * tile + k)] *
-                       mats.at[j * tile + k];
+                acc += tmp[static_cast<std::size_t>(i * tile + k)] * kAT[j][k];
               y[static_cast<std::size_t>(i * m + j)] = acc;
             }
           }

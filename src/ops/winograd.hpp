@@ -13,38 +13,36 @@
 
 namespace swatop::ops {
 
-/// Tiling geometry of F(m x m, 3x3) over a convolution shape; m = 2 is the
-/// paper's 16-multiplication design, m = 4 the 36-multiplication F(4x4)
-/// variant with a bigger arithmetic saving (and looser fp32 accuracy).
+/// Tiling geometry of F(2x2, 3x3) over a convolution shape: each 4x4 input
+/// tile yields a 2x2 output tile through 16 multiplications.
 struct WinogradPlan {
+  static constexpr std::int64_t kM = 2;              ///< output tile edge
+  static constexpr std::int64_t kTile = kM + 2;      ///< input tile edge
+  static constexpr std::int64_t kT = kTile * kTile;  ///< GEMM batch count
+
   ConvShape shape;
-  std::int64_t m = 2;        ///< output tile size (2 or 4)
-  std::int64_t tiles_r = 0;  ///< output tile rows (ceil(Ro / m))
+  std::int64_t tiles_r = 0;  ///< output tile rows (ceil(Ro / kM))
   std::int64_t tiles_c = 0;
   std::int64_t P = 0;  ///< batch * tiles_r * tiles_c
 
-  explicit WinogradPlan(const ConvShape& s, std::int64_t m = 2);
-
-  /// Input tile edge (m + 2) and GEMM batch count (tile^2).
-  std::int64_t tile() const { return m + 2; }
-  std::int64_t T() const { return tile() * tile(); }
+  explicit WinogradPlan(const ConvShape& s);
 
   static bool applicable(const ConvShape& s) {
     return s.kr == 3 && s.kc == 3 && s.stride == 1 && s.ro() >= 2 &&
            s.co() >= 2;
   }
 
-  /// GEMM flops of the T() multiplications (less than the direct-conv
+  /// GEMM flops of the kT multiplications (less than the direct-conv
   /// flops; that gap is Winograd's arithmetic saving).
   std::int64_t gemm_flops() const {
-    return 2 * T() * shape.no * shape.ni * P;
+    return 2 * kT * shape.no * shape.ni * P;
   }
 };
 
 /// The tuned batched-GEMM core and its transforms.
 class WinogradGemmOp : public ConvOp {
  public:
-  explicit WinogradGemmOp(const ConvShape& shape, std::int64_t m = 2);
+  explicit WinogradGemmOp(const ConvShape& shape);
 
   std::string name() const override;
   dsl::ScheduleSpace space() const override;
@@ -70,7 +68,7 @@ class WinogradGemmOp : public ConvOp {
   const WinogradPlan& plan() const { return plan_; }
 
   // Functional transforms (host loops over the arena), used by tests and
-  // the hooks above, for both F(2x2) and F(4x4). Layouts: in
+  // the hooks above. Layouts: in
   // [ri][ni][ci][b]; U [t][ni][no] (column-major No x Ni per t); V
   // [t][p][ni] (column-major Ni x P per t); Mt [t][p][no] (column-major
   // No x P per t); out [ro][no][co][b].

@@ -376,6 +376,18 @@ TEST(FuzzSpec, RoundTrips) {
   EXPECT_EQ(check::make_op(
                 *check::OpSpec::parse("implicit_conv:1,8,32,7,7,3,3,2")),
             nullptr);
+  // Winograd is F(2x2, 3x3): eight fields, like the other convolutions.
+  const auto wino = check::OpSpec::parse("winograd:1,16,32,6,6,3,3,1");
+  ASSERT_TRUE(wino.has_value());
+  EXPECT_EQ(wino->to_string(), "winograd:1,16,32,6,6,3,3,1");
+  EXPECT_NE(check::make_op(*wino), nullptr);
+  EXPECT_EQ(check::make_op(
+                *check::OpSpec::parse("winograd:1,16,32,6,6,3,3,1,2")),
+            nullptr);
+  // Unknown kinds parse but build no operator.
+  EXPECT_EQ(check::make_op(
+                *check::OpSpec::parse("bwd_data:1,16,32,6,6,3,3,1")),
+            nullptr);
 }
 
 TEST(FuzzSpec, FusedEpilogueTagRoundTrips) {
@@ -433,7 +445,8 @@ TEST(FuzzSmoke, FixedSeedHasNoFailures) {
 
 TEST(FuzzSmoke, ConvOnlySeedReachesAnImplicitConv) {
   // CI's conv-only seed: each shape runs at most an eighth of the budget,
-  // so 200 cases spread over several operators instead of one big space.
+  // so 200 cases spread over several operators instead of one big space,
+  // and every forward design (implicit, explicit, Winograd) is drawn.
   check::FuzzOptions opts;
   opts.seed = 2;
   opts.cases = 200;
@@ -442,10 +455,14 @@ TEST(FuzzSmoke, ConvOnlySeedReachesAnImplicitConv) {
   opts.log = [&](const std::string& line) { shapes.push_back(line); };
   const check::FuzzReport rep = check::fuzz_schedules(opts);
   EXPECT_GE(rep.shapes, 8);
-  EXPECT_TRUE(std::any_of(shapes.begin(), shapes.end(),
-                          [](const std::string& l) {
-                            return l.rfind("implicit_conv", 0) == 0;
-                          }));
+  for (const std::string kind :
+       {"implicit_conv:", "explicit_conv:", "winograd:"}) {
+    EXPECT_TRUE(std::any_of(shapes.begin(), shapes.end(),
+                            [&](const std::string& l) {
+                              return l.rfind(kind, 0) == 0;
+                            }))
+        << kind;
+  }
   for (const auto& f : rep.failures)
     ADD_FAILURE() << "[" << f.kind << "] " << f.detail << "\n  " << f.repro;
 }

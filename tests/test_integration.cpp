@@ -184,36 +184,6 @@ TEST(Integration, GeneratedCodeIsNonTrivial) {
 }  // namespace
 }  // namespace swatop
 
-#include "ops/conv_backward.hpp"
-
-namespace swatop {
-namespace {
-
-TEST(Integration, ConvBackwardDataTuned) {
-  ops::ConvShape s;
-  s.batch = 8;
-  s.ni = 32;
-  s.no = 32;
-  s.ri = 8;
-  s.ci = 8;
-  ops::ConvBwdDataOp op(s);
-  EXPECT_LE(optimize_and_check(op), 3e-3);
-}
-
-TEST(Integration, ConvBackwardFilterTuned) {
-  ops::ConvShape s;
-  s.batch = 8;
-  s.ni = 32;
-  s.no = 32;
-  s.ri = 8;
-  s.ci = 8;
-  ops::ConvBwdFilterOp op(s);
-  EXPECT_LE(optimize_and_check(op), 5e-3);
-}
-
-}  // namespace
-}  // namespace swatop
-
 namespace swatop {
 namespace {
 

@@ -835,98 +835,6 @@ TEST(Winograd, PrePostCyclesPositiveAndScale) {
 }  // namespace
 }  // namespace swatop::ops
 
-#include "ops/conv_backward.hpp"
-
-namespace swatop::ops {
-namespace {
-
-TEST(ConvBackward, ReferencesAgreeWithFiniteDifferenceIdentity) {
-  // Chain-rule sanity: sum(dout * conv(in, w)) ==
-  //   sum(din * in) == sum(dw * w) for the same dout.
-  const ConvShape s = small_shape(2, 8, 8, 4);
-  std::vector<float> in(static_cast<std::size_t>(s.ri * s.ni * s.ci *
-                                                 s.batch));
-  std::vector<float> w(static_cast<std::size_t>(9 * s.ni * s.no));
-  std::vector<float> dout(static_cast<std::size_t>(s.ro() * s.no * s.co() *
-                                                   s.batch));
-  Prng rng(77);
-  for (float& x : in) x = rng.next();
-  for (float& x : w) x = rng.next();
-  for (float& x : dout) x = rng.next();
-
-  std::vector<float> out(dout.size());
-  reference_conv(in.data(), w.data(), out.data(), s);
-  std::vector<float> din(in.size());
-  reference_conv_bwd_data(dout.data(), w.data(), din.data(), s);
-  std::vector<float> dw(w.size());
-  reference_conv_bwd_filter(in.data(), dout.data(), dw.data(), s);
-
-  double e_out = 0, e_din = 0, e_dw = 0;
-  for (std::size_t i = 0; i < out.size(); ++i)
-    e_out += static_cast<double>(out[i]) * dout[i];
-  for (std::size_t i = 0; i < in.size(); ++i)
-    e_din += static_cast<double>(din[i]) * in[i];
-  for (std::size_t i = 0; i < w.size(); ++i)
-    e_dw += static_cast<double>(dw[i]) * w[i];
-  EXPECT_NEAR(e_din, e_out, 1e-2 * std::abs(e_out) + 1e-3);
-  EXPECT_NEAR(e_dw, e_out, 1e-2 * std::abs(e_out) + 1e-3);
-}
-
-TEST(ConvBackward, BwdDataTunedMatchesReference) {
-  ConvShape s = small_shape(8, 32, 32, 6);
-  ConvBwdDataOp op(s);
-  dsl::Strategy st;
-  st.set_factor("Tm", 32);
-  st.set_factor("Tk", 32);
-  st.set_factor("Tc", 4);
-  st.set_choice("order", "rcmuvk");
-  st.set_choice("variant", "6");
-  st.set_choice("boundary", "pad");
-  EXPECT_LE(run_and_check(op, st), 3e-3);
-}
-
-TEST(ConvBackward, BwdDataReductionOutsideOrder) {
-  ConvShape s = small_shape(8, 32, 32, 6);
-  ConvBwdDataOp op(s);
-  dsl::Strategy st;
-  st.set_factor("Tm", 32);
-  st.set_factor("Tk", 32);
-  st.set_factor("Tc", 4);
-  st.set_choice("order", "rcuvkm");  // reductions outside the M tile loop
-  st.set_choice("variant", "6");
-  st.set_choice("boundary", "pad");
-  EXPECT_LE(run_and_check(op, st), 3e-3);
-}
-
-TEST(ConvBackward, BwdFilterTunedMatchesReference) {
-  ConvShape s = small_shape(8, 32, 32, 6);
-  ConvBwdFilterOp op(s);
-  dsl::Strategy st;
-  st.set_factor("Tni", 32);
-  st.set_factor("Tno", 32);
-  st.set_factor("Tc", 4);
-  st.set_choice("order", "uvmnrc");
-  st.set_choice("variant", "6");
-  st.set_choice("boundary", "pad");
-  EXPECT_LE(run_and_check(op, st), 5e-3);
-}
-
-TEST(ConvBackward, BwdFilterBigReductionOrder) {
-  ConvShape s = small_shape(4, 32, 32, 8);
-  ConvBwdFilterOp op(s);
-  dsl::Strategy st;
-  st.set_factor("Tni", 32);
-  st.set_factor("Tno", 32);
-  st.set_factor("Tc", 2);
-  st.set_choice("order", "uvrcmn");  // r, c reductions outside m, n
-  st.set_choice("variant", "6");
-  st.set_choice("boundary", "pad");
-  EXPECT_LE(run_and_check(op, st), 5e-3);
-}
-
-}  // namespace
-}  // namespace swatop::ops
-
 namespace swatop::ops {
 namespace {
 
@@ -1002,73 +910,6 @@ TEST(StridedConv, WinogradNotApplicable) {
 namespace swatop::ops {
 namespace {
 
-TEST(WinogradF4, PlanGeometry) {
-  const WinogradPlan p(small_shape(2, 16, 16, 8), 4);
-  EXPECT_EQ(p.tile(), 6);
-  EXPECT_EQ(p.T(), 36);
-  EXPECT_EQ(p.tiles_r, 2);
-  EXPECT_EQ(p.P, 2 * 4);
-  // F(4x4) does fewer GEMM flops per output than F(2x2).
-  const WinogradPlan p2(small_shape(2, 16, 16, 8), 2);
-  EXPECT_LT(p.gemm_flops(), p2.gemm_flops());
-}
-
-TEST(WinogradF4, TransformsInvertOnSingleTile) {
-  const ConvShape s = small_shape(1, 2, 2, 4);  // one 6x6 tile
-  const WinogradPlan p(s, 4);
-  sim::CoreGroup cg;
-  const auto in = cg.mem().alloc(s.ri * s.ni * s.ci * s.batch);
-  const auto w = cg.mem().alloc(9 * s.ni * s.no);
-  Prng rng(5);
-  for (std::int64_t i = 0; i < s.ri * s.ni * s.ci; ++i)
-    cg.mem().write(in + i, rng.next());
-  for (std::int64_t i = 0; i < 9 * s.ni * s.no; ++i)
-    cg.mem().write(w + i, rng.next());
-
-  const auto U = cg.mem().alloc(p.T() * s.no * s.ni);
-  const auto V = cg.mem().alloc(p.T() * s.ni * p.P);
-  const auto Mt = cg.mem().alloc(p.T() * s.no * p.P);
-  const auto out = cg.mem().alloc(s.ro() * s.no * s.co() * s.batch);
-  WinogradGemmOp::transform_input(cg, in, V, p);
-  WinogradGemmOp::transform_filter(cg, w, U, p);
-  for (std::int64_t t = 0; t < p.T(); ++t) {
-    std::vector<float> u(static_cast<std::size_t>(s.no * s.ni));
-    std::vector<float> v(static_cast<std::size_t>(s.ni * p.P));
-    std::vector<float> m(static_cast<std::size_t>(s.no * p.P));
-    cg.mem().copy_out(U + t * s.no * s.ni, u);
-    cg.mem().copy_out(V + t * s.ni * p.P, v);
-    reference_gemm(u.data(), v.data(), m.data(), s.no, p.P, s.ni);
-    cg.mem().copy_in(Mt + t * s.no * p.P, m);
-  }
-  WinogradGemmOp::inverse_transform(cg, Mt, out, p);
-
-  std::vector<float> hin(static_cast<std::size_t>(s.ri * s.ni * s.ci));
-  std::vector<float> hw(static_cast<std::size_t>(9 * s.ni * s.no));
-  cg.mem().copy_out(in, hin);
-  cg.mem().copy_out(w, hw);
-  std::vector<float> ref(static_cast<std::size_t>(s.ro() * s.no * s.co()));
-  reference_conv(hin.data(), hw.data(), ref.data(), s);
-  std::vector<float> got(ref.size());
-  cg.mem().copy_out(out, got);
-  // F(4x4)'s larger transform constants lose more fp32 bits than F(2x2).
-  EXPECT_LE(max_abs_diff(got.data(), ref.data(),
-                         static_cast<std::int64_t>(ref.size())),
-            1e-3);
-}
-
-TEST(WinogradF4, TunedEndToEndMatchesReference) {
-  ConvShape s = small_shape(2, 16, 32, 8);
-  WinogradGemmOp op(s, 4);
-  dsl::Strategy st;
-  st.set_factor("Tm", 32);
-  st.set_factor("Tn", 32);
-  st.set_factor("Tk", 16);
-  st.set_choice("order", "mnk");
-  st.set_choice("variant", "0");
-  st.set_choice("boundary", "pad");
-  EXPECT_LE(run_and_check(op, st), 1e-2);
-}
-
 TEST(ConvOp, RepeatedChecksReuseTheCanonicalOutput) {
   // Explicit GEMM and Winograd bind no canonical "out": the first check of
   // a core group allocates it, and a second check must not grow the arena.
@@ -1096,15 +937,6 @@ TEST(ConvOp, RepeatedChecksReuseTheCanonicalOutput) {
     EXPECT_EQ(cg.mem().size(), size);
     EXPECT_LE(first, 1e-2);
   }
-}
-
-TEST(WinogradF4, FewerGemmCallsThanDirectWork) {
-  // The arithmetic saving must survive tiling: F(4x4) gemm flops < direct.
-  const ConvShape s = small_shape(8, 64, 64, 16);
-  const WinogradPlan p4(s, 4);
-  EXPECT_LT(p4.gemm_flops(), s.flops());
-  EXPECT_LT(static_cast<double>(p4.gemm_flops()),
-            0.55 * static_cast<double>(s.flops()));
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Shared command-line parsing for the tools/ binaries (run_network,
-// serve_sim, swatop_report).
+// serve_sim, swatop_report, fuzz_schedules).
 //
 // Everything here is *strict*: a numeric token must parse in its entirety
 // ("4abc" and "" are errors, not 4 and 0), ranges are checked at the parse

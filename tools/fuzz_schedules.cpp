@@ -9,12 +9,15 @@
 //   fuzz_schedules --op matmul:72,40,24 --strategy 'f:Tm=8 ...'
 //     Replay one (operator, strategy) pair -- the repro one-liner printed
 //     for every failure.
+//
+// Exit status: 0 when every check passed, 1 on any failure, 2 on a usage
+// error (flags are parsed strictly, see cli.hpp).
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "check/fuzz.hpp"
+#include "cli.hpp"
 
 namespace {
 
@@ -26,8 +29,9 @@ void usage() {
          "       fuzz_schedules --op KIND:D1,D2,... [--strategy TEXT]\n"
          "                      [--tol X] [--no-sanitize]\n"
          "operator kinds: matmul:M,N,K | implicit_conv | explicit_conv |\n"
-         "  bwd_data | bwd_filter (b,ni,no,ri,ci,kr,kc,stride) |\n"
-         "  winograd (...,m)\n"
+         "  winograd (b,ni,no,ri,ci,kr,kc,stride)\n"
+         "--cases and --max-dim are at least 1, --tol is positive, and\n"
+         "  --matmul-only and --conv-only exclude each other\n"
          "--fused stamps random epilogues onto implicit-conv draws; a fused\n"
          "  op spec carries the epilogue as a kind suffix, e.g.\n"
          "  implicit_conv+bar,p1:1,32,32,6,6,3,3,1\n";
@@ -37,29 +41,21 @@ void usage() {
 
 int main(int argc, char** argv) {
   swatop::check::FuzzOptions opts;
-  opts.cases = 200;
   std::string op_spec;
   std::string strategy;
   bool quiet = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << a << "\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
+  swatop::cli::Args args(argc, argv, usage);
+  while (args.more()) {
+    const std::string a = args.pop("option");
     if (a == "--seed") {
-      opts.seed = std::strtoull(next(), nullptr, 10);
+      opts.seed = static_cast<std::uint64_t>(args.int64(a, args.value(a), 0));
     } else if (a == "--cases") {
-      opts.cases = std::strtoll(next(), nullptr, 10);
+      opts.cases = args.int64(a, args.value(a), 1);
     } else if (a == "--max-dim") {
-      opts.max_dim = std::strtoll(next(), nullptr, 10);
+      opts.max_dim = args.int64(a, args.value(a), 1);
     } else if (a == "--tol") {
-      opts.tolerance = std::strtod(next(), nullptr);
+      opts.tolerance = args.real(a, args.value(a), /*require_positive=*/true);
     } else if (a == "--no-sanitize") {
       opts.sanitize = false;
     } else if (a == "--matmul-only") {
@@ -71,29 +67,25 @@ int main(int argc, char** argv) {
     } else if (a == "--quiet") {
       quiet = true;
     } else if (a == "--op") {
-      op_spec = next();
+      op_spec = args.value(a);
     } else if (a == "--strategy") {
-      strategy = next();
+      strategy = args.value(a);
     } else if (a == "--help" || a == "-h") {
       usage();
       return 0;
     } else {
-      std::cerr << "unknown argument: " << a << "\n";
-      usage();
-      return 2;
+      args.fail("unknown argument '" + a + "'");
     }
   }
+  if (!opts.matmul && !opts.conv)
+    args.fail("--matmul-only and --conv-only exclude each other");
 
   if (!quiet)
     opts.log = [](const std::string& line) { std::cout << line << "\n"; };
 
   swatop::check::FuzzReport rep;
   if (!op_spec.empty()) {
-    if (strategy.empty()) {
-      std::cerr << "--op requires --strategy\n";
-      usage();
-      return 2;
-    }
+    if (strategy.empty()) args.fail("--op requires --strategy");
     rep = swatop::check::replay(op_spec, strategy, opts);
   } else {
     rep = swatop::check::fuzz_schedules(opts);
